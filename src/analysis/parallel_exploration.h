@@ -43,12 +43,13 @@
 // (tests/analysis_parallel_equivalence_test.cpp) pins this on the golden
 // models and on randomized nets.
 //
-// Interpreted nets: data contexts are interned into a dense id table (one
-// mutex; context equality, which the word encoding is injective over), and
-// a provisional state is [marking words | context id]. The canonical store
-// re-encodes contexts with the same evolving DataLayout the sequential
-// builder uses — widening happens inside SEAL at the same discovery points,
-// so the final layout and arena bytes match too.
+// Interpreted nets run predicates and actions as bytecode (expr/vm.h)
+// against each worker's decoded parent frame. A state is its full
+// [marking | schema-encoded data] word vector — provisional and canonical
+// words coincide, and the width is frozen before the first state, so
+// interpreted nets seal exactly like plain ones. Bytecode is immutable and
+// each worker evaluates with its own scratch, so concurrent evaluation is
+// safe by construction.
 #pragma once
 
 #include <memory>
@@ -59,7 +60,6 @@
 #include "analysis/state_store.h"
 #include "expr/program.h"
 #include "petri/compiled_net.h"
-#include "petri/data_context.h"
 
 namespace pnut::analysis {
 
@@ -67,8 +67,6 @@ namespace pnut::analysis {
 struct ParallelReachResult {
   StateStore store;                      ///< canonical: state i = BFS discovery i
   EdgeCsr<ReachabilityGraph::Edge> edges;  ///< canonical flat pool
-  std::vector<DataContext> data;         ///< per-state contexts (interpreted nets)
-  bool track_data = false;
   ReachStatus status = ReachStatus::kComplete;
   /// States [0, num_expanded) were fully expanded — the same prefix the
   /// sequential builder expands (BFS expansion order is canonical id
@@ -83,22 +81,10 @@ struct ParallelReachResult {
 
 /// Explore with `threads` workers (>= 2; callers resolve 0/1 themselves).
 /// Byte-identical to the sequential builder for any thread count.
-///
-/// `program` (may be null) is the net's compiled expression bytecode: when
-/// present, predicates and actions run on the VM against slot frames, a
-/// provisional state is its full [marking | encoded data] word vector (no
-/// context table, no per-state DataContext), and interpreted nets ride the
-/// fast candidate seal exactly like plain nets — the encoded width is
-/// frozen up front, so no mid-seal layout widening can occur.
-///
-/// Thread-safety requirement on the model (same one run_replications
-/// already imposes): predicates, actions and computed delays attached to
-/// the net must be safe to invoke concurrently — i.e. pure functions of
-/// their arguments. (Bytecode is immutable and each worker evaluates with
-/// its own scratch, so the VM path satisfies this by construction.)
+/// `program` is the net's compiled bytecode; it must be non-null whenever
+/// the net has predicates or actions.
 ParallelReachResult explore_reachability_parallel(
     const std::shared_ptr<const CompiledNet>& net, const ReachOptions& options,
-    unsigned threads,
-    const std::shared_ptr<const expr::NetProgram>& program = nullptr);
+    unsigned threads, const std::shared_ptr<const expr::NetProgram>& program);
 
 }  // namespace pnut::analysis

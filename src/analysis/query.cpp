@@ -5,10 +5,12 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "expr/lexer.h"
+#include "expr/parser.h"
 #include "util/stop.h"
 
 namespace pnut::analysis {
@@ -88,7 +90,7 @@ class VarNode final : public QNode {
 class StateFnNode final : public QNode {
  public:
   StateFnNode(std::string name, std::vector<QNodePtr> args)
-      : name_(std::move(name)), args_(std::move(args)) {}
+      : name_(std::move(name)), where_("'" + name_ + "(...)'"), args_(std::move(args)) {}
 
   std::int64_t eval(Env& env) const override {
     if (name_ == "min" && args_.size() == 2) {
@@ -104,8 +106,7 @@ class StateFnNode final : public QNode {
     if (args_.size() != 1) {
       eval_fail("'" + name_ + "' expects one state argument");
     }
-    const std::size_t state =
-        to_state(env, args_[0]->eval(env), "'" + name_ + "(...)'");
+    const std::size_t state = to_state(env, args_[0]->eval(env), where_);
     if (auto p = env.space->find_place(name_)) return env.space->place_tokens(state, *p);
     if (auto t = env.space->find_transition(name_)) {
       return env.space->transition_activity(state, *t);
@@ -116,6 +117,7 @@ class StateFnNode final : public QNode {
 
  private:
   std::string name_;
+  std::string where_;  ///< error-message label, built once (eval runs per state)
   std::vector<QNodePtr> args_;
 };
 
@@ -436,13 +438,34 @@ class QueryParser {
     return advance();
   }
 
+  /// One more nesting level: the query AST is evaluated (and torn down)
+  /// recursively, so it shares the expression language's depth budget.
+  void nest() {
+    if (++depth_ > expr::kMaxNestingDepth) {
+      throw ParseError("query nested more than " +
+                           std::to_string(expr::kMaxNestingDepth) + " levels deep",
+                       peek().offset);
+    }
+  }
+  /// Restores the nesting depth when the production holding it returns.
+  struct DepthScope {
+    explicit DepthScope(QueryParser& p) : parser(p), saved(p.depth_) {}
+    ~DepthScope() { parser.depth_ = saved; }
+    QueryParser& parser;
+    std::size_t saved;
+  };
+
   [[nodiscard]] bool at_quantifier() const {
     if (peek().kind != TokenKind::kIdentifier) return false;
     const std::string kw = lowercase(peek().text);
     return kw == "forall" || kw == "exists";
   }
 
-  QNodePtr parse_formula() { return parse_or(); }
+  QNodePtr parse_formula() {
+    const DepthScope scope(*this);
+    nest();
+    return parse_or();
+  }
 
   QNodePtr parse_quantified() {
     const std::string kw = lowercase(advance().text);
@@ -475,6 +498,8 @@ class QueryParser {
   }
 
   SetNodePtr parse_set() {
+    const DepthScope scope(*this);
+    nest();
     SetNodePtr base;
     if (match(TokenKind::kLParen)) {
       base = parse_set();
@@ -499,7 +524,9 @@ class QueryParser {
     }
 
     // Set difference with literal state sets: S - {#0, #5}.
-    while (match(TokenKind::kMinus)) {
+    while (peek().kind == TokenKind::kMinus) {
+      nest();
+      advance();
       expect(TokenKind::kLBrace, "to open the removed-state set");
       std::vector<std::size_t> removed;
       do {
@@ -514,22 +541,29 @@ class QueryParser {
   }
 
   QNodePtr parse_or() {
+    const DepthScope scope(*this);
     QNodePtr lhs = parse_and();
-    while (match(TokenKind::kOr)) {
+    while (peek().kind == TokenKind::kOr) {
+      nest();
+      advance();
       lhs = std::make_unique<QBinNode>(QBinOp::kOr, std::move(lhs), parse_and());
     }
     return lhs;
   }
 
   QNodePtr parse_and() {
+    const DepthScope scope(*this);
     QNodePtr lhs = parse_rel();
-    while (match(TokenKind::kAnd)) {
+    while (peek().kind == TokenKind::kAnd) {
+      nest();
+      advance();
       lhs = std::make_unique<QBinNode>(QBinOp::kAnd, std::move(lhs), parse_rel());
     }
     return lhs;
   }
 
   QNodePtr parse_rel() {
+    const DepthScope scope(*this);
     QNodePtr lhs = parse_add();
     QBinOp op;
     switch (peek().kind) {
@@ -542,43 +576,54 @@ class QueryParser {
       case TokenKind::kGe: op = QBinOp::kGe; break;
       default: return lhs;
     }
+    nest();
     advance();
     return std::make_unique<QBinNode>(op, std::move(lhs), parse_add());
   }
 
   QNodePtr parse_add() {
+    const DepthScope scope(*this);
     QNodePtr lhs = parse_mul();
     while (true) {
-      if (match(TokenKind::kPlus)) {
-        lhs = std::make_unique<QBinNode>(QBinOp::kAdd, std::move(lhs), parse_mul());
+      QBinOp op;
+      if (peek().kind == TokenKind::kPlus) {
+        op = QBinOp::kAdd;
       } else if (peek().kind == TokenKind::kMinus && peek(1).kind != TokenKind::kLBrace) {
-        advance();
-        lhs = std::make_unique<QBinNode>(QBinOp::kSub, std::move(lhs), parse_mul());
+        op = QBinOp::kSub;
       } else {
         return lhs;
       }
+      nest();
+      advance();
+      lhs = std::make_unique<QBinNode>(op, std::move(lhs), parse_mul());
     }
   }
 
   QNodePtr parse_mul() {
+    const DepthScope scope(*this);
     QNodePtr lhs = parse_unary();
     while (true) {
-      if (match(TokenKind::kStar)) {
-        lhs = std::make_unique<QBinNode>(QBinOp::kMul, std::move(lhs), parse_unary());
-      } else if (match(TokenKind::kSlash)) {
-        lhs = std::make_unique<QBinNode>(QBinOp::kDiv, std::move(lhs), parse_unary());
-      } else if (match(TokenKind::kPercent)) {
-        lhs = std::make_unique<QBinNode>(QBinOp::kMod, std::move(lhs), parse_unary());
-      } else {
-        return lhs;
+      QBinOp op;
+      switch (peek().kind) {
+        case TokenKind::kStar: op = QBinOp::kMul; break;
+        case TokenKind::kSlash: op = QBinOp::kDiv; break;
+        case TokenKind::kPercent: op = QBinOp::kMod; break;
+        default: return lhs;
       }
+      nest();
+      advance();
+      lhs = std::make_unique<QBinNode>(op, std::move(lhs), parse_unary());
     }
   }
 
   QNodePtr parse_unary() {
-    if (match(TokenKind::kMinus)) return std::make_unique<QNegNode>(parse_unary());
-    if (match(TokenKind::kNot)) return std::make_unique<QNotNode>(parse_unary());
-    return parse_primary();
+    if (peek().kind != TokenKind::kMinus && peek().kind != TokenKind::kNot) {
+      return parse_primary();
+    }
+    const DepthScope scope(*this);
+    nest();
+    if (advance().kind == TokenKind::kMinus) return std::make_unique<QNegNode>(parse_unary());
+    return std::make_unique<QNotNode>(parse_unary());
   }
 
   QNodePtr parse_primary() {
@@ -649,6 +694,7 @@ class QueryParser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< current nesting level
 };
 
 }  // namespace

@@ -1,142 +1,20 @@
-// Shared state-encoding helpers for the untimed reachability explorers.
+// Shared helpers for the untimed reachability explorers.
 //
 // The sequential builder (reachability.cpp) and the parallel engine
-// (parallel_exploration.cpp) must agree *exactly* on how a state is turned
-// into arena words — the differential tests pin the two paths bit-identical
-// — so the word encoding of a DataContext and the capacity check live here,
-// in one place, instead of being duplicated per explorer.
+// (parallel_exploration.cpp) must agree *exactly* on which successors a
+// state has — the differential tests pin the two paths bit-identical — so
+// the capacity check and the action-sampling seeds live here, in one
+// place, instead of being duplicated per explorer. (The data words of a
+// state are DataSchema's encoding, petri/data_frame.h.)
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <utility>
-#include <vector>
 
-#include "analysis/state_store.h"
 #include "petri/compiled_net.h"
-#include "petri/data_context.h"
-#include "petri/marking.h"
 
 namespace pnut::analysis::detail {
-
-/// Fixed-width word encoding of a DataContext.
-///
-/// The layout is derived from the names the exploration has seen so far:
-/// scalars and table entries, each encoded as three words
-/// [present, low32, high32] so that "variable absent" and "variable = 0"
-/// intern differently. Actions may create scalars at runtime; when a data
-/// context carries a name outside the layout, the caller widens the layout
-/// (extend) and re-interns the states seen so far — rare, and O(states).
-///
-/// The layout after a sequence of extend() calls is the union of the names
-/// and table extents seen, independent of call order — which is what lets
-/// the parallel explorer reach the same final layout as the sequential one.
-class DataLayout {
- public:
-  void init(const DataContext& d) {
-    scalars_.clear();
-    tables_.clear();
-    extend(d);
-  }
-
-  /// Union the layout with `d`'s names and table sizes. Returns true if the
-  /// layout changed (i.e. encodings widen).
-  bool extend(const DataContext& d) {
-    bool changed = false;
-    for (const auto& [name, value] : d.scalars()) {
-      (void)value;
-      const auto it = std::lower_bound(scalars_.begin(), scalars_.end(), name);
-      if (it == scalars_.end() || *it != name) {
-        scalars_.insert(it, name);
-        changed = true;
-      }
-    }
-    for (const auto& [name, values] : d.tables()) {
-      const auto it = std::lower_bound(
-          tables_.begin(), tables_.end(), name,
-          [](const auto& entry, const std::string& n) { return entry.first < n; });
-      if (it == tables_.end() || it->first != name) {
-        tables_.insert(it, {name, values.size()});
-        changed = true;
-      } else if (it->second < values.size()) {
-        it->second = values.size();
-        changed = true;
-      }
-    }
-    return changed;
-  }
-
-  [[nodiscard]] std::size_t words() const {
-    // 3 words per scalar slot; per table one presence word (so an empty
-    // table and an absent table intern differently) plus 3 per entry slot.
-    std::size_t count = 3 * scalars_.size();
-    for (const auto& [name, size] : tables_) {
-      (void)name;
-      count += 1 + 3 * size;
-    }
-    return count;
-  }
-
-  /// Encode `d` into `out[0 .. words())`. Returns false — with `out` in an
-  /// unspecified partial state — if `d` carries a name or table extent the
-  /// layout does not cover yet (caller widens and retries). One merge-walk
-  /// over the name-sorted layout and DataContext maps does coverage check
-  /// and encoding together.
-  [[nodiscard]] bool try_encode(const DataContext& d, std::uint32_t* out) const {
-    auto put = [&out](bool present, std::int64_t value) {
-      const auto u = static_cast<std::uint64_t>(value);
-      *out++ = present ? 1u : 0u;
-      *out++ = present ? static_cast<std::uint32_t>(u) : 0u;
-      *out++ = present ? static_cast<std::uint32_t>(u >> 32) : 0u;
-    };
-    auto scalar_it = d.scalars().begin();
-    for (const std::string& name : scalars_) {
-      // A data name sorting before the next layout name matches no layout
-      // slot: the layout does not cover it.
-      if (scalar_it != d.scalars().end() && scalar_it->first < name) return false;
-      if (scalar_it != d.scalars().end() && scalar_it->first == name) {
-        put(true, scalar_it->second);
-        ++scalar_it;
-      } else {
-        put(false, 0);
-      }
-    }
-    if (scalar_it != d.scalars().end()) return false;
-    auto table_it = d.tables().begin();
-    for (const auto& [name, size] : tables_) {
-      if (table_it != d.tables().end() && table_it->first < name) return false;
-      if (table_it != d.tables().end() && table_it->first == name) {
-        if (table_it->second.size() > size) return false;
-        *out++ = 1;  // table present (distinguishes empty from absent)
-        for (std::size_t j = 0; j < size; ++j) {
-          const bool present = j < table_it->second.size();
-          put(present, present ? table_it->second[j] : 0);
-        }
-        ++table_it;
-      } else {
-        *out++ = 0;
-        for (std::size_t j = 0; j < size; ++j) put(false, 0);
-      }
-    }
-    return table_it == d.tables().end();
-  }
-
-  /// Encode a context the layout is known to cover (initial data, contexts
-  /// already accepted by try_encode).
-  void encode(const DataContext& d, std::uint32_t* out) const {
-    if (!try_encode(d, out)) {
-      throw std::logic_error("DataLayout: context not covered by layout");
-    }
-  }
-
- private:
-  std::vector<std::string> scalars_;                         // sorted
-  std::vector<std::pair<std::string, std::size_t>> tables_;  // sorted by name
-};
 
 /// Would firing `t` from marking `tokens` overflow any capacity?
 inline bool overflows_capacity(const CompiledNet& net, std::span<const TokenCount> tokens,
@@ -152,36 +30,6 @@ inline bool overflows_capacity(const CompiledNet& net, std::span<const TokenCoun
     if (after > *capacity) return true;
   }
   return false;
-}
-
-/// An action introduced a new variable mid-exploration: widen `layout` with
-/// `trigger`'s names and re-intern every state of `store` at the new width
-/// (indices are preserved — re-encoding extends each key, so distinct
-/// states stay distinct and order is unchanged). `data[i]` must be state
-/// i's context. `scratch` is the caller's in-flight state buffer: it is
-/// resized to the new width with its marking prefix intact, exactly like
-/// the states themselves. Shared by the sequential and parallel builders —
-/// they must widen identically for the byte-identical-graphs contract.
-inline void widen_and_reintern(DataLayout& layout, std::size_t num_places,
-                               const DataContext& trigger, StateStore& store,
-                               const std::vector<DataContext>& data,
-                               std::vector<std::uint32_t>& scratch) {
-  layout.extend(trigger);
-  const std::size_t width = num_places + layout.words();
-  StateStore fresh(width);
-  fresh.reserve(store.size());
-  std::vector<std::uint32_t> rebuilt(width);
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    std::memcpy(rebuilt.data(), store.state(i).data(),
-                num_places * sizeof(std::uint32_t));
-    layout.encode(data[i], rebuilt.data() + num_places);
-    const auto r = fresh.intern(rebuilt);
-    if (!r.inserted || r.index != i) {
-      throw std::logic_error("reachability: state re-interning diverged");
-    }
-  }
-  store = std::move(fresh);
-  scratch.resize(width);
 }
 
 /// Deterministic per-(state, transition, sample) RNG seed for stochastic

@@ -15,9 +15,11 @@
 // over those flat arrays, which is what lets `max_states` in the millions
 // fit in memory and cache.
 //
-// Interpreted-net caveat: an action calling `irand` makes the data
-// successor nondeterministic, and actions are opaque functions that cannot
-// be enumerated symbolically. The builder samples each stochastic action
+// Interpreted nets run their predicates and actions as bytecode
+// (expr/program.h); per-state data is the schema-encoded slot words in the
+// arena, after the marking. Caveat: an action calling `irand` makes the
+// data successor nondeterministic, and the builder does not enumerate
+// actions symbolically. It samples each stochastic action
 // `irand_fanout_limit` times with distinct deterministic seeds and adds one
 // successor per distinct data outcome — exact for deterministic actions,
 // high-coverage sampling for small irand ranges (the paper's models draw
@@ -66,23 +68,13 @@ struct ReachOptions {
   /// deadlock sets and place bounds are thread-count-independent (see
   /// analysis/parallel_exploration.h).
   unsigned threads = 1;
-  /// Run predicates/actions as slot-addressed bytecode (expr/vm.h) when
-  /// every hook came from expr::compile_*: per-state data becomes encoded
-  /// slot words in the arena instead of a DataContext snapshot, and the
-  /// mid-run layout widening disappears (the variable universe is frozen
-  /// up front). The graph is identical to the AST/DataContext path's —
-  /// same state numbering, edges, statuses — which stays both the fallback
-  /// for hand-written C++ hooks and the equivalence-test oracle.
-  bool use_expr_vm = true;
   /// Out-of-core exploration (spill.h): when max_resident_bytes is set,
   /// sealed BFS levels and edge rows spill to mmap'd segment files once the
   /// exact resident accounting (memory_bytes()) exceeds the budget. The
   /// graph — state ids, edge order, statuses — is byte-identical to the
   /// all-in-RAM build at every thread count, because spilling happens
-  /// strictly after a level seals. Unsupported (throws
-  /// std::invalid_argument) only for AST-interpreted nets with actions,
-  /// whose layout widening rewrites the whole arena; the expression-VM path
-  /// spills fine.
+  /// strictly after a level seals. Interpreted nets spill like plain ones:
+  /// their encoded width is frozen before the first state is interned.
   SpillOptions spill;
   /// Cooperative deadline/cancellation (util/stop.h). Polled at canonical
   /// event positions (every kStopCheckStride-th expanded parent), so a
@@ -190,11 +182,10 @@ class ReachabilityGraph final : public StateSpace {
   /// over a counting-sorted reverse CSR.
   [[nodiscard]] bool is_reversible() const;
 
-  /// Approximate heap footprint of the graph: arena + intern table + edge
-  /// pool, plus (for interpreted nets) an estimate of the per-state
-  /// DataContext snapshots. In spill mode this is the exact *resident*
-  /// footprint — spilled segments are counted by spilled_bytes() instead.
-  /// The bench reports this as bytes/state.
+  /// Heap footprint of the graph: arena + intern table + edge pool
+  /// (per-state data lives in the arena words). In spill mode this is the
+  /// exact *resident* footprint — spilled segments are counted by
+  /// spilled_bytes() instead. The bench reports this as bytes/state.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// True if the build (or a query since) actually wrote segments to disk.
@@ -217,19 +208,15 @@ class ReachabilityGraph final : public StateSpace {
   /// Sequential spill setup: shared SpillDir, 2/3 of the budget to the
   /// state arena, 1/3 to the edge pool. No-op when spilling is disabled.
   void configure_spill_sequential(const ReachOptions& options);
-  /// Sequential builders: the AST/DataContext reference path and the
-  /// bytecode/slot-frame fast path (program_ non-null). Same graph.
+  /// The sequential builder (threads == 1).
   void explore_sequential(const ReachOptions& options);
-  void explore_sequential_vm(const ReachOptions& options);
 
   std::shared_ptr<const CompiledNet> net_;
   ReachStatus status_ = ReachStatus::kComplete;
   StateStore store_;
   EdgeCsr<Edge> edges_;
-  /// Per-state data snapshots — only on the AST path of a net with actions
-  /// (on the bytecode path per-state data lives as slot words in the
-  /// arena; action-free nets read the initial data).
-  std::vector<DataContext> data_;
+  /// Data words join each state only when an action can change them;
+  /// action-free nets read the initial data.
   bool track_data_ = false;
   std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
   /// Parallel-build extras folded into the spill accounting: the shard
@@ -237,8 +224,8 @@ class ReachabilityGraph final : public StateSpace {
   std::size_t aux_peak_bytes_ = 0;
   bool aux_spill_engaged_ = false;
 
-  /// Bytecode runtime (null on the AST path); query-time scratch for
-  /// decoding per-state frames out of the arena. The scratch is the one
+  /// Bytecode runtime (null for nets without predicates or actions);
+  /// query-time scratch for decoding per-state frames out of the arena. The scratch is the one
   /// piece of shared mutable state on the const query surface, so it is
   /// mutex-guarded: a sealed graph behind shared_ptr<const ...> (the serve
   /// graph cache) takes transition_activity() calls from many client

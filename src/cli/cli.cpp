@@ -14,28 +14,25 @@ std::string usage() {
          "  pnut check    <model.pn>\n"
          "  pnut print    <model.pn>\n"
          "  pnut simulate <model.pn> [--until T] [--seed S] [--stats|--tbl]\n"
-         "                [--trace FILE] [--keep name,name,...] [--no-expr-vm]\n"
-         "                [--timeout S]\n"
+         "                [--trace FILE] [--keep name,name,...] [--timeout S]\n"
          "  pnut replicate <model.pn> [--replications N] [--horizon T] [--seed S]\n"
          "                [--threads N] [--timeout S]\n"
          "  pnut stat     <trace.txt>\n"
          "  pnut query    <trace.txt> \"<query>\" [--timeout S]\n"
          "  pnut query    --reach <model.pn> \"<query>\" [--max-states N] [--threads N]\n"
-         "                [--no-expr-vm] [--max-resident-bytes N[K|M|G]] [--spill-dir D]\n"
-         "                [--timeout S]\n"
+         "                [--max-resident-bytes N[K|M|G]] [--spill-dir D] [--timeout S]\n"
          "  pnut render   <trace.txt> --signals a,b,label=expr,...\n"
          "                [--from T] [--to T] [--columns N] [--unicode]\n"
          "                [--marker X=T]...\n"
          "  pnut animate  <trace.txt> [--steps N]\n"
-         "  pnut analyze  <model.pn> [--max-states N] [--threads N] [--no-expr-vm]\n"
+         "  pnut analyze  <model.pn> [--max-states N] [--threads N]\n"
          "                [--max-resident-bytes N[K|M|G]] [--spill-dir D] [--timeout S]\n"
          "  pnut serve    [--port N] [--cache-bytes N[K|M|G]] [--request-timeout S]\n"
          "                [--max-clients N]\n"
          "(check parses a model and lowers every expression hook to bytecode,\n"
          " reporting line:col diagnostics with caret snippets; the modeling\n"
          " language — fn/let/array/for — is documented in docs/LANG.md.\n"
-         " --no-expr-vm keeps the AST/DataContext evaluation path for\n"
-         " predicates/actions/computed delays; results are identical.\n"
+
          " --max-resident-bytes caps the exploration's resident footprint by\n"
          " spilling sealed levels to segment files — in --spill-dir when given,\n"
          " else the system temp dir — removed again when the graph is freed.\n"

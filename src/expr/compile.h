@@ -10,18 +10,13 @@
 //   net.set_action(end_fetch, compile_action(
 //       "number_of_operands_needed = number_of_operands_needed - 1"));
 //
-// The returned hooks are not opaque lambdas: each is a small struct (below)
-// carrying the parsed AST and the source text, recoverable through
-// std::function::target<>(). That is what lets the whole-net bytecode
-// compiler (expr/program.h) see through a finished Net's hooks and lower
-// every expression to slot-addressed bytecode — models keep attaching
-// hooks exactly as before and get the fast path for free, while hand
-// written C++ lambdas still work (they simply keep the AST/DataContext
-// evaluation path).
+// Every hook is an expression: the returned Predicate / Action /
+// ComputedDelay (petri/net.h) carries the parsed AST and its source text.
+// The engines lower a finished Net's hooks to slot-addressed bytecode with
+// expr::NetProgram::compile (expr/program.h); textio::print_net writes the
+// source text back out.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <string_view>
 
 #include "expr/ast.h"
@@ -29,57 +24,20 @@
 
 namespace pnut::expr {
 
-/// The callable behind compile_predicate; recoverable with
-/// `predicate.target<CompiledPredicateFn>()`.
-struct CompiledPredicateFn {
-  std::shared_ptr<const Node> ast;
-  std::string source;
-  bool operator()(const DataContext& data) const {
-    EvalContext ctx;
-    ctx.data = &data;
-    return ast->eval(ctx) != 0;
-  }
-};
-
-/// The callable behind compile_action.
-struct CompiledActionFn {
-  std::shared_ptr<const Program> program;
-  std::string source;
-  void operator()(DataContext& data, Rng& rng) const {
-    EvalContext ctx;
-    ctx.data = &data;
-    ctx.mutable_data = &data;
-    ctx.rng = &rng;
-    program->execute(ctx);
-  }
-};
-
-/// The callable inside compile_delay's DelaySpec.
-struct CompiledDelayFn {
-  std::shared_ptr<const Node> ast;
-  std::string source;
-  Time operator()(const DataContext& data) const {
-    EvalContext ctx;
-    ctx.data = &data;
-    return static_cast<Time>(ast->eval(ctx));
-  }
-};
-
-/// Compile a boolean expression into a transition predicate. The predicate
-/// evaluates against the simulator's DataContext; it has no random source
-/// (irand in a predicate throws at evaluation time) and cannot assign.
-/// `library` makes a document's `fn` declarations callable from the source.
-/// Throws ParseError on bad syntax.
+/// Compile a boolean expression into a transition predicate. A predicate
+/// has no random source (irand in a predicate throws at evaluation time)
+/// and cannot assign. `library` makes a document's `fn` declarations
+/// callable from the source. Throws ParseError on bad syntax.
 Predicate compile_predicate(std::string_view source,
                             const FunctionLibrary* library = nullptr);
 
-/// Compile an assignment program into a transition action. Runs with the
-/// mutable DataContext and the simulator's Rng (so irand is available).
+/// Compile an assignment program into a transition action. Runs against the
+/// data state with the engine's Rng (so irand is available).
 Action compile_action(std::string_view source,
                       const FunctionLibrary* library = nullptr);
 
 /// Compile an integer expression into a computed DelaySpec, evaluated
-/// against the DataContext each time a delay is needed. Random delays
+/// against the data state each time a delay is needed. Random delays
 /// should use DelaySpec distributions or variables set by actions, not
 /// irand, so the spec stays deterministic given the data state; irand here
 /// throws at evaluation time.

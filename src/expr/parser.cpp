@@ -1,5 +1,6 @@
 #include "expr/parser.h"
 
+#include <string>
 #include <utility>
 
 namespace pnut::expr {
@@ -45,25 +46,42 @@ void Parser::fail_at(const Token& at, std::string_view message) const {
   throw ParseError(std::string(message), at.offset, at.line, at.col);
 }
 
-NodePtr Parser::parse_expr() { return parse_or(); }
+void Parser::nest() {
+  if (++depth_ > kMaxNestingDepth) {
+    fail("nested more than " + std::to_string(kMaxNestingDepth) + " levels deep");
+  }
+}
+
+NodePtr Parser::parse_expr() {
+  const DepthScope scope(*this);
+  nest();
+  return parse_or();
+}
 
 NodePtr Parser::parse_or() {
+  const DepthScope scope(*this);
   NodePtr lhs = parse_and();
-  while (match(TokenKind::kOr)) {
+  while (peek().kind == TokenKind::kOr) {
+    nest();
+    advance();
     lhs = std::make_unique<BinaryNode>(BinaryOp::kOr, std::move(lhs), parse_and());
   }
   return lhs;
 }
 
 NodePtr Parser::parse_and() {
+  const DepthScope scope(*this);
   NodePtr lhs = parse_rel();
-  while (match(TokenKind::kAnd)) {
+  while (peek().kind == TokenKind::kAnd) {
+    nest();
+    advance();
     lhs = std::make_unique<BinaryNode>(BinaryOp::kAnd, std::move(lhs), parse_rel());
   }
   return lhs;
 }
 
 NodePtr Parser::parse_rel() {
+  const DepthScope scope(*this);
   NodePtr lhs = parse_add();
   BinaryOp op;
   switch (peek().kind) {
@@ -76,46 +94,47 @@ NodePtr Parser::parse_rel() {
     case TokenKind::kGe: op = BinaryOp::kGe; break;
     default: return lhs;
   }
+  nest();
   advance();
   return std::make_unique<BinaryNode>(op, std::move(lhs), parse_add());
 }
 
 NodePtr Parser::parse_add() {
+  const DepthScope scope(*this);
   NodePtr lhs = parse_mul();
-  while (true) {
-    if (match(TokenKind::kPlus)) {
-      lhs = std::make_unique<BinaryNode>(BinaryOp::kAdd, std::move(lhs), parse_mul());
-    } else if (match(TokenKind::kMinus)) {
-      lhs = std::make_unique<BinaryNode>(BinaryOp::kSub, std::move(lhs), parse_mul());
-    } else {
-      return lhs;
-    }
+  while (peek().kind == TokenKind::kPlus || peek().kind == TokenKind::kMinus) {
+    nest();
+    const BinaryOp op = advance().kind == TokenKind::kPlus ? BinaryOp::kAdd : BinaryOp::kSub;
+    lhs = std::make_unique<BinaryNode>(op, std::move(lhs), parse_mul());
   }
+  return lhs;
 }
 
 NodePtr Parser::parse_mul() {
+  const DepthScope scope(*this);
   NodePtr lhs = parse_unary();
   while (true) {
-    if (match(TokenKind::kStar)) {
-      lhs = std::make_unique<BinaryNode>(BinaryOp::kMul, std::move(lhs), parse_unary());
-    } else if (match(TokenKind::kSlash)) {
-      lhs = std::make_unique<BinaryNode>(BinaryOp::kDiv, std::move(lhs), parse_unary());
-    } else if (match(TokenKind::kPercent)) {
-      lhs = std::make_unique<BinaryNode>(BinaryOp::kMod, std::move(lhs), parse_unary());
-    } else {
-      return lhs;
+    BinaryOp op;
+    switch (peek().kind) {
+      case TokenKind::kStar: op = BinaryOp::kMul; break;
+      case TokenKind::kSlash: op = BinaryOp::kDiv; break;
+      case TokenKind::kPercent: op = BinaryOp::kMod; break;
+      default: return lhs;
     }
+    nest();
+    advance();
+    lhs = std::make_unique<BinaryNode>(op, std::move(lhs), parse_unary());
   }
 }
 
 NodePtr Parser::parse_unary() {
-  if (match(TokenKind::kMinus)) {
-    return std::make_unique<UnaryNode>(UnaryOp::kNeg, parse_unary());
+  if (peek().kind != TokenKind::kMinus && peek().kind != TokenKind::kNot) {
+    return parse_primary();
   }
-  if (match(TokenKind::kNot)) {
-    return std::make_unique<UnaryNode>(UnaryOp::kNot, parse_unary());
-  }
-  return parse_primary();
+  const DepthScope scope(*this);
+  nest();
+  const UnaryOp op = advance().kind == TokenKind::kMinus ? UnaryOp::kNeg : UnaryOp::kNot;
+  return std::make_unique<UnaryNode>(op, parse_unary());
 }
 
 NodePtr Parser::parse_primary() {
@@ -280,6 +299,8 @@ Statement Parser::parse_let() {
 }
 
 Statement Parser::parse_for() {
+  const DepthScope scope(*this);
+  nest();
   const Token& for_token = advance();  // 'for'
   Statement stmt;
   stmt.kind = Statement::Kind::kFor;

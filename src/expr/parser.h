@@ -36,6 +36,7 @@
 // so evaluation is total.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -52,6 +53,13 @@ inline constexpr std::int64_t kMaxArrayExtent = std::int64_t{1} << 16;
 inline constexpr std::uint64_t kMaxLoopTrips = std::uint64_t{1} << 16;
 /// Ceiling on one frame's total local slots (arrays are slot ranges).
 inline constexpr std::uint32_t kMaxFrameSlots = std::uint32_t{1} << 20;
+/// Nesting budget: parenthesized groups and call arguments, unary
+/// operators, chained binary operators (each one deepens the tree) and
+/// `for` blocks together may nest at most this deep. The parser, the
+/// tree-walking evaluator, the bytecode compiler and AST teardown all
+/// recurse once per level, so the budget bounds their stack use; deeper
+/// input is a ParseError like any other syntax error.
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 /// Parse a single expression; the entire input must be consumed. `library`
 /// makes user-defined functions callable from the expression (delay
@@ -103,6 +111,18 @@ class Parser {
   NodePtr parse_unary();
   NodePtr parse_primary();
 
+  /// Count one more nesting level (see kMaxNestingDepth); a ParseError at
+  /// the current token past the budget.
+  void nest();
+  /// Restores the nesting depth when the production holding it returns:
+  /// the levels a production adds last exactly as long as its subtree.
+  struct DepthScope {
+    explicit DepthScope(Parser& p) : parser(p), saved(p.depth_) {}
+    ~DepthScope() { parser.depth_ = saved; }
+    Parser& parser;
+    std::size_t saved;
+  };
+
   Statement parse_statement();
   Statement parse_let();
   Statement parse_for();
@@ -128,6 +148,7 @@ class Parser {
 
   const std::vector<Token>* tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< current nesting level
 
   // --- script state (inert when only parse_expr is used, e.g. queries) ---
   const FunctionLibrary* library_;  ///< ambient functions, may be null

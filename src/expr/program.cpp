@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "expr/compile.h"
-
 namespace pnut::expr {
 
 namespace {
@@ -55,7 +53,8 @@ void collect_fns(const Node& node,
 /// callee's whole-frame height, so the VM never bounds-checks its stack.
 class ExprCompiler {
  public:
-  explicit ExprCompiler(const DataSchema& schema) : schema_(schema) {}
+  ExprCompiler(const DataSchema& schema, std::string* diagnostic)
+      : schema_(schema), diagnostic_(diagnostic) {}
 
   /// Compile every function reachable from the given roots, in index order.
   void compile_functions(
@@ -128,7 +127,7 @@ class ExprCompiler {
           if (const auto ti = schema_.table_index(stmt.target)) {
             emit(Op::kStoreTable, add_table(*ti), 0, -2);
           } else {
-            // Actions cannot create tables; the AST path raises the
+            // Actions cannot create tables; the tree-walking evaluator raises the
             // DataContext error at execution time — so do we.
             emit(Op::kThrowTable, add_name(stmt.target), 0, -2);
           }
@@ -238,28 +237,26 @@ class ExprCompiler {
     }
     const std::string& name = call.name();
     const auto& args = call.args();
-    const auto arity_error = [&](std::size_t want, const char* plural) {
-      throw CompileError(name + " expects " + std::to_string(want) + " argument" +
-                         plural + ", got " + std::to_string(args.size()));
-    };
-    if (name == "irand") {
-      if (args.size() != 2) arity_error(2, "s");
-      compile_expr(*args[0]);
-      compile_expr(*args[1]);
-      emit(Op::kIrand, 0, 0, -1);
-      return;
-    }
-    if (name == "min" || name == "max") {
-      if (args.size() != 2) arity_error(2, "s");
-      compile_expr(*args[0]);
-      compile_expr(*args[1]);
-      emit(name == "min" ? Op::kMin : Op::kMax, 0, 0, -1);
-      return;
-    }
-    if (name == "abs") {
-      if (args.size() != 1) arity_error(1, "");
-      compile_expr(*args[0]);
-      emit(Op::kAbs, 0, 0, 0);
+    const bool binary_builtin = name == "irand" || name == "min" || name == "max";
+    if (binary_builtin || name == "abs") {
+      const std::size_t want = binary_builtin ? 2 : 1;
+      for (const NodePtr& a : args) compile_expr(*a);
+      if (args.size() != want) {
+        // The AST evaluator computes every argument, then raises the arity
+        // error; so does the throw instruction. It only fires if evaluated.
+        std::string message = name + " expects " + std::to_string(want) + " argument" +
+                              (want == 1 ? "" : "s") + ", got " +
+                              std::to_string(args.size());
+        if (diagnostic_ != nullptr && diagnostic_->empty()) *diagnostic_ = message;
+        emit(Op::kThrowArity, add_name(message), static_cast<std::int32_t>(args.size()),
+             1 - static_cast<int>(args.size()));
+      } else if (name == "irand") {
+        emit(Op::kIrand, 0, 0, -1);
+      } else if (name == "abs") {
+        emit(Op::kAbs, 0, 0, 0);
+      } else {
+        emit(name == "min" ? Op::kMin : Op::kMax, 0, 0, -1);
+      }
       return;
     }
     if (args.size() == 1) {
@@ -376,6 +373,7 @@ class ExprCompiler {
   };
 
   const DataSchema& schema_;
+  std::string* diagnostic_;  ///< first builtin arity mistake, if non-null
   Code code_;
   std::map<const FunctionDef*, FnInfo> fn_infos_;
   int depth_ = 0;
@@ -384,20 +382,22 @@ class ExprCompiler {
 
 }  // namespace
 
-Code compile_expression(const Node& ast, const DataSchema& schema) {
+Code compile_expression(const Node& ast, const DataSchema& schema,
+                        std::string* diagnostic) {
   std::map<const FunctionDef*, std::shared_ptr<const FunctionDef>> fns;
   collect_fns(ast, fns);
-  ExprCompiler compiler(schema);
+  ExprCompiler compiler(schema, diagnostic);
   compiler.compile_functions(fns);
   compiler.begin_main(0);
   compiler.compile_expr(ast);
   return compiler.take();
 }
 
-Code compile_program(const Program& program, const DataSchema& schema) {
+Code compile_program(const Program& program, const DataSchema& schema,
+                     std::string* diagnostic) {
   std::map<const FunctionDef*, std::shared_ptr<const FunctionDef>> fns;
   collect_fns(program.statements, fns);
-  ExprCompiler compiler(schema);
+  ExprCompiler compiler(schema, diagnostic);
   compiler.compile_functions(fns);
   compiler.begin_main(program.frame_slots);
   for (const Statement& stmt : program.statements) compiler.compile_statement(stmt);
@@ -421,54 +421,15 @@ void collect_created(const std::vector<Statement>& statements,
 
 }  // namespace
 
-std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net) {
-  return compile(net, nullptr);
-}
-
 std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
                                                       std::string* error) {
   const std::size_t n = net.num_transitions();
 
-  // Recover the ASTs behind every hook; any opaque hook disqualifies the
-  // net from the bytecode path (the engines keep the AST/DataContext one).
-  std::vector<const Node*> predicates(n, nullptr);
-  std::vector<const Program*> actions(n, nullptr);
-  std::vector<const Node*> firing(n, nullptr);
-  std::vector<const Node*> enabling(n, nullptr);
-  const auto opaque = [&](std::size_t i, const char* what) {
-    if (error != nullptr) {
-      *error = "transition '" + net.transitions()[i].name + "': " + what +
-               " is a compiled C++ hook (no expression source to check)";
-    }
-    return nullptr;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const Transition& t = net.transitions()[i];
-    if (t.predicate) {
-      const auto* fn = t.predicate.target<CompiledPredicateFn>();
-      if (fn == nullptr) return opaque(i, "predicate");
-      predicates[i] = fn->ast.get();
-    }
-    if (t.action) {
-      const auto* fn = t.action.target<CompiledActionFn>();
-      if (fn == nullptr) return opaque(i, "action");
-      actions[i] = fn->program.get();
-    }
-    for (const auto& [spec, out] :
-         {std::pair{&t.firing_time, &firing}, std::pair{&t.enabling_time, &enabling}}) {
-      if (spec->kind() != DelaySpec::Kind::kComputed) continue;
-      const auto* fn = spec->computed_fn().target<CompiledDelayFn>();
-      if (fn == nullptr) return opaque(i, "computed delay");
-      (*out)[i] = fn->ast.get();
-    }
-  }
-
   // The variable universe: initial data plus every scalar assignment
   // target (syntactically known; tables cannot be created by actions).
   std::vector<std::string> created;
-  for (const Program* program : actions) {
-    if (program == nullptr) continue;
-    collect_created(program->statements, created);
+  for (const Transition& t : net.transitions()) {
+    if (t.action) collect_created(t.action.program->statements, created);
   }
 
   auto result = std::make_shared<NetProgram>();
@@ -478,43 +439,36 @@ std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
   result->actions_.resize(n);
   result->firing_delays_.resize(n);
   result->enabling_delays_.resize(n);
+  const DataSchema& schema = result->schema_;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto hook = [&](const char* what, auto&& body) {
-      // E.g. a builtin arity mistake: the AST evaluator raises it lazily at
-      // evaluation time, so fall back rather than change when it surfaces.
-      try {
-        body();
-        return true;
-      } catch (const CompileError& e) {
-        if (error != nullptr) {
-          *error = "transition '" + net.transitions()[i].name + "' " + what +
-                   ": " + e.what();
-        }
-        return false;
+    const Transition& t = net.transitions()[i];
+    // Reports the net's first builtin arity mistake, naming the hook; the
+    // code itself raises it lazily, only if that hook is ever evaluated.
+    std::string diagnostic;
+    const auto note = [&](const char* what) {
+      if (error != nullptr && error->empty() && !diagnostic.empty()) {
+        *error = "transition '" + t.name + "' " + what + ": " + diagnostic;
       }
+      diagnostic.clear();
     };
-    bool ok = true;
-    if (predicates[i] != nullptr) {
-      ok = hook("predicate", [&] {
-        result->predicates_[i] = compile_expression(*predicates[i], result->schema_);
-      });
+    if (t.predicate) {
+      result->predicates_[i] = compile_expression(*t.predicate.ast, schema, &diagnostic);
+      note("predicate");
     }
-    if (ok && actions[i] != nullptr) {
-      ok = hook("action", [&] {
-        result->actions_[i] = compile_program(*actions[i], result->schema_);
-      });
+    if (t.action) {
+      result->actions_[i] = compile_program(*t.action.program, schema, &diagnostic);
+      note("action");
     }
-    if (ok && firing[i] != nullptr) {
-      ok = hook("firing delay", [&] {
-        result->firing_delays_[i] = compile_expression(*firing[i], result->schema_);
-      });
+    if (t.firing_time.kind() == DelaySpec::Kind::kComputed) {
+      result->firing_delays_[i] =
+          compile_expression(*t.firing_time.computed_delay().ast, schema, &diagnostic);
+      note("firing delay");
     }
-    if (ok && enabling[i] != nullptr) {
-      ok = hook("enabling delay", [&] {
-        result->enabling_delays_[i] = compile_expression(*enabling[i], result->schema_);
-      });
+    if (t.enabling_time.kind() == DelaySpec::Kind::kComputed) {
+      result->enabling_delays_[i] =
+          compile_expression(*t.enabling_time.computed_delay().ast, schema, &diagnostic);
+      note("enabling delay");
     }
-    if (!ok) return nullptr;
   }
   return result;
 }

@@ -1,29 +1,28 @@
 // Whole-net expression compilation: ASTs -> bytecode, names -> slots.
 //
-// NetProgram::compile scans every hook attached to a Net — predicates,
-// actions, computed firing/enabling delays — and, when all of them were
-// built from expression source (expr/compile.h), produces the net's
+// Every hook attached to a Net — predicates, actions, computed firing /
+// enabling delays — is an expression (petri/net.h, built by
+// expr/compile.h). NetProgram::compile lowers them all into the net's
 // runtime program:
 //
 //   * a frozen DataSchema covering the complete variable universe (initial
 //     data plus every scalar any action can create — assignment targets
-//     are syntactic, so the universe is statically known and the
-//     exploration engines' mid-run layout widening becomes dead weight on
-//     this path);
+//     are syntactic, so the universe is statically known and the state
+//     encoding never widens mid-run);
 //   * the initial DataFrame;
 //   * per-transition bytecode (expr/vm.h) for each attached expression.
 //
 // Compilation is semantics-preserving down to error behaviour: names that
 // can never resolve and builtin arity mistakes lower to throw instructions
-// that raise the AST evaluator's EvalError at *evaluation* time, in the
-// same order (arguments first) the AST evaluator would. The one compile
-// time rejection is a hook whose AST cannot be recovered (a hand-written
-// C++ lambda): compile then returns nullptr and callers keep the
-// DataContext/AST path.
+// that raise the tree-walking evaluator's EvalError at *evaluation* time,
+// in the same order (arguments first) it would — a model with a broken
+// predicate on a transition that never fires runs normally. Every net
+// compiles; `pnut check` still reports the first arity mistake.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "expr/vm.h"
@@ -32,36 +31,35 @@
 
 namespace pnut::expr {
 
-/// Compile one expression AST against a schema. Throws CompileError (a
-/// std::runtime_error) on builtin arity mistakes — the checks mirror
-/// CallNode::eval's, just shifted to compile time.
+/// An internal compiler invariant failed (e.g. an assignment target missing
+/// from the schema) — never raised for a net NetProgram::compile built the
+/// schema for.
 class CompileError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-[[nodiscard]] Code compile_expression(const Node& ast, const DataSchema& schema);
+/// Compile one expression AST against a schema. A builtin arity mistake
+/// becomes a throw instruction; its message also lands in `*diagnostic`
+/// when that is non-null and still empty.
+[[nodiscard]] Code compile_expression(const Node& ast, const DataSchema& schema,
+                                      std::string* diagnostic = nullptr);
 
 /// Compile an action program (a statement sequence) into one code block.
-[[nodiscard]] Code compile_program(const Program& program, const DataSchema& schema);
+[[nodiscard]] Code compile_program(const Program& program, const DataSchema& schema,
+                                   std::string* diagnostic = nullptr);
 
 /// The bytecode runtime form of a whole net's expressions. Immutable after
 /// compile; one shared_ptr is safely shared by any number of simulators,
 /// exploration workers and query evaluators at once.
 class NetProgram {
  public:
-  /// Returns nullptr if any attached predicate/action/computed delay did
-  /// not come from expr::compile_* (no AST to recover), or if an
-  /// expression fails to compile (e.g. a builtin arity error — the AST
-  /// path raises it at evaluation time instead, preserving behaviour for
-  /// models whose broken expression never runs).
-  static std::shared_ptr<const NetProgram> compile(const Net& net);
-
-  /// As above, but on failure fills `*error` with a one-line reason naming
-  /// the transition and hook (`pnut check` reports this; the engines use
-  /// the silent overload and just fall back to the AST path).
+  /// Compile every hook of `net`. Never fails for a net built through
+  /// parse_net or expr::compile_*; when `error` is non-null, the net's first
+  /// builtin arity mistake is reported there as a one-line reason naming
+  /// the transition and hook (`pnut check` prints it).
   static std::shared_ptr<const NetProgram> compile(const Net& net,
-                                                   std::string* error);
+                                                   std::string* error = nullptr);
 
   [[nodiscard]] const DataSchema& schema() const { return schema_; }
   [[nodiscard]] const DataFrame& initial_frame() const { return initial_frame_; }

@@ -141,6 +141,9 @@ std::int64_t run(const Code& code, std::int64_t* values, std::uint8_t* present,
         sp -= 2;
         throw EvalError("DataContext: unknown table '" +
                         code.names[static_cast<std::size_t>(in.a)] + "'");
+      case Op::kThrowArity:
+        sp -= static_cast<std::size_t>(in.b);
+        throw EvalError(code.names[static_cast<std::size_t>(in.a)]);
       case Op::kLoadLocal:
         stack[sp++] = stack[base + static_cast<std::size_t>(in.a)];
         break;

@@ -10,7 +10,8 @@
 //
 //   * variable and table reads/writes are dense slot indices into a
 //     DataFrame — no string hashing, no map nodes;
-//   * irand/min/max/abs are opcodes (arity checked at compile time);
+//   * irand/min/max/abs are opcodes (a wrong argument count compiles to a
+//     throw instruction carrying the evaluator's arity message);
 //   * && and || compile to conditional jumps, preserving the AST's
 //     short-circuit semantics exactly (including which side effects run —
 //     the rng streams of the two evaluators must match bit for bit);
@@ -54,6 +55,7 @@ enum class Op : std::uint8_t {
   kThrowIdent,  ///< throw "unknown identifier '<names[a]>'"
   kThrowCall,   ///< pop b args; throw "unknown function or table '<names[a]>' ..."
   kThrowTable,  ///< pop 2; throw "DataContext: unknown table '<names[a]>'"
+  kThrowArity,  ///< pop b args; throw names[a] (a builtin arity message)
   // --- script constructs (locals live on the value stack, never in the
   // data row — the frame layout is the parser's dense slot assignment) ---
   kLoadLocal,     ///< push stack[base + a]

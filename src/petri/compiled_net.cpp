@@ -92,6 +92,8 @@ CompiledNet::CompiledNet(const Net& net) : net_(net) {
       f |= kHasAction;
       net_has_actions_ = true;
     }
+    net_has_computed_delays_ |= tr.firing_time.kind() == DelaySpec::Kind::kComputed ||
+                                tr.enabling_time.kind() == DelaySpec::Kind::kComputed;
     flags_[t] = f;
     freq_[t] = tr.frequency;
     net_has_inhibitors_ |= !tr.inhibitors.empty();
@@ -127,15 +129,6 @@ TokenCount CompiledNet::enabling_degree(const Marking& m, TransitionId t) const 
     degree = std::min(degree, tokens[a.place.value] / a.weight);
   }
   return has_input ? degree : 1;
-}
-
-std::vector<TransitionId> CompiledNet::enabled_transitions(const Marking& m,
-                                                           const DataContext& data) const {
-  std::vector<TransitionId> out;
-  for (std::uint32_t t = 0; t < num_transitions_; ++t) {
-    if (is_enabled(m, TransitionId(t), data)) out.push_back(TransitionId(t));
-  }
-  return out;
 }
 
 TokenCount CompiledNet::input_weight(TransitionId t, PlaceId p) const {

@@ -103,7 +103,7 @@ class CompiledNet {
   }
 
   /// Transitions with a data predicate, sorted by id: the set whose
-  /// enablement can flip when the DataContext changes (any action ran).
+  /// enablement can flip when the data state changes (any action ran).
   [[nodiscard]] std::span<const TransitionId> predicated_transitions() const {
     return {predicated_.data(), predicated_.size()};
   }
@@ -135,6 +135,11 @@ class CompiledNet {
   [[nodiscard]] bool net_has_inhibitors() const { return net_has_inhibitors_; }
   [[nodiscard]] bool net_has_actions() const { return net_has_actions_; }
   [[nodiscard]] bool net_is_interpreted() const { return !predicated_.empty() || net_has_actions_; }
+  /// Any predicate, action or computed delay: the nets whose engines run an
+  /// expr::NetProgram. Hook-free nets skip the data state entirely.
+  [[nodiscard]] bool net_has_hooks() const {
+    return net_is_interpreted() || net_has_computed_delays_;
+  }
 
   [[nodiscard]] double frequency(TransitionId t) const { return freq_[t.value]; }
   [[nodiscard]] const DelaySpec& firing_time(TransitionId t) const {
@@ -142,12 +147,6 @@ class CompiledNet {
   }
   [[nodiscard]] const DelaySpec& enabling_time(TransitionId t) const {
     return net_.transitions()[t.value].enabling_time;
-  }
-  [[nodiscard]] const Predicate& predicate(TransitionId t) const {
-    return net_.transitions()[t.value].predicate;
-  }
-  [[nodiscard]] const Action& action(TransitionId t) const {
-    return net_.transitions()[t.value].action;
   }
   [[nodiscard]] const std::string& transition_name(TransitionId t) const {
     return net_.transitions()[t.value].name;
@@ -196,25 +195,9 @@ class CompiledNet {
     return tokens_available(std::span<const TokenCount>(m.tokens()), t);
   }
 
-  /// Full enablement: tokens available AND the predicate (if any) holds.
-  [[nodiscard]] bool is_enabled(std::span<const TokenCount> tokens, TransitionId t,
-                                const DataContext& data) const {
-    if (!tokens_available(tokens, t)) return false;
-    if (has_predicate(t) && !predicate(t)(data)) return false;
-    return true;
-  }
-  [[nodiscard]] bool is_enabled(const Marking& m, TransitionId t,
-                                const DataContext& data) const {
-    return is_enabled(std::span<const TokenCount>(m.tokens()), t, data);
-  }
-
   /// Concurrent enablement degree on token counts alone (see
   /// pnut::enabling_degree for the convention on source transitions).
   [[nodiscard]] TokenCount enabling_degree(const Marking& m, TransitionId t) const;
-
-  /// All transitions enabled in `m` (predicates evaluated on `data`).
-  [[nodiscard]] std::vector<TransitionId> enabled_transitions(const Marking& m,
-                                                              const DataContext& data) const;
 
   // --- incidence ------------------------------------------------------------
 
@@ -266,6 +249,7 @@ class CompiledNet {
   std::vector<double> freq_;
   bool net_has_inhibitors_ = false;
   bool net_has_actions_ = false;
+  bool net_has_computed_delays_ = false;
   bool is_marked_graph_ = false;
 };
 

@@ -67,13 +67,6 @@ bool tokens_available(const Net& net, const Marking& m, TransitionId t) {
   return true;
 }
 
-bool is_enabled(const Net& net, const Marking& m, TransitionId t, const DataContext& data) {
-  if (!tokens_available(net, m, t)) return false;
-  const Transition& tr = net.transition(t);
-  if (tr.predicate && !tr.predicate(data)) return false;
-  return true;
-}
-
 TokenCount enabling_degree(const Net& net, const Marking& m, TransitionId t) {
   const Transition& tr = net.transition(t);
   for (const Arc& a : tr.inhibitors) {
@@ -89,16 +82,6 @@ TokenCount enabling_degree(const Net& net, const Marking& m, TransitionId t) {
   // conventionally 1: nothing bounds it, and unbounded concurrent firing is
   // never what a model means.
   return has_input ? degree : 1;
-}
-
-std::vector<TransitionId> enabled_transitions(const Net& net, const Marking& m,
-                                              const DataContext& data) {
-  std::vector<TransitionId> out;
-  for (std::size_t i = 0; i < net.num_transitions(); ++i) {
-    const TransitionId t(static_cast<std::uint32_t>(i));
-    if (is_enabled(net, m, t, data)) out.push_back(t);
-  }
-  return out;
 }
 
 }  // namespace pnut

@@ -1,10 +1,11 @@
 // Markings: the token state of a net, plus enablement tests.
 //
 // A marking is a dense vector of token counts indexed by PlaceId. The
-// enablement test implements the paper's rules: every input place must hold
-// at least the arc weight, every inhibitor place must hold fewer tokens than
-// the inhibitor threshold, and (for interpreted nets) the transition's
-// predicate must hold on the current data state.
+// token test implements the paper's rules: every input place must hold at
+// least the arc weight, and every inhibitor place must hold fewer tokens
+// than the inhibitor threshold. (For interpreted nets the transition's
+// predicate must also hold on the current data state; the engines evaluate
+// it as bytecode.)
 #pragma once
 
 #include <cstddef>
@@ -85,21 +86,14 @@ struct MarkingHash {
   std::size_t operator()(const Marking& m) const noexcept;
 };
 
-/// Token-availability test only (input weights satisfied, inhibitors clear).
-/// Ignores predicates; see is_enabled for the full test.
+/// Token-availability test (input weights satisfied, inhibitors clear).
+/// Predicates are expressions over the data state; the engines evaluate
+/// them as bytecode (expr/program.h).
 [[nodiscard]] bool tokens_available(const Net& net, const Marking& m, TransitionId t);
-
-/// Full enablement test: tokens available AND the predicate (if any) holds.
-[[nodiscard]] bool is_enabled(const Net& net, const Marking& m, TransitionId t,
-                              const DataContext& data);
 
 /// How many times `t` could fire concurrently from `m` on token counts alone
 /// (inhibitors allow either 0 or unbounded concurrent enablement; bounded
 /// here by what input tokens support). Used for infinite-server semantics.
 [[nodiscard]] TokenCount enabling_degree(const Net& net, const Marking& m, TransitionId t);
-
-/// All transitions enabled in `m` (with predicates evaluated on `data`).
-[[nodiscard]] std::vector<TransitionId> enabled_transitions(const Net& net, const Marking& m,
-                                                            const DataContext& data);
 
 }  // namespace pnut

@@ -45,15 +45,15 @@ DelaySpec DelaySpec::discrete(std::vector<std::pair<Time, double>> choices) {
   return d;
 }
 
-DelaySpec DelaySpec::computed(std::function<Time(const DataContext&)> fn) {
-  if (!fn) throw std::invalid_argument("DelaySpec::computed: null function");
+DelaySpec DelaySpec::computed(ComputedDelay delay) {
+  if (!delay.ast) throw std::invalid_argument("DelaySpec::computed: null expression");
   DelaySpec d;
   d.kind_ = Kind::kComputed;
-  d.computed_ = std::move(fn);
+  d.computed_ = std::move(delay);
   return d;
 }
 
-Time DelaySpec::sample(const DataContext& data, Rng& rng) const {
+Time DelaySpec::sample(Rng& rng) const {
   switch (kind_) {
     case Kind::kConstant:
       return constant_;
@@ -69,10 +69,9 @@ Time DelaySpec::sample(const DataContext& data, Rng& rng) const {
       }
       return choices_.back().first;
     }
-    case Kind::kComputed: {
-      const Time t = computed_(data);
-      return t < 0 ? 0 : t;
-    }
+    case Kind::kComputed:
+      throw std::logic_error(
+          "DelaySpec::sample: computed delays are evaluated by the net's bytecode");
   }
   return 0;  // unreachable
 }

@@ -13,7 +13,7 @@
 //   * relative firing frequencies, from which firing probabilities for
 //     conflicting transitions are computed dynamically [WPS86],
 //   * predicates and actions (Section 3): data-dependent preconditions and
-//     data transformations evaluated against a DataContext.
+//     data transformations, written in the expression language.
 //
 // The Net itself is a passive description; execution semantics live in
 // pnut::Simulator (src/sim) and pnut::ReachabilityGraph (src/analysis).
@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,6 +33,11 @@
 #include "petri/rng.h"
 
 namespace pnut {
+
+namespace expr {
+class Node;
+struct Program;
+}  // namespace expr
 
 /// Transparent string hash so name->id maps answer std::string_view
 /// lookups without allocating a temporary std::string.
@@ -56,6 +62,13 @@ struct Arc {
   friend bool operator==(const Arc&, const Arc&) = default;
 };
 
+/// The integer expression behind a computed delay, built by
+/// expr::compile_delay: the parsed AST plus its source text.
+struct ComputedDelay {
+  std::shared_ptr<const expr::Node> ast;
+  std::string source;
+};
+
 /// How a delay (firing time or enabling time) is determined when a
 /// transition instance needs one.
 class DelaySpec {
@@ -64,7 +77,7 @@ class DelaySpec {
     kConstant,   ///< fixed value (the common case: N processor cycles)
     kUniform,    ///< integer uniform in [lo, hi]
     kDiscrete,   ///< weighted discrete distribution over values
-    kComputed,   ///< evaluated against the DataContext (interpreted nets)
+    kComputed,   ///< an expression over the data state (interpreted nets)
   };
 
   /// Default: constant zero (an immediate transition).
@@ -74,10 +87,13 @@ class DelaySpec {
   static DelaySpec uniform_int(std::int64_t lo, std::int64_t hi);
   /// `choices` are (value, relative weight) pairs; weights need not sum to 1.
   static DelaySpec discrete(std::vector<std::pair<Time, double>> choices);
-  static DelaySpec computed(std::function<Time(const DataContext&)> fn);
+  /// Use expr::compile_delay, which parses the source into `delay`.
+  static DelaySpec computed(ComputedDelay delay);
 
-  /// Draw a delay for one transition instance.
-  [[nodiscard]] Time sample(const DataContext& data, Rng& rng) const;
+  /// Draw a delay for one transition instance. Computed delays read the
+  /// data state, so only the engines' bytecode (expr/program.h) evaluates
+  /// them; sampling one here throws std::logic_error.
+  [[nodiscard]] Time sample(Rng& rng) const;
 
   /// True if the delay is statically the constant 0 (immediate).
   [[nodiscard]] bool is_statically_zero() const {
@@ -92,12 +108,8 @@ class DelaySpec {
   [[nodiscard]] const std::vector<std::pair<Time, double>>& choices() const {
     return choices_;
   }
-  /// The computed-delay callable (empty unless kind() == kComputed). The
-  /// expression bytecode compiler inspects this with std::function::target
-  /// to recover the AST behind expr::compile_delay.
-  [[nodiscard]] const std::function<Time(const DataContext&)>& computed_fn() const {
-    return computed_;
-  }
+  /// The delay expression (empty unless kind() == kComputed).
+  [[nodiscard]] const ComputedDelay& computed_delay() const { return computed_; }
 
   /// Mean of the distribution (Computed kinds return nullopt).
   [[nodiscard]] std::optional<Time> mean() const;
@@ -108,15 +120,26 @@ class DelaySpec {
   std::int64_t lo_ = 0;
   std::int64_t hi_ = 0;
   std::vector<std::pair<Time, double>> choices_;
-  std::function<Time(const DataContext&)> computed_;
+  ComputedDelay computed_;
 };
 
-/// Data-dependent precondition for an interpreted transition (Section 3).
-using Predicate = std::function<bool(const DataContext&)>;
+/// Data-dependent precondition for an interpreted transition (Section 3): a
+/// boolean expression, built by expr::compile_predicate — the parsed AST
+/// plus its source text. Empty (null AST) means always true.
+struct Predicate {
+  std::shared_ptr<const expr::Node> ast;
+  std::string source;
+  explicit operator bool() const { return ast != nullptr; }
+};
 
-/// Data transformation performed when an interpreted transition fires.
-/// Receives the simulator's RNG so actions can use `irand`.
-using Action = std::function<void(DataContext&, Rng&)>;
+/// Data transformation performed when an interpreted transition fires: a
+/// statement program, built by expr::compile_action (it may draw from the
+/// engine's Rng through `irand`). Empty (null program) means no data effect.
+struct Action {
+  std::shared_ptr<const expr::Program> program;
+  std::string source;
+  explicit operator bool() const { return program != nullptr; }
+};
 
 /// Whether a transition may have several firings in flight at once.
 /// "Normally a transition can only [fire] once at a time" (Section 4.2);
@@ -180,8 +203,8 @@ class Net {
   void set_action(TransitionId t, Action action);
   void set_initial_tokens(PlaceId p, TokenCount tokens);
 
-  /// Initial variable bindings for interpreted nets; copied into the
-  /// simulator's DataContext at reset.
+  /// Initial variable bindings for interpreted nets (the engines lay them
+  /// out as the initial DataFrame, expr/program.h).
   DataContext& initial_data() { return initial_data_; }
   [[nodiscard]] const DataContext& initial_data() const { return initial_data_; }
 

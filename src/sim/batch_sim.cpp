@@ -79,8 +79,7 @@ struct BatchWorker {
   std::vector<std::uint32_t> ready_ids;
   std::vector<double> weights;
   expr::VmScratch vm;
-  DataContext data;        ///< live data state on the AST fallback path
-  DataFrame frame_before;  ///< action-diff snapshot (sink lanes, VM path)
+  DataFrame frame_before;  ///< action-diff snapshot (sink lanes)
   std::vector<Acc> place_acc;
   std::vector<Acc> trans_acc;
   std::vector<std::uint64_t> starts;
@@ -157,7 +156,7 @@ struct LaneRun {
     freq = b.freq_m_.empty() ? b.freq_base_.data() : b.freq_m_.data() + t_row;
     init_tokens = b.init_tokens_m_.empty() ? b.init_tokens_base_.data()
                                            : b.init_tokens_m_.data() + k * b.num_places_;
-    if (b.vm_mode_) {
+    if (b.program_) {
       fvals = b.frame_vals_m_.data() + k * b.program_->schema().num_values();
       fpres = b.frame_pres_m_.data() + k * b.program_->schema().num_scalars();
     }
@@ -191,17 +190,12 @@ struct LaneRun {
 
   [[nodiscard]] bool compute_eligible(TransitionId t) const {
     if (net.is_single_server(t) && in_flight[t.value] > 0) return false;
-    const std::span<const TokenCount> tokens(marking, b.num_places_);
-    if (b.vm_mode_) {
-      if (!net.tokens_available(tokens, t)) return false;
-      const expr::Code* predicate = b.program_->predicate(t);
-      if (predicate != nullptr &&
-          expr::vm_eval_row(*predicate, fvals, fpres, nullptr, w.vm) == 0) {
-        return false;
-      }
-      return true;
+    if (!net.tokens_available(std::span<const TokenCount>(marking, b.num_places_), t)) {
+      return false;
     }
-    return net.is_enabled(tokens, t, w.data);
+    const expr::Code* predicate = b.program_ ? b.program_->predicate(t) : nullptr;
+    return predicate == nullptr ||
+           expr::vm_eval_row(*predicate, fvals, fpres, nullptr, w.vm) != 0;
   }
 
   /// Draw a delay from the lane's effective parameters. Call sites and RNG
@@ -230,14 +224,11 @@ struct LaneRun {
         return choices.back().first;
       }
       case DelaySpec::Kind::kComputed: {
-        if (b.vm_mode_) {
-          const expr::Code* code =
-              enabling ? b.program_->enabling_delay(t) : b.program_->firing_delay(t);
-          const auto v = static_cast<Time>(
-              expr::vm_eval_row(*code, fvals, fpres, nullptr, w.vm));
-          return v < 0 ? 0 : v;
-        }
-        return (enabling ? net.enabling_time(t) : net.firing_time(t)).sample(w.data, rng);
+        const expr::Code* code =
+            enabling ? b.program_->enabling_delay(t) : b.program_->firing_delay(t);
+        const auto v =
+            static_cast<Time>(expr::vm_eval_row(*code, fvals, fpres, nullptr, w.vm));
+        return v < 0 ? 0 : v;
       }
     }
     return 0;  // unreachable
@@ -319,61 +310,28 @@ struct LaneRun {
   // --- firing ---------------------------------------------------------------
 
   void run_action(TransitionId t, TraceEvent* ev) {
-    if (b.vm_mode_) {
-      const expr::Code* code = b.action_patches_.empty()
-                                   ? b.program_->action(t)
-                                   : b.patched_action(lane, t);
-      if (ev != nullptr) {
-        w.frame_before.values.assign(fvals, fvals + b.program_->schema().num_values());
-        w.frame_before.present.assign(fpres, fpres + b.program_->schema().num_scalars());
-      }
-      expr::vm_exec_row(*code, fvals, fpres, &rng, w.vm);
-      mark_predicated_dirty();
-      if (ev != nullptr) {
-        // Frame diff in slot order == name order (see Simulator::run_action_vm).
-        const DataSchema& schema = b.program_->schema();
-        for (std::size_t i = 0; i < schema.num_scalars(); ++i) {
-          if (fpres[i] == 0) continue;
-          if (w.frame_before.present[i] == 0 || w.frame_before.values[i] != fvals[i]) {
-            ev->scalar_updates.push_back(ScalarUpdate{schema.scalar_names()[i], fvals[i]});
-          }
-        }
-        for (const DataSchema::Table& table : schema.tables()) {
-          for (std::uint32_t i = 0; i < table.size; ++i) {
-            if (w.frame_before.values[table.base + i] != fvals[table.base + i]) {
-              ev->table_updates.push_back(TableUpdate{
-                  table.name, static_cast<std::int64_t>(i), fvals[table.base + i]});
-            }
-          }
-        }
-      }
-      return;
-    }
-    // AST fallback: the scalar engine diffs the (small) DataContext around
-    // every action — the copy also backs the created-table check, so this
-    // path keeps it even without a sink.
-    const DataContext before = w.data;
-    net.action(t)(w.data, rng);
-    mark_predicated_dirty();
+    const expr::Code* code = b.action_patches_.empty() ? b.program_->action(t)
+                                                       : b.patched_action(lane, t);
     if (ev != nullptr) {
-      for (const auto& [name, value] : w.data.scalars()) {
-        if (!before.has(name) || before.get(name) != value) {
-          ev->scalar_updates.push_back(ScalarUpdate{name, value});
-        }
+      w.frame_before.values.assign(fvals, fvals + b.program_->schema().num_values());
+      w.frame_before.present.assign(fpres, fpres + b.program_->schema().num_scalars());
+    }
+    expr::vm_exec_row(*code, fvals, fpres, &rng, w.vm);
+    mark_predicated_dirty();
+    if (ev == nullptr) return;
+    // Frame diff in slot order == name order (see Simulator::run_action).
+    const DataSchema& schema = b.program_->schema();
+    for (std::size_t i = 0; i < schema.num_scalars(); ++i) {
+      if (fpres[i] == 0) continue;
+      if (w.frame_before.present[i] == 0 || w.frame_before.values[i] != fvals[i]) {
+        ev->scalar_updates.push_back(ScalarUpdate{schema.scalar_names()[i], fvals[i]});
       }
     }
-    for (const auto& [name, values] : w.data.tables()) {
-      if (!before.has_table(name)) {
-        throw std::logic_error(
-            "Simulator: action created table '" + name +
-            "' at runtime; declare tables in Net::initial_data() instead");
-      }
-      if (ev != nullptr) {
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (before.get_table(name, static_cast<std::int64_t>(i)) != values[i]) {
-            ev->table_updates.push_back(
-                TableUpdate{name, static_cast<std::int64_t>(i), values[i]});
-          }
+    for (const DataSchema::Table& table : schema.tables()) {
+      for (std::uint32_t i = 0; i < table.size; ++i) {
+        if (w.frame_before.values[table.base + i] != fvals[table.base + i]) {
+          ev->table_updates.push_back(TableUpdate{
+              table.name, static_cast<std::int64_t>(i), fvals[table.base + i]});
         }
       }
     }
@@ -524,20 +482,14 @@ struct LaneRun {
     now = b.options_.start_time;
 
     std::copy(init_tokens, init_tokens + b.num_places_, marking);
-    if (b.vm_mode_) {
+    if (b.program_) {
       const DataFrame& initial = b.program_->initial_frame();
       std::copy(initial.values.begin(), initial.values.end(), fvals);
       std::copy(initial.present.begin(), initial.present.end(), fpres);
-    } else {
-      w.data = net.net().initial_data();
-    }
-    if (!b.scalar_patches_.empty()) {
-      for (const BatchSimulator::ScalarPatch& p : b.scalar_patches_[lane]) {
-        if (b.vm_mode_) {
+      if (!b.scalar_patches_.empty()) {
+        for (const BatchSimulator::ScalarPatch& p : b.scalar_patches_[lane]) {
           fvals[p.slot] = p.value;
           fpres[p.slot] = 1;
-        } else {
-          w.data.set(p.name, p.value);
         }
       }
     }
@@ -698,24 +650,8 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNet> net,
   num_places_ = net_->num_places();
   num_transitions_ = net_->num_transitions();
 
-  if (options_.use_expr_vm) {
-    // Same VM-activation rule as the scalar engine, so lane k picks the
-    // same evaluation path (and RNG stream) as a Simulator over this net.
-    const Net& source = net_->net();
-    const bool has_computed_delay = [&] {
-      for (const Transition& t : source.transitions()) {
-        if (t.firing_time.kind() == DelaySpec::Kind::kComputed ||
-            t.enabling_time.kind() == DelaySpec::Kind::kComputed) {
-          return true;
-        }
-      }
-      return false;
-    }();
-    if (net_->net_is_interpreted() || has_computed_delay) {
-      program_ = expr::NetProgram::compile(source);
-      vm_mode_ = program_ != nullptr;
-    }
-  }
+  // Same rule as the scalar engine: only nets with hooks carry data rows.
+  if (net_->net_has_hooks()) program_ = expr::NetProgram::compile(net_->net());
 
   enab_kind_.reserve(num_transitions_);
   fire_kind_.reserve(num_transitions_);
@@ -739,7 +675,7 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNet> net,
   }
 
   marking_m_.resize(num_lanes_ * num_places_);
-  if (vm_mode_) {
+  if (program_) {
     frame_vals_m_.resize(num_lanes_ * program_->schema().num_values());
     frame_pres_m_.resize(num_lanes_ * program_->schema().num_scalars());
   }
@@ -904,19 +840,15 @@ void BatchSimulator::patch_initial_scalar(std::size_t lane, std::string_view nam
   ScalarPatch patch;
   patch.name = std::string(name);
   patch.value = value;
-  if (vm_mode_) {
-    const auto slot = program_->schema().scalar_slot(name);
-    if (!slot) {
-      throw std::invalid_argument("BatchSimulator: no scalar named '" + patch.name +
-                                  "' in the net's data schema");
-    }
-    patch.slot = *slot;
-  } else if (!net_->net().initial_data().has(name)) {
-    // Same legality on the AST path: a patch overrides a declared initial
-    // value, it does not invent new data state.
+  // A patch overrides a declared initial value; it does not invent new data
+  // state. (A hook-free net never reads its data: the patch only shows in
+  // the lane's trace header.)
+  const auto slot = program_ ? program_->schema().scalar_slot(name) : std::nullopt;
+  if (program_ ? !slot : !net_->net().initial_data().has(name)) {
     throw std::invalid_argument("BatchSimulator: no scalar named '" + patch.name +
                                 "' in the net's data schema");
   }
+  if (slot) patch.slot = *slot;
   if (scalar_patches_.empty()) scalar_patches_.resize(num_lanes_);
   // Later patches of the same name win, as with repeated DataContext::set.
   for (ScalarPatch& existing : scalar_patches_[lane]) {
@@ -941,12 +873,7 @@ void BatchSimulator::patch_action_irand(std::size_t lane, TransitionId t,
                                         std::int64_t hi) {
   check_lane(lane);
   check_transition(*net_, t);
-  if (!vm_mode_) {
-    throw std::invalid_argument(
-        "BatchSimulator: irand-bounds patching requires the expression-VM path "
-        "(the net has hand-written C++ hooks or use_expr_vm is off)");
-  }
-  const expr::Code* base = patched_action(lane, t);
+  const expr::Code* base = program_ ? patched_action(lane, t) : nullptr;
   if (base == nullptr) {
     throw std::invalid_argument("BatchSimulator: transition '" +
                                 net_->transition_name(t) + "' has no compiled action");

@@ -11,9 +11,8 @@
 //   * a (lane x place) token matrix — each lane's marking is one contiguous
 //     row swept by the same CSR arc spans the scalar engine uses;
 //   * the lanes' data states as one flat slot matrix (lane x value slots,
-//     plus a lane x scalar presence matrix) — expr-VM lanes evaluate
-//     bytecode straight against their row (expr::vm_eval_row), AST-hook
-//     lanes fall back to the scalar DataContext path;
+//     plus a lane x scalar presence matrix) — hooks evaluate bytecode
+//     straight against their lane's row (expr::vm_eval_row);
 //   * (lane x transition) columns for the eligibility state machine
 //     (eligible/ready flags, enabling generations, in-flight counts,
 //     completion counters) and per-lane RNGs, clocks and seeds.
@@ -38,13 +37,10 @@
 // rebuilding the Net with the changed value (the sweep API, sim/sweep.h,
 // drives whole parameter grids through one batch this way).
 //
-// Purity contract (inherited from run_replications, which runs on this
-// engine): with more than one thread, the net's predicate, action and
-// computed-delay callbacks run concurrently across lanes. Callbacks that
-// only touch their DataContext/Rng arguments (every model in this
-// repository, and every compiled expression) are safe; a hand-written
-// callback capturing shared mutable state needs its own synchronization —
-// or threads = 1 to keep sequential behaviour.
+// Threads: with more than one thread, the net's predicates, actions and
+// computed delays run concurrently across lanes. Hooks are bytecode —
+// immutable code, per-worker evaluation scratch — so that is safe by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +69,6 @@ struct BatchOptions {
   /// Abort threshold for zero-delay firing cascades at a single instant
   /// (same guard, same error text as the scalar engine).
   std::uint64_t max_immediate_firings_per_instant = 1'000'000;
-  /// Execute predicates/actions/computed delays as slot-addressed bytecode
-  /// when every hook on the net came from expr::compile_* (bit-identical
-  /// to the AST path, which remains the fallback for hand-written hooks).
-  bool use_expr_vm = true;
   /// Worker threads lanes are partitioned over; 0 picks from the hardware.
   /// Results are bit-identical for every value.
   unsigned threads = 1;
@@ -97,10 +89,6 @@ class BatchSimulator {
 
   [[nodiscard]] std::size_t num_lanes() const { return num_lanes_; }
   [[nodiscard]] const CompiledNet& compiled() const { return *net_; }
-  /// True when hooks run as bytecode against the slot matrix (the batch
-  /// fast path); false on nets with hand-written C++ hooks.
-  [[nodiscard]] bool vm_mode() const { return vm_mode_; }
-
   // --- per-lane configuration (before run()) --------------------------------
 
   /// Override lane's seed (default base_seed + lane).
@@ -135,7 +123,7 @@ class BatchSimulator {
                             std::int64_t value);
   /// Rewrite the literal bounds of the `occurrence`-th `irand(lo, hi)` call
   /// (0-based, in instruction order) inside transition `t`'s compiled
-  /// action. Requires the VM path and literal constant bounds.
+  /// action. Requires literal constant bounds.
   void patch_action_irand(std::size_t lane, TransitionId t, std::size_t occurrence,
                           std::int64_t lo, std::int64_t hi);
 
@@ -178,10 +166,8 @@ class BatchSimulator {
   std::size_t num_places_ = 0;
   std::size_t num_transitions_ = 0;
 
-  /// Bytecode runtime (null when a hook is a hand-written C++ lambda or
-  /// use_expr_vm is off; the DataContext/AST path runs then).
+  /// Bytecode runtime; null for hook-free nets (no data rows at all).
   std::shared_ptr<const expr::NetProgram> program_;
-  bool vm_mode_ = false;
 
   // Shared per-transition delay plan, decoded once from the DelaySpecs so
   // the per-event sampling path reads flat arrays (per-lane override rows
@@ -198,8 +184,8 @@ class BatchSimulator {
   std::vector<std::int64_t> enab_lo_m_, enab_hi_m_, fire_lo_m_, fire_hi_m_;
   std::vector<double> freq_m_;
   std::vector<TokenCount> init_tokens_m_;
-  /// Per-lane initial-scalar overrides: (value slot or ~0u on the AST path,
-  /// name, value). Outer vector sized on first patch.
+  /// Per-lane initial-scalar overrides: (value slot or ~0u on a hook-free
+  /// net, name, value). Outer vector sized on first patch.
   struct ScalarPatch {
     std::uint32_t slot = ~0u;
     std::string name;
@@ -213,8 +199,8 @@ class BatchSimulator {
   // --- replication-major SoA state -----------------------------------------
 
   std::vector<TokenCount> marking_m_;      ///< lanes x places
-  std::vector<std::int64_t> frame_vals_m_; ///< lanes x schema value slots (VM path)
-  std::vector<std::uint8_t> frame_pres_m_; ///< lanes x schema scalar slots (VM path)
+  std::vector<std::int64_t> frame_vals_m_; ///< lanes x schema value slots
+  std::vector<std::uint8_t> frame_pres_m_; ///< lanes x schema scalar slots
   std::vector<std::uint8_t> eligible_m_, ready_m_;        ///< lanes x transitions
   std::vector<Time> enabled_since_m_;                     ///< lanes x transitions
   std::vector<std::uint64_t> generation_m_, completions_m_;

@@ -11,22 +11,7 @@ Simulator::Simulator(const Net& net, SimOptions options)
 Simulator::Simulator(std::shared_ptr<const CompiledNet> net, SimOptions options)
     : net_(std::move(net)), options_(options), rng_(options.seed) {
   if (!net_) throw std::invalid_argument("Simulator: null CompiledNet");
-  if (options_.use_expr_vm) {
-    const Net& source = net_->net();
-    const bool has_computed_delay = [&] {
-      for (const Transition& t : source.transitions()) {
-        if (t.firing_time.kind() == DelaySpec::Kind::kComputed ||
-            t.enabling_time.kind() == DelaySpec::Kind::kComputed) {
-          return true;
-        }
-      }
-      return false;
-    }();
-    if (net_->net_is_interpreted() || has_computed_delay) {
-      program_ = expr::NetProgram::compile(source);
-      vm_mode_ = program_ != nullptr;
-    }
-  }
+  if (net_->net_has_hooks()) program_ = expr::NetProgram::compile(net_->net());
   reset();
 }
 
@@ -36,7 +21,7 @@ void Simulator::reset(std::optional<std::uint64_t> seed) {
   marking_ = Marking::initial(net_->net());
   data_ = net_->net().initial_data();
   data_cache_valid_ = true;
-  if (vm_mode_) frame_.assign(program_->initial_frame());
+  if (program_) frame_.assign(program_->initial_frame());
   states_.assign(net_->num_transitions(), TransitionState{});
   dirty_.clear();
   dirty_flag_.assign(net_->num_transitions(), 0);
@@ -60,32 +45,20 @@ bool Simulator::compute_eligible(TransitionId t) const {
   if (net_->is_single_server(t) && states_[t.value].in_flight > 0) {
     return false;
   }
-  if (vm_mode_) {
-    if (!net_->tokens_available(marking_, t)) return false;
-    const expr::Code* predicate = program_->predicate(t);
-    if (predicate != nullptr &&
-        expr::vm_eval(*predicate, frame_, nullptr, vm_scratch_) == 0) {
-      return false;
-    }
-    return true;
-  }
-  return net_->is_enabled(marking_, t, data_);
+  if (!net_->tokens_available(marking_, t)) return false;
+  const expr::Code* predicate = program_ ? program_->predicate(t) : nullptr;
+  return predicate == nullptr ||
+         expr::vm_eval(*predicate, frame_, nullptr, vm_scratch_) != 0;
 }
 
 Time Simulator::sample_delay(const DelaySpec& spec, const expr::Code* code) {
   if (code != nullptr) {
-    // Same clamp as DelaySpec::sample's computed branch; no rng — computed
-    // delays are deterministic in the data state (irand raises EvalError).
+    // No rng: computed delays are deterministic in the data state (irand
+    // raises EvalError); negative values clamp to zero.
     const auto t = static_cast<Time>(expr::vm_eval(*code, frame_, nullptr, vm_scratch_));
     return t < 0 ? 0 : t;
   }
-  if (vm_mode_) {
-    // Non-computed kinds never read the data state; skip materializing the
-    // DataContext cache just to pass a reference.
-    static const DataContext kNoData;
-    return spec.sample(kNoData, rng_);
-  }
-  return spec.sample(data_, rng_);
+  return spec.sample(rng_);
 }
 
 void Simulator::schedule(QueuedEvent ev) {
@@ -143,7 +116,7 @@ void Simulator::refresh_one(TransitionId t) {
       ready_insert(t.value);
     } else {
       const Time delay = sample_delay(net_->enabling_time(t),
-                                      vm_mode_ ? program_->enabling_delay(t) : nullptr);
+                                      program_ ? program_->enabling_delay(t) : nullptr);
       if (delay <= 0) {
         st.ready = true;
         ready_insert(t.value);
@@ -201,38 +174,10 @@ void Simulator::start_firing(TransitionId t) {
     start.consumed.push_back(TokenDelta{a.place, a.weight});
   }
 
-  if (net_->has_action(t)) {
-    if (vm_mode_) {
-      run_action_vm(t, start);
-    } else {
-      // Diff the (small) data context around the action so the trace
-      // carries the exact variable updates the firing performed.
-      const DataContext before = data_;
-      net_->action(t)(data_, rng_);
-      mark_predicated_dirty();
-      for (const auto& [name, value] : data_.scalars()) {
-        if (!before.has(name) || before.get(name) != value) {
-          start.scalar_updates.push_back(ScalarUpdate{name, value});
-        }
-      }
-      for (const auto& [name, values] : data_.tables()) {
-        if (!before.has_table(name)) {
-          throw std::logic_error(
-              "Simulator: action created table '" + name +
-              "' at runtime; declare tables in Net::initial_data() instead");
-        }
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (before.get_table(name, static_cast<std::int64_t>(i)) != values[i]) {
-            start.table_updates.push_back(
-                TableUpdate{name, static_cast<std::int64_t>(i), values[i]});
-          }
-        }
-      }
-    }
-  }
+  if (net_->has_action(t)) run_action(t, start);
 
   const Time firing_time = sample_delay(net_->firing_time(t),
-                                        vm_mode_ ? program_->firing_delay(t) : nullptr);
+                                        program_ ? program_->firing_delay(t) : nullptr);
 
   if (firing_time <= 0) {
     // Zero-duration firing: consume + produce in one atomic state delta
@@ -256,14 +201,14 @@ void Simulator::start_firing(TransitionId t) {
                        start.firing_id, 0});
 }
 
-void Simulator::run_action_vm(TransitionId t, TraceEvent& start) {
+void Simulator::run_action(TransitionId t, TraceEvent& start) {
   frame_before_.assign(frame_);
   expr::vm_exec(*program_->action(t), frame_, &rng_, vm_scratch_);
   data_cache_valid_ = false;
   mark_predicated_dirty();
 
-  // Frame diff in slot order == name order, so the trace's update lists
-  // are identical to the AST path's DataContext diff.
+  // Frame diff in slot order == name order: the trace lists the exact
+  // variable updates the firing performed, sorted by name.
   const DataSchema& schema = program_->schema();
   for (std::size_t i = 0; i < schema.num_scalars(); ++i) {
     if (frame_.present[i] == 0) continue;

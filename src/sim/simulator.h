@@ -79,12 +79,6 @@ struct SimOptions {
   /// after every firing. Produces bit-identical traces to the incremental
   /// update; kept as the reference implementation for equivalence tests.
   bool incremental_eligibility = true;
-  /// Execute predicates/actions/computed delays as slot-addressed bytecode
-  /// (expr/vm.h) when every hook on the net came from expr::compile_*.
-  /// Produces bit-identical traces to the AST/DataContext evaluation path,
-  /// which remains both the fallback for hand-written C++ hooks and the
-  /// reference implementation for equivalence tests.
-  bool use_expr_vm = true;
 };
 
 /// Why a run call returned.
@@ -128,11 +122,11 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] const Marking& marking() const { return marking_; }
-  /// The current data state in description form. On the bytecode path the
-  /// live state is the slot frame; the DataContext is materialized on
-  /// first access after a change (boundary use — traces, tests, dumps).
+  /// The current data state in description form. The live state is the
+  /// slot frame; the DataContext is materialized on first access after a
+  /// change (boundary use — traces, tests, dumps).
   [[nodiscard]] const DataContext& data() const {
-    if (vm_mode_ && !data_cache_valid_) {
+    if (!data_cache_valid_) {
       data_ = program_->schema().to_context(frame_);
       data_cache_valid_ = true;
     }
@@ -214,13 +208,13 @@ class Simulator {
 
   [[nodiscard]] bool compute_eligible(TransitionId t) const;
 
-  /// Draw a delay: bytecode evaluation for a compiled computed delay
-  /// (`code` non-null on the VM path), DelaySpec::sample otherwise.
+  /// Draw a delay: bytecode evaluation for a computed delay (`code`
+  /// non-null), DelaySpec::sample otherwise.
   [[nodiscard]] Time sample_delay(const DelaySpec& spec, const expr::Code* code);
 
   /// Run `t`'s action on the slot frame and append the frame diff to the
-  /// trace event (the VM-path twin of the DataContext diff in start_firing).
-  void run_action_vm(TransitionId t, TraceEvent& start);
+  /// trace event.
+  void run_action(TransitionId t, TraceEvent& start);
 
   /// Fire every ready transition at the current instant, resolving
   /// conflicts probabilistically, until none remain ready.
@@ -240,17 +234,16 @@ class Simulator {
   TraceSink* sink_ = nullptr;
   Rng rng_;
 
-  /// Bytecode runtime (null when any hook is a hand-written C++ lambda or
-  /// use_expr_vm is off; the DataContext/AST path runs then).
+  /// Bytecode runtime; null for hook-free nets, which have no data state
+  /// to evaluate (data() then stays the net's initial data).
   std::shared_ptr<const expr::NetProgram> program_;
-  bool vm_mode_ = false;
-  DataFrame frame_;         ///< live data state on the VM path
+  DataFrame frame_;         ///< live data state
   DataFrame frame_before_;  ///< reused action-diff snapshot
   mutable expr::VmScratch vm_scratch_;  ///< mutable: eligibility checks are const
 
   Time now_ = 0;
   Marking marking_;
-  mutable DataContext data_;  ///< live state (AST path) or lazy cache (VM path)
+  mutable DataContext data_;  ///< lazy DataContext view of frame_
   mutable bool data_cache_valid_ = false;
   std::vector<TransitionState> states_;
   std::vector<std::uint32_t> dirty_;       ///< transition ids queued for refresh

@@ -140,7 +140,6 @@ SweepResult run_sweep(std::shared_ptr<const CompiledNet> net,
   BatchOptions batch_options;
   batch_options.base_seed = options.base_seed;
   batch_options.start_time = options.start_time;
-  batch_options.use_expr_vm = options.use_expr_vm;
   batch_options.threads = options.threads;
   batch_options.stop = options.stop;
   BatchSimulator batch(std::move(net), num_cells * reps, batch_options);

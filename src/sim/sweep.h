@@ -78,7 +78,6 @@ struct SweepOptions {
   /// Replication r (of every cell) runs with seed base_seed + r.
   std::uint64_t base_seed = 1;
   Time start_time = 0;
-  bool use_expr_vm = true;
   /// Worker threads for the batch; 0 picks from the hardware. Results are
   /// bit-identical for every value.
   unsigned threads = 1;

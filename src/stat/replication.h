@@ -54,12 +54,9 @@ struct ReplicationResult {
 /// `num_threads` = 0 (the default) picks a pool size from the hardware;
 /// 1 forces the sequential path. Results are identical for every value.
 ///
-/// Thread-safety contract: with more than one thread, the net's predicate,
-/// action and computed-delay callbacks run concurrently across
-/// replications. Callbacks that only touch their DataContext/Rng arguments
-/// (every model in this repository) are safe; a callback capturing shared
-/// mutable state needs its own synchronization — or pass num_threads = 1
-/// to keep the historical sequential behavior.
+/// Threads: the net's predicates, actions and computed delays run
+/// concurrently across replications as immutable bytecode with
+/// per-worker scratch, so any thread count is safe.
 ///
 /// `stop` (util/stop.h) cancels cooperatively: a tripped deadline or cancel
 /// surfaces as StopError, with no partial result — the caller retries or

@@ -290,7 +290,6 @@ class PnParser {
     if (first.text == "expr") {
       const Word& src = take_word("delay expression string");
       if (!src.quoted) fail(src.line, "delay expression must be a quoted string");
-      pending_delay_expr_ = src.text;
       try {
         return expr::compile_delay(src.text, &doc_.functions);
       } catch (const expr::ParseError& e) {
@@ -328,17 +327,9 @@ class PnParser {
         }
         if (!any) fail(clause.line, "'" + clause.text + "' clause lists no places");
       } else if (clause.text == "firing") {
-        pending_delay_expr_.clear();
         doc_.net.set_firing_time(t, parse_delay(clause.line));
-        if (!pending_delay_expr_.empty()) {
-          doc_.firing_expr_sources[t.value] = pending_delay_expr_;
-        }
       } else if (clause.text == "enabling") {
-        pending_delay_expr_.clear();
         doc_.net.set_enabling_time(t, parse_delay(clause.line));
-        if (!pending_delay_expr_.empty()) {
-          doc_.enabling_expr_sources[t.value] = pending_delay_expr_;
-        }
       } else if (clause.text == "freq") {
         doc_.net.set_frequency(t, take_double("frequency"));
       } else if (clause.text == "policy") {
@@ -354,7 +345,6 @@ class PnParser {
         } catch (const expr::ParseError& e) {
           fail_expr(src, "predicate", e);
         }
-        doc_.predicate_sources[t.value] = src.text;
       } else if (clause.text == "do") {
         const Word& src = take_word("action string");
         if (!src.quoted) fail(src.line, "action must be a quoted string");
@@ -363,7 +353,6 @@ class PnParser {
         } catch (const expr::ParseError& e) {
           fail_expr(src, "action", e);
         }
-        doc_.action_sources[t.value] = src.text;
       }
     }
   }
@@ -371,7 +360,6 @@ class PnParser {
   std::vector<Word> words_;
   std::size_t pos_ = 0;
   NetDocument doc_;
-  std::string pending_delay_expr_;
 };
 
 std::string format_number(double v) {
@@ -381,8 +369,7 @@ std::string format_number(double v) {
 }
 
 /// Render a delay clause, or return false if it is the zero constant.
-bool print_delay(std::ostringstream& out, const char* keyword, const DelaySpec& spec,
-                 const std::string* expr_source) {
+bool print_delay(std::ostringstream& out, const char* keyword, const DelaySpec& spec) {
   switch (spec.kind()) {
     case DelaySpec::Kind::kConstant:
       if (spec.is_statically_zero()) return false;
@@ -400,11 +387,7 @@ bool print_delay(std::ostringstream& out, const char* keyword, const DelaySpec& 
       }
       return true;
     case DelaySpec::Kind::kComputed:
-      if (expr_source == nullptr) {
-        throw std::invalid_argument(
-            "print_net: computed delay with no source text; use NetDocument");
-      }
-      out << ' ' << keyword << " expr \"" << *expr_source << '"';
+      out << ' ' << keyword << " expr \"" << spec.computed_delay().source << '"';
       return true;
   }
   return false;
@@ -456,15 +439,7 @@ std::string print_document(const Net& net, const NetDocument* doc) {
     out << '\n';
   }
 
-  auto lookup = [&](const std::map<std::uint32_t, std::string>* m,
-                    std::uint32_t key) -> const std::string* {
-    if (m == nullptr) return nullptr;
-    const auto it = m->find(key);
-    return it == m->end() ? nullptr : &it->second;
-  };
-
-  for (std::uint32_t i = 0; i < net.num_transitions(); ++i) {
-    const Transition& tr = net.transition(TransitionId(i));
+  for (const Transition& tr : net.transitions()) {
     out << "trans " << tr.name;
     auto arcs = [&](const char* keyword, const std::vector<Arc>& list) {
       if (list.empty()) return;
@@ -477,25 +452,13 @@ std::string print_document(const Net& net, const NetDocument* doc) {
     arcs("in", tr.inputs);
     arcs("inhibit", tr.inhibitors);
     arcs("out", tr.outputs);
-    print_delay(out, "firing", tr.firing_time,
-                lookup(doc ? &doc->firing_expr_sources : nullptr, i));
-    print_delay(out, "enabling", tr.enabling_time,
-                lookup(doc ? &doc->enabling_expr_sources : nullptr, i));
+    print_delay(out, "firing", tr.firing_time);
+    print_delay(out, "enabling", tr.enabling_time);
     if (tr.frequency != 1.0) out << " freq " << format_number(tr.frequency);
     if (tr.policy == FiringPolicy::kInfiniteServer) out << " policy infinite";
 
-    const std::string* pred = lookup(doc ? &doc->predicate_sources : nullptr, i);
-    if (pred != nullptr) out << " when \"" << *pred << '"';
-    else if (tr.predicate) {
-      throw std::invalid_argument("print_net: transition '" + tr.name +
-                                  "' has a predicate with no source text; use NetDocument");
-    }
-    const std::string* action = lookup(doc ? &doc->action_sources : nullptr, i);
-    if (action != nullptr) out << " do \"" << *action << '"';
-    else if (tr.action) {
-      throw std::invalid_argument("print_net: transition '" + tr.name +
-                                  "' has an action with no source text; use NetDocument");
-    }
+    if (tr.predicate) out << " when \"" << tr.predicate.source << '"';
+    if (tr.action) out << " do \"" << tr.action.source << '"';
     out << '\n';
   }
   return out.str();

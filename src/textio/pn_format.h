@@ -43,14 +43,14 @@
 //       sweeps can enumerate the knobs);
 //   array <name> <extent>    — a zero-initialized table of fixed extent.
 //
-// Because predicates, actions and computed delays compile to opaque
-// functions, the parser returns a NetDocument that keeps the source text
-// alongside the net, so print_net round-trips interpreted models. Errors in
-// embedded expression strings are reported at their absolute document line
-// with a caret snippet (expr::render_caret).
+// Predicates, actions and computed delays carry their own source text
+// (petri/net.h), so print_net round-trips interpreted models whether they
+// were parsed or built in C++. The parser returns a NetDocument: the net
+// plus the model-library declarations (fn/param/array) that shape how it
+// prints. Errors in embedded expression strings are reported at their
+// absolute document line with a caret snippet (expr::render_caret).
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,14 +60,9 @@
 
 namespace pnut::textio {
 
-/// A net plus the textual sources of its interpreted parts (keyed by
-/// transition index) and its model-library declarations.
+/// A net plus its model-library declarations.
 struct NetDocument {
   Net net;
-  std::map<std::uint32_t, std::string> predicate_sources;
-  std::map<std::uint32_t, std::string> action_sources;
-  std::map<std::uint32_t, std::string> firing_expr_sources;
-  std::map<std::uint32_t, std::string> enabling_expr_sources;
   /// Document-level `fn` declarations, in declaration order; every
   /// expression hook in `net` was compiled against this library.
   expr::FunctionLibrary functions;
@@ -90,9 +85,9 @@ NetDocument parse_net(std::string_view text);
 /// a structurally identical net.
 std::string print_net(const NetDocument& doc);
 
-/// Render a plain net (no interpreted sources). Throws std::invalid_argument
-/// if the net has predicates/actions/computed delays, since those cannot be
-/// recovered from compiled functions — use NetDocument for such nets.
+/// Render a net built without a document: every hook prints from its own
+/// source text (a hook calling document `fn`s needs the NetDocument form,
+/// which also prints the library).
 std::string print_net(const Net& net);
 
 }  // namespace pnut::textio

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/marked_graph.h"
+#include "expr/compile.h"
 #include "sim/simulator.h"
 
 namespace pnut::analysis {
@@ -126,8 +127,7 @@ TEST(MarkedGraph, RejectsNonMarkedGraphs) {
 
 TEST(MarkedGraph, RejectsComputedDelays) {
   Net net = ring({1, 1});
-  net.set_firing_time(net.transition_named("t0"),
-                      DelaySpec::computed([](const DataContext&) { return 1.0; }));
+  net.set_firing_time(net.transition_named("t0"), expr::compile_delay("1"));
   EXPECT_THROW(marked_graph_cycle_time(net), std::invalid_argument);
 }
 

@@ -8,7 +8,7 @@
 // limit-hitting (truncated / unbounded) explorations, and on a population
 // of randomized nets from tests/support/net_fuzz.h — plain, inhibitor-
 // heavy, and interpreted (predicates, deterministic and irand actions,
-// runtime-created variables that force layout widening).
+// table writes, runtime-created variables).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,6 +16,7 @@
 
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "support/net_fuzz.h"
@@ -172,16 +173,13 @@ Net stop_vs_throw_net(bool throw_in_predicate) {
   const TransitionId boom = net.add_transition("boom");
   net.add_input(boom, boom_p);
   net.add_output(boom, boom_p);
+  // Division by zero raises EvalError (a std::runtime_error).
   if (throw_in_predicate) {
-    // Predicates leave net_has_actions() false: exercises the fast seal.
-    net.set_predicate(boom, [](const DataContext&) -> bool {
-      throw std::runtime_error("boom predicate");
-    });
+    // Predicates leave net_has_actions() false: marking-only states.
+    net.set_predicate(boom, expr::compile_predicate("1 / 0 > 0"));
   } else {
-    // Actions track data: exercises the exact seal.
-    net.set_action(boom, [](DataContext&, Rng&) -> void {
-      throw std::runtime_error("boom action");
-    });
+    // Actions track data: states carry encoded data words.
+    net.set_action(boom, expr::compile_action("x = 1 / 0"));
   }
   return net;
 }
@@ -191,7 +189,7 @@ TEST(ParallelEquivalence, StopRuleBeatsThrowingCallbackInSameLevel) {
   // canonically-earlier parent and never expands the boom state; the
   // parallel builder expands the whole level (the throw happens on a
   // worker) but must suppress the parked exception because the seal stops
-  // first — identical graphs, no throw, for both seal paths.
+  // first — identical graphs, no throw, with and without data words.
   for (const bool predicate : {true, false}) {
     const Net net = stop_vs_throw_net(predicate);
     ReachOptions options;
@@ -211,8 +209,7 @@ TEST(ParallelEquivalence, UnsuppressedCallbackThrowPropagates) {
   for (const bool predicate : {true, false}) {
     Net net = stop_vs_throw_net(predicate);
     // Disarm the pump so no stop rule fires before the boom parent.
-    net.set_predicate(net.transition_named("pump"),
-                      [](const DataContext&) { return false; });
+    net.set_predicate(net.transition_named("pump"), expr::compile_predicate("0 > 1"));
     for (const unsigned threads : {1u, 2u, 4u}) {
       ReachOptions options;
       options.threads = threads;
@@ -242,9 +239,8 @@ TEST(ParallelEquivalence, FuzzedInhibitorHeavyNets) {
 }
 
 TEST(ParallelEquivalence, FuzzedInterpretedNets) {
-  // Predicates, counter actions, irand actions, and runtime-created
-  // variables (layout widening) — the parallel seal must reproduce the
-  // sequential builder's evolving DataLayout decisions exactly.
+  // Predicates, counter actions, irand actions, table writes and
+  // runtime-created variables, all as bytecode.
   test_support::FuzzOptions fuzz;
   fuzz.interpreted = true;
   for (std::uint64_t seed = 201; seed <= 220; ++seed) {

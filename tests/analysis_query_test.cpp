@@ -4,6 +4,7 @@
 
 #include "analysis/query.h"
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 #include "expr/lexer.h"
 #include "sim/simulator.h"
 
@@ -125,6 +126,30 @@ TEST_F(QueryOnGraph, SyntaxErrors) {
   EXPECT_THROW(eval_query(graph_, "forall s S [ 1 = 1 ]"), expr::ParseError);
   EXPECT_NO_THROW(check_query_syntax("forall s in S [ Bus_busy(s) = 1 ]"));
   EXPECT_THROW(check_query_syntax("exists s in (S-{0}) [ 1 = 1 ]"), expr::ParseError);
+}
+
+TEST_F(QueryOnGraph, NestingBudgetIsASyntaxError) {
+  // A 60 KB query of nested parentheses (or a long run of `not`s) used to
+  // overflow the stack; the query parser shares the expression language's
+  // nesting budget.
+  const auto nested = [](std::size_t n, const char* open, const char* close) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += open;
+    out += "true";
+    for (std::size_t i = 0; i < n; ++i) out += close;
+    return out;
+  };
+  for (const std::string& query :
+       {"forall s in S [ " + nested(30000, "(", ")") + " ]", nested(100000, "not ", ""),
+        nested(100000, "-", ""), "1" + nested(100000, " + 1", "")}) {
+    try {
+      (void)eval_query(graph_, query);
+      FAIL() << "over-budget query parsed";
+    } catch (const expr::ParseError& e) {
+      EXPECT_STREQ(e.what(), "query nested more than 256 levels deep");
+    }
+  }
+  EXPECT_TRUE(eval_query(graph_, nested(200, "(", ")")).holds);
 }
 
 TEST_F(QueryOnGraph, SemanticErrors) {
@@ -259,8 +284,8 @@ TEST(QueryVariables, DataVariablesReadableInStates) {
   const TransitionId t = net.add_transition("T");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_predicate(t, [](const DataContext& d) { return d.get("x") < 3; });
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("x", d.get("x") + 1); });
+  net.set_predicate(t, expr::compile_predicate("x < 3"));
+  net.set_action(t, expr::compile_action("x = x + 1"));
   const ReachabilityGraph graph(net);
   EXPECT_TRUE(eval_query(graph, "exists s in S [ x(s) = 3 ]").holds);
   EXPECT_TRUE(eval_query(graph, "forall s in S [ x(s) <= 3 ]").holds);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 
 namespace pnut::analysis {
 namespace {
@@ -246,7 +247,7 @@ TEST(Reachability, InterpretedDeterministicActionTracked) {
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("x", (d.get("x") + 1) % 3); });
+  net.set_action(t, expr::compile_action("x = (x + 1) % 3"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 3u);
   EXPECT_TRUE(graph.is_reversible());
@@ -261,7 +262,7 @@ TEST(Reachability, StochasticActionFansOut) {
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng& rng) { d.set("x", rng.next_int(1, 3)); });
+  net.set_action(t, expr::compile_action("x = irand[1, 3]"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 4u);
 }
@@ -273,49 +274,42 @@ TEST(Reachability, PredicateLimitsStateSpace) {
   const TransitionId inc = net.add_transition("inc");
   net.add_input(inc, p);
   net.add_output(inc, p);
-  net.set_predicate(inc, [](const DataContext& d) { return d.get("x") < 5; });
-  net.set_action(inc, [](DataContext& d, Rng&) { d.set("x", d.get("x") + 1); });
+  net.set_predicate(inc, expr::compile_predicate("x < 5"));
+  net.set_action(inc, expr::compile_action("x = x + 1"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 6u);  // x = 0..5
   ASSERT_EQ(graph.deadlock_states().size(), 1u);
   EXPECT_EQ(graph.variable(graph.deadlock_states()[0], "x"), 5);
 }
 
-TEST(Reachability, ActionCreatedVariableWidensLayout) {
-  // An action may create a variable mid-exploration; the data layout must
-  // widen and already-interned states stay distinct at their old indices.
+TEST(Reachability, ActionCreatedVariableAbsentUntilAssigned) {
+  // An action may create a variable mid-exploration: "absent" and "= 0"
+  // are distinct data states (the encoding carries a presence bit).
   Net net;
+  net.initial_data().set("x", 0);
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) {
-    if (!d.has("y")) {
-      d.set("y", 0);
-    } else {
-      d.set("y", std::min<std::int64_t>(d.get("y") + 1, 2));
-    }
-  });
+  net.set_action(t, expr::compile_action("y = x; x = min[x + 1, 2]"));
   const ReachabilityGraph graph(net);
-  // States: {}, {y=0}, {y=1}, {y=2}.
+  // States: {x=0}, {x=1,y=0}, {x=2,y=1}, {x=2,y=2}.
   EXPECT_EQ(graph.num_states(), 4u);
   EXPECT_EQ(graph.variable(0, "y"), std::nullopt);
+  EXPECT_EQ(graph.variable(1, "y"), 0);
   EXPECT_EQ(graph.variable(3, "y"), 2);
 }
 
-TEST(Reachability, RuntimeEmptyTableDistinguishedFromAbsent) {
-  // A created-but-empty table is a distinct data state from no table at
-  // all (the encoding carries a per-table presence word).
+TEST(Reachability, ActionWritingAnUndeclaredTableRaises) {
+  // Actions cannot create tables (the data schema is frozen from the
+  // initial data); the write fails with the evaluator's error.
   Net net;
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) {
-    if (!d.has_table("T")) d.set_table("T", {});
-  });
-  const ReachabilityGraph graph(net);
-  EXPECT_EQ(graph.num_states(), 2u);  // without T, with empty T
+  net.set_action(t, expr::compile_action("T[0] = 1"));
+  EXPECT_THROW(ReachabilityGraph{net}, expr::EvalError);
 }
 
 TEST(Reachability, InvalidNetRejected) {

@@ -7,7 +7,7 @@
 // included), deadlock sets, place bounds, statuses and truncated prefixes.
 // This file pins that on the paper's golden models, on rings with real
 // multi-level frontiers, on limit-hitting explorations and on randomized
-// nets (plain + expression-VM interpreted + timed integer skeletons), with
+// nets (plain + interpreted + timed integer skeletons), with
 // a residency window shrunk far enough that even Debug-sized graphs spill.
 // It also pins the lifecycle: segment directories are created under the
 // requested root and removed with the graph — on error paths too.
@@ -20,6 +20,7 @@
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
 #include "analysis/timed_reachability.h"
+#include "expr/compile.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "support/net_fuzz.h"
@@ -97,8 +98,8 @@ TEST(SpillEquivalence, Figure1Prefetch) {
 }
 
 TEST(SpillEquivalence, Figure4ExprInterpretedPipeline) {
-  // Expression-compiled hooks ride the VM path: per-state data words live
-  // in the (spillable) arena with a frozen width.
+  // Per-state data words live in the (spillable) arena with a frozen
+  // width.
   expect_spill_matches(pipeline::build_interpreted_pipeline(), "fig4-expr");
 }
 
@@ -173,9 +174,9 @@ TEST(SpillEquivalence, FuzzedPlainNets) {
 
 TEST(SpillEquivalence, FuzzedExprInterpretedNets) {
   // Predicates, counter/table actions and delays in the expression
-  // language: the VM path spills per-state data words with the marking.
+  // language: per-state data words spill with the marking.
   test_support::FuzzOptions fuzz;
-  fuzz.interpreted_expr = true;
+  fuzz.interpreted = true;
   for (std::uint64_t seed = 201; seed <= 210; ++seed) {
     expect_spill_matches(test_support::fuzz_net(seed, fuzz),
                          "expr fuzz seed=" + std::to_string(seed));
@@ -193,24 +194,27 @@ TEST(SpillEquivalence, FuzzedTruncatedNets) {
 
 // --- the unsupported corner --------------------------------------------------
 
-TEST(SpillEquivalence, AstInterpretedNetsWithActionsAreRejected) {
-  // Opaque C++ actions keep the AST/DataContext path, whose mid-run layout
-  // widening rewrites the whole arena — incompatible with sealed spilled
-  // segments. The builder must say so up front at every thread count.
-  Net net("ast_actions");
+TEST(SpillEquivalence, ActionCreatingAVariableSpills) {
+  // An action that creates a variable at runtime: the schema holds its
+  // slot from the start, so the encoded width never changes mid-build and
+  // spilling works at every thread count.
+  Net net("creates_x");
   const PlaceId p = net.add_place("p", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& data, Rng&) { data.set("x", 1); });
+  net.set_action(t, expr::compile_action("x = 1"));
   for (const unsigned threads : kThreadCounts) {
     ReachOptions options;
     options.threads = threads;
+    const ReachabilityGraph flat(net, options);
     options.spill = tiny_spill();
-    EXPECT_THROW(ReachabilityGraph(net, options), std::invalid_argument)
-        << threads << " threads";
-    options.spill = SpillOptions{};
-    EXPECT_NO_THROW(ReachabilityGraph(net, options)) << threads << " threads";
+    const ReachabilityGraph spilled(net, options);
+    ASSERT_EQ(spilled.num_states(), flat.num_states()) << threads << " threads";
+    EXPECT_EQ(spilled.num_states(), 2u);
+    for (std::size_t s = 0; s < flat.num_states(); ++s) {
+      EXPECT_EQ(spilled.variable(s, "x"), flat.variable(s, "x")) << threads << " threads";
+    }
   }
 }
 
@@ -334,18 +338,14 @@ TEST(SpillLifecycle, SegmentDirectoryIsRemovedOnThrowingBuilds) {
   std::filesystem::remove_all(base);
   std::filesystem::create_directories(base);
 
-  // An unbounded interpreted net would widen mid-run; more simply, reuse
-  // the AST rejection — but that throws before the SpillDir exists. To hit
-  // a post-creation unwind, cap a fuzz net so tightly the builder throws
-  // from a model callback instead.
+  // To hit a post-creation unwind, the builder throws from a predicate
+  // (division by zero) after the SpillDir exists.
   Net net("boom");
   const PlaceId p = net.add_place("p", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_predicate(t, [](const DataContext&) -> bool {
-    throw std::runtime_error("boom predicate");
-  });
+  net.set_predicate(t, expr::compile_predicate("1 / 0 > 0"));
   ReachOptions options;
   options.spill = tiny_spill();
   options.spill.dir = base.string();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/timed_reachability.h"
+#include "expr/compile.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
 
@@ -278,7 +279,7 @@ TEST(TimedReach, RejectsNonIntegerAndInterpretedNets) {
   net3.add_input(t3, p3);
   net3.add_output(t3, p3);
   net3.set_firing_time(t3, DelaySpec::constant(1));
-  net3.set_predicate(t3, [](const DataContext&) { return true; });
+  net3.set_predicate(t3, expr::compile_predicate("1 > 0"));
   EXPECT_THROW(TimedReachabilityGraph{net3}, std::invalid_argument);
 }
 

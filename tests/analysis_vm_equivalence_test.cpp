@@ -1,11 +1,12 @@
-// Differential pins for the exploration engines' bytecode path: the graph
-// built with expression-VM execution (ReachOptions::use_expr_vm, the
-// default) must be *identical* to the AST/DataContext oracle's — same
-// state numbering, markings, per-state variables, edge pool, deadlocks,
-// status and expanded prefix — on the paper's interpreted models and on
-// randomized expression-backed nets, including truncated prefixes; and it
-// must stay identical across every --threads value (the parallel VM path
-// rides the fast candidate seal, a different code path from both).
+// Frozen pins for the exploration engines' bytecode path. The graphs
+// below were recorded when an AST/DataContext execution path still ran
+// beside the bytecode one and the two were pinned identical; the bytecode
+// path must keep reproducing them — same state numbering, markings,
+// per-state variables, transition activity, edge pool, deadlocks, status
+// and expanded prefix (tests/support/golden_hash.h) — on the paper's
+// interpreted models and on randomized expression-backed nets, including
+// truncated prefixes, and stay identical across every --threads value (the
+// parallel engine seals through a different code path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "analysis/reachability.h"
 #include "pipeline/interpreted.h"
+#include "support/golden_hash.h"
 #include "support/net_fuzz.h"
 #include "textio/pn_format.h"
 
@@ -22,44 +24,24 @@ namespace {
 
 using test_support::fuzz_net;
 using test_support::FuzzOptions;
+using test_support::hash_graph;
 
-ReachabilityGraph build(const Net& net, bool use_vm, unsigned threads,
+ReachabilityGraph build(const Net& net, unsigned threads,
                         std::size_t max_states = 1'000'000) {
   ReachOptions options;
   options.max_states = max_states;
   options.threads = threads;
-  options.use_expr_vm = use_vm;
   return ReachabilityGraph(net, options);
 }
 
-/// Full observable-graph comparison. `scalars` are the variable names the
-/// model can hold (checked per state on both sides).
-void expect_identical(const ReachabilityGraph& a, const ReachabilityGraph& b,
-                      const std::vector<std::string>& scalars,
-                      const std::string& label) {
-  ASSERT_EQ(a.num_states(), b.num_states()) << label;
-  ASSERT_EQ(a.num_edges(), b.num_edges()) << label;
-  EXPECT_EQ(a.status(), b.status()) << label;
-  EXPECT_EQ(a.num_expanded(), b.num_expanded()) << label;
-  EXPECT_EQ(a.deadlock_states(), b.deadlock_states()) << label;
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    const auto ta = a.tokens(s);
-    const auto tb = b.tokens(s);
-    ASSERT_EQ(ta.size(), tb.size()) << label;
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      ASSERT_EQ(ta[i], tb[i]) << label << ": state " << s << " place " << i;
-    }
-    const auto ea = a.edges(s);
-    const auto eb = b.edges(s);
-    ASSERT_EQ(ea.size(), eb.size()) << label << ": state " << s;
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      ASSERT_EQ(ea[i].transition, eb[i].transition) << label << ": state " << s;
-      ASSERT_EQ(ea[i].target, eb[i].target) << label << ": state " << s;
-    }
-    for (const std::string& name : scalars) {
-      ASSERT_EQ(a.variable(s, name), b.variable(s, name))
-          << label << ": state " << s << " variable " << name;
-    }
+/// The frozen fingerprint, checked at one thread and at each of `threads`.
+void expect_golden(const Net& net, std::uint64_t golden,
+                   const std::vector<std::string>& scalars, const std::string& label,
+                   std::vector<unsigned> threads, std::size_t max_states = 1'000'000) {
+  threads.insert(threads.begin(), 1u);
+  for (const unsigned n : threads) {
+    EXPECT_EQ(hash_graph(build(net, n, max_states), scalars, net.num_transitions()), golden)
+        << label << " threads=" << n;
   }
 }
 
@@ -67,41 +49,20 @@ const std::vector<std::string> kPipelineScalars = {
     "type", "number_of_operands_needed", "extra_words_needed",
     "exec_cycles_current", "store_needed", "max_type"};
 
-TEST(VmGraphEquivalence, GoldenInterpretedModelsMatchAstOracle) {
-  for (const Net& net : {pipeline::build_interpreted_operand_fetch(),
-                         pipeline::build_interpreted_pipeline()}) {
-    const ReachabilityGraph vm = build(net, true, 1);
-    const ReachabilityGraph ast = build(net, false, 1);
-    EXPECT_EQ(vm.status(), ReachStatus::kComplete);
-    expect_identical(vm, ast, kPipelineScalars, net.name());
-  }
+TEST(VmGraphGolden, InterpretedModels) {
+  expect_golden(pipeline::build_interpreted_operand_fetch(), 0x725f66f0013338beULL,
+                kPipelineScalars, "operand_fetch", {});
+  expect_golden(pipeline::build_interpreted_pipeline(), 0x29a6f12272533ac7ULL,
+                kPipelineScalars, "pipeline", {2u, 4u, 8u});
+  EXPECT_EQ(build(pipeline::build_interpreted_pipeline(), 1).status(),
+            ReachStatus::kComplete);
 }
 
-TEST(VmGraphEquivalence, GoldenModelsIdenticalAcrossThreadCounts) {
+TEST(VmGraphGolden, TruncatedPrefixes) {
   const Net net = pipeline::build_interpreted_pipeline();
-  const ReachabilityGraph reference = build(net, true, 1);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const ReachabilityGraph parallel = build(net, true, threads);
-    expect_identical(parallel, reference, kPipelineScalars,
-                     "threads=" + std::to_string(threads));
-  }
-}
-
-TEST(VmGraphEquivalence, TruncatedPrefixesMatchAstOracleAndThreads) {
-  const Net net = pipeline::build_interpreted_pipeline();
-  for (const std::size_t max_states : {100u, 1000u}) {
-    const ReachabilityGraph vm = build(net, true, 1, max_states);
-    const ReachabilityGraph ast = build(net, false, 1, max_states);
-    EXPECT_EQ(vm.status(), ReachStatus::kTruncated);
-    expect_identical(vm, ast, kPipelineScalars,
-                     "truncated@" + std::to_string(max_states));
-    for (const unsigned threads : {2u, 4u}) {
-      const ReachabilityGraph parallel = build(net, true, threads, max_states);
-      expect_identical(parallel, vm, kPipelineScalars,
-                       "truncated@" + std::to_string(max_states) +
-                           " threads=" + std::to_string(threads));
-    }
-  }
+  EXPECT_EQ(build(net, 1, 100).status(), ReachStatus::kTruncated);
+  expect_golden(net, 0xe9864ccaa267030eULL, kPipelineScalars, "truncated@100", {2u, 4u}, 100);
+  expect_golden(net, 0xb4c1d9952ddd1a91ULL, kPipelineScalars, "truncated@1000", {2u, 4u}, 1000);
 }
 
 // A .pn-sourced model exercising the scripting layer end to end inside the
@@ -124,65 +85,67 @@ trans reset in idle out idle when "total >= 6"
       do "total = 0; for k = 0 to 3 { scratch[k] = 0; }"
 )pn";
 
-TEST(VmGraphEquivalence, ScriptedPnModelMatchesAstOracleAndThreads) {
+TEST(VmGraphGolden, ScriptedPnModel) {
   const Net net = textio::parse_net(kScriptedModel).net;
-  const std::vector<std::string> scalars = {"total", "step"};
-  const ReachabilityGraph vm = build(net, true, 1);
-  const ReachabilityGraph ast = build(net, false, 1);
-  EXPECT_EQ(vm.status(), ReachStatus::kComplete);
-  EXPECT_GE(vm.num_states(), 10u);
-  expect_identical(vm, ast, scalars, "scripted-pn");
-  for (const unsigned threads : {2u, 4u}) {
-    const ReachabilityGraph parallel = build(net, true, threads);
-    expect_identical(parallel, vm, scalars,
-                     "scripted-pn threads=" + std::to_string(threads));
-  }
+  const ReachabilityGraph graph = build(net, 1);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  EXPECT_GE(graph.num_states(), 10u);
+  expect_golden(net, 0x212cc0b20bbc94ebULL, {"total", "step"}, "scripted-pn", {2u, 4u});
 }
 
-TEST(VmGraphEquivalence, FuzzedExpressionNetsMatchAstOracle) {
+// One fingerprint per fuzz seed, 1..45 (complete graphs).
+constexpr std::uint64_t kFuzzedGolden[] = {
+    0x1322ed1873914314ULL, 0x1013f73a87399e71ULL, 0xadb5e6beba2ae02cULL,
+    0x4edd0b3a6000f615ULL, 0xaa7f77177d8db405ULL, 0x2538cdee48f977ddULL,
+    0x9f205994f917fcebULL, 0x18a4d0a6a9eb8870ULL, 0xb5aedbdb8210cc63ULL,
+    0x6d7bb06197737306ULL, 0xc482918eea46ebe2ULL, 0xef77958a2878435eULL,
+    0xb294f7006784cc28ULL, 0x85162b6843d59621ULL, 0x8c8a69e008c52239ULL,
+    0x6371bb714e140b8cULL, 0xb88068c857c0cfa3ULL, 0x4807e8f95b184d05ULL,
+    0x2106512fe9eeb812ULL, 0x6febcf90ce8805feULL, 0x434d5082d5922918ULL,
+    0x638ab9000d16360dULL, 0xf0aabd1b0fa43b17ULL, 0x34dd3a670eddab63ULL,
+    0xa00a87af37bc989cULL, 0x3763019c5d36be0bULL, 0x0f94f017d678ebeeULL,
+    0x3a1de537a69665b5ULL, 0xbda70bcf0603ddeeULL, 0x75a38197c52ebf36ULL,
+    0x69f1366ebb590932ULL, 0x6a12d5355d19b126ULL, 0x21b59d4b5bb032c5ULL,
+    0x24c05ac9215d30a1ULL, 0x0503f749f748e241ULL, 0xbd4ccf2d2c7793d8ULL,
+    0x79b3fb2ef492ae81ULL, 0x6605c8c72083d1fcULL, 0xd00632ff9e235623ULL,
+    0xd95150f220bd0ff1ULL, 0xc6bcfecdb86a07aaULL, 0x574541979841fca5ULL,
+    0x1003a3be9f2f7f80ULL, 0xf9e37217f98b5d4cULL, 0x2d3921356d0b2b65ULL,
+};
+
+TEST(VmGraphGolden, FuzzedExpressionNets) {
   FuzzOptions options;
-  options.interpreted_expr = true;
-  const std::vector<std::string> scalars = {"x", "late"};
+  options.interpreted = true;
   for (std::uint64_t seed = 1; seed <= 45; ++seed) {
-    const Net net = fuzz_net(seed, options);
-    const ReachabilityGraph vm = build(net, true, 1);
-    const ReachabilityGraph ast = build(net, false, 1);
-    expect_identical(vm, ast, scalars, "seed " + std::to_string(seed));
-    // And across thread counts on the VM path (fast candidate seal).
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      const ReachabilityGraph parallel = build(net, true, threads);
-      expect_identical(parallel, vm, scalars,
-                       "seed " + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
+    expect_golden(fuzz_net(seed, options), kFuzzedGolden[seed - 1], {"x", "late"},
+                  "seed " + std::to_string(seed), {2u, 4u, 8u});
   }
 }
 
-TEST(VmGraphEquivalence, FuzzedTruncationsMatchAcrossPathsAndThreads) {
+// One fingerprint per fuzz seed, 50..65, truncated at 40 states.
+constexpr std::uint64_t kFuzzedTruncatedGolden[] = {
+    0x9e3de4b5081c28dcULL, 0x38ec9232f20077f6ULL, 0xb2917ce008b2d830ULL,
+    0x19e4b941394802a5ULL, 0xc0fb4f7d5d26d66dULL, 0x119ed672b24580fdULL,
+    0x29e51d1c09b3c300ULL, 0x0a25dd6a011be1ceULL, 0x21eae552466660e1ULL,
+    0x4b934b784f074ab1ULL, 0xe6bec8f8fb0bb8c4ULL, 0xeffc1e3e500ec8e2ULL,
+    0x774bd2615a9caa56ULL, 0xab54e1a01c16d1c7ULL, 0x1bfa6820957e6eb8ULL,
+    0xcf0db6a4da8ee22eULL,
+};
+
+TEST(VmGraphGolden, FuzzedTruncations) {
   FuzzOptions options;
-  options.interpreted_expr = true;
-  const std::vector<std::string> scalars = {"x", "late"};
+  options.interpreted = true;
   for (std::uint64_t seed = 50; seed <= 65; ++seed) {
-    const Net net = fuzz_net(seed, options);
-    const ReachabilityGraph vm = build(net, true, 1, 40);
-    const ReachabilityGraph ast = build(net, false, 1, 40);
-    expect_identical(vm, ast, scalars, "seed " + std::to_string(seed));
-    for (const unsigned threads : {2u, 4u}) {
-      const ReachabilityGraph parallel = build(net, true, threads, 40);
-      expect_identical(parallel, vm, scalars,
-                       "seed " + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
+    expect_golden(fuzz_net(seed, options), kFuzzedTruncatedGolden[seed - 50],
+                  {"x", "late"}, "seed " + std::to_string(seed), {2u, 4u}, 40);
   }
 }
 
-TEST(VmGraphEquivalence, MemoryFootprintDropsWithoutDataContextSnapshots) {
-  // The headline of the slot path: per-state data is arena words, not a
-  // DataContext snapshot. >= 3x on the paper's flagship interpreted model.
-  const Net net = pipeline::build_interpreted_pipeline();
-  const ReachabilityGraph vm = build(net, true, 1);
-  const ReachabilityGraph ast = build(net, false, 1);
-  EXPECT_LT(vm.memory_bytes() * 3, ast.memory_bytes());
+TEST(VmGraphGolden, MemoryFootprintHasNoPerStateSnapshots) {
+  // Per-state data is arena words, not a DataContext snapshot: the graph
+  // stays >= 3x below the 8657607 bytes the AST path's per-state snapshots
+  // took on the paper's flagship interpreted model.
+  const ReachabilityGraph graph = build(pipeline::build_interpreted_pipeline(), 1);
+  EXPECT_LT(graph.memory_bytes() * 3, 8657607u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "anim/animator.h"
+#include "expr/compile.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
 
@@ -111,7 +112,7 @@ TEST(Animator, DataUpdatesShownInFiringFrame) {
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("T");
   net.add_input(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("x", 7); });
+  net.set_action(t, expr::compile_action("x = 7"));
 
   RecordedTrace trace;
   Simulator sim(net);

@@ -130,9 +130,9 @@ TEST_F(CliTest, CheckReportsLineMappedDiagnosticsWithCaret) {
 }
 
 TEST_F(CliTest, CheckLowersEveryHookAndNamesTheBadOne) {
-  // Arity mistakes are evaluation-time in the AST walker, so validate and
-  // simulate accept this model; check compiles to bytecode and rejects it,
-  // naming the transition and hook.
+  // Arity mistakes raise only when the hook is evaluated, so validate
+  // accepts this model; check lowers every hook to bytecode and rejects
+  // it, naming the transition and hook.
   const std::string arity_path = (dir_ / "arity.pn").string();
   std::ofstream(arity_path) << "net arity\n"
                                "place P init 1\n"
@@ -143,6 +143,73 @@ TEST_F(CliTest, CheckLowersEveryHookAndNamesTheBadOne) {
   EXPECT_NE(r.out.find("transition 't' action: irand expects 2 arguments, got 1"),
             std::string::npos)
       << r.out;
+}
+
+TEST_F(CliTest, ArityMistakeRaisesOnlyWhenItsHookRuns) {
+  // The broken predicate sits on a transition whose input place is never
+  // marked: check reports it, but simulate and analyze never evaluate it.
+  const std::string lazy_path = (dir_ / "lazy.pn").string();
+  std::ofstream(lazy_path) << "net lazy\n"
+                              "place p init 1\n"
+                              "place q\n"
+                              "trans never in q out q when \"min(1) > 0\"\n"
+                              "trans t in p out p firing 1\n";
+  const Result check = run_cli({"check", lazy_path});
+  EXPECT_EQ(check.code, 1);
+  EXPECT_NE(check.out.find("transition 'never' predicate: min expects 2 arguments, got 1"),
+            std::string::npos)
+      << check.out;
+  EXPECT_EQ(run_cli({"simulate", lazy_path, "--until", "10"}).code, 0);
+  EXPECT_EQ(run_cli({"analyze", lazy_path}).code, 0);
+
+  // Once the transition can fire, evaluating the predicate raises the
+  // evaluator's error.
+  const std::string eager_path = (dir_ / "eager.pn").string();
+  std::ofstream(eager_path) << "net eager\n"
+                               "place p init 1\n"
+                               "trans broken in p out p when \"min(1) > 0\" firing 1\n";
+  const Result simulate = run_cli({"simulate", eager_path, "--until", "10"});
+  EXPECT_EQ(simulate.code, 2);
+  EXPECT_EQ(simulate.err, "pnut simulate: min expects 2 arguments, got 1\n");
+  const Result analyze = run_cli({"analyze", eager_path});
+  EXPECT_EQ(analyze.code, 2);
+  EXPECT_EQ(analyze.err, "pnut analyze: min expects 2 arguments, got 1\n");
+}
+
+TEST_F(CliTest, OverBudgetNestingIsADiagnosticNotACrash) {
+  // 30,000 nested parentheses or 200,000 unary operators used to overflow
+  // the stack (exit 139). Now: the parser's nesting budget, reported like
+  // any other embedded-expression syntax error.
+  const auto write_model = [&](const std::string& name, const std::string& predicate) {
+    const std::string path = (dir_ / name).string();
+    std::ofstream(path) << "net deep\n"
+                           "place p init 1\n"
+                           "trans t in p out p when \"" << predicate << "\"\n";
+    return path;
+  };
+  // The caret sits under the first token past the budget: the 257th '('
+  // (each group is one level, as is the whole predicate), or the 256th '-'.
+  const std::string parens = write_model(
+      "parens.pn", std::string(30000, '(') + "1" + std::string(30000, ')') + " > 0");
+  const std::string negs = write_model("negs.pn", std::string(200000, '-') + "1 < 0");
+  for (const auto& [path, caret_col] : {std::pair{parens, 257}, std::pair{negs, 256}}) {
+    const Result check = run_cli({"check", path});
+    EXPECT_EQ(check.code, 1) << path;
+    EXPECT_NE(check.out.find("line 3: bad predicate: nested more than 256 levels deep"),
+              std::string::npos)
+        << path;
+    EXPECT_NE(check.out.find("\n" + std::string(caret_col - 1, ' ') + "^\n"),
+              std::string::npos)
+        << path;
+    EXPECT_EQ(run_cli({"simulate", path}).code, 2) << path;
+  }
+  // The query parser shares the budget: a 60 KB nested query is a usage
+  // error too.
+  const Result query = run_cli({"query", "--reach", model_path_,
+                                "forall s in S [ " + std::string(30000, '(') + "true" +
+                                    std::string(30000, ')') + " ]"});
+  EXPECT_EQ(query.code, 2);
+  EXPECT_EQ(query.err, "pnut query: query nested more than 256 levels deep\n");
 }
 
 TEST_F(CliTest, CheckMissingFile) {
@@ -518,6 +585,16 @@ TEST_F(CliTest, UnknownFlagsAreUsageErrors) {
   EXPECT_NE(horizen.err.find("unknown flag --horizen"), std::string::npos);
 
   EXPECT_EQ(run_cli({"analyze", model_path_, "--frobnicate", "1"}).code, 2);
+  // The retired expression-VM opt-out is just another unknown flag.
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"simulate", model_path_},
+        std::vector<std::string>{"analyze", model_path_},
+        std::vector<std::string>{"query", "--reach", model_path_, "exists s in S [ 1 = 1 ]"}}) {
+    args.push_back("--no-expr-vm");
+    const Result r = run_cli(args);
+    EXPECT_EQ(r.code, 2) << args[0];
+    EXPECT_NE(r.err.find("unknown flag --no-expr-vm"), std::string::npos) << args[0];
+  }
   EXPECT_EQ(run_cli({"query", "--reach", model_path_, "exists s in S [ 1 = 1 ]",
                      "--marker", "O=1"})
                 .code,

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace pnut::expr {
 namespace {
 
@@ -335,6 +338,43 @@ TEST(Parser, FrameSlotBudget) {
   EXPECT_EQ(failure(source + "let b = 1"),
             "1:" + std::to_string(source.size() + 5) +
                 ": local frame exceeds the slot budget (1048576 slots)");
+}
+
+// --- nesting budget -------------------------------------------------------------
+
+std::string repeated(std::string_view unit, std::size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+TEST(Parser, NestingBudgetRejectsStackBreakingInput) {
+  // Every level recurses in the parser, the evaluator, the bytecode
+  // compiler and AST teardown; these inputs used to overflow the stack.
+  const std::string deep = "nested more than 256 levels deep";
+  EXPECT_EQ(failure("x = " + repeated("(", 30000) + "1" + repeated(")", 30000)),
+            "1:261: " + deep);  // the 257th '(' (the rhs itself is level 1)
+  EXPECT_EQ(failure("x = " + repeated("-", 200000) + "1"), "1:260: " + deep);
+  EXPECT_EQ(failure("x = " + repeated("!", 200000) + "0"), "1:260: " + deep);
+  // Left-deep operator chains and nested calls and loops count too.
+  EXPECT_EQ(failure("x = 1" + repeated(" + 1", 100000)), "1:1027: " + deep);
+  EXPECT_EQ(failure("x = " + repeated("abs(", 300) + "1" + repeated(")", 300)),
+            "1:1029: " + deep);
+  EXPECT_EQ(failure(repeated("for i = 0 to 1 { ", 300) + "x = i;" + repeated(" }", 300)),
+            "1:4353: " + deep);
+  EXPECT_THROW(parse_expression(repeated("(", 30000) + "1" + repeated(")", 30000)),
+               ParseError);
+}
+
+TEST(Parser, NestingBudgetBoundary) {
+  // A bare expression is level 1, so 255 groups inside it reach exactly
+  // the budget; one more group is over it.
+  const std::string at_budget = repeated("(", 255) + "7" + repeated(")", 255);
+  EXPECT_EQ(parse_expression(at_budget)->to_string(), "7");
+  EXPECT_THROW(parse_expression("(" + at_budget + ")"), ParseError);
+  EXPECT_NO_THROW(parse_expression(repeated("-", 255) + "1"));
+  EXPECT_THROW(parse_expression(repeated("-", 256) + "1"), ParseError);
 }
 
 }  // namespace

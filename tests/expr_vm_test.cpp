@@ -1,12 +1,13 @@
 // The expression bytecode VM (expr/vm.h + expr/program.h) against its
 // oracle, the AST tree-walking evaluator: unit pins for the opcode set,
 // boundary pins for the integer-overflow error cases (both evaluators),
-// builtin arity errors (evaluation-time in the AST, compile-time in the
-// bytecode compiler), and the randomized differential fuzzers pinning
-// values, error messages, rng streams, created variables and final data
-// states over hundreds of generated expressions and action programs.
-// A last group pins the Simulator's VM path trace-identical to its AST
-// path on the paper's interpreted models.
+// builtin arity errors (raised at evaluation time by both, after the
+// arguments), and the randomized differential fuzzers pinning values,
+// error messages, rng streams, created variables and final data states
+// over hundreds of generated expressions and action programs. A last group
+// pins the Simulator's traces on the paper's interpreted models to
+// fingerprints recorded when its AST/DataContext path still ran beside the
+// bytecode one (tests/support/golden_hash.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,13 +23,13 @@
 #include "pipeline/interpreted.h"
 #include "sim/simulator.h"
 #include "support/expr_fuzz.h"
+#include "support/golden_hash.h"
 #include "trace/trace.h"
 
 namespace pnut {
 namespace {
 
 using expr::Code;
-using expr::CompileError;
 using expr::EvalError;
 using expr::VmScratch;
 using test_support::ExprFuzzer;
@@ -218,13 +219,21 @@ TEST(ExprVm, AstBuiltinArityMistakesRaiseArityErrors) {
   }
 }
 
-TEST(ExprVm, CompilerMirrorsArityChecksAtCompileTime) {
+TEST(ExprVm, ArityMistakesCompileToLazyThrows) {
+  // The mistake compiles (a throw instruction) and raises the AST's exact
+  // error only when evaluated — after its arguments, like the AST; the
+  // compiler also reports it through the diagnostic sink.
   const DataContext data = base_data();
   const DataSchema schema = DataSchema::build(data, {});
-  for (const char* source : {"min[1]", "max[1, 2, 3]", "abs(1, 2)", "irand[1]"}) {
-    const expr::NodePtr ast = expr::parse_expression(source);
-    EXPECT_THROW((void)expr::compile_expression(*ast, schema), CompileError) << source;
+  for (const char* source :
+       {"min[1]", "max[1, 2, 3]", "abs(1, 2)", "irand[1]", "min[1 / 0]",
+        "(x == 0) && min[1]"}) {
+    EXPECT_EQ(eval_vm(source, data), eval_ast(source, data)) << source;
   }
+  const expr::NodePtr ast = expr::parse_expression("x + max[1, 2, 3]");
+  std::string diagnostic;
+  (void)expr::compile_expression(*ast, schema, &diagnostic);
+  EXPECT_EQ(diagnostic, "max expects 2 arguments, got 3");
 }
 
 // --- script constructs: fn / let / array / for --------------------------------
@@ -278,6 +287,14 @@ void expect_program_equivalence(const std::string& source, const DataContext& in
   EXPECT_EQ(schema.to_context(frame), ast_data) << label << ": " << source;
   EXPECT_EQ(vm_rng.next_u64(), ast_rng.next_u64())
       << label << ": rng streams diverged: " << source;
+}
+
+TEST(ExprVmScript, ArityErrorFollowsTheArgumentDraws) {
+  // The arguments (and their rng draws) run before the arity error, in
+  // both evaluators: same error, same data state, same rng stream after.
+  expect_program_equivalence("x = min[irand[1, 6]]", base_data(), 5, "arity");
+  expect_program_equivalence("x = irand[1, 6]; y = abs(irand[1, 6], 2)", base_data(), 9,
+                             "arity");
 }
 
 std::int64_t run_script(const std::string& source, const char* result_name) {
@@ -470,34 +487,32 @@ TEST(NetProgram, CompilesTheInterpretedPipeline) {
   EXPECT_NE(program->firing_delay(execute), nullptr);
 }
 
-TEST(NetProgram, HandWrittenLambdaHooksDisqualify) {
-  Net net("lambda");
-  const PlaceId p = net.add_place("p", 1);
-  const TransitionId t = net.add_transition("t");
-  net.add_input(t, p);
-  net.add_output(t, p);
-  net.set_predicate(t, [](const DataContext&) { return true; });
-  EXPECT_EQ(expr::NetProgram::compile(net), nullptr);
-}
-
-TEST(NetProgram, BuiltinArityMistakeFallsBackToAstPath) {
+TEST(NetProgram, BuiltinArityMistakeRaisesOnlyWhenEvaluated) {
   Net net("arity");
   const PlaceId p = net.add_place("p", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
   net.set_predicate(t, expr::compile_predicate("min[1] > 0"));
-  // The AST raises the arity error lazily at evaluation time; the bytecode
-  // path must not turn that into a construction-time failure.
-  EXPECT_EQ(expr::NetProgram::compile(net), nullptr);
+  // Compiling never fails: the mistake becomes a throw instruction, and the
+  // error sink (what `pnut check` prints) names the hook.
+  std::string error;
+  const auto program = expr::NetProgram::compile(net, &error);
+  ASSERT_NE(program, nullptr);
+  EXPECT_EQ(error, "transition 't' predicate: min expects 2 arguments, got 1");
+  VmScratch scratch;
+  try {
+    (void)expr::vm_eval(*program->predicate(t), program->initial_frame(), nullptr, scratch);
+    FAIL() << "the predicate must raise when evaluated";
+  } catch (const EvalError& e) {
+    EXPECT_STREQ(e.what(), "min expects 2 arguments, got 1");
+  }
 }
 
-// --- simulator trace equivalence ---------------------------------------------
+// --- simulator traces, frozen from the AST oracle ------------------------------
 
-RecordedTrace run_trace(const Net& net, bool use_vm, Time horizon) {
-  SimOptions options;
-  options.use_expr_vm = use_vm;
-  Simulator sim(net, options);
+RecordedTrace run_trace(const Net& net, Time horizon) {
+  Simulator sim(net);
   RecordedTrace trace;
   sim.set_sink(&trace);
   sim.reset(1234);
@@ -506,27 +521,25 @@ RecordedTrace run_trace(const Net& net, bool use_vm, Time horizon) {
   return trace;
 }
 
-TEST(SimulatorVm, TracesMatchAstPathOnInterpretedModels) {
-  for (const Net& net : {pipeline::build_interpreted_operand_fetch(),
-                         pipeline::build_interpreted_pipeline()}) {
-    const RecordedTrace vm = run_trace(net, true, 5000);
-    const RecordedTrace ast = run_trace(net, false, 5000);
-    ASSERT_GT(vm.events().size(), 100u);
-    EXPECT_TRUE(vm == ast) << net.name();
-  }
+TEST(SimulatorVm, TracesMatchFrozenAstTraces) {
+  const RecordedTrace operand_fetch =
+      run_trace(pipeline::build_interpreted_operand_fetch(), 5000);
+  EXPECT_EQ(operand_fetch.events().size(), 4184u);
+  EXPECT_EQ(test_support::hash_trace(operand_fetch), 0x77212ac367abc59eULL);
+  const RecordedTrace full = run_trace(pipeline::build_interpreted_pipeline(), 5000);
+  EXPECT_EQ(full.events().size(), 6319u);
+  EXPECT_EQ(test_support::hash_trace(full), 0xa3219d1f696ff3f7ULL);
 }
 
 TEST(SimulatorVm, DataAccessorMaterializesTheFrame) {
-  SimOptions options;
-  Simulator sim(pipeline::build_interpreted_pipeline(), options);
+  Simulator sim(pipeline::build_interpreted_pipeline());
   sim.reset(7);
   sim.run_until(500);
-  SimOptions ast_options;
-  ast_options.use_expr_vm = false;
-  Simulator oracle(pipeline::build_interpreted_pipeline(), ast_options);
-  oracle.reset(7);
-  oracle.run_until(500);
-  EXPECT_EQ(sim.data(), oracle.data());
+  EXPECT_EQ(sim.data().to_string(),
+            "exec_cycles_current=1 extra_words_needed=0 max_type=3 "
+            "number_of_operands_needed=2 store_needed=0 type=3 exec_cycles=[0,1,2,5] "
+            "extra_words=[0,0,0,1] operands=[0,0,1,2] store_per_mille=[0,200,200,200]");
+  EXPECT_EQ(test_support::hash_data(sim.data()), 0x290f129eb61fe0eaULL);
 }
 
 }  // namespace

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
+#include "support/reference_enablement.h"
+
 namespace pnut {
 namespace {
+
+using test_support::enabled_transitions;
+using test_support::is_enabled;
 
 Net two_place_net() {
   Net net;
@@ -106,7 +112,7 @@ TEST(Enablement, PredicateGates) {
   const PlaceId a = net.add_place("A", 1);
   const TransitionId t = net.add_transition("T");
   net.add_input(t, a);
-  net.set_predicate(t, [](const DataContext& d) { return d.get("go") != 0; });
+  net.set_predicate(t, expr::compile_predicate("go != 0"));
   DataContext data;
   data.set("go", 0);
   const Marking m = Marking::initial(net);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
 #include "petri/rng.h"
 
 namespace pnut {
@@ -13,16 +14,14 @@ TEST(DelaySpec, DefaultIsImmediateZero) {
   const DelaySpec d;
   EXPECT_TRUE(d.is_statically_zero());
   EXPECT_EQ(d.mean(), 0.0);
-  DataContext data;
   Rng rng(1);
-  EXPECT_EQ(d.sample(data, rng), 0.0);
+  EXPECT_EQ(d.sample(rng), 0.0);
 }
 
 TEST(DelaySpec, ConstantSamplesItself) {
   const DelaySpec d = DelaySpec::constant(5);
-  DataContext data;
   Rng rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(d.sample(data, rng), 5.0);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(d.sample(rng), 5.0);
   EXPECT_EQ(d.mean(), 5.0);
   EXPECT_FALSE(d.is_statically_zero());
 }
@@ -33,10 +32,9 @@ TEST(DelaySpec, ConstantRejectsNegative) {
 
 TEST(DelaySpec, UniformStaysInBounds) {
   const DelaySpec d = DelaySpec::uniform_int(2, 6);
-  DataContext data;
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
-    const Time t = d.sample(data, rng);
+    const Time t = d.sample(rng);
     ASSERT_GE(t, 2.0);
     ASSERT_LE(t, 6.0);
     ASSERT_EQ(t, static_cast<std::int64_t>(t));
@@ -52,12 +50,11 @@ TEST(DelaySpec, UniformRejectsBadBounds) {
 TEST(DelaySpec, DiscreteMatchesWeights) {
   // The paper's execution mix: 1/2/5/10/50 at .5/.3/.1/.05/.05.
   const DelaySpec d = DelaySpec::discrete({{1, .5}, {2, .3}, {5, .1}, {10, .05}, {50, .05}});
-  DataContext data;
   Rng rng(77);
   int ones = 0;
   const int draws = 100000;
   for (int i = 0; i < draws; ++i) {
-    if (d.sample(data, rng) == 1.0) ++ones;
+    if (d.sample(rng) == 1.0) ++ones;
   }
   EXPECT_NEAR(ones / static_cast<double>(draws), 0.5, 0.01);
   EXPECT_NEAR(*d.mean(), 1 * .5 + 2 * .3 + 5 * .1 + 10 * .05 + 50 * .05, 1e-12);
@@ -70,21 +67,15 @@ TEST(DelaySpec, DiscreteRejectsDegenerate) {
   EXPECT_THROW(DelaySpec::discrete({{1, -1}}), std::invalid_argument);
 }
 
-TEST(DelaySpec, ComputedReadsData) {
-  const DelaySpec d =
-      DelaySpec::computed([](const DataContext& data) { return Time(data.get("n")); });
-  DataContext data;
-  data.set("n", 9);
-  Rng rng(1);
-  EXPECT_EQ(d.sample(data, rng), 9.0);
+TEST(DelaySpec, ComputedKeepsItsExpression) {
+  const DelaySpec d = expr::compile_delay("n * 3");
+  EXPECT_EQ(d.kind(), DelaySpec::Kind::kComputed);
+  EXPECT_EQ(d.computed_delay().source, "n * 3");
+  ASSERT_NE(d.computed_delay().ast, nullptr);
   EXPECT_FALSE(d.mean().has_value());
-}
-
-TEST(DelaySpec, ComputedClampsNegativeToZero) {
-  const DelaySpec d = DelaySpec::computed([](const DataContext&) { return -3.0; });
-  DataContext data;
+  // It reads the data state: only the engines' bytecode evaluates it.
   Rng rng(1);
-  EXPECT_EQ(d.sample(data, rng), 0.0);
+  EXPECT_THROW((void)d.sample(rng), std::logic_error);
 }
 
 TEST(Net, AddAndLookupByName) {
@@ -300,11 +291,13 @@ TEST(Net, PredicateAndActionStored) {
   net.add_input(t, p);
   net.add_output(t, p);
   EXPECT_FALSE(net.transition(t).is_interpreted());
-  net.set_predicate(t, [](const DataContext&) { return true; });
+  net.set_predicate(t, expr::compile_predicate("1 > 0"));
   EXPECT_TRUE(net.transition(t).is_interpreted());
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("fired", 1); });
+  net.set_action(t, expr::compile_action("fired = 1"));
   EXPECT_TRUE(net.transition(t).predicate);
   EXPECT_TRUE(net.transition(t).action);
+  EXPECT_EQ(net.transition(t).predicate.source, "1 > 0");
+  EXPECT_EQ(net.transition(t).action.source, "fired = 1");
 }
 
 TEST(Net, ImmediateClassification) {

@@ -135,6 +135,29 @@ class ServeTest : public ::testing::Test {
     return line + '\n';
   }
 
+  /// Send `script` to a loopback server over one TCP connection, half-close,
+  /// and return everything the server wrote back.
+  static std::string tcp_transcript(int port, const std::string& script) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::send(fd, script.data(), script.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(script.size()));
+    ::shutdown(fd, SHUT_WR);
+    std::string transcript;
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      transcript.append(buffer, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return transcript;
+  }
+
   /// The one-shot CLI, for differential comparison.
   static Framed run_direct(const std::vector<std::string>& argv) {
     std::ostringstream out;
@@ -439,25 +462,7 @@ TEST_F(ServeTest, TcpServerServesScriptedSessionEndToEnd) {
   server.start();
 
   const auto client_transcript = [&](const std::string& script) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-              0);
-    EXPECT_EQ(::send(fd, script.data(), script.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(script.size()));
-    ::shutdown(fd, SHUT_WR);
-    std::string transcript;
-    char buffer[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-      transcript.append(buffer, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return transcript;
+    return tcp_transcript(server.port(), script);
   };
 
   const Framed direct = run_direct({"query", "--reach", model_path_, kQuery});
@@ -505,6 +510,36 @@ TEST_F(ServeTest, OversizedRequestLineIsRejectedAndSessionSurvives) {
   const auto boundary = serve_script(session, exact);
   ASSERT_EQ(boundary.size(), 1U);
   EXPECT_EQ(boundary[0].code, 0);
+}
+
+TEST_F(ServeTest, DeeplyNestedQueryIsAUsageErrorAndConnectionSurvives) {
+  // A 60 KB query of nested parentheses — under the request-line cap — used
+  // to overflow the stack and kill the whole server. Now the query parser's
+  // nesting budget answers it with a framed usage error, and the next
+  // request on the same connection is served.
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  Server server(session, 0);
+  ASSERT_GT(server.port(), 0);
+  server.start();
+
+  const std::string query =
+      "forall s in S [ " + std::string(30000, '(') + "true" + std::string(30000, ')') + " ]";
+  const std::string line = to_line({"query", "--reach", model_path_, query});
+  ASSERT_GT(line.size(), 60000U);
+  ASSERT_LT(line.size(), kMaxRequestLine);
+  const auto responses = parse_responses(tcp_transcript(
+      server.port(), line + to_line({"query", "--reach", model_path_, kQuery})));
+  ASSERT_EQ(responses.size(), 2U);
+  EXPECT_EQ(responses[0].code, 2);
+  EXPECT_EQ(responses[0].err, "pnut query: query nested more than 256 levels deep\n");
+  EXPECT_EQ(responses[1].code, 0);
+  EXPECT_EQ(responses[1].out, run_direct({"query", "--reach", model_path_, kQuery}).out);
+
+  tcp_transcript(server.port(), ".shutdown\n");
+  server.wait_for_shutdown();
+  server.stop();
 }
 
 TEST_F(ServeTest, ParseServeOptionsLimits) {

@@ -3,6 +3,7 @@
 // actions, stop reasons.
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
 #include "sim/simulator.h"
 
 namespace pnut {
@@ -218,12 +219,12 @@ TEST(SimBasic, PredicateGatesFiringUntilActionEnablesIt) {
   const TransitionId gated = net.add_transition("gated");
   net.add_input(gated, p);
   net.add_output(gated, q);
-  net.set_predicate(gated, [](const DataContext& d) { return d.get("go") != 0; });
+  net.set_predicate(gated, expr::compile_predicate("go != 0"));
 
   const TransitionId enabler = net.add_transition("enabler");
   net.add_input(enabler, trigger);
   net.set_enabling_time(enabler, DelaySpec::constant(3));
-  net.set_action(enabler, [](DataContext& d, Rng&) { d.set("go", 1); });
+  net.set_action(enabler, expr::compile_action("go = 1"));
 
   Simulator sim(net);
   sim.run_until(2);
@@ -292,7 +293,7 @@ TEST(SimBasic, ActionUpdatesAppearInTrace) {
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("T");
   net.add_input(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("count", d.get("count") + 1); });
+  net.set_action(t, expr::compile_action("count = count + 1"));
 
   RecordedTrace trace;
   Simulator sim(net);

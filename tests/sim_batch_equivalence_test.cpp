@@ -2,9 +2,12 @@
 // must be bit-identical — trace, statistics, stop reason, clock — to a
 // scalar Simulator over the same net with the lane's seed, for any thread
 // count, with or without per-lane parameter patches (a patched lane is
-// compared against a scalar run of a *rebuilt* net). Also pins the rebased
-// run_replications to the historical one-Simulator-per-replication
-// implementation, kept inline here as the compatibility oracle.
+// compared against a scalar run of a *rebuilt* net). Interpreted lanes are
+// also pinned to fingerprints recorded when the batch engine's
+// AST/DataContext lanes still ran (tests/support/golden_hash.h). Also pins
+// the rebased run_replications to the historical
+// one-Simulator-per-replication implementation, kept inline here as the
+// compatibility oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "sim/simulator.h"
 #include "stat/replication.h"
 #include "stat/stat.h"
+#include "support/golden_hash.h"
 #include "support/net_fuzz.h"
 #include "support/stats_equal.h"
 #include "trace/trace.h"
@@ -32,6 +36,7 @@ namespace {
 using test_support::FuzzOptions;
 using test_support::fuzz_net;
 using test_support::expect_stats_equal;
+using test_support::Fingerprint;
 
 struct ScalarRun {
   RecordedTrace trace;
@@ -59,10 +64,11 @@ ScalarRun scalar_run(const Net& net, std::uint64_t seed, Time horizon) {
 }
 
 /// Run `lanes` lanes of `net` batched and diff every lane against the
-/// scalar oracle seeded base_seed + lane.
-void expect_batch_matches_scalar(const Net& net, std::size_t lanes,
-                                 std::uint64_t base_seed, Time horizon,
-                                 unsigned threads, const std::string& label) {
+/// scalar oracle seeded base_seed + lane. Returns a fingerprint of every
+/// lane's trace, statistics, stop reason and clock.
+std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
+                                          std::uint64_t base_seed, Time horizon,
+                                          unsigned threads, const std::string& label) {
   BatchOptions options;
   options.base_seed = base_seed;
   options.threads = threads;
@@ -70,6 +76,7 @@ void expect_batch_matches_scalar(const Net& net, std::size_t lanes,
   std::vector<RecordedTrace> traces(lanes);
   for (std::size_t k = 0; k < lanes; ++k) batch.set_sink(k, &traces[k]);
   batch.run(horizon);
+  Fingerprint fingerprint;
   for (std::size_t k = 0; k < lanes; ++k) {
     const ScalarRun scalar = scalar_run(net, base_seed + k, horizon);
     const std::string at = label + " lane " + std::to_string(k);
@@ -77,7 +84,12 @@ void expect_batch_matches_scalar(const Net& net, std::size_t lanes,
     expect_stats_equal(batch.stats(k), scalar.stats, at);
     EXPECT_EQ(batch.stop_reason(k), scalar.stop) << at;
     EXPECT_EQ(batch.now(k), scalar.now) << at;
+    fingerprint.u64(test_support::hash_trace(traces[k]));
+    fingerprint.u64(test_support::hash_stats(batch.stats(k)));
+    fingerprint.u64(static_cast<std::uint64_t>(batch.stop_reason(k)));
+    fingerprint.f64(batch.now(k));
   }
+  return fingerprint.value();
 }
 
 pipeline::PipelineConfig cached_config(double hit_ratio) {
@@ -122,27 +134,32 @@ TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
   FuzzOptions options;
   options.timed = true;
   options.lossy_pct = 0;
-  options.interpreted_expr = true;
-  // Every hook comes from expr::compile_*, so the batch runs these lanes
-  // as bytecode against the slot matrix.
-  EXPECT_TRUE(
-      BatchSimulator(CompiledNet::compile(fuzz_net(1, options)), 1).vm_mode());
+  options.interpreted = true;
   for (std::uint64_t net_seed = 1; net_seed <= 10; ++net_seed) {
     expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 9000 + net_seed, 300, 1,
                                 "expr net_seed=" + std::to_string(net_seed));
   }
 }
 
-TEST(BatchEquivalence, FuzzedAstHookNetsMatchScalarLanes) {
+// Per net seed 1..8: the batch engine's AST/DataContext lanes, recorded on
+// these nets (3 lanes, base seed 400 + net seed, horizon 300).
+constexpr std::uint64_t kFrozenAstLanes[] = {
+    0x99af19958d9672f6ULL, 0x176faa30a92cf0bcULL, 0xb7584bc76c9509daULL,
+    0x1cb5f1b391557916ULL, 0x3682d765674de9eaULL, 0xabb40918e8593f23ULL,
+    0xdebc2a7a010f162bULL, 0x292a7edd533f9696ULL,
+};
+
+TEST(BatchEquivalence, FuzzedInterpretedLanesMatchFrozenAstLanes) {
   FuzzOptions options;
   options.timed = true;
   options.lossy_pct = 0;
-  options.interpreted = true;  // opaque C++ lambdas: the AST fallback path
-  EXPECT_FALSE(
-      BatchSimulator(CompiledNet::compile(fuzz_net(1, options)), 1).vm_mode());
+  options.interpreted = true;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
-    expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 400 + net_seed, 300, 1,
-                                "ast net_seed=" + std::to_string(net_seed));
+    const std::string label = "frozen net_seed=" + std::to_string(net_seed);
+    EXPECT_EQ(expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 400 + net_seed,
+                                          300, 1, label),
+              kFrozenAstLanes[net_seed - 1])
+        << label;
   }
 }
 
@@ -364,26 +381,27 @@ TEST(BatchPatch, UniformBoundsMatchRebuiltNet) {
   expect_lane_matches_rebuilt(batch, trace, 0, make(2, 7), 1, 400, "uniform bounds");
 }
 
-TEST(BatchPatch, InitialScalarMatchesRebuiltNetOnBothHookPaths) {
-  for (const bool expr_hooks : {true, false}) {
-    FuzzOptions options;
-    options.timed = true;
-    options.lossy_pct = 0;
-    options.interpreted_expr = expr_hooks;
-    options.interpreted = !expr_hooks;
-    const Net net = fuzz_net(5, options);
-    Net rebuilt = fuzz_net(5, options);
-    rebuilt.initial_data().set("x", 2);
+TEST(BatchPatch, InitialScalarMatchesRebuiltNet) {
+  FuzzOptions options;
+  options.timed = true;
+  options.lossy_pct = 0;
+  options.interpreted = true;
+  const Net net = fuzz_net(5, options);
+  Net rebuilt = fuzz_net(5, options);
+  rebuilt.initial_data().set("x", 2);
 
-    BatchSimulator batch(CompiledNet::compile(net), 1);
-    EXPECT_EQ(batch.vm_mode(), expr_hooks);
-    RecordedTrace trace;
-    batch.set_sink(0, &trace);
-    batch.patch_initial_scalar(0, "x", 2);
-    batch.run(300);
-    expect_lane_matches_rebuilt(batch, trace, 0, rebuilt, 1, 300,
-                                expr_hooks ? "x=2 (vm)" : "x=2 (ast)");
-  }
+  BatchSimulator batch(CompiledNet::compile(net), 1);
+  RecordedTrace trace;
+  batch.set_sink(0, &trace);
+  batch.patch_initial_scalar(0, "x", 2);
+  batch.run(300);
+  expect_lane_matches_rebuilt(batch, trace, 0, rebuilt, 1, 300, "x=2");
+  // The same patch on the batch engine's AST/DataContext lane, recorded.
+  Fingerprint fingerprint;
+  fingerprint.u64(test_support::hash_trace(trace));
+  fingerprint.u64(test_support::hash_stats(batch.stats(0)));
+  fingerprint.u64(static_cast<std::uint64_t>(batch.stop_reason(0)));
+  EXPECT_EQ(fingerprint.value(), 0x3b20ce53c3a9aee7ULL);
 }
 
 TEST(BatchPatch, IrandBoundsMatchRebuiltNet) {
@@ -402,7 +420,6 @@ TEST(BatchPatch, IrandBoundsMatchRebuiltNet) {
   const Net net = make(0, 5);
   const auto compiled = CompiledNet::compile(net);
   BatchSimulator batch(compiled, 1);
-  ASSERT_TRUE(batch.vm_mode());
   RecordedTrace trace;
   batch.set_sink(0, &trace);
   batch.patch_action_irand(0, compiled->transition_named("t"), 0, 2, 9);

@@ -17,6 +17,7 @@
 
 #include <string>
 
+#include "expr/compile.h"
 #include "petri/compiled_net.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
@@ -191,14 +192,12 @@ TEST(SimCompiledEquivalence, ModesAgreeWithPredicatesAndActions) {
   net.add_input(toggler, p);
   net.add_output(toggler, p);
   net.set_firing_time(toggler, DelaySpec::constant(3));
-  net.set_action(toggler, [](DataContext& d, Rng& rng) {
-    d.set("gate", rng.next_int(0, 1));
-  });
+  net.set_action(toggler, expr::compile_action("gate = irand[0, 1]"));
   const TransitionId gated = net.add_transition("gated");
   net.add_input(gated, q);
   net.add_output(gated, q);
   net.set_firing_time(gated, DelaySpec::constant(2));
-  net.set_predicate(gated, [](const DataContext& d) { return d.get("gate") == 1; });
+  net.set_predicate(gated, expr::compile_predicate("gate == 1"));
   for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 400);
 }
 

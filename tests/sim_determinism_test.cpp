@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "expr/compile.h"
 #include "sim/simulator.h"
 #include "trace/trace_text.h"
 
@@ -137,7 +138,7 @@ TEST(SimDeterminism, InterpretedRunIsDeterministic) {
   net.add_input(t, p);
   net.add_output(t, p);
   net.set_firing_time(t, DelaySpec::constant(1));
-  net.set_action(t, [](DataContext& d, Rng& rng) { d.set("x", rng.next_int(0, 1000)); });
+  net.set_action(t, expr::compile_action("x = irand[0, 1000]"));
 
   const RecordedTrace a = run_seeded(net, 31337, 200);
   const RecordedTrace b = run_seeded(net, 31337, 200);

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "expr/compile.h"
 #include "sim/simulator.h"
 
 namespace pnut {
@@ -250,14 +251,27 @@ TEST(SimTiming, ComputedDelayFollowsData) {
   const TransitionId t = net.add_transition("T");
   net.add_input(t, p);
   net.add_output(t, q);
-  net.set_firing_time(t, DelaySpec::computed([](const DataContext& d) {
-                        return static_cast<Time>(d.get("d"));
-                      }));
+  net.set_firing_time(t, expr::compile_delay("d"));
 
   Simulator sim(net);
   sim.run_until(6.5);
   EXPECT_EQ(sim.marking()[q], 0u);
   sim.run_until(7);
+  EXPECT_EQ(sim.marking()[q], 1u);
+}
+
+TEST(SimTiming, NegativeComputedDelayClampsToZero) {
+  Net net;
+  const PlaceId p = net.add_place("P", 1);
+  const PlaceId q = net.add_place("Q");
+  const TransitionId t = net.add_transition("T");
+  net.add_input(t, p);
+  net.add_output(t, q);
+  net.set_firing_time(t, expr::compile_delay("0 - 3"));
+
+  // A zero-duration firing: consumed and produced in one atomic event.
+  Simulator sim(net);
+  EXPECT_EQ(sim.now(), 0.0);
   EXPECT_EQ(sim.marking()[q], 1u);
 }
 

@@ -10,10 +10,10 @@
 //
 // What varies per seed: place/transition counts, arc multiplicities (1-2),
 // fan-in/fan-out shapes, inhibitor arcs and thresholds, the initial
-// marking, and — behind FuzzOptions toggles — data features (predicates,
-// deterministic counter actions, irand actions, actions that create a
-// variable at runtime, which exercises layout widening) and timing
-// features (every DelaySpec kind, frequencies, firing policies). Timed
+// marking, and — behind FuzzOptions toggles — data features written in the
+// expression language (predicates, deterministic counter actions, irand
+// actions, table reads and writes, an action that creates a variable at
+// runtime) and timing features (every DelaySpec kind, frequencies, firing policies). Timed
 // nets always get firing times >= 1, so a fuzzed simulation can never
 // livelock in a same-instant immediate cascade. `timed_integer` instead
 // draws integer-constant delay skeletons — the subset the timed
@@ -49,16 +49,11 @@ struct FuzzOptions {
   /// deadlock sets, bad for long simulations; set 0 for token-preserving
   /// nets that stay live for the whole horizon.
   int lossy_pct = 15;
-  /// Add data features: a small modular counter variable, predicates over
-  /// it, deterministic and irand actions, and (rarely) an action that
-  /// creates a new variable at runtime.
+  /// Add data features from expression-language source (expr::compile_*):
+  /// a small modular counter variable, predicates over it, deterministic
+  /// and irand actions, (sometimes) a modular table some hooks read and
+  /// write, and (rarely) an action that creates a new variable at runtime.
   bool interpreted = false;
-  /// Like `interpreted`, but every predicate/action is attached from
-  /// expression-language source via expr::compile_* (plus a modular table
-  /// some hooks read and write) — the nets the bytecode VM can compile, for
-  /// the AST-vs-VM differential harness. Mutually exclusive with
-  /// `interpreted` (which attaches opaque C++ lambdas, the fallback path).
-  bool interpreted_expr = false;
   /// Add timing features: non-zero firing times of every DelaySpec kind,
   /// enabling times, frequencies and firing policies. For simulator fuzz;
   /// untimed reachability ignores them.
@@ -100,10 +95,9 @@ inline Net fuzz_net(std::uint64_t seed, const FuzzOptions& options = {}) {
     budget -= drop;
   }
 
-  const bool data_features = options.interpreted || options.interpreted_expr;
-  const int modulus = data_features ? static_cast<int>(pick(2, 4)) : 0;  // counter range
-  if (data_features) net.initial_data().set("x", 0);
-  const bool with_table = options.interpreted_expr && chance(60);
+  const int modulus = options.interpreted ? static_cast<int>(pick(2, 4)) : 0;
+  if (options.interpreted) net.initial_data().set("x", 0);
+  const bool with_table = options.interpreted && chance(60);
   if (with_table) {
     std::vector<std::int64_t> tbl(static_cast<std::size_t>(modulus));
     for (auto& v : tbl) v = static_cast<std::int64_t>(pick(0, 2));
@@ -158,9 +152,7 @@ inline Net fuzz_net(std::uint64_t seed, const FuzzOptions& options = {}) {
                         static_cast<TokenCount>(pick(1, 3)));
     }
 
-    if (options.interpreted_expr) {
-      // The same feature mix as `interpreted`, expressed in the expression
-      // language (sources recoverable, so NetProgram::compile succeeds).
+    if (options.interpreted) {
       const std::string m = std::to_string(modulus);
       if (chance(25)) {
         if (with_table && chance(40)) {
@@ -176,41 +168,13 @@ inline Net fuzz_net(std::uint64_t seed, const FuzzOptions& options = {}) {
       } else if (chance(15)) {
         net.set_action(t, expr::compile_action("x = irand[0, " + m + " - 1]"));
       } else if (chance(10)) {
-        // Creates `late` at runtime: the AST oracle widens its layout, the
-        // VM path has the slot (absent until assigned) from the start.
+        // Creates `late` at runtime: its schema slot exists from the start,
+        // absent until assigned.
         net.set_action(t, expr::compile_action("x = (x + 1) % " + m +
                                                "; late = x * 7 + min[x, 2]"));
       } else if (with_table && chance(15)) {
         net.set_action(t, expr::compile_action("tbl[x % " + m + "] = (tbl[x % " + m +
                                                "] + 1) % 3; x = (x + 1) % " + m));
-      }
-    }
-
-    if (options.interpreted) {
-      const int m = modulus;
-      if (chance(25)) {
-        net.set_predicate(t, [m, j = static_cast<int>(pick(0, m - 1))](
-                                 const DataContext& d) { return d.get("x") % m != j; });
-      }
-      if (chance(20)) {
-        // Deterministic counter step.
-        net.set_action(t, [m](DataContext& d, Rng&) {
-          d.set("x", (d.get("x") + 1) % m);
-        });
-      } else if (chance(15)) {
-        // Stochastic action: small range, exactly the sampled-fanout case
-        // the reachability builder documents.
-        net.set_action(t, [m](DataContext& d, Rng& r) {
-          d.set("x", r.next_int(0, m - 1));
-        });
-      } else if (chance(10)) {
-        // Creates a variable at runtime once x wraps: exercises the
-        // DataLayout widening path in both exploration engines.
-        net.set_action(t, [m](DataContext& d, Rng&) {
-          const std::int64_t x = (d.get("x") + 1) % m;
-          d.set("x", x);
-          if (x == 1) d.set("late", x * 7);
-        });
       }
     }
 

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "expr/compile.h"
 #include "sim/simulator.h"
 #include "trace/filter.h"
 #include "trace/trace.h"
@@ -195,10 +196,7 @@ TEST(TraceText, RoundTripWithData) {
   net.add_input(t, p);
   net.add_output(t, p);
   net.set_firing_time(t, DelaySpec::constant(1));
-  net.set_action(t, [](DataContext& d, Rng&) {
-    d.set("counter", d.get("counter") + 1);
-    d.set_table_entry("tab", 0, d.get("counter"));
-  });
+  net.set_action(t, expr::compile_action("counter = counter + 1; tab[0] = counter"));
 
   RecordedTrace trace;
   Simulator sim(net);

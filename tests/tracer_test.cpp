@@ -2,6 +2,7 @@
 // rendering, and trace verification (Figure 7 / Section 4.4).
 #include <gtest/gtest.h>
 
+#include "expr/compile.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
 #include "expr/ast.h"
@@ -75,7 +76,7 @@ TEST(Tracer, VariableSignal) {
   net.add_input(t, p);
   net.add_output(t, p);
   net.set_firing_time(t, DelaySpec::constant(5));
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("count", d.get("count") + 1); });
+  net.set_action(t, expr::compile_action("count = count + 1"));
 
   const RecordedTrace trace = run(net, 22);
   Tracer tracer(trace);
