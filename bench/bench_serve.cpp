@@ -10,10 +10,22 @@
 // cold one (any divergence exits nonzero), the hot/cold latency ratio is
 // the smoke gate (< 10x fails the bench), and queries/second at 1..8
 // concurrent clients over the shared cached graph lands in BENCH_serve.json.
+//
+// A loopback row drives the same warm Session through serve::Server: the
+// round trip of a hot `analyze` whose frame is larger than the server's
+// 4 KiB socket buffer, next to the same request in process. A median over
+// 20 ms fails the bench — a frame stalled on Nagle plus delayed ACK costs
+// ~40 ms.
 #include "bench_util.h"
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +33,9 @@
 #include <vector>
 
 #include "cli/session.h"
+#include "serve/protocol.h"
+#include "serve/server.h"
+#include "textio/pn_format.h"
 
 namespace pnut::bench {
 namespace {
@@ -57,6 +72,74 @@ cli::Request query_request(const std::string& model, const char* query) {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
+
+/// The q-quantile (nearest rank) of `samples`.
+double quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1))];
+}
+
+/// A blocking loopback client speaking the serve protocol.
+class Client {
+ public:
+  explicit Client(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (fd_ < 0 ||
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        read(std::strlen(serve::kGreeting)) != serve::kGreeting) {
+      std::printf("cannot connect to the loopback server\n");
+      std::exit(1);
+    }
+  }
+  ~Client() { ::close(fd_); }
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  /// Send one request line and return the framed response's stdout bytes
+  /// (exits on a nonzero code or a torn frame).
+  std::string round_trip(const std::string& line) {
+    if (::send(fd_, line.data(), line.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(line.size())) {
+      std::printf("send failed\n");
+      std::exit(1);
+    }
+    std::string header;
+    while (header.empty() || header.back() != '\n') {
+      const std::string byte = read(1);
+      if (byte.empty()) break;
+      header += byte;
+    }
+    int code = -1;
+    std::size_t outlen = 0;
+    std::size_t errlen = 0;
+    if (std::sscanf(header.c_str(), "= %d %zu %zu", &code, &outlen, &errlen) != 3 ||
+        code != 0) {
+      std::printf("bad response header '%s'\n", header.c_str());
+      std::exit(1);
+    }
+    std::string body = read(outlen + errlen);
+    body.resize(outlen);
+    return body;
+  }
+
+ private:
+  std::string read(std::size_t bytes) {
+    std::string data(bytes, '\0');
+    std::size_t got = 0;
+    while (got < bytes) {
+      const ssize_t n = ::recv(fd_, data.data() + got, bytes - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    data.resize(got);
+    return data;
+  }
+
+  int fd_;
+};
 
 void print_artifact() {
   print_header("bench_serve",
@@ -150,9 +233,63 @@ void print_artifact() {
   }
   std::printf("\n");
 
-  // Smoke gate: the cache must be worth at least an order of magnitude.
+  // --- loopback TCP: a hot analyze whose frame outgrows the socket buffer ----
+  const auto full_path =
+      std::filesystem::temp_directory_path() / "pnut_bench_serve_full_pipeline.pn";
+  std::ofstream(full_path) << textio::print_net(pipeline::build_full_model());
+  const cli::Request analyze{"analyze", {full_path.string()}};
+  const std::string analyze_line = "analyze \"" + full_path.string() + "\"\n";
+  const cli::Result analyze_cold = cli::Session().execute(analyze);
+  if (analyze_cold.code != 0 || analyze_cold.out.size() <= 4096) {
+    std::printf("analyze of the full pipeline: code %d, %zu-byte frame\n",
+                analyze_cold.code, analyze_cold.out.size());
+    std::exit(1);
+  }
+  constexpr int kTcpRuns = 50;
+  std::vector<double> tcp_ms;
+  std::vector<double> in_process_ms;
+  {
+    serve::Server tcp(server, 0);
+    tcp.start();
+    Client client(tcp.port());
+    if (client.round_trip(analyze_line) != analyze_cold.out) ++mismatches;  // warm
+    for (int i = 0; i < kTcpRuns; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::string out = client.round_trip(analyze_line);
+      tcp_ms.push_back(seconds_since(t0) * 1e3);
+      if (out != analyze_cold.out) ++mismatches;
+    }
+    tcp.stop();
+  }
+  for (int i = 0; i < kTcpRuns; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const cli::Result hot = server.execute(analyze);
+    in_process_ms.push_back(seconds_since(t0) * 1e3);
+    if (hot.out != analyze_cold.out) ++mismatches;
+  }
+  std::filesystem::remove(full_path);
+  if (mismatches > 0) {
+    std::printf("%zu served analyze frames diverged from the cold oracle\n", mismatches);
+    std::exit(1);
+  }
+  const double tcp_median_ms = quantile(tcp_ms, 0.5);
+  const double in_process_median_ms = quantile(in_process_ms, 0.5);
+  std::printf("hot analyze, full pipeline (%zu-byte frame), median of %d:\n",
+              analyze_cold.out.size(), kTcpRuns);
+  std::printf("  loopback TCP round trip: %8.3f ms  (p25 %.3f, p75 %.3f)\n",
+              tcp_median_ms, quantile(tcp_ms, 0.25), quantile(tcp_ms, 0.75));
+  std::printf("  in process:              %8.3f ms  (p25 %.3f, p75 %.3f)\n\n",
+              in_process_median_ms, quantile(in_process_ms, 0.25),
+              quantile(in_process_ms, 0.75));
+
+  // Smoke gates: the cache must be worth at least an order of magnitude,
+  // and the transport must not stall a frame.
   if (speedup < 10.0) {
     std::printf("GATE FAILED: hot/cold speedup %.1fx < 10x\n", speedup);
+    std::exit(1);
+  }
+  if (tcp_median_ms > 20.0) {
+    std::printf("GATE FAILED: hot analyze round trip %.1f ms > 20 ms\n", tcp_median_ms);
     std::exit(1);
   }
 
@@ -169,14 +306,21 @@ void print_artifact() {
                  "  \"speedup\": %.1f,\n"
                  "  \"queries_per_second\": {\"1\": %.0f, \"2\": %.0f, \"4\": %.0f, "
                  "\"8\": %.0f},\n"
+                 "  \"tcp_hot_analyze\": {\"model\": \"full pipeline\", "
+                 "\"frame_bytes\": %zu, \"runs\": %d, \"median_ms\": %.3f, "
+                 "\"p25_ms\": %.3f, \"p75_ms\": %.3f, \"in_process_median_ms\": %.3f},\n"
                  "  \"note\": \"cold = fresh cache-off Session per request (parse + "
                  "compile + explore + query, the one-shot CLI path); hot = warm "
                  "caching Session (cache lookup + flat-array scan); every hot "
                  "answer verified byte-identical to the cold oracle; >= 10x "
-                 "speedup is a hard gate\"\n"
+                 "speedup is a hard gate; tcp_hot_analyze = one persistent "
+                 "loopback connection to serve::Server over the same Session, "
+                 "a median round trip over 20 ms is a hard gate\"\n"
                  "}\n",
                  kRingPlaces, kRingTokens, cold_seconds * 1e3, hot_seconds * 1e6,
-                 hot_scan_seconds * 1e6, speedup, qps[0], qps[1], qps[2], qps[3]);
+                 hot_scan_seconds * 1e6, speedup, qps[0], qps[1], qps[2], qps[3],
+                 analyze_cold.out.size(), kTcpRuns, tcp_median_ms, quantile(tcp_ms, 0.25),
+                 quantile(tcp_ms, 0.75), in_process_median_ms);
     std::fclose(json);
     std::printf("wrote BENCH_serve.json\n\n");
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -25,7 +24,9 @@ using expr::TokenKind;
 
 struct Env {
   const StateSpace* space = nullptr;
-  std::map<std::string, std::int64_t, std::less<>> vars;  ///< bound state variables
+  std::size_t num_states = 0;  ///< space->num_states(), read once
+  /// Bound state variables: one slot per binder, assigned by the parser.
+  std::vector<std::int64_t> vars;
   /// Cooperative deadline/cancellation, polled in the quantifier and
   /// fixpoint loops; a trip throws StopError out of eval_query.
   StopToken stop;
@@ -36,9 +37,9 @@ struct Env {
 }
 
 std::size_t to_state(const Env& env, std::int64_t value, const std::string& where) {
-  if (value < 0 || static_cast<std::size_t>(value) >= env.space->num_states()) {
+  if (value < 0 || static_cast<std::size_t>(value) >= env.num_states) {
     eval_fail("state index " + std::to_string(value) + " out of range in " + where +
-              " (space has " + std::to_string(env.space->num_states()) + " states)");
+              " (space has " + std::to_string(env.num_states) + " states)");
   }
   return static_cast<std::size_t>(value);
 }
@@ -52,11 +53,21 @@ class QNode {
 };
 using QNodePtr = std::unique_ptr<QNode>;
 
+/// A set's member state indices, ascending: [0, n) when `all`, else `list`.
+/// The whole state set costs no allocation.
+struct StateSet {
+  bool all = false;
+  std::size_t n = 0;
+  std::vector<std::size_t> list;
+
+  [[nodiscard]] std::size_t size() const { return all ? n : list.size(); }
+  [[nodiscard]] std::size_t operator[](std::size_t k) const { return all ? k : list[k]; }
+};
+
 class SetNode {
  public:
   virtual ~SetNode() = default;
-  /// Enumerate member state indices, ascending.
-  [[nodiscard]] virtual std::vector<std::size_t> members(Env& env) const = 0;
+  [[nodiscard]] virtual StateSet members(Env& env) const = 0;
 };
 using SetNodePtr = std::unique_ptr<SetNode>;
 
@@ -69,56 +80,94 @@ class NumNode final : public QNode {
   std::int64_t value_;
 };
 
+/// A bound state variable: its binder's frame slot.
 class VarNode final : public QNode {
  public:
-  explicit VarNode(std::string name) : name_(std::move(name)) {}
-  std::int64_t eval(Env& env) const override {
-    const auto it = env.vars.find(name_);
-    if (it == env.vars.end()) {
-      eval_fail("unbound variable '" + name_ + "' (state variables must be "
-                "introduced by a quantifier or temporal operator)");
-    }
-    return it->second;
+  explicit VarNode(std::size_t slot) : slot_(slot) {}
+  std::int64_t eval(Env& env) const override { return env.vars[slot_]; }
+
+ private:
+  std::size_t slot_;
+};
+
+/// A name no enclosing binder introduces. The error is raised only if the
+/// node is evaluated, so `false and x = 1` still holds.
+class UnboundNode final : public QNode {
+ public:
+  explicit UnboundNode(std::string name) : name_(std::move(name)) {}
+  std::int64_t eval(Env&) const override {
+    eval_fail("unbound variable '" + name_ + "' (state variables must be "
+              "introduced by a quantifier or temporal operator)");
   }
 
  private:
   std::string name_;
 };
 
-/// Name(s): place tokens, transition activity, or data variable in state s;
-/// plus the arithmetic builtins min/max/abs.
+/// The arithmetic builtins min(a, b), max(a, b) and abs(a).
+class BuiltinNode final : public QNode {
+ public:
+  enum class Fn : std::uint8_t { kMin, kMax, kAbs };
+  BuiltinNode(Fn fn, std::vector<QNodePtr> args) : fn_(fn), args_(std::move(args)) {}
+
+  std::int64_t eval(Env& env) const override {
+    const std::int64_t a = args_[0]->eval(env);
+    if (fn_ == Fn::kAbs) return a < 0 ? -a : a;
+    const std::int64_t b = args_[1]->eval(env);
+    return fn_ == Fn::kMin ? std::min(a, b) : std::max(a, b);
+  }
+
+ private:
+  Fn fn_;
+  std::vector<QNodePtr> args_;
+};
+
+/// Name(s): place tokens, transition activity, or data variable in state s.
+/// The name is resolved against a space once (place first, then
+/// transition), not per state.
 class StateFnNode final : public QNode {
  public:
   StateFnNode(std::string name, std::vector<QNodePtr> args)
       : name_(std::move(name)), where_("'" + name_ + "(...)'"), args_(std::move(args)) {}
 
   std::int64_t eval(Env& env) const override {
-    if (name_ == "min" && args_.size() == 2) {
-      return std::min(args_[0]->eval(env), args_[1]->eval(env));
-    }
-    if (name_ == "max" && args_.size() == 2) {
-      return std::max(args_[0]->eval(env), args_[1]->eval(env));
-    }
-    if (name_ == "abs" && args_.size() == 1) {
-      const std::int64_t v = args_[0]->eval(env);
-      return v < 0 ? -v : v;
-    }
     if (args_.size() != 1) {
       eval_fail("'" + name_ + "' expects one state argument");
     }
     const std::size_t state = to_state(env, args_[0]->eval(env), where_);
-    if (auto p = env.space->find_place(name_)) return env.space->place_tokens(state, *p);
-    if (auto t = env.space->find_transition(name_)) {
-      return env.space->transition_activity(state, *t);
+    if (resolved_for_ != env.space) resolve(*env.space);
+    switch (kind_) {
+      case Kind::kPlace: return env.space->place_tokens(state, PlaceId(id_));
+      case Kind::kTransition:
+        return env.space->transition_activity(state, TransitionId(id_));
+      case Kind::kVariable: break;
     }
     if (auto v = env.space->variable(state, name_)) return *v;
     eval_fail("'" + name_ + "' is not a place, transition or data variable");
   }
 
  private:
+  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
+
+  void resolve(const StateSpace& space) const {
+    if (auto p = space.find_place(name_)) {
+      kind_ = Kind::kPlace;
+      id_ = p->value;
+    } else if (auto t = space.find_transition(name_)) {
+      kind_ = Kind::kTransition;
+      id_ = t->value;
+    } else {
+      kind_ = Kind::kVariable;
+    }
+    resolved_for_ = &space;
+  }
+
   std::string name_;
   std::string where_;  ///< error-message label, built once (eval runs per state)
   std::vector<QNodePtr> args_;
+  mutable const StateSpace* resolved_for_ = nullptr;
+  mutable Kind kind_ = Kind::kVariable;
+  mutable std::uint32_t id_ = 0;
 };
 
 enum class QBinOp : std::uint8_t {
@@ -180,42 +229,28 @@ class QNegNode final : public QNode {
 };
 
 /// forall/exists var in SET [ body ]. Evaluation records a witness
-/// (satisfying state for exists, violating state for forall) in the
-/// outermost quantifier for QueryResult reporting.
+/// (satisfying state for exists, violating state for forall) for
+/// QueryResult reporting.
 class QuantifierNode final : public QNode {
  public:
-  QuantifierNode(bool universal, std::string var, SetNodePtr set, QNodePtr body)
-      : universal_(universal), var_(std::move(var)), set_(std::move(set)),
-        body_(std::move(body)) {}
+  QuantifierNode(bool universal, std::size_t slot, SetNodePtr set, QNodePtr body)
+      : universal_(universal), slot_(slot), set_(std::move(set)), body_(std::move(body)) {}
 
   std::int64_t eval(Env& env) const override {
     witness_.reset();
-    const std::vector<std::size_t> states = set_->members(env);
-    // Shadowing: save any outer binding of the same variable name.
-    const auto outer = env.vars.find(var_);
-    const std::optional<std::int64_t> saved =
-        outer != env.vars.end() ? std::optional(outer->second) : std::nullopt;
-
+    const StateSet states = set_->members(env);
     bool result = universal_;
-    std::uint64_t visited = 0;
-    for (std::size_t s : states) {
-      if (visited++ % kStopCheckStride == 0) env.stop.throw_if_stopped();
-      env.vars[var_] = static_cast<std::int64_t>(s);
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      if (k % kStopCheckStride == 0) env.stop.throw_if_stopped();
+      const std::size_t s = states[k];
+      env.vars[slot_] = static_cast<std::int64_t>(s);
       const bool holds = body_->eval(env) != 0;
-      if (universal_ && !holds) {
-        result = false;
-        witness_ = s;
-        break;
-      }
-      if (!universal_ && holds) {
-        result = true;
+      if (holds != universal_) {
+        result = holds;
         witness_ = s;
         break;
       }
     }
-
-    if (saved) env.vars[var_] = *saved;
-    else env.vars.erase(var_);
     return result ? 1 : 0;
   }
 
@@ -224,7 +259,7 @@ class QuantifierNode final : public QNode {
 
  private:
   bool universal_;
-  std::string var_;
+  std::size_t slot_;  ///< the bound variable (a slot of its own: shadowing is free)
   SetNodePtr set_;
   QNodePtr body_;
   mutable std::optional<std::size_t> witness_;
@@ -236,8 +271,9 @@ class QuantifierNode final : public QNode {
 /// |S| of them.
 class TemporalNode final : public QNode {
  public:
-  TemporalNode(bool universal_paths, QNodePtr state, QNodePtr cond, QNodePtr guard)
-      : universal_paths_(universal_paths), state_(std::move(state)),
+  TemporalNode(bool universal_paths, QNodePtr state, std::size_t c_slot, QNodePtr cond,
+               QNodePtr guard)
+      : universal_paths_(universal_paths), state_(std::move(state)), c_slot_(c_slot),
         cond_(std::move(cond)), guard_(std::move(guard)) {}
 
   std::int64_t eval(Env& env) const override {
@@ -251,38 +287,22 @@ class TemporalNode final : public QNode {
   void ensure_table(Env& env) const {
     if (table_ && table_space_ == env.space) return;
     const StateSpace& space = *env.space;
-    const std::size_t n = space.num_states();
+    const std::size_t n = env.num_states;
 
     // Evaluate cond/guard once per state with C bound.
     std::vector<char> cond_v(n), guard_v(n);
-    const auto saved_c = env.vars.find("C") != env.vars.end()
-                             ? std::optional(env.vars["C"])
-                             : std::nullopt;
     for (std::size_t i = 0; i < n; ++i) {
       if (i % kStopCheckStride == 0) env.stop.throw_if_stopped();
-      env.vars["C"] = static_cast<std::int64_t>(i);
+      env.vars[c_slot_] = static_cast<std::int64_t>(i);
       cond_v[i] = cond_->eval(env) != 0;
       guard_v[i] = guard_->eval(env) != 0;
     }
-    if (saved_c) env.vars["C"] = *saved_c;
-    else env.vars.erase("C");
 
-    // Successor relation flattened to CSR once (two passes over
-    // for_each_successor — no per-state vectors), so each fixpoint sweep
+    // The successor relation as flat CSR rows, so each fixpoint sweep
     // below is a scan of two flat arrays.
-    std::vector<std::size_t> succ_off(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      space.for_each_successor(i, [&](std::size_t) { ++succ_off[i + 1]; });
-    }
-    for (std::size_t i = 0; i < n; ++i) succ_off[i + 1] += succ_off[i];
-    std::vector<std::uint32_t> succ(succ_off[n]);
-    {
-      std::size_t cursor = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        space.for_each_successor(
-            i, [&](std::size_t j) { succ[cursor++] = static_cast<std::uint32_t>(j); });
-      }
-    }
+    std::vector<std::size_t> succ_off;
+    std::vector<std::uint32_t> succ;
+    space.successor_rows(succ_off, succ);
 
     // Until fixpoint: AU needs all successors satisfied (and at least one),
     // EU needs some successor satisfied.
@@ -330,6 +350,7 @@ class TemporalNode final : public QNode {
 
   bool universal_paths_;
   QNodePtr state_;
+  std::size_t c_slot_;  ///< C, bound for cond and guard
   QNodePtr cond_;
   QNodePtr guard_;
   mutable std::optional<std::vector<char>> table_;
@@ -340,10 +361,8 @@ class TemporalNode final : public QNode {
 
 class AllStatesNode final : public SetNode {
  public:
-  std::vector<std::size_t> members(Env& env) const override {
-    std::vector<std::size_t> out(env.space->num_states());
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = i;
-    return out;
+  StateSet members(Env& env) const override {
+    return {.all = true, .n = env.num_states, .list = {}};
   }
 };
 
@@ -351,11 +370,15 @@ class SetDiffNode final : public SetNode {
  public:
   SetDiffNode(SetNodePtr base, std::vector<std::size_t> removed)
       : base_(std::move(base)), removed_(std::move(removed)) {}
-  std::vector<std::size_t> members(Env& env) const override {
-    std::vector<std::size_t> out = base_->members(env);
-    std::erase_if(out, [&](std::size_t s) {
-      return std::find(removed_.begin(), removed_.end(), s) != removed_.end();
-    });
+  StateSet members(Env& env) const override {
+    const StateSet base = base_->members(env);
+    StateSet out;
+    for (std::size_t k = 0; k < base.size(); ++k) {
+      const std::size_t s = base[k];
+      if (std::find(removed_.begin(), removed_.end(), s) == removed_.end()) {
+        out.list.push_back(s);
+      }
+    }
     return out;
   }
 
@@ -366,24 +389,21 @@ class SetDiffNode final : public SetNode {
 
 class SetBuilderNode final : public SetNode {
  public:
-  SetBuilderNode(std::string var, SetNodePtr base, QNodePtr filter)
-      : var_(std::move(var)), base_(std::move(base)), filter_(std::move(filter)) {}
-  std::vector<std::size_t> members(Env& env) const override {
-    std::vector<std::size_t> out;
-    const auto outer = env.vars.find(var_);
-    const std::optional<std::int64_t> saved =
-        outer != env.vars.end() ? std::optional(outer->second) : std::nullopt;
-    for (std::size_t s : base_->members(env)) {
-      env.vars[var_] = static_cast<std::int64_t>(s);
-      if (filter_->eval(env) != 0) out.push_back(s);
+  SetBuilderNode(std::size_t slot, SetNodePtr base, QNodePtr filter)
+      : slot_(slot), base_(std::move(base)), filter_(std::move(filter)) {}
+  StateSet members(Env& env) const override {
+    const StateSet base = base_->members(env);
+    StateSet out;
+    for (std::size_t k = 0; k < base.size(); ++k) {
+      const std::size_t s = base[k];
+      env.vars[slot_] = static_cast<std::int64_t>(s);
+      if (filter_->eval(env) != 0) out.list.push_back(s);
     }
-    if (saved) env.vars[var_] = *saved;
-    else env.vars.erase(var_);
     return out;
   }
 
  private:
-  std::string var_;
+  std::size_t slot_;
   SetNodePtr base_;
   QNodePtr filter_;
 };
@@ -407,9 +427,13 @@ class QueryParser {
     return node;
   }
 
-  /// The outermost quantifier, if the query is quantified (for witness
-  /// extraction). Set during parse.
+  /// The quantifier whose result QueryResult reports (witness and
+  /// explanation): the first one whose body closes during the parse — the
+  /// outermost for a query with no nested quantifier. Set during parse.
   QuantifierNode* outer_quantifier = nullptr;
+
+  /// Frame slots the parsed query's binders use (Env::vars' size).
+  [[nodiscard]] std::size_t num_slots() const { return num_slots_; }
 
  private:
   [[nodiscard]] const Token& peek(std::size_t k = 0) const {
@@ -472,11 +496,13 @@ class QueryParser {
     const bool universal = kw == "forall";
     std::string var = parse_state_var("quantified variable");
     expect_keyword("in");
-    SetNodePtr set = parse_set();
+    SetNodePtr set = parse_set();  // the variable is not in scope in its own set
+    const std::size_t slot = bind(std::move(var));
     expect(TokenKind::kLBracket, "to open the quantifier body");
     QNodePtr body = parse_formula();
     expect(TokenKind::kRBracket, "to close the quantifier body");
-    auto node = std::make_unique<QuantifierNode>(universal, std::move(var), std::move(set),
+    unbind();
+    auto node = std::make_unique<QuantifierNode>(universal, slot, std::move(set),
                                                  std::move(body));
     if (outer_quantifier == nullptr) outer_quantifier = node.get();
     return node;
@@ -509,11 +535,12 @@ class QueryParser {
       std::string var = parse_state_var("set-builder variable");
       expect_keyword("in");
       SetNodePtr inner = parse_set();
+      const std::size_t slot = bind(std::move(var));
       expect(TokenKind::kPipe, "before the set-builder filter");
       QNodePtr filter = parse_formula();
       expect(TokenKind::kRBrace, "to close set builder");
-      base = std::make_unique<SetBuilderNode>(std::move(var), std::move(inner),
-                                              std::move(filter));
+      unbind();
+      base = std::make_unique<SetBuilderNode>(slot, std::move(inner), std::move(filter));
     } else {
       const Token& t = expect(TokenKind::kIdentifier, "set name");
       if (t.text != "S") {
@@ -659,6 +686,7 @@ class QueryParser {
         expect(TokenKind::kLParen, "to open temporal operator");
         QNodePtr state = parse_formula();
         expect(TokenKind::kComma, "after the temporal operator's state");
+        const std::size_t c_slot = bind("C");
         QNodePtr cond = parse_formula();
         QNodePtr guard;
         if (match(TokenKind::kComma)) {
@@ -666,8 +694,9 @@ class QueryParser {
         } else {
           guard = std::make_unique<NumNode>(1);
         }
+        unbind();
         expect(TokenKind::kRParen, "to close temporal operator");
-        return std::make_unique<TemporalNode>(lower == "inev", std::move(state),
+        return std::make_unique<TemporalNode>(lower == "inev", std::move(state), c_slot,
                                               std::move(cond), std::move(guard));
       }
       // Identifier: either Name(args) state function or a bound variable
@@ -685,16 +714,39 @@ class QueryParser {
           while (match(TokenKind::kComma)) args.push_back(parse_formula());
         }
         expect(closer, "to close argument list");
+        if ((name == "min" || name == "max") && args.size() == 2) {
+          return std::make_unique<BuiltinNode>(
+              name == "min" ? BuiltinNode::Fn::kMin : BuiltinNode::Fn::kMax, std::move(args));
+        }
+        if (name == "abs" && args.size() == 1) {
+          return std::make_unique<BuiltinNode>(BuiltinNode::Fn::kAbs, std::move(args));
+        }
         return std::make_unique<StateFnNode>(std::move(name), std::move(args));
       }
-      return std::make_unique<VarNode>(std::move(name));
+      return variable(std::move(name));
     }
     throw ParseError("expected a formula", t.offset);
+  }
+
+  /// Lexical scoping: a binder gets a fresh frame slot and is in scope
+  /// until unbind(); a name resolves to its innermost binder.
+  std::size_t bind(std::string name) {
+    scope_.emplace_back(std::move(name), num_slots_);
+    return num_slots_++;
+  }
+  void unbind() { scope_.pop_back(); }
+  QNodePtr variable(std::string name) const {
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+      if (it->first == name) return std::make_unique<VarNode>(it->second);
+    }
+    return std::make_unique<UnboundNode>(std::move(name));
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< current nesting level
+  std::vector<std::pair<std::string, std::size_t>> scope_;  ///< binders in scope, innermost last
+  std::size_t num_slots_ = 0;
 };
 
 }  // namespace
@@ -710,6 +762,8 @@ QueryResult eval_query(const StateSpace& space, std::string_view query,
 
   Env env;
   env.space = &space;
+  env.num_states = space.num_states();
+  env.vars.assign(parser.num_slots(), 0);
   env.stop = std::move(stop);
   const bool holds = root->eval(env) != 0;
 

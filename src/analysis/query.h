@@ -29,6 +29,14 @@
 //   * Quantifiers nest; `true`/`false` are literals; comparison, boolean
 //     and arithmetic operators follow the expression language (a single
 //     `=` is equality, as the paper writes it).
+//
+// Names resolve once per evaluation, not once per state. The parser scopes
+// binders lexically: each quantifier, set-builder and temporal operator's
+// variable gets a frame slot of its own, and a bare name compiles to its
+// innermost binder's slot (or to an "unbound variable" error raised if it
+// is evaluated). min/max/abs are fixed at parse time, and a Name(s) node
+// looks its name up in the space on its first evaluation (place, then
+// transition; else the per-state data variable).
 #pragma once
 
 #include <optional>

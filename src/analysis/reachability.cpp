@@ -255,9 +255,17 @@ std::vector<std::size_t> ReachabilityGraph::successors(std::size_t state) const 
   return result;
 }
 
-void ReachabilityGraph::for_each_successor(
-    std::size_t state, const std::function<void(std::size_t)>& fn) const {
-  for (const Edge& e : edges_.out(state)) fn(e.target);
+void ReachabilityGraph::successor_rows(std::vector<std::size_t>& offsets,
+                                       std::vector<std::uint32_t>& targets) const {
+  const std::size_t n = num_states();
+  offsets.resize(n + 1);
+  targets.clear();
+  targets.reserve(edges_.num_edges());
+  for (std::size_t i = 0; i < n; ++i) {
+    offsets[i] = targets.size();
+    for (const Edge& e : edges_.out(i)) targets.push_back(e.target);
+  }
+  offsets[n] = targets.size();
 }
 
 std::size_t ReachabilityGraph::memory_bytes() const {

@@ -125,8 +125,9 @@ class ReachabilityGraph final : public StateSpace {
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
                                                      std::string_view name) const override;
   [[nodiscard]] std::vector<std::size_t> successors(std::size_t state) const override;
-  void for_each_successor(std::size_t state,
-                          const std::function<void(std::size_t)>& fn) const override;
+  /// Copies the edge pool's targets row by row.
+  void successor_rows(std::vector<std::size_t>& offsets,
+                      std::vector<std::uint32_t>& targets) const override;
   [[nodiscard]] std::optional<PlaceId> find_place(std::string_view name) const override {
     return net_->find_place(name);  // hashed index of the compiled net
   }

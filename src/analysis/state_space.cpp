@@ -1,6 +1,19 @@
 #include "analysis/state_space.h"
 
+#include <numeric>
+
 namespace pnut::analysis {
+
+void StateSpace::successor_rows(std::vector<std::size_t>& offsets,
+                                std::vector<std::uint32_t>& targets) const {
+  const std::size_t n = num_states();
+  offsets.assign(n + 1, 0);
+  targets.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::size_t j : successors(i)) targets.push_back(static_cast<std::uint32_t>(j));
+    offsets[i + 1] = targets.size();
+  }
+}
 
 TraceStateSpace::TraceStateSpace(const RecordedTrace& trace)
     : trace_(&trace),
@@ -51,9 +64,14 @@ std::vector<std::size_t> TraceStateSpace::successors(std::size_t state) const {
   return {};
 }
 
-void TraceStateSpace::for_each_successor(std::size_t state,
-                                         const std::function<void(std::size_t)>& fn) const {
-  if (state + 1 < arena_.size()) fn(state + 1);
+void TraceStateSpace::successor_rows(std::vector<std::size_t>& offsets,
+                                     std::vector<std::uint32_t>& targets) const {
+  const std::size_t n = arena_.size();
+  offsets.resize(n + 1);
+  targets.resize(n == 0 ? 0 : n - 1);
+  std::iota(offsets.begin(), offsets.end() - 1, std::size_t{0});
+  offsets[n] = targets.size();
+  std::iota(targets.begin(), targets.end(), std::uint32_t{1});
 }
 
 std::optional<PlaceId> TraceStateSpace::find_place(std::string_view name) const {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -44,13 +43,13 @@ class StateSpace {
   /// Successor state indices (a trace has at most one; a graph, many).
   [[nodiscard]] virtual std::vector<std::size_t> successors(std::size_t state) const = 0;
 
-  /// Allocation-free successor iteration for bulk consumers (the query
-  /// engine's temporal fixpoints). Default delegates to successors();
-  /// concrete spaces override with direct scans of their edge storage.
-  virtual void for_each_successor(std::size_t state,
-                                  const std::function<void(std::size_t)>& fn) const {
-    for (const std::size_t s : successors(state)) fn(s);
-  }
+  /// The whole successor relation as CSR rows, for bulk consumers (the
+  /// query engine's temporal fixpoints): `offsets` gets num_states() + 1
+  /// entries and row i is targets[offsets[i], offsets[i + 1]). The default
+  /// walks successors() state by state; concrete spaces override it with
+  /// direct copies of their flat rows.
+  virtual void successor_rows(std::vector<std::size_t>& offsets,
+                              std::vector<std::uint32_t>& targets) const;
 
   /// True if `state`'s successor list is complete. A truncated
   /// reachability graph leaves frontier states with empty successor rows
@@ -89,8 +88,9 @@ class TraceStateSpace final : public StateSpace {
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
                                                      std::string_view name) const override;
   [[nodiscard]] std::vector<std::size_t> successors(std::size_t state) const override;
-  void for_each_successor(std::size_t state,
-                          const std::function<void(std::size_t)>& fn) const override;
+  /// State i's one successor is i + 1 (the last state has none).
+  void successor_rows(std::vector<std::size_t>& offsets,
+                      std::vector<std::uint32_t>& targets) const override;
   [[nodiscard]] std::optional<PlaceId> find_place(std::string_view name) const override;
   [[nodiscard]] std::optional<TransitionId> find_transition(
       std::string_view name) const override;

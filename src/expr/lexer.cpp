@@ -1,5 +1,6 @@
 #include "expr/lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
@@ -250,9 +251,22 @@ std::string render_caret(std::string_view source, std::uint32_t line,
   if (end == std::string_view::npos) end = source.size();
   // col may point one past the line's end (errors at end of input).
   if (col > end - begin + 1) return {};
-  std::string out(source.substr(begin, end - begin));
+  const std::string_view text = source.substr(begin, end - begin);
+  std::size_t caret = col - 1;
+  std::string out;
+  if (text.size() <= kMaxCaretLine) {
+    out = text;
+  } else {
+    const std::size_t start =
+        std::min(caret > kMaxCaretLine / 2 ? caret - kMaxCaretLine / 2 : 0,
+                 text.size() - kMaxCaretLine);
+    if (start > 0) out = "...";
+    out += text.substr(start, kMaxCaretLine);
+    if (start + kMaxCaretLine < text.size()) out += "...";
+    caret = caret - start + (start > 0 ? 3 : 0);
+  }
   out += '\n';
-  out.append(col - 1, ' ');
+  out.append(caret, ' ');
   out += '^';
   out += '\n';
   return out;

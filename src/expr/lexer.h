@@ -13,6 +13,7 @@
 // `line:col` with a caret snippet (render_caret) instead of a bare offset.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -95,10 +96,15 @@ std::vector<Token> tokenize(std::string_view source);
 /// Human-readable token-kind name for diagnostics.
 std::string_view token_kind_name(TokenKind kind);
 
+/// Longest source line a caret snippet shows whole.
+inline constexpr std::size_t kMaxCaretLine = 160;
+
 /// One-line caret snippet for a diagnostic at `line`:`col` (1-based) of
 /// `source`: the offending source line followed by a line with '^' under
-/// the column. Returns an empty string when the position is 0 or past the
-/// end of the source.
+/// the column. A line longer than kMaxCaretLine bytes is cut to a
+/// kMaxCaretLine-byte window around the column, with "..." where it was
+/// cut, so a diagnostic stays small however long the line. Returns an
+/// empty string when the position is 0 or past the end of the source.
 std::string render_caret(std::string_view source, std::uint32_t line,
                          std::uint32_t col);
 

@@ -2,6 +2,12 @@
 // and traces, including every query the paper shows verbatim.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/query.h"
 #include "analysis/reachability.h"
 #include "expr/compile.h"
@@ -325,6 +331,352 @@ TEST(QueryOnTruncatedGraph, UnexpandedFrontierSaturatesInsteadOfFalsifying) {
       << "nothing is violated within the explored region";
   // A guard violation inside the prefix still falsifies the until.
   EXPECT_FALSE(eval_query(truncated, "inev(#0, false, false)").holds);
+}
+
+// --- evaluation-semantics pins ----------------------------------------------------
+//
+// Exact error texts and verdicts of the evaluator, on both kinds of state
+// space. Binders, name resolution and builtins are resolved when a query is
+// compiled, not per state; these pins hold the observable behaviour fixed.
+
+/// Build a trace of `net` up to `horizon` (seed 5).
+RecordedTrace record_trace(const Net& net, Time horizon) {
+  RecordedTrace trace;
+  Simulator sim(net);
+  sim.set_sink(&trace);
+  sim.reset(5);
+  sim.run_until(horizon);
+  sim.finish();
+  return trace;
+}
+
+enum class SpaceKind { kGraph, kTrace };
+
+/// The bus net as a reachability graph or as a simulation trace.
+class QuerySemantics : public ::testing::TestWithParam<SpaceKind> {
+ protected:
+  QuerySemantics() : net_(bus_net()) {
+    if (GetParam() == SpaceKind::kGraph) {
+      graph_ = std::make_unique<ReachabilityGraph>(net_);
+    } else {
+      trace_ = record_trace(net_, 50);
+      trace_space_ = std::make_unique<TraceStateSpace>(trace_);
+    }
+  }
+  [[nodiscard]] const StateSpace& space() const {
+    return graph_ ? static_cast<const StateSpace&>(*graph_) : *trace_space_;
+  }
+  /// `graph` on the reachability graph, `trace` on the trace.
+  template <typename T>
+  [[nodiscard]] T pick(T graph, T trace) const {
+    return GetParam() == SpaceKind::kGraph ? graph : trace;
+  }
+  /// The runtime_error text eval_query throws for `query`.
+  [[nodiscard]] std::string error_of(const std::string& query) const {
+    try {
+      (void)eval_query(space(), query);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no error>";
+  }
+
+  Net net_;
+  std::unique_ptr<ReachabilityGraph> graph_;
+  RecordedTrace trace_;
+  std::unique_ptr<TraceStateSpace> trace_space_;
+};
+
+TEST_P(QuerySemantics, SpaceShape) {
+  EXPECT_EQ(space().num_states(), pick<std::size_t>(3, 32));
+}
+
+TEST_P(QuerySemantics, ErrorTexts) {
+  const std::string unbound = " (state variables must be introduced by a quantifier or "
+                              "temporal operator)";
+  EXPECT_EQ(error_of("Bus_busy(unbound_var) = 1"),
+            "query evaluation: unbound variable 'unbound_var'" + unbound);
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(t) = 1 ]"),
+            "query evaluation: unbound variable 't'" + unbound);
+  // A primed name is its own variable.
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(s') = 1 ]"),
+            "query evaluation: unbound variable 's''" + unbound);
+  // C is bound only inside a temporal operator's condition and guard — not
+  // in its state argument, and not outside it.
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(C) = 1 ]"),
+            "query evaluation: unbound variable 'C'" + unbound);
+  EXPECT_EQ(error_of("inev(C, true)"),
+            "query evaluation: unbound variable 'C'" + unbound);
+  EXPECT_EQ(error_of("inev(#0, true) and Bus_busy(C) = 0"),
+            "query evaluation: unbound variable 'C'" + unbound);
+  // A quantifier's variable is not in scope in its own set.
+  EXPECT_EQ(error_of("forall s in {u in S | u = s} [ true ]"),
+            "query evaluation: unbound variable 's'" + unbound);
+  EXPECT_EQ(error_of("forall s in S [ NoSuchPlace(s) = 1 ]"),
+            "query evaluation: 'NoSuchPlace' is not a place, transition or data variable");
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(s, s) = 1 ]"),
+            "query evaluation: 'Bus_busy' expects one state argument");
+  EXPECT_EQ(error_of("Bus_busy() = 1"),
+            "query evaluation: 'Bus_busy' expects one state argument");
+  // min/max/abs are builtins only at their own arity.
+  EXPECT_EQ(error_of("min(1) = 1"),
+            "query evaluation: 'min' is not a place, transition or data variable");
+  EXPECT_EQ(error_of("abs(1, 2) = 1"),
+            "query evaluation: 'abs' expects one state argument");
+  EXPECT_EQ(error_of("forall s in S [ min(s) = 1 ]"),
+            "query evaluation: 'min' is not a place, transition or data variable");
+  const std::string states = std::to_string(space().num_states());
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(99) = 1 ]"),
+            "query evaluation: state index 99 out of range in 'Bus_busy(...)' (space has " +
+                states + " states)");
+  EXPECT_EQ(error_of("NoSuchPlace(-1) = 1"),
+            "query evaluation: state index -1 out of range in 'NoSuchPlace(...)' (space "
+            "has " + states + " states)");
+  EXPECT_EQ(error_of("inev(#99, true)"),
+            "query evaluation: state index 99 out of range in inev (space has " + states +
+                " states)");
+  EXPECT_EQ(error_of("poss(0 - 1, true)"),
+            "query evaluation: state index -1 out of range in poss (space has " + states +
+                " states)");
+  EXPECT_EQ(error_of("forall s in S [ Bus_busy(s) / Bus_busy(s) = 1 ]"),
+            "query evaluation: division by zero");
+  EXPECT_EQ(error_of("1 % 0 = 0"), "query evaluation: modulo by zero");
+  // Errors are raised only when the offending node is evaluated.
+  EXPECT_EQ(error_of("false and Bus_busy(unbound_var) = 1"), "<no error>");
+  EXPECT_EQ(error_of("exists s in (S - {#0}) [ NoSuchPlace(s) = 1 ] or true"),
+            "query evaluation: 'NoSuchPlace' is not a place, transition or data variable");
+  EXPECT_EQ(error_of("forall s in {u in S | false} [ NoSuchPlace(s) = 1 ]"), "<no error>");
+}
+
+TEST_P(QuerySemantics, ShadowedBinderRestoresTheOuterValue) {
+  using W = std::optional<std::size_t>;
+  // The inner `exists s` finds a busy state; after it, `s` is the outer
+  // binding again, so the outer forall fails (at #0, bus free there).
+  QueryResult r = eval_query(
+      space(), "forall s in S [ (exists s in S [ Bus_busy(s) = 1 ]) && Bus_busy(s) = 1 ]");
+  EXPECT_FALSE(r.holds);
+  // The reported witness and explanation belong to the first quantifier
+  // whose body closes — here the inner `exists` (busy at #1).
+  EXPECT_EQ(r.witness, W(1));
+  EXPECT_EQ(r.explanation, "no state in the set satisfies the formula");
+  r = eval_query(space(),
+                 "exists s in S [ Bus_busy(s) = 1 && (forall s in S [ s >= 0 ]) && "
+                 "Bus_busy(s) = 1 ]");
+  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.witness, W());
+  // Without the restore, the outer `s` would read the inner witness (#0).
+  r = eval_query(space(), "exists s in S [ (exists s in S [ s = 0 ]) && s = 2 ]");
+  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.witness, W(0));
+  // A set-builder binder shadows an enclosing quantifier's variable too.
+  r = eval_query(space(), "forall s in S [ exists u in {s in S | Bus_busy(s) = 1} "
+                          "[ u >= 0 ] && s = s ]");
+  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.witness, W(1));
+  r = eval_query(space(), "exists s in S [ s = 2 && (exists u in {s in S | s = 1} "
+                          "[ u = 1 ]) && s = 2 ]");
+  EXPECT_TRUE(r.holds);
+  // The temporal operator's C shadows a quantified C.
+  r = eval_query(space(), "forall C in S [ poss(C, Bus_free(C) = 1) || C >= 0 ]");
+  EXPECT_TRUE(r.holds);
+  r = eval_query(space(), "exists C in S [ poss(#0, Bus_busy(C) = 1) && Bus_busy(C) = 1 ]");
+  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.witness, W(1));
+}
+
+TEST_P(QuerySemantics, SetBuilderFilterReadsTheEnclosingVariable) {
+  using W = std::optional<std::size_t>;
+  QueryResult r = eval_query(
+      space(), "forall s in S [ exists u in {v in S | Bus_busy(v) = Bus_busy(s)} [ u = s ] ]");
+  EXPECT_TRUE(r.holds);
+  r = eval_query(
+      space(), "forall s in S [ exists u in {v in S | Bus_busy(v) != Bus_busy(s)} [ u = s ] ]");
+  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.witness, W());
+  r = eval_query(space(),
+                 "exists s in S [ forall u in {v in S | Work(v) > Work(s)} [ false ] ]");
+  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.witness, W());
+  r = eval_query(space(), "exists s in {v in S | v > 2 && Done(v) = 1} [ true ]");
+  EXPECT_EQ(r.holds, pick(false, true));
+  EXPECT_EQ(r.witness, pick(W(), W(5)));
+}
+
+TEST_P(QuerySemantics, TemporalTableReadsAnOuterVariable) {
+  using W = std::optional<std::size_t>;
+  // The until table is computed once, on the first evaluation — with the
+  // outer variable's value at that moment (state #0, bus free there). On
+  // the linear trace, the last state has no successor and is busy.
+  QueryResult r = eval_query(space(), "forall s in S [ poss(s, Bus_busy(C) = Bus_busy(s)) ]");
+  EXPECT_EQ(r.holds, pick(true, false));
+  EXPECT_EQ(r.witness, pick(W(), W(31)));
+  r = eval_query(space(), "forall s in S [ inev(s, Bus_busy(C) = Bus_busy(s), "
+                          "Bus_busy(C) = Bus_busy(s) || true) ]");
+  EXPECT_EQ(r.holds, pick(true, false));
+  EXPECT_EQ(r.witness, pick(W(), W(31)));
+}
+
+TEST_P(QuerySemantics, BuiltinsAndTransitionsResolve) {
+  using W = std::optional<std::size_t>;
+  EXPECT_TRUE(eval_query(space(), "forall s in S [ min(Bus_busy(s), Bus_free(s)) = 0 ]").holds);
+  EXPECT_TRUE(eval_query(space(), "forall s in S [ max(Bus_busy(s), Bus_free(s)) = 1 ]").holds);
+  EXPECT_TRUE(eval_query(space(), "abs(0 - 7) = 7 && min(3, 2) = 2 && max(3, 2) = 3").holds);
+  // A graph state's activity is enabledness; a trace state's is the
+  // firings in flight (none: every firing here is atomic).
+  QueryResult r = eval_query(space(), "exists s in S [ release(s) > 0 ]");
+  EXPECT_EQ(r.holds, pick(true, false));
+  EXPECT_EQ(r.witness, pick(W(1), W()));
+  r = eval_query(space(), "forall s in S [ recycle(s) = 0 ]");
+  EXPECT_EQ(r.holds, pick(false, true));
+  EXPECT_EQ(r.witness, pick(W(2), W()));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothSpaces, QuerySemantics,
+                         ::testing::Values(SpaceKind::kGraph, SpaceKind::kTrace),
+                         [](const ::testing::TestParamInfo<SpaceKind>& info) {
+                           return info.param == SpaceKind::kGraph ? "Graph" : "Trace";
+                         });
+
+/// Delegates to a space and counts its name-resolution calls.
+class CountingSpace final : public StateSpace {
+ public:
+  explicit CountingSpace(const StateSpace& inner) : inner_(inner) {}
+  std::size_t num_states() const override { return inner_.num_states(); }
+  std::int64_t place_tokens(std::size_t s, PlaceId p) const override {
+    return inner_.place_tokens(s, p);
+  }
+  std::int64_t transition_activity(std::size_t s, TransitionId t) const override {
+    return inner_.transition_activity(s, t);
+  }
+  std::optional<std::int64_t> variable(std::size_t s, std::string_view name) const override {
+    return inner_.variable(s, name);
+  }
+  std::vector<std::size_t> successors(std::size_t s) const override {
+    return inner_.successors(s);
+  }
+  std::optional<PlaceId> find_place(std::string_view name) const override {
+    ++lookups;
+    return inner_.find_place(name);
+  }
+  std::optional<TransitionId> find_transition(std::string_view name) const override {
+    ++lookups;
+    return inner_.find_transition(name);
+  }
+  mutable std::size_t lookups = 0;
+
+ private:
+  const StateSpace& inner_;
+};
+
+TEST(QuerySemanticsData, NamesResolveOncePerEvaluationNotPerState) {
+  Net net;
+  std::vector<PlaceId> places;
+  for (int i = 0; i < 4; ++i) {
+    places.push_back(net.add_place("P" + std::to_string(i), i == 0 ? 6 : 0));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const TransitionId t = net.add_transition("t" + std::to_string(i));
+    net.add_input(t, places[static_cast<std::size_t>(i)]);
+    net.add_output(t, places[static_cast<std::size_t>((i + 1) % 4)]);
+  }
+  const ReachabilityGraph graph(net);
+  ASSERT_EQ(graph.num_states(), 84U);  // C(9, 3)
+  const CountingSpace space(graph);
+
+  // One place lookup per state-function node, however many states it reads.
+  EXPECT_TRUE(eval_query(space, "forall s in S [ P0(s) + P1(s) + P2(s) + P3(s) = 6 ]").holds);
+  EXPECT_EQ(space.lookups, 4U);
+  // A transition costs a failed place lookup first; the successor rows come
+  // from the default walk over successors().
+  space.lookups = 0;
+  EXPECT_TRUE(eval_query(space, "forall s in {v in S | t0(v) = 1} [ poss(s, P0(C) = 0) ]")
+                  .holds);
+  EXPECT_EQ(space.lookups, 3U);
+  // The same query through the graph's own flat rows agrees.
+  EXPECT_TRUE(eval_query(graph, "forall s in {v in S | t0(v) = 1} [ poss(s, P0(C) = 0) ]")
+                  .holds);
+  for (const char* query : {"exists s in S [ inev(s, P3(C) = 6) && P3(s) < 6 ]",
+                            "forall s in S [ poss(s, P3(C) = 6, P0(C) > 0) ]"}) {
+    const QueryResult counted = eval_query(space, query);
+    const QueryResult flat = eval_query(graph, query);
+    EXPECT_FALSE(flat.holds) << query;
+    EXPECT_EQ(counted.holds, flat.holds) << query;
+    EXPECT_EQ(counted.witness, flat.witness) << query;
+  }
+}
+
+TEST(QuerySemanticsData, DataVariableLookupOnInterpretedGraphAndTrace) {
+  Net net;
+  net.initial_data().set("x", 0);
+  const PlaceId p = net.add_place("P", 1);
+  const TransitionId t = net.add_transition("T");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  net.set_enabling_time(t, DelaySpec::constant(1));
+  net.set_predicate(t, expr::compile_predicate("x < 3"));
+  net.set_action(t, expr::compile_action("x = x + 1"));
+  const ReachabilityGraph graph(net);
+  const RecordedTrace trace = record_trace(net, 10);
+  const TraceStateSpace trace_space(trace);
+  for (const StateSpace* space : {static_cast<const StateSpace*>(&graph),
+                                  static_cast<const StateSpace*>(&trace_space)}) {
+    SCOPED_TRACE(space == &graph ? "graph" : "trace");
+    EXPECT_EQ(space->num_states(), 4U);
+    QueryResult r = eval_query(*space, "exists s in S [ x(s) = 3 ]");
+    EXPECT_TRUE(r.holds);
+    EXPECT_EQ(r.witness, std::optional<std::size_t>(3));
+    EXPECT_TRUE(eval_query(*space, "forall s in S [ x(s) = s ]").holds);
+    EXPECT_TRUE(eval_query(*space, "x(#2) = 2 && P(#2) = 1").holds);
+    // Enabled until x reaches 3 on the graph; never in flight on the trace.
+    r = eval_query(*space, "forall s in S [ T(s) = 1 ]");
+    EXPECT_FALSE(r.holds);
+    EXPECT_EQ(r.witness, std::optional<std::size_t>(space == &graph ? 3 : 0));
+    EXPECT_TRUE(eval_query(*space, "forall s in {v in S | x(v) < 3} [ inev(s, x(C) = 3) ]")
+                    .holds);
+    try {
+      (void)eval_query(*space, "y(#0) = 0");
+      ADD_FAILURE() << "unknown data variable evaluated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "query evaluation: 'y' is not a place, transition or data variable");
+    }
+  }
+}
+
+TEST(QueryOnTruncatedGraph, TemporalVerdictsThroughUnexpandedStates) {
+  // A 5-place ring with 4 tokens (70 states) cut at 30: saturation through
+  // never-expanded states on a branching graph, pinned verdict by verdict.
+  Net net;
+  std::vector<PlaceId> places;
+  for (int i = 0; i < 5; ++i) {
+    places.push_back(net.add_place("P" + std::to_string(i), i == 0 ? 4 : 0));
+  }
+  for (int i = 0; i < 5; ++i) {
+    const TransitionId t = net.add_transition("t" + std::to_string(i));
+    net.add_input(t, places[static_cast<std::size_t>(i)]);
+    net.add_output(t, places[static_cast<std::size_t>((i + 1) % 5)]);
+  }
+  ReachOptions options;
+  options.max_states = 30;
+  const ReachabilityGraph graph(net, options);
+  ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
+  ASSERT_EQ(graph.num_states(), 31U);
+  ASSERT_LT(graph.num_expanded(), graph.num_states());
+
+  const auto verdict = [&](const char* query) {
+    const QueryResult r = eval_query(graph, query);
+    return std::pair{r.holds, r.witness};
+  };
+  using V = std::pair<bool, std::optional<std::size_t>>;
+  EXPECT_EQ(verdict("forall s in S [ inev(s, P4(C) = 4) ]"), (V{false, 0}));
+  EXPECT_EQ(verdict("forall s in S [ inev(s, P4(C) = 4, P0(C) > 0) ]"), (V{false, 0}));
+  EXPECT_EQ(verdict("forall s in S [ poss(s, P1(C) = 4, P4(C) = 0) ]"), (V{false, 11}));
+  EXPECT_EQ(verdict("exists s in S [ poss(s, P2(C) = 2 && P3(C) = 2) ]"), (V{true, 0}));
+  EXPECT_EQ(verdict("forall s in S [ inev(s, false, P0(C) + P1(C) >= 2) ]"),
+            (V{false, 0}));
+  EXPECT_EQ(verdict("exists s in S [ inev(s, false) && P0(s) = 0 ]"), (V{true, 7}));
+  EXPECT_EQ(verdict("forall s in {v in S | P0(v) = 4} [ poss(s, P0(C) = 3) ]"),
+            (V{true, std::nullopt}));
 }
 
 }  // namespace

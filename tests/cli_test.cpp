@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cli/cli.h"
+#include "expr/lexer.h"
 
 namespace pnut::cli {
 namespace {
@@ -188,17 +189,20 @@ TEST_F(CliTest, OverBudgetNestingIsADiagnosticNotACrash) {
     return path;
   };
   // The caret sits under the first token past the budget: the 257th '('
-  // (each group is one level, as is the whole predicate), or the 256th '-'.
+  // (each group is one level, as is the whole predicate), or the 256th '-'
+  // (columns pinned in expr_parser_test). The predicate is one long line,
+  // so the snippet is the window centred on that column.
   const std::string parens = write_model(
       "parens.pn", std::string(30000, '(') + "1" + std::string(30000, ')') + " > 0");
   const std::string negs = write_model("negs.pn", std::string(200000, '-') + "1 < 0");
-  for (const auto& [path, caret_col] : {std::pair{parens, 257}, std::pair{negs, 256}}) {
+  for (const auto& [path, fill] : {std::pair{parens, '('}, std::pair{negs, '-'}}) {
     const Result check = run_cli({"check", path});
     EXPECT_EQ(check.code, 1) << path;
     EXPECT_NE(check.out.find("line 3: bad predicate: nested more than 256 levels deep"),
               std::string::npos)
         << path;
-    EXPECT_NE(check.out.find("\n" + std::string(caret_col - 1, ' ') + "^\n"),
+    EXPECT_NE(check.out.find("\n..." + std::string(expr::kMaxCaretLine, fill) + "...\n" +
+                             std::string(3 + expr::kMaxCaretLine / 2, ' ') + "^\n"),
               std::string::npos)
         << path;
     EXPECT_EQ(run_cli({"simulate", path}).code, 2) << path;
@@ -210,6 +214,30 @@ TEST_F(CliTest, OverBudgetNestingIsADiagnosticNotACrash) {
                                     std::string(30000, ')') + " ]"});
   EXPECT_EQ(query.code, 2);
   EXPECT_EQ(query.err, "pnut query: query nested more than 256 levels deep\n");
+}
+
+TEST_F(CliTest, CheckDiagnosticOfAHugeOneLinePredicateStaysSmall) {
+  // A 200 KB one-line predicate with a syntax error near its end: the caret
+  // snippet is a window around the column, not a copy of the whole line.
+  std::string predicate;
+  while (predicate.size() < 200000) predicate += "p + 1 > 0 && ";
+  predicate += "p $ 1";
+  const std::string path = (dir_ / "huge.pn").string();
+  std::ofstream(path) << "net huge\n"
+                         "place p init 1\n"
+                         "trans t in p out p when \"" << predicate << "\"\n";
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run({"check", path}, out, err), 1);
+  EXPECT_LT(err.str().size(), 1024U);
+  EXPECT_LT(out.str().size(), 1024U);
+  EXPECT_NE(out.str().find("line 3: bad predicate: "), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("unexpected character '$'"), std::string::npos) << out.str();
+  // The window is the line's last kMaxCaretLine bytes after "..."; the '$'
+  // is the third byte from the end.
+  EXPECT_NE(out.str().find("&& p $ 1\n" + std::string(expr::kMaxCaretLine, ' ') + "^\n"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST_F(CliTest, CheckMissingFile) {

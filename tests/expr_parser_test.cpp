@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/lexer.h"
+
 #include <string>
 #include <string_view>
 
@@ -375,6 +377,62 @@ TEST(Parser, NestingBudgetBoundary) {
   EXPECT_THROW(parse_expression("(" + at_budget + ")"), ParseError);
   EXPECT_NO_THROW(parse_expression(repeated("-", 255) + "1"));
   EXPECT_THROW(parse_expression(repeated("-", 256) + "1"), ParseError);
+}
+
+
+// --- caret diagnostics ------------------------------------------------------------
+
+/// format_diagnostic for the ParseError `source` raises.
+std::string diagnostic(std::string_view source) {
+  try {
+    (void)parse_program(source);
+    return "<parsed>";
+  } catch (const ParseError& e) {
+    return format_diagnostic(source, e);
+  }
+}
+
+TEST(Parser, CaretSnippetShowsAShortLineWhole) {
+  // A line of exactly kMaxCaretLine bytes renders whole, as always.
+  const std::string line = "x = " + repeated("1 + ", 38) + "+";
+  ASSERT_EQ(line.size(), kMaxCaretLine - 3);
+  const std::string at_limit = line + "   ";
+  EXPECT_EQ(diagnostic(at_limit),
+            "1:157: expected an expression\n" + at_limit + "\n" +
+                std::string(156, ' ') + "^\n");
+  EXPECT_EQ(diagnostic("y = 2;\nx = (1 +\n"),
+            "3:1: expected an expression\n\n^\n");
+  EXPECT_EQ(diagnostic("x = 1 $ 2"), "1:7: unexpected character '$'\nx = 1 $ 2\n      ^\n");
+}
+
+TEST(Parser, CaretSnippetWindowsALongLine) {
+  // A 200 KB one-line program with the error in the middle: the snippet is
+  // a 160-byte window centred on the column, cut at both ends.
+  const std::string head = repeated("x = 1; ", 15000) + "x = 1 ";
+  const std::string source = head + "$ 2; " + repeated("x = 1; ", 15000);
+  ASSERT_GT(source.size(), 200000U);
+  const std::string window = source.substr(head.size() - 80, kMaxCaretLine);
+  EXPECT_EQ(window[80], '$');
+  EXPECT_EQ(diagnostic(source), "1:" + std::to_string(head.size() + 1) +
+                                    ": unexpected character '$'\n..." + window + "...\n" +
+                                    std::string(83, ' ') + "^\n");
+
+  // Near the start only the tail is cut; near the end only the head.
+  const std::string early = "x = 1 $ " + repeated("1 + ", 100) + "1";
+  EXPECT_EQ(diagnostic(early), "1:7: unexpected character '$'\n" +
+                                   early.substr(0, kMaxCaretLine) + "...\n" +
+                                   std::string(6, ' ') + "^\n");
+  const std::string late = "x = " + repeated("1 + ", 100) + "1 $";
+  EXPECT_EQ(diagnostic(late), "1:" + std::to_string(late.size()) +
+                                  ": unexpected character '$'\n..." +
+                                  late.substr(late.size() - kMaxCaretLine) + "\n" +
+                                  std::string(3 + kMaxCaretLine - 1, ' ') + "^\n");
+  // An error at the end of a long line points one past its last byte.
+  const std::string open = "x = " + repeated("1 + ", 100);
+  EXPECT_EQ(diagnostic(open), "1:" + std::to_string(open.size() + 1) +
+                                  ": expected an expression\n..." +
+                                  open.substr(open.size() - kMaxCaretLine) + "\n" +
+                                  std::string(3 + kMaxCaretLine, ' ') + "^\n");
 }
 
 }  // namespace

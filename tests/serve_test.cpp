@@ -17,8 +17,10 @@
 
 #include "cli/cli.h"
 #include "cli/session.h"
+#include "pipeline/model.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "textio/pn_format.h"
 
 namespace pnut::serve {
 namespace {
@@ -42,6 +44,13 @@ constexpr const char* kQuery = "forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]"
     EXPECT_EQ(a, b);             \
     if ((a) != (b)) return ret;  \
   } while (0)
+
+/// One framed response as parsed off the wire.
+struct Framed {
+  int code;
+  std::string out;
+  std::string err;
+};
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -75,13 +84,6 @@ class ServeTest : public ::testing::Test {
     }
     return write_model(name + ".pn", text.str());
   }
-
-  /// One framed response as parsed off the wire.
-  struct Framed {
-    int code;
-    std::string out;
-    std::string err;
-  };
 
   /// Parse every framed response in a serve transcript (after the greeting).
   static std::vector<Framed> parse_responses(const std::string& transcript) {
@@ -699,6 +701,99 @@ TEST_F(ServeTest, ShutdownRacingInflightRequestsYieldsCompleteFrames) {
       }
     }
   }
+  server.stop();
+}
+
+/// Read one framed response off a persistent connection.
+Framed read_frame(RawClient& client) {
+  std::string header;
+  while (header.empty() || header.back() != '\n') {
+    const std::string byte = client.read_exact(1);
+    if (byte.empty()) return {-1, {}, "EOF inside a frame header: " + header};
+    header += byte;
+  }
+  std::istringstream fields(header.substr(2));
+  int code = 0;
+  std::size_t outlen = 0;
+  std::size_t errlen = 0;
+  fields >> code >> outlen >> errlen;
+  const std::string body = client.read_exact(outlen + errlen);
+  if (body.size() != outlen + errlen) return {-1, {}, "EOF inside a frame body"};
+  return {code, body.substr(0, outlen), body.substr(outlen)};
+}
+
+TEST_F(ServeTest, LargeFramesAreNotStalledOnAPersistentConnection) {
+  // Frames larger than the 4 KiB socket buffer used to go out as several
+  // sends on a Nagle-enabled socket; the client's delayed ACK then held
+  // each frame's tail for ~40 ms. Twenty round trips of a hot `analyze`
+  // whose frame is over 4 KiB would spend at least 800 ms stalled.
+  const std::string full =
+      write_model("full.pn", textio::print_net(pipeline::build_full_model()));
+  const std::vector<std::string> analyze = {"analyze", full};
+  const cli::Request request{"analyze", {full}};
+  cli::Session cache_off;
+  const cli::Result direct = cache_off.execute(request);
+  ASSERT_EQ(direct.code, 0) << direct.err;
+  ASSERT_GT(direct.out.size(), 4096U);
+
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  Server server(session, 0);
+  server.start();
+  RawClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(client.read_exact(std::strlen(kGreeting)), kGreeting);
+
+  // Warm the caches, then time the hot round trips.
+  client.send_line(to_line(analyze));
+  ASSERT_EQ(read_frame(client).out, direct.out);
+  constexpr int kRoundTrips = 20;
+  std::vector<Framed> frames;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    client.send_line(to_line(analyze));
+    frames.push_back(read_frame(client));
+  }
+  const auto tcp = std::chrono::steady_clock::now() - t0;
+  for (const Framed& f : frames) {
+    EXPECT_EQ(f.code, direct.code);
+    EXPECT_EQ(f.out, direct.out);
+    EXPECT_EQ(f.err, direct.err);
+  }
+  // The same hot work in process: what the transport is allowed to cost
+  // on top is bounded, so a slow (sanitized) build does not fail here but
+  // a stall per frame does.
+  const auto t1 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) (void)session.execute(request);
+  const auto in_process = std::chrono::steady_clock::now() - t1;
+  const auto transport =
+      std::chrono::duration_cast<std::chrono::milliseconds>(tcp - in_process);
+  EXPECT_LT(transport.count(), 400)
+      << kRoundTrips << " round trips took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(tcp).count()
+      << " ms over the wire against "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(in_process).count()
+      << " ms in process";
+
+  // A frame far past the socket buffer arrives whole.
+  const std::string trace_path = (dir_ / "long.trace").string();
+  const std::vector<std::string> simulate = {"simulate", model_path_, "--until", "40000",
+                                             "--trace", trace_path};
+  client.send_line(to_line(simulate));
+  EXPECT_EQ(read_frame(client).code, 0);
+  const std::vector<std::string> animate = {"animate", trace_path, "--steps", "12000"};
+  client.send_line(to_line(animate));
+  const Framed big = read_frame(client);
+  const cli::Result big_direct = cache_off.execute({"animate", {trace_path, "--steps", "12000"}});
+  ASSERT_GE(big_direct.out.size(), 1U << 20);
+  EXPECT_EQ(big.code, big_direct.code);
+  EXPECT_TRUE(big.out == big_direct.out) << "a " << big_direct.out.size()
+                                         << "-byte frame arrived as " << big.out.size()
+                                         << " bytes";
+  EXPECT_EQ(big.err, big_direct.err);
+
+  client.close();
   server.stop();
 }
 
