@@ -8,12 +8,23 @@
 // pre_refactor baselines were measured in this repo immediately before the
 // CompiledNet incremental-eligibility core replaced the per-firing
 // whole-net eligibility rescan.
+//
+// The with-statistics row times the two ways to get a run's Figure-5
+// statistics: a scalar Simulator feeding a StatCollector sink (one
+// TraceEvent and two virtual calls per event), and a one-lane
+// BatchSimulator accumulating them natively — the path `pnut simulate`
+// runs. Both must print the identical format_report for every seed; any
+// divergence is a bug and the bench exits nonzero.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <vector>
 
 #include "analysis/reachability.h"
 #include "pipeline/interpreted.h"
+#include "sim/batch_sim.h"
 
 namespace pnut::bench {
 namespace {
@@ -53,6 +64,95 @@ double events_per_second(const Net& net, Time horizon, int reps) {
   return static_cast<double>(events) / std::chrono::duration<double>(t1 - t0).count();
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Seeds per round and timed rounds of the with-statistics comparison.
+constexpr int kStatSeeds = 5;
+constexpr int kStatRounds = 5;
+
+/// Median, min and max events/second of one path over the timed rounds.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+struct StatsRow {
+  Spread scalar;  ///< Simulator + StatCollector sink
+  Spread batch;   ///< one-lane BatchSimulator, native statistics
+};
+
+/// Time both statistics paths over kStatRounds rounds of seeds
+/// 1..kStatSeeds to `horizon`, alternating path per seed. Each run builds
+/// its engine off one compiled net, as a simulate request does. Counts in
+/// `mismatches` every seed whose report or event count differs.
+StatsRow stats_paths(const char* label, const Net& net, Time horizon,
+                     std::size_t& mismatches) {
+  const std::shared_ptr<const CompiledNet> compiled = CompiledNet::compile(net);
+  std::vector<double> scalar_eps;
+  std::vector<double> batch_eps;
+  for (int round = 0; round < kStatRounds; ++round) {
+    std::uint64_t scalar_events = 0;
+    std::uint64_t batch_events = 0;
+    double scalar_s = 0;
+    double batch_s = 0;
+    for (int k = 0; k < kStatSeeds; ++k) {
+      const auto seed = static_cast<std::uint64_t>(1 + k);
+
+      auto t0 = std::chrono::steady_clock::now();
+      StatCollector stats;
+      Simulator sim(compiled);
+      sim.set_sink(&stats);
+      sim.reset(seed);
+      sim.run_until(horizon);
+      sim.finish();
+      scalar_s += seconds_since(t0);
+      scalar_events += sim.total_firing_starts();
+
+      t0 = std::chrono::steady_clock::now();
+      BatchSimulator lane(compiled, 1);
+      lane.set_seed(0, seed);
+      lane.run(horizon);
+      batch_s += seconds_since(t0);
+      batch_events += lane.total_firing_starts(0);
+
+      if (round == 0 && (format_report(stats.stats()) != format_report(lane.stats(0)) ||
+                         sim.total_firing_starts() != lane.total_firing_starts(0))) {
+        std::printf("MISMATCH: %s seed %llu — batch lane report differs from the "
+                    "StatCollector report\n",
+                    label, static_cast<unsigned long long>(seed));
+        ++mismatches;
+      }
+    }
+    scalar_eps.push_back(static_cast<double>(scalar_events) / scalar_s);
+    batch_eps.push_back(static_cast<double>(batch_events) / batch_s);
+  }
+  return {spread_of(scalar_eps), spread_of(batch_eps)};
+}
+
+void print_stats_row(const char* label, const StatsRow& row) {
+  std::printf("  %-22s scalar+StatCollector %.3g (%.3g..%.3g)   batch lane %.3g "
+              "(%.3g..%.3g)   %.2fx\n",
+              label, row.scalar.median, row.scalar.min, row.scalar.max, row.batch.median,
+              row.batch.min, row.batch.max, row.batch.median / row.scalar.median);
+}
+
+void json_stats_row(FILE* json, const char* key, const StatsRow& row, const char* tail) {
+  std::fprintf(json,
+               "    \"%s\": {\"scalar_statcollector\": %.0f, \"scalar_min\": %.0f, "
+               "\"scalar_max\": %.0f, \"batch_lane\": %.0f, \"batch_min\": %.0f, "
+               "\"batch_max\": %.0f, \"speedup\": %.2f}%s\n",
+               key, row.scalar.median, row.scalar.min, row.scalar.max, row.batch.median,
+               row.batch.min, row.batch.max, row.batch.median / row.scalar.median, tail);
+}
+
 /// Pre-refactor events/second (whole-net eligibility rescan), measured on
 /// the reference machine in the PR that introduced CompiledNet. Kept in the
 /// JSON so the speedup stays visible in the perf trajectory.
@@ -78,6 +178,25 @@ void print_artifact() {
               100.0 * (full / kPreRefactorFullModel - 1.0),
               100.0 * (fig1 / kPreRefactorFig1Prefetch - 1.0));
 
+  std::printf("with statistics, events/second (median and range of %d rounds x %d seeds, "
+              "t=100000):\n",
+              kStatRounds, kStatSeeds);
+  std::size_t mismatches = 0;
+  const StatsRow full_stats = stats_paths("full model", net, 100000, mismatches);
+  const StatsRow fig1_stats =
+      stats_paths("Figure 1 prefetch", pipeline::build_prefetch_model(), 100000, mismatches);
+  const StatsRow fig4_stats = stats_paths(
+      "Figure 4 interpreted", pipeline::build_interpreted_pipeline(), 100000, mismatches);
+  print_stats_row("full model", full_stats);
+  print_stats_row("Figure 1 prefetch", fig1_stats);
+  print_stats_row("Figure 4 interpreted", fig4_stats);
+  if (mismatches > 0) {
+    std::printf("%zu mismatches — batch lane statistics diverged from the StatCollector\n",
+                mismatches);
+    std::exit(1);
+  }
+  std::printf("every report identical on both paths\n\n");
+
   FILE* json = std::fopen("BENCH_engine.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
@@ -87,14 +206,28 @@ void print_artifact() {
                  "  \"full_pipeline_model\": %.0f,\n"
                  "  \"fig1_prefetch_model\": %.0f,\n"
                  "  \"fig4_interpreted_pipeline\": %.0f,\n"
+                 "  \"repetitions\": 5,\n"
                  "  \"pre_refactor_baseline\": {\n"
                  "    \"full_pipeline_model\": %.0f,\n"
                  "    \"fig1_prefetch_model\": %.0f,\n"
                  "    \"note\": \"whole-net eligibility rescan, before the CompiledNet "
                  "incremental core\"\n"
+                 "  },\n"
+                 "  \"with_statistics\": {\n"
+                 "    \"rounds\": %d,\n"
+                 "    \"seeds_per_round\": %d,\n",
+                 full, fig1, fig4, kPreRefactorFullModel, kPreRefactorFig1Prefetch,
+                 kStatRounds, kStatSeeds);
+    json_stats_row(json, "full_pipeline_model", full_stats, ",");
+    json_stats_row(json, "fig1_prefetch_model", fig1_stats, ",");
+    json_stats_row(json, "fig4_interpreted_pipeline", fig4_stats, ",");
+    std::fprintf(json,
+                 "    \"note\": \"events/s to t=100000, median and range over rounds; "
+                 "scalar Simulator + StatCollector sink vs one-lane BatchSimulator with "
+                 "native statistics (the simulate path); format_report verified identical "
+                 "per seed\"\n"
                  "  }\n"
-                 "}\n",
-                 full, fig1, fig4, kPreRefactorFullModel, kPreRefactorFig1Prefetch);
+                 "}\n");
     std::fclose(json);
     std::printf("wrote BENCH_engine.json\n\n");
   }

@@ -54,15 +54,26 @@ Args::Args(const std::vector<std::string>& argv, std::size_t start,
   }
 }
 
+std::optional<double> parse_finite_number(std::string_view raw) {
+  double value = 0;
+  const char* const first = raw.data();
+  const char* const last = first + raw.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value, std::chars_format::general);
+  if (raw.empty() || ec != std::errc() || ptr != last || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 double Args::get_number(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+  const std::optional<double> value = parse_finite_number(it->second);
+  if (!value) {
+    throw std::invalid_argument("flag --" + name + " expects a finite number, got '" +
                                 it->second + "'");
   }
+  return *value;
 }
 
 std::uint64_t Args::get_uint64(const std::string& name, std::uint64_t fallback) const {

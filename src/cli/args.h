@@ -4,11 +4,12 @@
 // Every command declares its complete flag vocabulary in a FlagSpec; a flag
 // outside the spec is a usage error, not a silent no-op — `--thread 4` or
 // `--horizen 100` must fail loudly instead of running with defaults. The
-// numeric accessors are strict about their domains: get_uint64 parses the
-// full 64-bit range exactly (seeds are uint64 streams; routing them through
-// double would silently lose precision above 2^53 and silently truncate
-// `--seed 1.5`), and parse_byte_size rejects budgets whose value * scale
-// would wrap std::size_t.
+// numeric accessors are strict about their domains: get_number takes the
+// whole string as one finite decimal number (no `100abc`, `0x20`, `inf`),
+// get_uint64 parses the full 64-bit range exactly (seeds are uint64
+// streams; routing them through double would silently lose precision above
+// 2^53 and silently truncate `--seed 1.5`), and parse_byte_size rejects
+// budgets whose value * scale would wrap std::size_t.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/spill.h"
@@ -49,6 +51,8 @@ class Args {
     return it == flags_.end() ? fallback : it->second;
   }
 
+  /// A finite decimal number (parse_finite_number); anything else is a
+  /// usage error naming the flag.
   [[nodiscard]] double get_number(const std::string& name, double fallback) const;
 
   /// Strict base-10 unsigned 64-bit integer: the full [0, 2^64) range is
@@ -63,6 +67,12 @@ class Args {
   std::vector<std::string> positional_;
   std::vector<std::string> markers_;
 };
+
+/// The whole of `raw` as one finite number in std::from_chars' general
+/// format (decimal, optional '-', fraction and exponent). nullopt for
+/// anything else: empty, trailing text, hex, a leading '+' or space,
+/// out-of-range, inf or nan.
+std::optional<double> parse_finite_number(std::string_view raw);
 
 /// One `--threads` rule for every command that explores or replicates:
 /// a non-negative integer, 0 meaning all hardware threads (the engines

@@ -23,7 +23,7 @@
 #include "cli/cli.h"
 #include "expr/program.h"
 #include "petri/compiled_net.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "stat/replication.h"
 #include "stat/stat.h"
 #include "textio/pn_format.h"
@@ -80,6 +80,9 @@ RecordedTrace load_trace(const std::string& path) {
   if (!in) throw std::invalid_argument("cannot open '" + path + "'");
   return read_trace_text(in);
 }
+
+/// Widest waveform render accepted (the tracer widens anything below 8).
+constexpr std::uint64_t kMaxRenderColumns = 100000;
 
 std::vector<std::string> split_commas(const std::string& list) {
   std::vector<std::string> out;
@@ -396,22 +399,22 @@ struct Session::Impl {
     return 0;
   }
 
+  /// One lane of the batch kernel on the model's compiled net: statistics
+  /// accumulate natively, and --trace attaches the writer (behind the
+  /// --keep filter) as the lane's sink. The lane polls the stop token itself.
   int cmd_simulate(const Args& args, std::ostream& out) {
     const ModelPtr m = model(require_positional(args, 0, "model file"));
-    const textio::NetDocument& doc = *m->doc;
+    const Net& net = m->doc->net;
     const Time until = args.get_number("until", 10000);
     if (!(until >= 0)) {
       throw std::invalid_argument("--until must be a non-negative time horizon");
     }
     const std::uint64_t seed = args.get_uint64("seed", 1);
 
-    StatCollector stats;
-    MultiSink sinks;
-    sinks.add(stats);
-
     std::ofstream trace_file;
     std::optional<TextTraceWriter> writer;
     std::optional<TraceFilter> filter;
+    TraceSink* sink = nullptr;
     if (args.has("trace")) {
       trace_file.open(args.get("trace"));
       if (!trace_file) {
@@ -419,45 +422,34 @@ struct Session::Impl {
                                     "'");
       }
       writer.emplace(trace_file);
+      sink = &*writer;
       if (args.has("keep")) {
-        filter.emplace(doc.net, *writer);
+        filter.emplace(net, *writer);
         for (const std::string& name : split_commas(args.get("keep"))) {
-          if (doc.net.find_place(name)) {
+          if (net.find_place(name)) {
             filter->keep_place(name);
           } else {
             filter->keep_transition(name);  // throws on unknown name
           }
         }
-        sinks.add(*filter);
-      } else {
-        sinks.add(*writer);
+        sink = &*filter;
       }
     }
 
-    Simulator sim(m->compiled);
-    sim.set_sink(&sinks);
-    sim.reset(seed);
-    const StopToken stop = make_stop(args);
-    StopReason reason;
-    if (stop.possible()) {
-      // Chunked run: poll the token between event batches so a deadline or
-      // drain cancel lands within kStopCheckStride events.
-      stop.throw_if_stopped();
-      while ((reason = sim.run_until(until, kStopCheckStride)) ==
-             StopReason::kEventLimit) {
-        stop.throw_if_stopped();
-      }
-    } else {
-      reason = sim.run_until(until);
-    }
-    sim.finish();
+    BatchOptions options;
+    options.stop = make_stop(args);
+    BatchSimulator sim(m->compiled, 1, options);
+    sim.set_seed(0, seed);
+    sim.set_sink(0, sink);
+    sim.run(until);
 
-    out << "simulated to t=" << sim.now() << " (seed " << seed << ", "
-        << (reason == StopReason::kDeadlock ? "deadlocked" : "time limit") << ")\n";
+    out << "simulated to t=" << sim.now(0) << " (seed " << seed << ", "
+        << (sim.stop_reason(0) == StopReason::kDeadlock ? "deadlocked" : "time limit")
+        << ")\n";
     if (args.has("tbl")) {
-      out << format_report_tbl(stats.stats());
+      out << format_report_tbl(sim.stats(0));
     } else if (args.has("stats") || !args.has("trace")) {
-      out << format_report(stats.stats());
+      out << format_report(sim.stats(0));
     }
     return 0;
   }
@@ -497,10 +489,10 @@ struct Session::Impl {
            [name](const RunStats& s) { return s.place(name).avg_tokens; }});
     }
 
-    // Replications run as lanes of one batched engine off a single compiled
-    // net; the output is bit-identical for every --threads value.
+    // Replications run as lanes of one batched engine off the model's
+    // compiled net; the output is bit-identical for every --threads value.
     const ReplicationResult result = run_replications(
-        doc.net, horizon, replications, metrics, seed, threads, make_stop(args));
+        m->compiled, horizon, replications, metrics, seed, threads, make_stop(args));
     out << replications << " replications to t=" << horizon << " (seeds " << seed
         << ".." << seed + replications - 1 << ")\n";
     out << format_metric_summaries(result.metrics);
@@ -565,14 +557,22 @@ struct Session::Impl {
       }
     }
     for (const std::string& marker : args.markers()) {
-      const auto eq = marker.find('=');
-      if (eq == std::string::npos || eq != 1) {
+      const std::optional<double> time =
+          marker.find('=') == 1
+              ? parse_finite_number(std::string_view(marker).substr(2))
+              : std::nullopt;
+      if (!time) {
         throw std::invalid_argument("--marker expects X=time, got '" + marker + "'");
       }
-      tr.set_marker(marker[0], std::stod(marker.substr(eq + 1)));
+      tr.set_marker(marker[0], *time);
     }
     tracer::RenderOptions options;
-    options.columns = static_cast<std::size_t>(args.get_number("columns", 72));
+    const std::uint64_t columns = args.get_uint64("columns", 72);
+    if (columns > kMaxRenderColumns) {
+      throw std::invalid_argument("--columns must be an integer in [0, " +
+                                  std::to_string(kMaxRenderColumns) + "]");
+    }
+    options.columns = static_cast<std::size_t>(columns);
     options.unicode = args.has("unicode");
     const Time t0 = args.get_number("from", tr.start_time());
     const Time t1 = args.get_number("to", tr.end_time());
@@ -582,9 +582,9 @@ struct Session::Impl {
 
   int cmd_animate(const Args& args, std::ostream& out) {
     const RecordedTrace trace = load_trace(require_positional(args, 0, "trace file"));
-    const auto steps = static_cast<std::size_t>(args.get_number("steps", 10));
+    const std::uint64_t steps = args.get_uint64("steps", 10);
     anim::Animator animator(trace);
-    std::size_t shown = 0;
+    std::uint64_t shown = 0;
     while (!animator.at_end() && shown < steps) {
       for (const std::string& frame : animator.single_step()) {
         out << "------------------------------------------------------------\n"

@@ -96,9 +96,10 @@ class BatchSimulator {
   /// Tag lane's RunStats with a run number (default 1, as the scalar
   /// StatCollector does; run_replications tags lane k with k + 1).
   void set_run_number(std::size_t lane, int run_number);
-  /// Attach a sink receiving lane's trace (testing / inspection path; lanes
-  /// without sinks run allocation-free). The sink sees exactly the scalar
-  /// Simulator's begin/event/end stream for the lane's patched net.
+  /// Attach a sink receiving lane's trace — how `pnut simulate --trace`
+  /// writes its trace file, and how the differential tests inspect lanes.
+  /// Lanes without sinks run allocation-free. The sink sees exactly the
+  /// scalar Simulator's begin/event/end stream for the lane's patched net.
   void set_sink(std::size_t lane, TraceSink* sink);
 
   // --- per-lane parameter patches (no recompilation) ------------------------

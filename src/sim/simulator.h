@@ -51,6 +51,11 @@
 // The engine is deterministic: one seeded Rng drives every random choice,
 // and the event queue breaks time ties by insertion order, so (net, seed,
 // length) reproduces a trace bit-for-bit.
+//
+// No cli::Session command runs this engine: `pnut simulate` and `pnut
+// replicate` both run lanes of BatchSimulator (sim/batch_sim.h), which is
+// pinned bit-identical to it. Simulator remains the reference engine of the
+// differential tests, the benches and the library examples.
 #pragma once
 
 #include <cstdint>

@@ -50,7 +50,7 @@ MetricSummary summarize_metric(const MetricSpec& spec, std::span<const RunStats>
   return summary;
 }
 
-ReplicationResult run_replications(const Net& net, Time horizon,
+ReplicationResult run_replications(std::shared_ptr<const CompiledNet> net, Time horizon,
                                    std::size_t num_replications,
                                    const std::vector<MetricSpec>& metrics,
                                    std::uint64_t base_seed, unsigned num_threads,
@@ -58,15 +58,15 @@ ReplicationResult run_replications(const Net& net, Time horizon,
   ReplicationResult result;
 
   if (num_replications > 0) {
-    // Compile once; every replication is a lane of one batch off the same
-    // immutable view. Lane k runs with seed base_seed + k as run k + 1 and
-    // lands in slot k, so the merged output is bit-identical to the
-    // historical one-Simulator-per-replication pool for any thread count.
+    // Every replication is a lane of one batch off the same immutable view.
+    // Lane k runs with seed base_seed + k as run k + 1 and lands in slot k,
+    // so the merged output is bit-identical to the historical
+    // one-Simulator-per-replication pool for any thread count.
     BatchOptions options;
     options.base_seed = base_seed;
     options.threads = num_threads;  // 0 = hardware, as before
     options.stop = stop;
-    BatchSimulator batch(CompiledNet::compile(net), num_replications, options);
+    BatchSimulator batch(std::move(net), num_replications, options);
     for (std::size_t k = 0; k < num_replications; ++k) {
       batch.set_run_number(k, static_cast<int>(k + 1));
     }
@@ -82,6 +82,15 @@ ReplicationResult run_replications(const Net& net, Time horizon,
     result.metrics.push_back(summarize_metric(spec, result.runs));
   }
   return result;
+}
+
+ReplicationResult run_replications(const Net& net, Time horizon,
+                                   std::size_t num_replications,
+                                   const std::vector<MetricSpec>& metrics,
+                                   std::uint64_t base_seed, unsigned num_threads,
+                                   StopToken stop) {
+  return run_replications(CompiledNet::compile(net), horizon, num_replications, metrics,
+                          base_seed, num_threads, std::move(stop));
 }
 
 std::string format_metric_summaries(const std::vector<MetricSummary>& metrics) {

@@ -16,10 +16,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "petri/compiled_net.h"
 #include "sim/simulator.h"
 #include "stat/stat.h"
 #include "util/stop.h"
@@ -49,8 +51,8 @@ struct ReplicationResult {
   std::vector<MetricSummary> metrics;
 };
 
-/// Run `num_replications` simulations of `net` to `horizon`, seeding run k
-/// with `base_seed + k`, and summarize `metrics` across runs.
+/// Run `num_replications` simulations of the compiled `net` to `horizon`,
+/// seeding run k with `base_seed + k`, and summarize `metrics` across runs.
 /// `num_threads` = 0 (the default) picks a pool size from the hardware;
 /// 1 forces the sequential path. Results are identical for every value.
 ///
@@ -61,6 +63,14 @@ struct ReplicationResult {
 /// `stop` (util/stop.h) cancels cooperatively: a tripped deadline or cancel
 /// surfaces as StopError, with no partial result — the caller retries or
 /// gives up, it never sees half an experiment.
+ReplicationResult run_replications(std::shared_ptr<const CompiledNet> net, Time horizon,
+                                   std::size_t num_replications,
+                                   const std::vector<MetricSpec>& metrics,
+                                   std::uint64_t base_seed = 1,
+                                   unsigned num_threads = 0,
+                                   StopToken stop = {});
+
+/// Convenience overload: compiles `net` once, then runs as above.
 ReplicationResult run_replications(const Net& net, Time horizon,
                                    std::size_t num_replications,
                                    const std::vector<MetricSpec>& metrics,

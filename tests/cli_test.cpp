@@ -8,6 +8,7 @@
 
 #include "cli/cli.h"
 #include "expr/lexer.h"
+#include "support/golden_hash.h"
 
 namespace pnut::cli {
 namespace {
@@ -557,6 +558,51 @@ TEST_F(CliTest, FlagErrors) {
   EXPECT_EQ(run_cli({"simulate"}).code, 2);                   // missing model
 }
 
+TEST_F(CliTest, NumericFlagsAreStrict) {
+  // Trailing text, hex, infinities, negative counts and fractional counts
+  // used to be accepted (std::stod stopped at the first bad character and
+  // counts were cast from double). Each is now a usage error naming its flag.
+  const auto rejects = [&](std::vector<std::string> args, const std::string& flag) {
+    const Result r = run_cli(args);
+    EXPECT_EQ(r.code, 2) << args[0] << " " << flag << ": " << r.out;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+  };
+  for (const char* bad : {"100abc", "0x20", "inf", "-inf", "nan", "1e400", " 5", "+5", ""}) {
+    rejects({"simulate", model_path_, "--until", bad}, "--until");
+    rejects({"replicate", model_path_, "--horizon", bad}, "--horizon");
+    rejects({"simulate", model_path_, "--timeout", bad}, "--timeout");
+  }
+  rejects({"replicate", model_path_, "--horizon", "50xyz"}, "--horizon");
+  rejects({"replicate", model_path_, "--threads", "4abc"}, "--threads");
+  const std::string trace = make_trace_file();
+  for (const char* bad : {"-1", "2.9", "1e3", "12cols"}) {
+    rejects({"render", trace, "--signals", "Done", "--columns", bad}, "--columns");
+    rejects({"animate", trace, "--steps", bad}, "--steps");
+  }
+  rejects({"render", trace, "--signals", "Done", "--columns", "100001"}, "--columns");
+  rejects({"render", trace, "--signals", "Done", "--from", "1x"}, "--from");
+  rejects({"render", trace, "--signals", "Done", "--to", "inf"}, "--to");
+  for (const char* bad : {"A=5abc", "A=inf", "A=", "A5", "AB=5"}) {
+    rejects({"render", trace, "--signals", "Done", "--marker", bad}, "--marker");
+  }
+
+  // Well-formed values keep their exact output.
+  const Result plain = run_cli({"simulate", model_path_, "--until", "100", "--seed", "3"});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  for (const char* same : {"1e2", "100.0", "0100"}) {
+    const Result r = run_cli({"simulate", model_path_, "--until", same, "--seed", "3"});
+    EXPECT_EQ(r.code, 0) << same << ": " << r.err;
+    EXPECT_EQ(r.out, plain.out) << same;
+  }
+  const Result marked = run_cli({"render", trace, "--signals", "Done", "--marker", "A=50.5",
+                                 "--columns", "40", "--from", "-1", "--to", "150"});
+  EXPECT_EQ(marked.code, 0) << marked.err;
+  const Result narrow = run_cli({"render", trace, "--signals", "Done", "--columns", "0"});
+  EXPECT_EQ(narrow.code, 0) << narrow.err;  // the tracer widens it to 8
+  const Result steps = run_cli({"animate", trace, "--steps", "2"});
+  EXPECT_EQ(steps.code, 0) << steps.err;
+}
+
 TEST_F(CliTest, SeedParsesFull64BitRange) {
   // Seeds are uint64 streams; parsing them through double would round
   // 2^53+1 to 2^53 and 2^64-1 out of range entirely. The report line
@@ -695,6 +741,137 @@ TEST_F(CliTest, TimeoutFlagSemantics) {
                "--timeout", "3600"});
   EXPECT_EQ(timed.code, plain.code);
   EXPECT_EQ(timed.out, plain.out);
+}
+
+// --- simulate golden pins ----------------------------------------------------
+//
+// FNV fingerprints of simulate's output bytes (stdout, trace files, error
+// texts and exit codes), recorded while simulate still drove a scalar
+// Simulator through a StatCollector sink. They hold unchanged on the batch
+// lane kernel simulate runs on now.
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::uint64_t hash_text(std::string_view text) {
+  test_support::Fingerprint f;
+  f.str(text);
+  return f.value();
+}
+
+TEST_F(CliTest, SimulateOutputIsPinnedOnTheShippedModels) {
+  struct Pin {
+    const char* model;
+    std::uint64_t stats, tbl, trace, keep;
+  };
+  constexpr Pin kPins[] = {
+      {"pipeline_nocache.pn", 3979798262254472985u, 13157158957295072358u,
+       16902019995834015109u, 8355753390704255586u},
+      {"ext_cache_icache.pn", 15262359338173314836u, 10309079009102376709u,
+       7161324234719657627u, 3483267626819451498u},
+      {"ext_cache_dcache.pn", 15388281548136988483u, 7576093354570950011u,
+       133224329786946983u, 11778606519865626044u},
+      {"ext_cache_unified.pn", 16862017565297820171u, 3754956795820644274u,
+       2703224842621795403u, 13696926383351373203u},
+  };
+  const std::string trace_path = (dir_ / "pin.trace").string();
+  for (const Pin& pin : kPins) {
+    const std::string model = std::string(PNUT_MODELS_DIR) + "/" + pin.model;
+    test_support::Fingerprint stats, tbl, trace, keep;
+    for (const char* seed : {"1", "7", "1000003"}) {
+      const auto simulate = [&](std::vector<std::string> extra) {
+        std::vector<std::string> args = {"simulate", model, "--seed", seed};
+        args.insert(args.end(), extra.begin(), extra.end());
+        const Result r = run_cli(args);
+        EXPECT_EQ(r.code, 0) << pin.model << " seed " << seed << ": " << r.err;
+        EXPECT_EQ(r.err, "");
+        return r.out;
+      };
+      stats.str(simulate({"--stats"}));
+      tbl.str(simulate({"--until", "5000", "--tbl"}));
+      trace.str(simulate({"--until", "2000", "--trace", trace_path}));
+      trace.str(read_bytes(trace_path));
+      keep.str(simulate(
+          {"--until", "2000", "--trace", trace_path, "--keep", "Bus_busy,Decode", "--stats"}));
+      keep.str(read_bytes(trace_path));
+    }
+    EXPECT_EQ(stats.value(), pin.stats) << pin.model << " --stats";
+    EXPECT_EQ(tbl.value(), pin.tbl) << pin.model << " --tbl";
+    EXPECT_EQ(trace.value(), pin.trace) << pin.model << " --trace";
+    EXPECT_EQ(keep.value(), pin.keep) << pin.model << " --trace --keep";
+  }
+}
+
+TEST_F(CliTest, SimulateEdgeCasesArePinned) {
+  // --until 0: the initial instant only.
+  const Result zero = run_cli({"simulate", model_path_, "--until", "0", "--seed", "5"});
+  EXPECT_EQ(zero.code, 0) << zero.err;
+  EXPECT_EQ(hash_text(zero.out), 15286328746634276109u) << zero.out;
+
+  // A net that deadlocks part-way: the report says so and the statistics
+  // integrate over the full window.
+  const std::string dead_path = (dir_ / "dead.pn").string();
+  std::ofstream(dead_path) << "net dead\n"
+                              "place p init 2\n"
+                              "place q\n"
+                              "trans t in p out q firing 3\n";
+  const Result dead = run_cli({"simulate", dead_path, "--until", "50"});
+  EXPECT_EQ(dead.code, 0) << dead.err;
+  EXPECT_NE(dead.out.find("simulated to t=50 (seed 1, deadlocked)"), std::string::npos)
+      << dead.out;
+  EXPECT_EQ(hash_text(dead.out), 5499384117632456075u) << dead.out;
+
+  // A zero-delay livelock is an engine error with its budget in the text.
+  const std::string loop_path = (dir_ / "loop.pn").string();
+  std::ofstream(loop_path) << "net loop\nplace p init 1\ntrans t in p out p\n";
+  const Result loop = run_cli({"simulate", loop_path, "--until", "10"});
+  EXPECT_EQ(loop.code, 2);
+  EXPECT_EQ(loop.out, "");
+  EXPECT_EQ(loop.err,
+            "pnut simulate: Simulator: more than 1000000 firings at time 0.000000 "
+            "— the net has a zero-delay livelock\n");
+
+  // A builtin arity mistake raises the evaluator's text once its hook runs.
+  const std::string arity_path = (dir_ / "arity.pn").string();
+  std::ofstream(arity_path) << "net eager\n"
+                               "place p init 1\n"
+                               "trans broken in p out p when \"min(1) > 0\" firing 1\n";
+  const std::string arity_trace = (dir_ / "arity.trace").string();
+  const Result arity =
+      run_cli({"simulate", arity_path, "--until", "10", "--trace", arity_trace});
+  EXPECT_EQ(arity.code, 2);
+  EXPECT_EQ(arity.out, "");
+  EXPECT_EQ(arity.err, "pnut simulate: min expects 2 arguments, got 1\n");
+  // The failed run's trace keeps what was written before the hook raised:
+  // the header, and no end line. (A run failing at the initial instant left
+  // an empty file while simulate built a scalar Simulator, which evaluated
+  // the initial instant before its sink was attached.)
+  EXPECT_EQ(read_bytes(arity_trace),
+            "pnut-trace 1\nnet eager\nplace 0 p 1\ntransition 0 broken\nstart 0\n");
+
+  // --timeout 0: the trace file gets its header (and the initial instant's
+  // starts) before the first stop poll fails the command with exit code 1.
+  const std::string timeout_trace = (dir_ / "timeout.trace").string();
+  const std::string model = std::string(PNUT_MODELS_DIR) + "/pipeline_nocache.pn";
+  const Result timeout = run_cli(
+      {"simulate", model, "--timeout", "0", "--trace", timeout_trace, "--stats"});
+  EXPECT_EQ(timeout.code, 1);
+  EXPECT_EQ(timeout.out, "");
+  EXPECT_EQ(timeout.err, "pnut simulate: deadline exceeded\n");
+  const std::string partial = read_bytes(timeout_trace);
+  EXPECT_EQ(partial.rfind("pnut-trace 1\n", 0), 0u) << partial;
+  EXPECT_EQ(partial.find("\nend "), std::string::npos) << partial;
+  EXPECT_EQ(hash_text(partial), 13344765137949136868u) << partial;
+
+  // The lane polls the stop token before each event, so a run with no event
+  // inside its window never polls and completes, as replicate's lanes do.
+  const Result idle = run_cli({"simulate", model_path_, "--until", "0", "--timeout", "0"});
+  EXPECT_EQ(idle.code, 0) << idle.err;
+  EXPECT_EQ(idle.out.rfind("simulated to t=0 (seed 1, time limit)\n", 0), 0u) << idle.out;
 }
 
 }  // namespace
