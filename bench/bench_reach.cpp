@@ -10,9 +10,12 @@
 // BENCH_engine.json).
 #include "bench_util.h"
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "analysis/reachability.h"
 #include "analysis/state_store.h"
@@ -184,6 +187,94 @@ GraphRun measure_timed_parallel(const Net& net, unsigned threads, const Golden& 
   return run;
 }
 
+/// Layer evidence for the timed graph: threads = 1 builds of the timed and
+/// the untimed graph of the same models, at the options `pnut analyze` uses.
+/// Each repetition times `builds` back-to-back builds (enough to fill ~50 ms,
+/// so sub-millisecond graphs are not timer noise) and yields one states/s
+/// sample; the JSON records median, min and max over kLayerReps samples.
+constexpr int kLayerReps = 7;
+constexpr double kLayerRepSeconds = 0.05;
+
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+struct LayerRun {
+  std::size_t states = 0;
+  int builds = 0;  ///< builds per repetition
+  Spread states_per_second;
+};
+
+/// `build()` constructs one graph and returns its state count.
+template <typename BuildFn>
+LayerRun measure_layer(BuildFn&& build) {
+  LayerRun run;
+  const auto t0 = std::chrono::steady_clock::now();
+  run.states = build();  // warm-up, and sizes the repetition
+  const double once =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  run.builds = std::max(1, static_cast<int>(kLayerRepSeconds / std::max(once, 1e-6)));
+  std::vector<double> samples;
+  for (int rep = 0; rep < kLayerReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int b = 0; b < run.builds; ++b) benchmark::DoNotOptimize(build());
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    samples.push_back(static_cast<double>(run.states) * run.builds / seconds);
+  }
+  std::sort(samples.begin(), samples.end());
+  run.states_per_second = {samples[samples.size() / 2], samples.front(), samples.back()};
+  return run;
+}
+
+/// Pre-kernel baseline: this section's medians on the same host, built
+/// against the decode/encode successor rule the word kernel replaced, in
+/// the run just before the recorded one. The untimed builder did not
+/// change, so its ratio to the baseline is the control for host-speed
+/// drift — on the shared recording host the same binary varied up to 1.5x
+/// between runs minutes apart.
+struct LayerModel {
+  const char* key;
+  const char* label;
+  Net net;
+  double pre_kernel_timed_median;
+  double pre_kernel_untimed_median;
+};
+
+std::vector<LayerModel> make_layer_models() {
+  std::vector<LayerModel> models;
+  models.push_back({"full_pipeline_model", "full pipeline", pipeline::build_full_model(),
+                    837'141, 2'027'039});
+  models.push_back({"ring_11x7", "ring 11x7", stress_ring(11, 7), 733'220, 1'807'878});
+  models.push_back({"timed_race_ring_9x3", "race ring 9/3", reach_models::timed_race_ring(9, 3),
+                    683'268, 2'133'060});
+  models.push_back({"timed_race_ring_13x5", "race ring 13/5",
+                    reach_models::timed_race_ring(13, 5), 530'027, 1'647'315});
+  return models;
+}
+
+struct LayerPair {
+  LayerRun timed;
+  LayerRun untimed;
+};
+
+LayerPair measure_layers(const Net& net) {
+  const std::shared_ptr<const CompiledNet> compiled = CompiledNet::compile(net);
+  LayerPair pair;
+  pair.timed = measure_layer(
+      [&] { return analysis::TimedReachabilityGraph(compiled).num_states(); });
+  pair.untimed = measure_layer(
+      [&] { return analysis::ReachabilityGraph(compiled).num_states(); });
+  return pair;
+}
+
+void print_spread_json(FILE* json, const char* name, const Spread& s, const char* tail) {
+  std::fprintf(json, "\"%s\": {\"median\": %.0f, \"min\": %.0f, \"max\": %.0f}%s", name,
+               s.median, s.min, s.max, tail);
+}
+
 void print_artifact() {
   print_header("bench_reach", "exploration-core throughput (not a paper artifact)");
   const std::vector<Model> models = make_models();
@@ -238,6 +329,23 @@ void print_artifact() {
                 threads, threads == 1 ? " " : "s", run.states_per_second,
                 run.states_per_second / timed_scaling.front().states_per_second,
                 run.counts_ok ? "match golden" : "MISMATCH");
+  }
+  std::printf("\n");
+
+  // Layer evidence: timed vs untimed graph throughput on the same models.
+  const std::vector<LayerModel> layer_models = make_layer_models();
+  std::vector<LayerPair> layers;
+  for (const LayerModel& model : layer_models) {
+    const LayerPair pair = measure_layers(model.net);
+    layers.push_back(pair);
+    std::printf("%-16s timed %6zu states %9.3g states/s [%.3g, %.3g] %.2fx   untimed "
+                "%6zu states %9.3g states/s [%.3g, %.3g] %.2fx  (x = vs pre-kernel)\n",
+                model.label, pair.timed.states, pair.timed.states_per_second.median,
+                pair.timed.states_per_second.min, pair.timed.states_per_second.max,
+                pair.timed.states_per_second.median / model.pre_kernel_timed_median,
+                pair.untimed.states, pair.untimed.states_per_second.median,
+                pair.untimed.states_per_second.min, pair.untimed.states_per_second.max,
+                pair.untimed.states_per_second.median / model.pre_kernel_untimed_median);
   }
   std::printf("\n");
 
@@ -326,6 +434,44 @@ void print_artifact() {
     }
     std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n",
                  timed_counts_ok ? "true" : "false");
+    std::fprintf(json,
+                 "  \"timed_models\": {\n"
+                 "    \"note\": \"threads=1 timed vs untimed graph construction on the "
+                 "same models at pnut analyze's options; each of the %d repetitions "
+                 "times builds_per_repetition back-to-back builds; states/s median, "
+                 "min, max over the repetitions. pre_kernel_*_median: the same medians "
+                 "built against the decode/encode successor rule the word kernel "
+                 "replaced (same host and harness, the run just before this one); the untimed "
+                 "builder is unchanged code, so untimed_ratio_vs_pre_kernel is the "
+                 "host-drift control for timed_ratio_vs_pre_kernel\",\n"
+                 "    \"repetitions\": %d,\n"
+                 "    \"host_hardware_threads\": %u,\n",
+                 kLayerReps, kLayerReps, std::thread::hardware_concurrency());
+    for (std::size_t i = 0; i < layer_models.size(); ++i) {
+      const LayerPair& pair = layers[i];
+      std::fprintf(json,
+                   "    \"%s\": {\"timed_states\": %zu, \"timed_builds_per_repetition\": "
+                   "%d, ",
+                   layer_models[i].key, pair.timed.states, pair.timed.builds);
+      print_spread_json(json, "timed_states_per_second", pair.timed.states_per_second, ", ");
+      std::fprintf(json,
+                   "\"pre_kernel_timed_median\": %.0f, \"timed_ratio_vs_pre_kernel\": %.2f, "
+                   "\"untimed_states\": %zu, \"untimed_builds_per_repetition\": %d, ",
+                   layer_models[i].pre_kernel_timed_median,
+                   pair.timed.states_per_second.median /
+                       layer_models[i].pre_kernel_timed_median,
+                   pair.untimed.states, pair.untimed.builds);
+      print_spread_json(json, "untimed_states_per_second", pair.untimed.states_per_second,
+                        ", ");
+      std::fprintf(json,
+                   "\"pre_kernel_untimed_median\": %.0f, \"untimed_ratio_vs_pre_kernel\": "
+                   "%.2f}%s\n",
+                   layer_models[i].pre_kernel_untimed_median,
+                   pair.untimed.states_per_second.median /
+                       layer_models[i].pre_kernel_untimed_median,
+                   i + 1 < layer_models.size() ? "," : "");
+    }
+    std::fprintf(json, "  },\n");
     std::fprintf(json,
                  "  \"spill_sweep\": {\n"
                  "    \"note\": \"stress_ring(n, 5) built all-in-RAM and again "

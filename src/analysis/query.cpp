@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "expr/ast.h"
 #include "expr/lexer.h"
 #include "expr/parser.h"
 #include "util/stop.h"
@@ -112,7 +114,7 @@ class BuiltinNode final : public QNode {
 
   std::int64_t eval(Env& env) const override {
     const std::int64_t a = args_[0]->eval(env);
-    if (fn_ == Fn::kAbs) return a < 0 ? -a : a;
+    if (fn_ == Fn::kAbs) return a < 0 ? expr::wrap_neg(a) : a;
     const std::int64_t b = args_[1]->eval(env);
     return fn_ == Fn::kMin ? std::min(a, b) : std::max(a, b);
   }
@@ -185,14 +187,18 @@ class QBinNode final : public QNode {
     const std::int64_t a = lhs_->eval(env);
     const std::int64_t b = rhs_->eval(env);
     switch (op_) {
-      case QBinOp::kAdd: return a + b;
-      case QBinOp::kSub: return a - b;
-      case QBinOp::kMul: return a * b;
+      // Two's-complement wrapping, like the expression evaluators; the one
+      // quotient that cannot wrap (INT64_MIN / -1) raises instead of trapping.
+      case QBinOp::kAdd: return expr::wrap_add(a, b);
+      case QBinOp::kSub: return expr::wrap_sub(a, b);
+      case QBinOp::kMul: return expr::wrap_mul(a, b);
       case QBinOp::kDiv:
         if (b == 0) eval_fail("division by zero");
+        if (a == INT64_MIN && b == -1) eval_fail("division overflow");
         return a / b;
       case QBinOp::kMod:
         if (b == 0) eval_fail("modulo by zero");
+        if (a == INT64_MIN && b == -1) eval_fail("modulo overflow");
         return a % b;
       case QBinOp::kEq: return a == b;
       case QBinOp::kNe: return a != b;
@@ -222,7 +228,7 @@ class QNotNode final : public QNode {
 class QNegNode final : public QNode {
  public:
   explicit QNegNode(QNodePtr inner) : inner_(std::move(inner)) {}
-  std::int64_t eval(Env& env) const override { return -inner_->eval(env); }
+  std::int64_t eval(Env& env) const override { return expr::wrap_neg(inner_->eval(env)); }
 
  private:
   QNodePtr inner_;

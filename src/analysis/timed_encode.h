@@ -1,19 +1,19 @@
-// Shared state encoding and successor rule for the timed reachability
+// Shared state encoding and successor kernel for the timed reachability
 // explorers.
 //
 // The sequential builder (timed_reachability.cpp) and the parallel engine
 // (timed_parallel_exploration.cpp) must agree *exactly* on how a timed
-// state is turned into arena words and which successors leave it in which
-// order — the differential tests pin the two paths bit-identical — so the
-// word layout, the timed eligibility/normalization rules, and the one
-// successor-enumeration function live here, the way reach_encode.h serves
-// the untimed builders.
+// state is laid out in arena words and which successors leave it in which
+// order, so the word layout, the two-bucket scheduler and the one
+// successor kernel live here, the way reach_encode.h serves the untimed
+// builders.
 //
 // Word layout of an interned timed state (see timed_reachability.h):
 //   [ marking tokens | per-transition remaining enabling delay |
 //     per-(transition, remaining-cycles) in-flight firing counts ]
 // — a canonical fixed-width encoding (the in-flight multiset becomes counts
 // indexed by remaining time), so interning needs no strings and no sorting.
+// TimedKernel (below) expands states on these words directly.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/timed_reachability.h"
@@ -197,148 +196,182 @@ struct TimedLayout {
   }
 };
 
-/// Working form of a timed state during expansion; interned states live as
-/// fixed-width word vectors in the arena (layout above).
-struct TimedState {
-  Marking marking;
-  /// Remaining enabling delay per transition (0 = ready or not enabled).
-  std::vector<std::uint32_t> enabling_left;
-  /// In-flight firings: (transition, remaining cycles), sorted.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> in_flight;
+/// The timed successor rule, run directly on arena words; expanding a state
+/// allocates nothing. One kernel per thread (the scratch words are its
+/// own); both builders expand every state through it.
+///
+/// Canonical-timer invariant: in every state the kernel produces, an
+/// ineligible transition's timer word holds its full enabling delay. The
+/// initial state sets every timer to its delay, and each successor resets
+/// the timers of the transitions that are ineligible in it. An eligible
+/// transition's timer is its remaining delay. Two consequences keep the
+/// successors cheap:
+///   * a step only has to find the transitions it *disables*: a timer that
+///     stays eligible keeps running, and one that becomes eligible already
+///     holds its full delay;
+///   * a single server with a firing of its own in flight was ineligible
+///     in the parent and stays so until a tick completes that firing, and
+///     nothing in between touches its timer: it already holds its full
+///     delay, so the re-tests need only the token test.
+class TimedKernel {
+ public:
+  TimedKernel(const CompiledNet& net, const TimedLayout& layout)
+      : net_(net),
+        layout_(layout),
+        np_(layout.num_places),
+        nt_(layout.num_transitions),
+        width_(layout.width()),
+        parent_(width_),
+        next_(width_),
+        eligible_(nt_) {
+    // disabled_by(t): the transitions other than t that firing t can
+    // disable — the consumers of the places it takes from and, when its
+    // firing delay is 0, the inhibitor testers of the places it deposits
+    // into. (t's own timer restarts at its full delay whether or not t
+    // stays eligible.) No duplicates.
+    std::vector<std::uint8_t> listed(nt_, 0);
+    disabled_off_.push_back(0);
+    for (std::uint32_t t = 0; t < nt_; ++t) {
+      listed[t] = 1;
+      const auto collect = [&](std::span<const TransitionId> transitions) {
+        for (const TransitionId u : transitions) {
+          if (listed[u.value] == 0) {
+            listed[u.value] = 1;
+            disabled_.push_back(u.value);
+          }
+        }
+      };
+      for (const Arc& a : net.inputs(TransitionId(t))) collect(net.consumers(a.place));
+      if (layout.firing_delay[t] == 0) {
+        for (const Arc& a : net.outputs(TransitionId(t))) {
+          collect(net.inhibitor_testers(a.place));
+        }
+      }
+      for (std::size_t i = disabled_off_.back(); i < disabled_.size(); ++i) {
+        listed[disabled_[i]] = 0;
+      }
+      listed[t] = 0;
+      disabled_off_.push_back(static_cast<std::uint32_t>(disabled_.size()));
+    }
+  }
+
+  /// The initial state: the net's initial marking, every timer at its full
+  /// enabling delay, nothing in flight. The span is the kernel's scratch,
+  /// valid until the next call.
+  [[nodiscard]] std::span<const std::uint32_t> initial_state() {
+    const Marking initial = Marking::initial(net_.net());
+    std::copy(initial.tokens().begin(), initial.tokens().end(), next_.begin());
+    std::copy(layout_.enabling_delay.begin(), layout_.enabling_delay.end(),
+              next_.begin() + static_cast<std::ptrdiff_t>(np_));
+    std::fill(next_.begin() + static_cast<std::ptrdiff_t>(np_ + nt_), next_.end(), 0u);
+    return next_;
+  }
+
+  /// Enumerate the successors of the state `words` in the canonical order
+  /// both builders share: ready firings in ascending transition order
+  /// (maximal progress: time may not pass while something is ready), else
+  /// the single one-cycle tick, else nothing (timed deadlock).
+  /// `emit(label, successor_words, cost)` (label nullopt for the tick,
+  /// cost 0 for firings and 1 for the tick) returns false to stop the
+  /// enumeration; expand then returns false (the state-cap stop rule).
+  ///
+  /// `words` is copied before the first emit, so it may point into an
+  /// arena that emit grows. The successor span is the kernel's scratch,
+  /// valid until emit returns. A deposit past UINT32_MAX tokens throws
+  /// Marking::add's std::overflow_error; successors emitted before it stay
+  /// emitted.
+  template <typename EmitFn>
+  bool expand(std::span<const std::uint32_t> words, EmitFn&& emit) {
+    std::memcpy(parent_.data(), words.data(), width_ * sizeof(std::uint32_t));
+    const std::uint32_t* parent = parent_.data();
+    // Eligibility under timed semantics: token-enabled, and a single server
+    // must not have a firing of its own in flight.
+    bool anything_waiting = false;  // an in-flight firing or an armed timer
+    for (std::uint32_t t = 0; t < nt_; ++t) {
+      bool occupied = false;
+      for (std::uint32_t i = layout_.inflight_off[t]; i < layout_.inflight_off[t + 1]; ++i) {
+        occupied |= parent[i] != 0;
+      }
+      const bool eligible = !(occupied && net_.is_single_server(TransitionId(t))) &&
+                            tokens_available(parent, t);
+      eligible_[t] = eligible ? 1 : 0;
+      anything_waiting |= occupied || eligible;
+    }
+
+    // Ready transitions fire before time may pass (maximal progress).
+    std::uint32_t* next = next_.data();
+    bool any_ready = false;
+    for (std::uint32_t t = 0; t < nt_; ++t) {
+      if (eligible_[t] == 0 || parent[np_ + t] != 0) continue;
+      any_ready = true;
+      const TransitionId tid(t);
+      std::memcpy(next, parent, width_ * sizeof(std::uint32_t));
+      for (const Arc& a : net_.inputs(tid)) next[a.place.value] -= a.weight;
+      const std::uint32_t delay = layout_.firing_delay[t];
+      if (delay == 0) {
+        for (const Arc& a : net_.outputs(tid)) deposit(next, a);
+      } else {
+        ++next[layout_.inflight_off[t] + delay - 1];
+      }
+      // The fired transition re-earns its enabling delay even if it stays
+      // eligible.
+      next[np_ + t] = layout_.enabling_delay[t];
+      for (std::uint32_t i = disabled_off_[t]; i < disabled_off_[t + 1]; ++i) {
+        reset_if_disabled(next, disabled_[i]);
+      }
+      if (!emit(std::optional<TransitionId>(tid), std::span<const std::uint32_t>(next_),
+                std::uint64_t{0})) {
+        return false;
+      }
+    }
+    if (any_ready || !anything_waiting) return true;  // fired, or deadlock
+
+    // Tick: armed timers count down, every in-flight count moves one slot
+    // closer to completion (one shifted copy of the whole region, each
+    // transition's last slot cleared), and completions deposit their
+    // outputs in transition order.
+    const std::size_t region = np_ + nt_;  // marking and timers
+    std::memcpy(next, parent, region * sizeof(std::uint32_t));
+    for (std::uint32_t t = 0; t < nt_; ++t) {
+      if (eligible_[t] != 0 && next[np_ + t] > 0) --next[np_ + t];
+    }
+    if (width_ > region) {
+      std::memcpy(next + region, parent + region + 1,
+                  (width_ - region - 1) * sizeof(std::uint32_t));
+      for (std::uint32_t t = 0; t < nt_; ++t) {
+        if (layout_.firing_delay[t] == 0) continue;
+        next[layout_.inflight_off[t + 1] - 1] = 0;
+        for (std::uint32_t c = parent[layout_.inflight_off[t]]; c > 0; --c) {
+          for (const Arc& a : net_.outputs(TransitionId(t))) deposit(next, a);
+        }
+      }
+    }
+    for (std::uint32_t t = 0; t < nt_; ++t) reset_if_disabled(next, t);
+    return emit(std::optional<TransitionId>(), std::span<const std::uint32_t>(next_),
+                std::uint64_t{1});
+  }
+
+ private:
+  [[nodiscard]] bool tokens_available(const std::uint32_t* words, std::uint32_t t) const {
+    return net_.tokens_available(std::span<const TokenCount>(words, np_), TransitionId(t));
+  }
+
+  /// Re-establish the canonical-timer invariant for `u` in a successor
+  /// (the token test suffices; see the class comment).
+  void reset_if_disabled(std::uint32_t* words, std::uint32_t u) const {
+    if (!tokens_available(words, u)) words[np_ + u] = layout_.enabling_delay[u];
+  }
+
+  static void deposit(std::uint32_t* words, const Arc& a) {
+    add_tokens_checked(words[a.place.value], a.place, a.weight);
+  }
+
+  const CompiledNet& net_;
+  const TimedLayout& layout_;
+  std::size_t np_, nt_, width_;
+  std::vector<std::uint32_t> disabled_off_, disabled_;  ///< CSR: disabled_by(t)
+  std::vector<std::uint32_t> parent_, next_;            ///< word scratch
+  std::vector<std::uint8_t> eligible_;                  ///< per transition, of parent_
 };
-
-inline void encode_timed(const TimedLayout& layout, const TimedState& s,
-                         std::span<std::uint32_t> out) {
-  const std::size_t np = layout.num_places;
-  const std::size_t nt = layout.num_transitions;
-  std::memcpy(out.data(), s.marking.tokens().data(), np * sizeof(std::uint32_t));
-  std::memcpy(out.data() + np, s.enabling_left.data(), nt * sizeof(std::uint32_t));
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(np + nt), out.end(), 0u);
-  for (const auto& [t, left] : s.in_flight) ++out[layout.inflight_off[t] + left - 1];
-}
-
-inline TimedState decode_timed(const TimedLayout& layout,
-                               std::span<const std::uint32_t> words) {
-  const std::size_t np = layout.num_places;
-  const std::size_t nt = layout.num_transitions;
-  TimedState s;
-  s.marking = Marking::from_tokens(words.first(np));
-  s.enabling_left.assign(words.begin() + static_cast<std::ptrdiff_t>(np),
-                         words.begin() + static_cast<std::ptrdiff_t>(np + nt));
-  for (std::uint32_t t = 0; t < nt; ++t) {
-    for (std::uint32_t left = 1; left <= layout.firing_delay[t]; ++left) {
-      for (std::uint32_t c = words[layout.inflight_off[t] + left - 1]; c > 0; --c) {
-        s.in_flight.emplace_back(t, left);
-      }
-    }
-  }
-  return s;
-}
-
-/// Eligibility under timed semantics: token-enabled, and single-server
-/// transitions must not have a firing of their own in flight.
-inline bool timed_eligible(const CompiledNet& net, const TimedState& s, std::uint32_t t) {
-  if (net.is_single_server(TransitionId(t))) {
-    for (const auto& [ft, left] : s.in_flight) {
-      if (ft == t) return false;
-    }
-  }
-  return net.tokens_available(s.marking, TransitionId(t));
-}
-
-/// Canonical form: eligible transitions carry their remaining enabling
-/// delay; ineligible ones carry the full delay (reset timers). `previous`
-/// carries over running timers for continuously-eligible transitions.
-inline void timed_normalize(const CompiledNet& net, const TimedLayout& layout,
-                            TimedState& s, const TimedState* previous) {
-  for (std::uint32_t t = 0; t < layout.num_transitions; ++t) {
-    if (timed_eligible(net, s, t)) {
-      if (previous != nullptr && previous->enabling_left[t] <= layout.enabling_delay[t] &&
-          timed_eligible(net, *previous, t)) {
-        s.enabling_left[t] = previous->enabling_left[t];
-      }
-      // Newly eligible: keep what the caller pre-set (full delay).
-    } else {
-      s.enabling_left[t] = layout.enabling_delay[t];
-    }
-  }
-  std::sort(s.in_flight.begin(), s.in_flight.end());
-}
-
-inline TimedState timed_initial_state(const CompiledNet& net, const TimedLayout& layout) {
-  TimedState initial;
-  initial.marking = Marking::initial(net.net());
-  initial.enabling_left = layout.enabling_delay;
-  timed_normalize(net, layout, initial, nullptr);
-  return initial;
-}
-
-/// Enumerate the timed successors of `s` in the canonical order both
-/// explorers share: ready firings in ascending transition order (maximal
-/// progress — time may not pass while something is ready), else the single
-/// one-cycle tick, else nothing (timed deadlock). `emit(label, next, cost)`
-/// — label nullopt for the tick, cost 0 for firings and 1 for the tick —
-/// returns false to abort the enumeration; the function then returns false
-/// (the sequential builder's state-cap stop rule).
-template <typename EmitFn>
-bool for_each_timed_successor(const CompiledNet& net, const TimedLayout& layout,
-                              const TimedState& s, EmitFn&& emit) {
-  const std::size_t nt = layout.num_transitions;
-
-  // Ready transitions fire before time may pass (maximal progress).
-  bool any_ready = false;
-  for (std::uint32_t t = 0; t < nt; ++t) {
-    if (s.enabling_left[t] != 0 || !timed_eligible(net, s, t)) continue;
-    any_ready = true;
-    TimedState next = s;
-    for (const Arc& a : net.inputs(TransitionId(t))) next.marking.remove(a.place, a.weight);
-    if (layout.firing_delay[t] == 0) {
-      for (const Arc& a : net.outputs(TransitionId(t))) next.marking.add(a.place, a.weight);
-    } else {
-      next.in_flight.emplace_back(t, layout.firing_delay[t]);
-    }
-    // The fired transition's own timer restarts.
-    next.enabling_left[t] = layout.enabling_delay[t];
-    timed_normalize(net, layout, next, &s);
-    // A fired transition must re-earn its enabling delay even if still
-    // eligible (normalize would otherwise carry the old 0 over).
-    if (timed_eligible(net, next, t)) next.enabling_left[t] = layout.enabling_delay[t];
-    if (!emit(std::optional<TransitionId>(TransitionId(t)), next, std::uint64_t{0})) {
-      return false;
-    }
-  }
-  if (any_ready) return true;  // time may not pass while something is ready
-
-  // Tick: possible iff something is waiting (an armed timer or an
-  // in-flight firing); otherwise the state is a timed deadlock.
-  bool anything_waiting = !s.in_flight.empty();
-  for (std::uint32_t t = 0; t < nt && !anything_waiting; ++t) {
-    anything_waiting = timed_eligible(net, s, t);  // armed enabling timer
-  }
-  if (!anything_waiting) return true;  // deadlock: no outgoing edges
-
-  TimedState next = s;
-  for (std::uint32_t t = 0; t < nt; ++t) {
-    if (timed_eligible(net, s, t) && next.enabling_left[t] > 0) next.enabling_left[t] -= 1;
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> still_flying;
-  for (auto [t, left] : next.in_flight) {
-    if (left > 1) {
-      still_flying.emplace_back(t, left - 1);
-    } else {
-      for (const Arc& a : net.outputs(TransitionId(t))) next.marking.add(a.place, a.weight);
-    }
-  }
-  next.in_flight = std::move(still_flying);
-  {
-    // Completions may enable new transitions; carry running timers over.
-    TimedState carry = s;
-    carry.marking = next.marking;      // eligibility in the *new* marking
-    carry.in_flight = next.in_flight;  // and with the new in-flight set
-    carry.enabling_left = next.enabling_left;
-    timed_normalize(net, layout, next, &carry);
-  }
-  return emit(std::optional<TransitionId>(std::nullopt), next, std::uint64_t{1});
-}
 
 }  // namespace pnut::analysis::detail

@@ -59,10 +59,12 @@ struct Batch {
   std::uint32_t error_parent = 0;
 };
 
-/// Reused per-worker buffers: no allocation per encode.
+/// Reused per-worker state: no allocation per expansion.
 struct WorkerScratch {
-  std::vector<std::uint32_t> words;  ///< encoded successor under construction
-  detail::SlotSet seen_slots;        ///< candidate first-sighting filter
+  WorkerScratch(const CompiledNet& net, const detail::TimedLayout& layout)
+      : kernel(net, layout) {}
+  detail::TimedKernel kernel;  ///< the successor rule on this worker's scratch
+  detail::SlotSet seen_slots;  ///< candidate first-sighting filter
 };
 
 class TimedParallelExplorer {
@@ -158,17 +160,17 @@ class TimedParallelExplorer {
                               detail::segment_bytes_for(options_.spill.segment_bytes, budget),
                               budget);
     }
-    std::vector<std::uint32_t> scratch(width_);
-    const detail::TimedState initial = detail::timed_initial_state(net_, layout_);
-    detail::encode_timed(layout_, initial, scratch);
-    canonical_.intern(scratch);
+    worker_scratch_.reserve(threads_);
+    for (unsigned i = 0; i < threads_; ++i) worker_scratch_.emplace_back(net_, layout_);
+    const std::span<const std::uint32_t> initial = worker_scratch_[0].kernel.initial_state();
+    canonical_.intern(initial);
     schedule_.bootstrap();
 
     // The provisional twin, so successors that return to the initial state
     // dedup against it.
-    const std::uint64_t h = hash_words(scratch.data(), width_);
+    const std::uint64_t h = hash_words(initial.data(), width_);
     Shard& shard = shards_[shard_of(h)];
-    const auto r = shard.store.intern(scratch, h);
+    const auto r = shard.store.intern(initial, h);
     shard.canonical.resize(shard.store.size(), kUnassigned);
     shard.canonical[r.index] = 0;
   }
@@ -192,10 +194,6 @@ class TimedParallelExplorer {
       batches[b].fresh_words.clear();
     }
 
-    if (worker_scratch_.empty()) {
-      worker_scratch_.resize(threads_);
-      for (WorkerScratch& scratch : worker_scratch_) scratch.words.resize(width_);
-    }
     if (num_batches <= 1) {
       for (Batch& batch : batches) expand_batch(batch, worker_scratch_[0]);
       return;
@@ -242,25 +240,23 @@ class TimedParallelExplorer {
     }
   }
 
-  /// One parent, the exact sequential successor rule (timed_encode.h).
+  /// One parent, through the worker's successor kernel (timed_encode.h).
   /// Reads only sealed data (the canonical arena is frozen during the
   /// expand phase); writes only the batch and the shards.
   void expand_parent(std::uint32_t parent, std::uint32_t slot_in_batch, Batch& batch,
                      WorkerScratch& scratch) {
-    const detail::TimedState s = detail::decode_timed(layout_, canonical_.state(parent));
     const auto items_before = static_cast<std::uint32_t>(batch.items.size());
-    detail::for_each_timed_successor(
-        net_, layout_, s,
-        [&](std::optional<TransitionId> label, const detail::TimedState& succ,
+    scratch.kernel.expand(
+        canonical_.state(parent),
+        [&](std::optional<TransitionId> label, std::span<const std::uint32_t> succ,
             std::uint64_t /*cost*/) {
-          detail::encode_timed(layout_, succ, scratch.words);
-          const std::uint64_t h = hash_words(scratch.words.data(), width_);
+          const std::uint64_t h = hash_words(succ.data(), width_);
           const auto shard_idx = static_cast<std::uint32_t>(shard_of(h));
           Shard& shard = shards_[shard_idx];
           std::uint32_t slot;
           {
             const std::lock_guard<std::mutex> lock(shard.mutex);
-            slot = shard.store.intern(scratch.words, h).index;
+            slot = shard.store.intern(succ, h).index;
           }
           batch.items.push_back(Item{label ? label->value : kTick, shard_idx, slot});
           // Candidate capture: slots >= the sealed-prefix size were minted
@@ -272,8 +268,7 @@ class TimedParallelExplorer {
                   (static_cast<std::uint64_t>(shard_idx) << 32) | slot)) {
             batch.candidate_pos.push_back(
                 static_cast<std::uint32_t>(batch.items.size() - 1));
-            batch.fresh_words.insert(batch.fresh_words.end(), scratch.words.begin(),
-                                     scratch.words.end());
+            batch.fresh_words.insert(batch.fresh_words.end(), succ.begin(), succ.end());
           }
           return true;
         });

@@ -10,11 +10,12 @@
 // sequentially:
 //
 //   EXPAND (parallel) — the round's pending states are chopped into batches
-//   handed to worker threads by an atomic cursor. Each worker decodes its
-//   parent from the canonical arena, enumerates successors with the exact
-//   sequential rule (analysis/timed_encode.h: ready firings in transition
-//   order under maximal progress, else one tick), and interns each into one
-//   of S hash-sharded provisional StateStores under striped locks. Edges
+//   handed to worker threads by an atomic cursor. Each worker expands its
+//   parent's canonical arena words with its own copy of the successor
+//   kernel the sequential builder runs (analysis/timed_encode.h: ready
+//   firings in transition order under maximal progress, else one tick), and
+//   interns each successor into one of S hash-sharded provisional
+//   StateStores under striped locks. Edges
 //   are recorded per batch as flat (label, shard, slot) segments; the first
 //   batch-local sighting of a freshly minted slot is captured with its
 //   words (candidates), so sealing copies linearly.
@@ -35,7 +36,8 @@
 // `now` advances one tick. The result is byte-identical to the sequential
 // builder for every thread count — state ids, edge pool order, earliest
 // times, expanded flags, status, and the truncated prefix when limits hit
-// (differentially pinned by tests/analysis_timed_parallel_equivalence_test.cpp).
+// (differentially pinned by tests/analysis_timed_parallel_equivalence_test.cpp,
+// which also pins every graph to fingerprints frozen before the kernel).
 #pragma once
 
 #include <cstdint>

@@ -60,13 +60,8 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
                         detail::segment_bytes_for(options.spill.segment_bytes, budget / 3),
                         budget / 3);
   }
-  std::vector<std::uint32_t> scratch(layout.width());
-
-  {
-    const detail::TimedState initial = detail::timed_initial_state(net, layout);
-    detail::encode_timed(layout, initial, scratch);
-    store_.intern(scratch);
-  }
+  detail::TimedKernel kernel(net, layout);
+  store_.intern(kernel.initial_state());
 
   detail::TimedSchedule schedule;
   schedule.bootstrap();
@@ -97,13 +92,12 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
         continue;
       }
     }
-    const detail::TimedState s = detail::decode_timed(layout, store_.state(si));
-    const bool completed = detail::for_each_timed_successor(
-        net, layout, s,
-        [&](std::optional<TransitionId> label, const detail::TimedState& succ,
-            std::uint64_t cost) {
-          detail::encode_timed(layout, succ, scratch);
-          const auto interned = store_.intern(scratch);
+    // The kernel copies the parent's words first: interning may grow the
+    // arena under the span.
+    const bool completed = kernel.expand(
+        store_.state(si), [&](std::optional<TransitionId> label,
+                              std::span<const std::uint32_t> succ, std::uint64_t cost) {
+          const auto interned = store_.intern(succ);
           edges_.add(Edge{label, interned.index});
           return schedule.record(interned.index, interned.inserted, cost, store_.size(),
                                  options);

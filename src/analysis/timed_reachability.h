@@ -22,17 +22,24 @@
 //   [ marking tokens | per-transition remaining enabling delay |
 //     per-(transition, remaining-cycles) in-flight firing counts ]
 // — a canonical encoding (the in-flight multiset becomes counts indexed by
-// remaining time), so interning needs no strings and no sorting; the
-// encoding and the successor rule live in analysis/timed_encode.h, shared
-// with the parallel engine. Edges are one flat CSR pool. Width grows with
-// the sum of firing delays; together with the timer words this keeps the
-// analyzer's practical envelope at controller-sized nets (tens of places,
-// delays up to ~10) — the paper's [RP84] tool had the same envelope.
-// Exploration is bounded by max_states and max_time, and runs the 0-1 BFS
-// on a two-bucket scheduler (sequentially in this file's .cpp, or level-
-// parallel behind TimedReachOptions::threads — see
-// analysis/timed_parallel_exploration.h; graphs are byte-identical either
-// way).
+// remaining time), so interning needs no strings and no sorting. Timers are
+// canonical too: an ineligible transition's timer word always holds its
+// full enabling delay, so two states that differ only in a stale timer
+// cannot both exist. Edges are one flat CSR pool.
+//
+// Successors come from one word-level kernel (analysis/timed_encode.h,
+// detail::TimedKernel) that both builders run: it expands a state on its
+// arena words without decoding it, builds each firing successor with one
+// copy plus the arc deltas and re-tests only the transitions the firing
+// can disable, and builds the tick with one shifted copy of the in-flight
+// region. Width grows with the sum of firing delays; together with the
+// timer words this keeps the analyzer's practical envelope at
+// controller-sized nets (tens of places, delays up to ~10) — the paper's
+// [RP84] tool had the same envelope. Exploration is bounded by max_states
+// and max_time, and runs the 0-1 BFS on a two-bucket scheduler
+// (sequentially in this file's .cpp, or level-parallel behind
+// TimedReachOptions::threads — see analysis/timed_parallel_exploration.h;
+// graphs are byte-identical either way).
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,17 @@
 #include "petri/net.h"
 
 namespace pnut {
+
+[[noreturn]] void throw_token_overflow(PlaceId p);
+
+/// Deposit `n` tokens on a flat token count (a Marking's slot or an arena
+/// word) of place `p`: throws std::overflow_error naming `p` instead of
+/// wrapping. Marking::add and the word-level timed explorer share it, so
+/// both raise the same text.
+inline void add_tokens_checked(TokenCount& slot, PlaceId p, TokenCount n) {
+  if (slot > std::numeric_limits<TokenCount>::max() - n) throw_token_overflow(p);
+  slot += n;
+}
 
 class Marking {
  public:

@@ -4,10 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+
+#include "petri/marking.h"
 
 namespace pnut {
 
@@ -298,14 +299,7 @@ struct LaneRun {
     slot -= n;
   }
 
-  void add_tokens(PlaceId p, TokenCount n) {
-    TokenCount& slot = marking[p.value];
-    if (slot > std::numeric_limits<TokenCount>::max() - n) {
-      throw std::overflow_error("Marking::add: token count overflow on place " +
-                                std::to_string(p.value));
-    }
-    slot += n;
-  }
+  void add_tokens(PlaceId p, TokenCount n) { add_tokens_checked(marking[p.value], p, n); }
 
   // --- firing ---------------------------------------------------------------
 

@@ -441,11 +441,33 @@ TEST_P(QuerySemantics, ErrorTexts) {
   EXPECT_EQ(error_of("forall s in S [ Bus_busy(s) / Bus_busy(s) = 1 ]"),
             "query evaluation: division by zero");
   EXPECT_EQ(error_of("1 % 0 = 0"), "query evaluation: modulo by zero");
+  // The one quotient two's complement cannot hold raises (it used to trap).
+  EXPECT_EQ(error_of("exists s in S [ (0-9223372036854775807-1) / (0-1) == 0 ]"),
+            "query evaluation: division overflow");
+  EXPECT_EQ(error_of("exists s in S [ (0-9223372036854775807-1) % (0-1) == 0 ]"),
+            "query evaluation: modulo overflow");
   // Errors are raised only when the offending node is evaluated.
   EXPECT_EQ(error_of("false and Bus_busy(unbound_var) = 1"), "<no error>");
   EXPECT_EQ(error_of("exists s in (S - {#0}) [ NoSuchPlace(s) = 1 ] or true"),
             "query evaluation: 'NoSuchPlace' is not a place, transition or data variable");
   EXPECT_EQ(error_of("forall s in {u in S | false} [ NoSuchPlace(s) = 1 ]"), "<no error>");
+}
+
+TEST_P(QuerySemantics, ArithmeticWrapsLikeTheExpressionEvaluators) {
+  // +, -, *, unary minus and abs wrap in two's complement (no signed
+  // overflow); INT64_MIN / 1 and % 1 are ordinary.
+  for (const char* query : {
+           "9223372036854775807 + 1 < 0",
+           "0 - 9223372036854775807 - 2 = 9223372036854775807",
+           "4611686018427387904 * 2 < 0",
+           "-(0-9223372036854775807-1) < 0",
+           "abs(0-9223372036854775807-1) < 0",
+           "(0-9223372036854775807-1) / 1 < 0",
+           "(0-9223372036854775807-1) % 1 = 0",
+           "forall s in S [ (0-9223372036854775807-1) / (0-2) = 4611686018427387904 ]",
+       }) {
+    EXPECT_TRUE(eval_query(space(), query).holds) << query;
+  }
 }
 
 TEST_P(QuerySemantics, ShadowedBinderRestoresTheOuterValue) {

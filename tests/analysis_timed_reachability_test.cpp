@@ -1,10 +1,22 @@
 // Unit tests for the timed reachability analyzer ([RP84]).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/timed_reachability.h"
+#include "cli/cli.h"
 #include "expr/compile.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
+#include "support/golden_hash.h"
 
 namespace pnut::analysis {
 namespace {
@@ -372,6 +384,217 @@ TEST(TimedReach, CompleteGraphStillReportsTrueDeadlocks) {
   const auto deadlocks = graph.deadlock_states();
   ASSERT_EQ(deadlocks.size(), 1u);
   EXPECT_EQ(graph.marking(deadlocks[0])[b], 1u);
+}
+
+// --- successor-kernel edge cases ---------------------------------------------
+//
+// Pins recorded from the decode/encode successor rule the word kernel
+// (analysis/timed_encode.h) replaced: graph fingerprints, error texts and
+// exit codes on the paths a kernel shortcut could get wrong.
+
+using test_support::hex_literal;
+
+std::string fingerprint(const TimedReachabilityGraph& graph) {
+  return hex_literal(test_support::hash_timed_graph(graph));
+}
+
+/// The overflow text the graph throws, identical at 1 and 4 threads.
+std::string overflow_text(const Net& net) {
+  std::string first;
+  for (const unsigned threads : {1u, 4u}) {
+    TimedReachOptions options;
+    options.threads = threads;
+    std::string text = "no exception";
+    try {
+      const TimedReachabilityGraph graph(net, options);
+    } catch (const std::overflow_error& e) {
+      text = e.what();
+    }
+    if (threads == 1) {
+      first = text;
+    } else {
+      EXPECT_EQ(text, first) << "@" << threads << " threads";
+    }
+  }
+  return first;
+}
+
+TEST(TimedReachKernel, FiringDepositOverflowNamesTheFirstArcInOrder) {
+  // A zero-firing-delay transition deposits at once. Both A and B would
+  // overflow; the output arcs list B first, so B (place 2) is named.
+  Net net;
+  const PlaceId s = net.add_place("S", 1);
+  const PlaceId a = net.add_place("A", UINT32_MAX);
+  const PlaceId b = net.add_place("B", UINT32_MAX);
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, s);
+  net.add_output(t, s);
+  net.add_output(t, b);
+  net.add_output(t, a);
+  EXPECT_EQ(overflow_text(net), "Marking::add: token count overflow on place 2");
+}
+
+TEST(TimedReachKernel, TickCompletionOverflowDepositsInTransitionOrder) {
+  // Two one-cycle firings complete on the same tick. Deposits run in
+  // transition order, so t0's output A (place 3) overflows before t1's
+  // output B (place 2), though B comes first in place order.
+  Net net;
+  const PlaceId s1 = net.add_place("S1", 1);
+  const PlaceId s2 = net.add_place("S2", 1);
+  const PlaceId b = net.add_place("B", UINT32_MAX);
+  const PlaceId a = net.add_place("A", UINT32_MAX);
+  const TransitionId t0 = net.add_transition("t0");
+  net.add_input(t0, s1);
+  net.add_output(t0, a);
+  net.set_firing_time(t0, DelaySpec::constant(1));
+  const TransitionId t1 = net.add_transition("t1");
+  net.add_input(t1, s2);
+  net.add_output(t1, b);
+  net.set_firing_time(t1, DelaySpec::constant(1));
+  EXPECT_EQ(overflow_text(net), "Marking::add: token count overflow on place 3");
+}
+
+TEST(TimedReachKernel, OverflowIsAnAnalyzeErrorWithItsExitCode) {
+  // `pnut analyze` prints the untimed sections, then the timed build's
+  // overflow surfaces as the command's error. (The untimed builder wraps
+  // A's count to 0 instead of raising and stops at its place bound; these
+  // bytes pin that too.)
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pnut_timed_overflow_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "overflow.pn").string();
+  std::ofstream(path) << "net overflow\n"
+                         "place S init 1\n"
+                         "place A init 4294967295\n"
+                         "trans t in S out S, A firing 2\n";
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code = cli::run({"analyze", path}, out, err);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(err.str(), "pnut analyze: Marking::add: token count overflow on place 1\n");
+  EXPECT_EQ(out.str(),
+            "net: overflow \xE2\x80\x94 2 places, 1 transitions\n\n"
+            "place invariants (1):\n"
+            "  S = 1\n"
+            "  (not all places covered by invariants)\n"
+            "transition invariants (0):\n\n"
+            "reachability: 4098 states, 4097 edges (UNBOUNDED place found)\n"
+            "  state storage: 71 bytes/state (288 KiB)\n"
+            "  place invariants verified over 4098 reachable states\n");
+}
+
+TEST(TimedReachKernel, SingleServerWaitsForItsOwnFiring) {
+  // Two tokens, one single-server transition (enabling 2, firing 3): the
+  // second firing waits until the first completes at 5, then re-earns its
+  // enabling delay (its timer was held at the full delay while blocked).
+  // An infinite-server twin does not wait for the completion, but its one
+  // enabling timer restarts on each firing: the second firing starts at 4
+  // and completes at 7.
+  const auto build = [](FiringPolicy policy) {
+    Net net;
+    const PlaceId p = net.add_place("P", 2);
+    const PlaceId q = net.add_place("Q");
+    const TransitionId t = net.add_transition("t");
+    net.add_input(t, p);
+    net.add_output(t, q);
+    net.set_enabling_time(t, DelaySpec::constant(2));
+    net.set_firing_time(t, DelaySpec::constant(3));
+    net.set_policy(t, policy);
+    return net;
+  };
+  const Net single = build(FiringPolicy::kSingleServer);
+  const TimedReachabilityGraph single_graph(single);
+  ASSERT_EQ(single_graph.status(), TimedReachStatus::kComplete);
+  const auto single_bounds = single_graph.time_bounds(marked(single, "Q", 2));
+  ASSERT_TRUE(single_bounds.has_value());
+  EXPECT_EQ(single_bounds->earliest, 10u);
+  EXPECT_EQ(single_bounds->latest, 10u);
+  EXPECT_EQ(fingerprint(single_graph), hex_literal(0xe28287834bdd3dd2ULL));
+
+  const Net infinite = build(FiringPolicy::kInfiniteServer);
+  const TimedReachabilityGraph infinite_graph(infinite);
+  const auto infinite_bounds = infinite_graph.time_bounds(marked(infinite, "Q", 2));
+  ASSERT_TRUE(infinite_bounds.has_value());
+  EXPECT_EQ(infinite_bounds->earliest, 7u);
+  EXPECT_EQ(fingerprint(infinite_graph), hex_literal(0xaaff7efe12068e7bULL));
+}
+
+TEST(TimedReachKernel, DepositOnAnInhibitorPlaceResetsARunningTimer) {
+  // `slow` (enabling 3) is armed at 0 while B is empty. `mover` deposits a
+  // token on B, disabling `slow` through its inhibitor arc: its timer must
+  // reset, not keep the cycles it had left. `drain` empties B at 3, so
+  // `slow` re-arms and fires at 6 (earlier if the timer were kept). The
+  // deposit happens in a firing at 1 (firing delay 0) or in a tick's
+  // completion at 2 (firing delay 1).
+  const auto build = [](std::uint32_t mover_firing) {
+    Net net;
+    const PlaceId x = net.add_place("X", 1);
+    const PlaceId y = net.add_place("Y");
+    const PlaceId a = net.add_place("A", 1);
+    const PlaceId b = net.add_place("B");
+    const TransitionId slow = net.add_transition("slow");
+    net.add_input(slow, x);
+    net.add_output(slow, y);
+    net.add_inhibitor(slow, b);
+    net.set_enabling_time(slow, DelaySpec::constant(3));
+    const TransitionId mover = net.add_transition("mover");
+    net.add_input(mover, a);
+    net.add_output(mover, b);
+    net.set_enabling_time(mover, DelaySpec::constant(1));
+    net.set_firing_time(mover, DelaySpec::constant(mover_firing));
+    const TransitionId drain = net.add_transition("drain");
+    net.add_input(drain, b);
+    net.set_enabling_time(drain, DelaySpec::constant(2 - mover_firing));
+    return net;
+  };
+  const std::pair<std::uint32_t, std::uint64_t> cases[] = {{0, 0x3a7bfb165a71d115ULL},
+                                                           {1, 0x1249948513157084ULL}};
+  for (const auto& [mover_firing, pinned] : cases) {
+    const Net net = build(mover_firing);
+    const TimedReachabilityGraph graph(net);
+    ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+    const auto bounds = graph.time_bounds(marked(net, "Y"));
+    ASSERT_TRUE(bounds.has_value());
+    EXPECT_EQ(bounds->earliest, 6u) << "mover firing " << mover_firing;
+    EXPECT_EQ(bounds->latest, 6u) << "mover firing " << mover_firing;
+    EXPECT_EQ(fingerprint(graph), hex_literal(pinned)) << "mover firing " << mover_firing;
+  }
+}
+
+TEST(TimedReachKernel, ZeroFiringDelayDepositsAtOnce) {
+  // Immediate hops A -> B -> C run inside one instant; a delayed hop
+  // C -> A (enabling 1) closes the loop, and an inhibitor arc from B
+  // blocks `side` while the token passes through. No firing delay means no
+  // in-flight words: the state is just marking plus timers.
+  Net net;
+  const PlaceId a = net.add_place("A", 1);
+  const PlaceId b = net.add_place("B");
+  const PlaceId c = net.add_place("C");
+  const PlaceId d = net.add_place("D");
+  const TransitionId ab = net.add_transition("ab");
+  net.add_input(ab, a);
+  net.add_output(ab, b);
+  const TransitionId bc = net.add_transition("bc");
+  net.add_input(bc, b);
+  net.add_output(bc, c);
+  const TransitionId ca = net.add_transition("ca");
+  net.add_input(ca, c);
+  net.add_output(ca, a);
+  net.set_enabling_time(ca, DelaySpec::constant(1));
+  const TransitionId side = net.add_transition("side");
+  net.add_input(side, c);
+  net.add_output(side, d);
+  net.add_inhibitor(side, b);
+  net.set_enabling_time(side, DelaySpec::constant(1));
+
+  const TimedReachabilityGraph graph(net);
+  ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.state_words(0).size(), 8u);
+  const auto bounds = graph.time_bounds(marked(net, "C"));
+  ASSERT_TRUE(bounds.has_value());
+  EXPECT_EQ(bounds->earliest, 0u);
+  EXPECT_EQ(fingerprint(graph), hex_literal(0x61d3aa26926b6722ULL));
 }
 
 }  // namespace

@@ -217,6 +217,24 @@ TEST_F(CliTest, OverBudgetNestingIsADiagnosticNotACrash) {
   EXPECT_EQ(query.err, "pnut query: query nested more than 256 levels deep\n");
 }
 
+TEST_F(CliTest, QueryArithmeticOverflowIsAnErrorNotACrash) {
+  // INT64_MIN / -1 used to kill the process with SIGFPE (exit 136), on a
+  // reachability graph and on a trace alike. Now it is an evaluation error,
+  // with the exit code of division by zero.
+  const std::string query = "exists s in S [ (0-9223372036854775807-1) / (0-1) == 0 ]";
+  const Result reach = run_cli({"query", "--reach", model_path_, query});
+  EXPECT_EQ(reach.code, 2);
+  EXPECT_EQ(reach.out, "");
+  EXPECT_EQ(reach.err, "pnut query: query evaluation: division overflow\n");
+  const Result trace = run_cli(
+      {"query", make_trace_file(), "exists s in S [ (0-9223372036854775807-1) % (0-1) == 0 ]"});
+  EXPECT_EQ(trace.code, 2);
+  EXPECT_EQ(trace.out, "");
+  EXPECT_EQ(trace.err, "pnut query: query evaluation: modulo overflow\n");
+  const Result by_zero = run_cli({"query", "--reach", model_path_, "1 / 0 = 0"});
+  EXPECT_EQ(by_zero.code, reach.code);
+}
+
 TEST_F(CliTest, CheckDiagnosticOfAHugeOneLinePredicateStaysSmall) {
   // A 200 KB one-line predicate with a syntax error near its end: the caret
   // snippet is a window around the column, not a copy of the whole line.

@@ -544,6 +544,33 @@ TEST_F(ServeTest, DeeplyNestedQueryIsAUsageErrorAndConnectionSurvives) {
   server.stop();
 }
 
+TEST_F(ServeTest, QueryDivisionOverflowIsAnErrorAndConnectionSurvives) {
+  // INT64_MIN / -1 in a query used to raise SIGFPE and kill the server.
+  // Now it is a framed evaluation error, and the next request on the same
+  // connection is served.
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  Server server(session, 0);
+  ASSERT_GT(server.port(), 0);
+  server.start();
+
+  const std::string line =
+      to_line({"query", "--reach", model_path_,
+               "exists s in S [ (0-9223372036854775807-1) / (0-1) == 0 ]"});
+  const auto responses = parse_responses(tcp_transcript(
+      server.port(), line + to_line({"query", "--reach", model_path_, kQuery})));
+  ASSERT_EQ(responses.size(), 2U);
+  EXPECT_EQ(responses[0].code, 2);
+  EXPECT_EQ(responses[0].err, "pnut query: query evaluation: division overflow\n");
+  EXPECT_EQ(responses[1].code, 0);
+  EXPECT_EQ(responses[1].out, run_direct({"query", "--reach", model_path_, kQuery}).out);
+
+  tcp_transcript(server.port(), ".shutdown\n");
+  server.wait_for_shutdown();
+  server.stop();
+}
+
 TEST_F(ServeTest, ParseServeOptionsLimits) {
   const ServeOptions opts = parse_serve_options(
       {"serve", "--port", "0", "--max-clients", "2", "--request-timeout", "1.5"});

@@ -1,24 +1,35 @@
 // Golden fingerprints for pins frozen from an earlier build.
 //
-// Order-sensitive FNV-1a hashes over every observable field of a
-// reachability graph, a recorded trace, a data context or a RunStats
-// (doubles by bit pattern, strings length-prefixed), so a test can assert
-// byte-identity against a constant recorded when a since-deleted oracle
-// (the AST/DataContext execution path) still ran beside the bytecode one.
+// Order-sensitive FNV-1a hashes over every observable field of an untimed
+// or timed reachability graph, a recorded trace, a data context or a
+// RunStats (doubles by bit pattern, strings length-prefixed), so a test can
+// assert byte-identity against a constant recorded when a since-deleted
+// oracle (the AST/DataContext execution path, the decode/encode timed
+// successor rule) still ran beside its replacement.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/reachability.h"
+#include "analysis/timed_reachability.h"
 #include "petri/data_context.h"
 #include "stat/stat.h"
 #include "trace/trace.h"
 
 namespace pnut::test_support {
+
+/// A fingerprint as a C++ literal, so a failing pin prints the constant to
+/// paste.
+[[nodiscard]] inline std::string hex_literal(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 class Fingerprint {
  public:
@@ -158,6 +169,30 @@ inline void add_data(Fingerprint& f, const DataContext& d) {
     }
     for (std::uint32_t t = 0; t < num_transitions; ++t) {
       f.i64(g.transition_activity(s, TransitionId(t)));
+    }
+  }
+  return f.value();
+}
+
+/// Status, sizes, and per state: the full interned words (marking |
+/// enabling timers | in-flight counts), earliest time, expanded flag and
+/// edge row (label, the tick as UINT64_MAX, and target).
+[[nodiscard]] inline std::uint64_t hash_timed_graph(
+    const analysis::TimedReachabilityGraph& g) {
+  Fingerprint f;
+  f.u64(static_cast<std::uint64_t>(g.status()));
+  f.u64(g.num_states());
+  f.u64(g.num_expanded());
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    const auto words = g.state_words(s);
+    f.u64(words.size());
+    for (const std::uint32_t w : words) f.u64(w);
+    f.u64(g.earliest_time(s));
+    f.u64(g.state_expanded(s) ? 1 : 0);
+    f.u64(g.edges(s).size());
+    for (const auto& e : g.edges(s)) {
+      f.u64(e.transition ? e.transition->value : UINT64_MAX);
+      f.u64(e.target);
     }
   }
   return f.value();
