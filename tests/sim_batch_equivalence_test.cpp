@@ -27,6 +27,7 @@
 #include "stat/stat.h"
 #include "support/golden_hash.h"
 #include "support/net_fuzz.h"
+#include "support/sim_run.h"
 #include "support/stats_equal.h"
 #include "trace/trace.h"
 
@@ -38,37 +39,17 @@ using test_support::fuzz_net;
 using test_support::expect_stats_equal;
 using test_support::Fingerprint;
 
-struct ScalarRun {
-  RecordedTrace trace;
-  RunStats stats;
-  StopReason stop = StopReason::kTimeLimit;
-  Time now = 0;
-};
+using test_support::SimRun;
+using test_support::sim_run;
 
-/// The oracle: one scalar Simulator with a trace recorder and a stat
-/// collector attached, exactly the harness every figure-producing run uses.
-ScalarRun scalar_run(const Net& net, std::uint64_t seed, Time horizon) {
-  ScalarRun out;
-  StatCollector collector;
-  MultiSink sinks;
-  sinks.add(out.trace);
-  sinks.add(collector);
-  Simulator sim(CompiledNet::compile(net));
-  sim.set_sink(&sinks);
-  sim.reset(seed);
-  out.stop = sim.run_until(horizon);
-  sim.finish();
-  out.stats = collector.stats();
-  out.now = sim.now();
-  return out;
-}
-
-/// Run `lanes` lanes of `net` batched and diff every lane against the
-/// scalar oracle seeded base_seed + lane. Returns a fingerprint of every
-/// lane's trace, statistics, stop reason and clock.
+/// Run `lanes` lanes of `net` batched and diff every lane against a
+/// Simulator seeded base_seed + lane. Returns a fingerprint of every lane's
+/// trace, statistics, stop reason and clock; folds each Simulator run's
+/// fingerprint (test_support::hash_sim_run) into `oracle`.
 std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
                                           std::uint64_t base_seed, Time horizon,
-                                          unsigned threads, const std::string& label) {
+                                          unsigned threads, const std::string& label,
+                                          Fingerprint& oracle) {
   BatchOptions options;
   options.base_seed = base_seed;
   options.threads = threads;
@@ -78,7 +59,7 @@ std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
   batch.run(horizon);
   Fingerprint fingerprint;
   for (std::size_t k = 0; k < lanes; ++k) {
-    const ScalarRun scalar = scalar_run(net, base_seed + k, horizon);
+    const SimRun scalar = sim_run(net, base_seed + k, horizon);
     const std::string at = label + " lane " + std::to_string(k);
     EXPECT_EQ(traces[k], scalar.trace) << at;
     expect_stats_equal(batch.stats(k), scalar.stats, at);
@@ -88,8 +69,14 @@ std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
     fingerprint.u64(test_support::hash_stats(batch.stats(k)));
     fingerprint.u64(static_cast<std::uint64_t>(batch.stop_reason(k)));
     fingerprint.f64(batch.now(k));
+    oracle.u64(test_support::hash_sim_run(scalar));
   }
   return fingerprint.value();
+}
+
+/// Pin a folded oracle fingerprint; a mismatch prints the literal to paste.
+void expect_oracle(const Fingerprint& oracle, std::uint64_t frozen) {
+  EXPECT_EQ(oracle.value(), frozen) << test_support::hex_literal(oracle.value());
 }
 
 pipeline::PipelineConfig cached_config(double hit_ratio) {
@@ -100,23 +87,28 @@ pipeline::PipelineConfig cached_config(double hit_ratio) {
 }
 
 TEST(BatchEquivalence, GoldenPipelineModelsMatchScalarLanes) {
-  expect_batch_matches_scalar(pipeline::build_full_model(), 4, 100, 2000, 1, "full");
+  Fingerprint oracle;
+  expect_batch_matches_scalar(pipeline::build_full_model(), 4, 100, 2000, 1, "full",
+                              oracle);
   expect_batch_matches_scalar(pipeline::build_full_model(cached_config(0.9)), 4, 100,
-                              2000, 1, "cached");
+                              2000, 1, "cached", oracle);
   expect_batch_matches_scalar(pipeline::build_prefetch_model(), 4, 100, 2000, 1,
-                              "prefetch");
+                              "prefetch", oracle);
   expect_batch_matches_scalar(pipeline::build_interpreted_pipeline(), 4, 100, 2000, 1,
-                              "interpreted");
+                              "interpreted", oracle);
+  expect_oracle(oracle, 0x5888eb1c873cfe6bULL);
 }
 
 TEST(BatchEquivalence, FuzzedTimedNetsMatchScalarLanes) {
   FuzzOptions options;
   options.timed = true;
   options.lossy_pct = 0;  // token-preserving: live for the whole horizon
+  Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 12; ++net_seed) {
     expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 1000 + net_seed, 300, 1,
-                                "timed net_seed=" + std::to_string(net_seed));
+                                "timed net_seed=" + std::to_string(net_seed), oracle);
   }
+  expect_oracle(oracle, 0xf0b8637f0cd18015ULL);
 }
 
 TEST(BatchEquivalence, FuzzedInhibitorHeavyNetsMatchScalarLanes) {
@@ -124,10 +116,12 @@ TEST(BatchEquivalence, FuzzedInhibitorHeavyNetsMatchScalarLanes) {
   options.timed = true;
   options.lossy_pct = 0;
   options.inhibitor_pct = 80;
+  Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
     expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 50 + net_seed, 300, 1,
-                                "inhibitor net_seed=" + std::to_string(net_seed));
+                                "inhibitor net_seed=" + std::to_string(net_seed), oracle);
   }
+  expect_oracle(oracle, 0x88250bc366f9197aULL);
 }
 
 TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
@@ -135,10 +129,12 @@ TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
   options.timed = true;
   options.lossy_pct = 0;
   options.interpreted = true;
+  Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 10; ++net_seed) {
     expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 9000 + net_seed, 300, 1,
-                                "expr net_seed=" + std::to_string(net_seed));
+                                "expr net_seed=" + std::to_string(net_seed), oracle);
   }
+  expect_oracle(oracle, 0x4cd0975f7539e4c8ULL);
 }
 
 // Per net seed 1..8: the batch engine's AST/DataContext lanes, recorded on
@@ -154,23 +150,27 @@ TEST(BatchEquivalence, FuzzedInterpretedLanesMatchFrozenAstLanes) {
   options.timed = true;
   options.lossy_pct = 0;
   options.interpreted = true;
+  Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
     const std::string label = "frozen net_seed=" + std::to_string(net_seed);
     EXPECT_EQ(expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 400 + net_seed,
-                                          300, 1, label),
+                                          300, 1, label, oracle),
               kFrozenAstLanes[net_seed - 1])
         << label;
   }
+  expect_oracle(oracle, 0xe5838f9f31633549ULL);
 }
 
 TEST(BatchEquivalence, DeadlockingLanesMatchScalarStopReasons) {
   FuzzOptions options;
   options.timed = true;
   options.lossy_pct = 60;  // drifts toward deadlock well before the horizon
+  Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
     expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 700 + net_seed, 500, 1,
-                                "lossy net_seed=" + std::to_string(net_seed));
+                                "lossy net_seed=" + std::to_string(net_seed), oracle);
   }
+  expect_oracle(oracle, 0x3fdda2aa80f2437fULL);
 }
 
 TEST(BatchEquivalence, ThreadCountsAreBitIdentical) {
@@ -252,6 +252,14 @@ TEST(BatchEquivalence, RunReplicationsReproducesPreBatchResults) {
       {"full_bufs", [](const RunStats& s) { return s.place(pipeline::names::kFullIBuffers).avg_tokens; }},
   };
   const ReplicationResult oracle = oracle_replications(net, 1500, 5, metrics, 77);
+  Fingerprint frozen;
+  for (const RunStats& run : oracle.runs) frozen.u64(test_support::hash_stats(run));
+  for (const MetricSummary& m : oracle.metrics) {
+    frozen.str(m.name);
+    frozen.u64(m.replications);
+    for (const double v : {m.mean, m.stddev, m.min, m.max}) frozen.f64(v);
+  }
+  expect_oracle(frozen, 0xf746d3a66d707824ULL);
 
   for (const unsigned threads : {1u, 2u, 4u}) {
     const ReplicationResult result = run_replications(net, 1500, 5, metrics, 77, threads);
@@ -281,7 +289,7 @@ void expect_lane_matches_rebuilt(BatchSimulator& batch, RecordedTrace& trace,
                                  std::size_t lane, const Net& rebuilt,
                                  std::uint64_t seed, Time horizon,
                                  const std::string& label) {
-  const ScalarRun scalar = scalar_run(rebuilt, seed, horizon);
+  const SimRun scalar = sim_run(rebuilt, seed, horizon);
   EXPECT_EQ(trace, scalar.trace) << label;
   expect_stats_equal(batch.stats(lane), scalar.stats, label);
   EXPECT_EQ(batch.stop_reason(lane), scalar.stop) << label;

@@ -22,29 +22,71 @@
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
+#include "stat/stat.h"
+#include "support/sim_run.h"
 #include "trace/trace.h"
 
 namespace pnut {
 namespace {
 
-RecordedTrace run_trace(const Net& net, std::uint64_t seed, Time horizon,
-                        bool incremental) {
+using test_support::Fingerprint;
+using test_support::SimRun;
+using test_support::sim_run;
+
+SimOptions rescan_options(bool incremental) {
   SimOptions options;
   options.incremental_eligibility = incremental;
-  RecordedTrace trace;
-  Simulator sim(net, options);
-  sim.set_sink(&trace);
-  sim.reset(seed);
-  sim.run_until(horizon);
-  sim.finish();
-  return trace;
+  return options;
 }
 
-void expect_modes_agree(const Net& net, std::uint64_t seed, Time horizon) {
-  const RecordedTrace incremental = run_trace(net, seed, horizon, true);
-  const RecordedTrace full_rescan = run_trace(net, seed, horizon, false);
-  ASSERT_EQ(incremental.events().size(), full_rescan.events().size());
-  EXPECT_EQ(incremental, full_rescan);
+RecordedTrace run_trace(const Net& net, std::uint64_t seed, Time horizon,
+                        bool incremental) {
+  return sim_run(net, seed, horizon, rescan_options(incremental)).trace;
+}
+
+/// Diff the incremental run against the whole-net rescan and fold the
+/// incremental run's fingerprint into `pin`.
+void expect_modes_agree(const Net& net, std::uint64_t seed, Time horizon,
+                        Fingerprint& pin) {
+  const SimRun incremental = sim_run(net, seed, horizon, rescan_options(true));
+  const SimRun full_rescan = sim_run(net, seed, horizon, rescan_options(false));
+  ASSERT_EQ(incremental.trace.events().size(), full_rescan.trace.events().size());
+  EXPECT_EQ(incremental.trace, full_rescan.trace);
+  pin.u64(test_support::hash_sim_run(incremental));
+}
+
+void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
+  EXPECT_EQ(pin.value(), frozen) << test_support::hex_literal(pin.value());
+}
+
+/// Every delay kind, conflicts, infinite-server and inhibitor arcs: enabling
+/// timers are armed, disarmed and left stale in the event queue.
+Net stochastic_enabling_net() {
+  Net net("stochastic_enabling");
+  const PlaceId p = net.add_place("P", 3);
+  const PlaceId q = net.add_place("Q");
+  const PlaceId r = net.add_place("R", 1);
+  const TransitionId a = net.add_transition("a");
+  net.add_input(a, p);
+  net.add_output(a, q);
+  net.set_enabling_time(a, DelaySpec::uniform_int(1, 4));
+  net.set_firing_time(a, DelaySpec::uniform_int(1, 3));
+  const TransitionId b = net.add_transition("b");
+  net.add_input(b, p);
+  net.add_output(b, q);
+  net.set_enabling_time(b, DelaySpec::discrete({{1, 0.5}, {3, 0.5}}));
+  net.set_frequency(b, 2.5);
+  const TransitionId c = net.add_transition("c");
+  net.add_input(c, q);
+  net.add_output(c, p);
+  net.set_enabling_time(c, DelaySpec::uniform_int(0, 2));
+  net.set_policy(c, FiringPolicy::kInfiniteServer);
+  const TransitionId watcher = net.add_transition("watcher");
+  net.add_input(watcher, r);
+  net.add_output(watcher, r);
+  net.add_inhibitor(watcher, q, 2);
+  net.set_firing_time(watcher, DelaySpec::constant(2));
+  return net;
 }
 
 /// FNV-1a over the event stream; mirrors the fingerprint tool that captured
@@ -133,52 +175,37 @@ TEST(SimCompiledEquivalence, GoldenFigure4InterpretedPipeline) {
 
 TEST(SimCompiledEquivalence, ModesAgreeOnFigure1Prefetch) {
   const Net net = pipeline::build_prefetch_model();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 3000);
+  Fingerprint pin;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 3000, pin);
+  expect_pin(pin, 0x880a1132be1432b4ULL);
 }
 
 TEST(SimCompiledEquivalence, ModesAgreeOnFullModel) {
   const Net net = pipeline::build_full_model();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 2000);
+  Fingerprint pin;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 2000, pin);
+  expect_pin(pin, 0x94c91a0edba12c8cULL);
 }
 
 TEST(SimCompiledEquivalence, ModesAgreeOnFigure4Models) {
   const Net fetch = pipeline::build_interpreted_operand_fetch();
   const Net full = pipeline::build_interpreted_pipeline();
+  Fingerprint pin;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    expect_modes_agree(fetch, seed, 2000);
-    expect_modes_agree(full, seed, 1500);
+    expect_modes_agree(fetch, seed, 2000, pin);
+    expect_modes_agree(full, seed, 1500, pin);
   }
+  expect_pin(pin, 0x5a16c7fbad1edf27ULL);
 }
 
 TEST(SimCompiledEquivalence, ModesAgreeWithStochasticEnablingDelays) {
   // Non-constant enabling delays consume RNG draws when transitions become
   // eligible — the hardest case for keeping draw order identical between
   // the dirty-set and whole-net refresh.
-  Net net("stochastic_enabling");
-  const PlaceId p = net.add_place("P", 3);
-  const PlaceId q = net.add_place("Q");
-  const PlaceId r = net.add_place("R", 1);
-  const TransitionId a = net.add_transition("a");
-  net.add_input(a, p);
-  net.add_output(a, q);
-  net.set_enabling_time(a, DelaySpec::uniform_int(1, 4));
-  net.set_firing_time(a, DelaySpec::uniform_int(1, 3));
-  const TransitionId b = net.add_transition("b");
-  net.add_input(b, p);
-  net.add_output(b, q);
-  net.set_enabling_time(b, DelaySpec::discrete({{1, 0.5}, {3, 0.5}}));
-  net.set_frequency(b, 2.5);
-  const TransitionId c = net.add_transition("c");
-  net.add_input(c, q);
-  net.add_output(c, p);
-  net.set_enabling_time(c, DelaySpec::uniform_int(0, 2));
-  net.set_policy(c, FiringPolicy::kInfiniteServer);
-  const TransitionId watcher = net.add_transition("watcher");
-  net.add_input(watcher, r);
-  net.add_output(watcher, r);
-  net.add_inhibitor(watcher, q, 2);
-  net.set_firing_time(watcher, DelaySpec::constant(2));
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 500);
+  const Net net = stochastic_enabling_net();
+  Fingerprint pin;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 500, pin);
+  expect_pin(pin, 0x9c85031698e4be67ULL);
 }
 
 TEST(SimCompiledEquivalence, ModesAgreeWithPredicatesAndActions) {
@@ -198,7 +225,9 @@ TEST(SimCompiledEquivalence, ModesAgreeWithPredicatesAndActions) {
   net.add_output(gated, q);
   net.set_firing_time(gated, DelaySpec::constant(2));
   net.set_predicate(gated, expr::compile_predicate("gate == 1"));
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 400);
+  Fingerprint pin;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 400, pin);
+  expect_pin(pin, 0xc6c2318f5b0c7673ULL);
 }
 
 TEST(SimCompiledEquivalence, SharedCompiledNetReproducesIndependentRuns) {
@@ -231,6 +260,175 @@ TEST(SimCompiledEquivalence, CompiledNetOutlivesSourceNet) {
   sim.reset(11);
   sim.run_until(1000);
   EXPECT_GT(sim.total_firing_starts(), 0u);
+}
+
+// --- resumable runs ---------------------------------------------------------
+//
+// What a Simulator does beyond one run from reset to horizon: resume across
+// calls, stop on an event budget, reset without a seed, and expose its live
+// state to its own sink.
+
+/// sim_run, but `drive` makes the run calls and returns the last stop reason.
+template <typename Drive>
+SimRun driven_run(const Net& net, std::uint64_t seed, Drive drive) {
+  SimRun out;
+  StatCollector collector;
+  MultiSink sinks;
+  sinks.add(out.trace);
+  sinks.add(collector);
+  Simulator sim(net);
+  sim.set_sink(&sinks);
+  sim.reset(seed);
+  out.stop = drive(sim);
+  sim.finish();
+  out.stats = collector.stats();
+  out.now = sim.now();
+  out.firing_starts = sim.total_firing_starts();
+  out.marking = sim.marking();
+  return out;
+}
+
+TEST(SimulatorResume, ChunkedRunUntilMatchesOneCall) {
+  const Net net = pipeline::build_interpreted_pipeline();
+  const SimRun once = sim_run(net, 5, 2000);
+  const SimRun chunked = driven_run(net, 5, [](Simulator& sim) {
+    for (Time t = 137; t < 2000; t += 137) sim.run_until(t);
+    return sim.run_until(2000);
+  });
+  EXPECT_EQ(chunked.trace, once.trace);
+  const std::uint64_t hash = test_support::hash_sim_run(chunked);
+  EXPECT_EQ(hash, test_support::hash_sim_run(once));
+  EXPECT_EQ(hash, 0x97f8e7b2b2aa9737ULL) << test_support::hex_literal(hash);
+}
+
+TEST(SimulatorResume, RunForAdvancesFromTheClock) {
+  const Net net = pipeline::build_full_model();
+  const SimRun once = sim_run(net, 8, 2000);
+  const SimRun stepped = driven_run(net, 8, [](Simulator& sim) {
+    StopReason stop = StopReason::kTimeLimit;
+    for (int i = 0; i < 20; ++i) stop = sim.run_for(100);
+    return stop;
+  });
+  EXPECT_EQ(stepped.trace, once.trace);
+  const std::uint64_t hash = test_support::hash_sim_run(stepped);
+  EXPECT_EQ(hash, test_support::hash_sim_run(once));
+  EXPECT_EQ(hash, 0x25456a91578c8787ULL) << test_support::hex_literal(hash);
+}
+
+TEST(SimulatorResume, EventBudgetStopsMidInstant) {
+  // Two firings complete at t=5: a budget of one stops between them.
+  Net net("twins");
+  for (const char* name : {"a", "b"}) {
+    const PlaceId in = net.add_place(std::string("in_") + name, 1);
+    const PlaceId out = net.add_place(std::string("out_") + name);
+    const TransitionId t = net.add_transition(name);
+    net.add_input(t, in);
+    net.add_output(t, out);
+    net.set_firing_time(t, DelaySpec::constant(5));
+  }
+  Simulator sim(net);
+  EXPECT_EQ(sim.run_until(10, 1), StopReason::kEventLimit);
+  EXPECT_EQ(sim.now(), 5.0);
+  EXPECT_EQ(sim.completed_firings(TransitionId(0)) + sim.completed_firings(TransitionId(1)),
+            1u);
+  EXPECT_EQ(sim.marking().total(), 1u);
+  EXPECT_EQ(sim.run_until(10), StopReason::kDeadlock);
+  EXPECT_EQ(sim.now(), 10.0);
+  EXPECT_EQ(sim.marking().total(), 2u);
+}
+
+TEST(SimulatorResume, EventBudgetCountsLiveEventsOnly) {
+  // Stale enabling timers pop without counting against the budget; the
+  // budget is checked before each pop. Chained budgeted calls replay the
+  // uninterrupted run.
+  const Net net = stochastic_enabling_net();
+  Fingerprint pin;
+  const SimRun budgeted = driven_run(net, 3, [&](Simulator& sim) {
+    StopReason stop = StopReason::kEventLimit;
+    while ((stop = sim.run_until(500, 7)) == StopReason::kEventLimit) {
+      pin.f64(sim.now());
+      pin.u64(sim.total_firing_starts());
+      test_support::add_marking(pin, sim.marking());
+    }
+    return stop;
+  });
+  EXPECT_EQ(budgeted.trace, sim_run(net, 3, 500).trace);
+  pin.u64(test_support::hash_sim_run(budgeted));
+  expect_pin(pin, 0x177180a9fe014fd0ULL);
+}
+
+TEST(SimulatorResume, ResetWithoutSeedContinuesTheRandomStream) {
+  const Net net = stochastic_enabling_net();
+  RecordedTrace first;
+  RecordedTrace second;
+  Simulator sim(net);
+  sim.set_sink(&first);
+  sim.reset();
+  sim.run_until(300);
+  sim.finish();
+  sim.set_sink(&second);
+  sim.reset();
+  sim.run_until(300);
+  sim.finish();
+  EXPECT_NE(first, second);
+  Fingerprint pin;
+  pin.u64(test_support::hash_trace(first));
+  pin.u64(test_support::hash_trace(second));
+  expect_pin(pin, 0x153226f76cefe462ULL);
+}
+
+/// A sink that reads its simulator's live state on every callback and
+/// checks it against the state the trace so far implies.
+class LiveStateProbe final : public TraceSink {
+ public:
+  explicit LiveStateProbe(const Simulator& sim) : sim_(sim) {}
+
+  void begin(const TraceHeader& header) override {
+    marking_ = header.initial_marking;
+    data_ = header.initial_data;
+    probe();
+  }
+  void event(const TraceEvent& ev) override {
+    for (const TokenDelta& d : ev.consumed) marking_.remove(d.place, d.count);
+    for (const TokenDelta& d : ev.produced) marking_.add(d.place, d.count);
+    for (const ScalarUpdate& u : ev.scalar_updates) data_.set(u.name, u.value);
+    for (const TableUpdate& u : ev.table_updates) {
+      data_.set_table_entry(u.name, u.index, u.value);
+    }
+    probe();
+  }
+  void end(Time) override { probe(); }
+
+  Fingerprint fingerprint;
+
+ private:
+  void probe() {
+    EXPECT_EQ(sim_.marking(), marking_);
+    EXPECT_EQ(sim_.data(), data_);
+    fingerprint.f64(sim_.now());
+    test_support::add_marking(fingerprint, sim_.marking());
+    test_support::add_data(fingerprint, sim_.data());
+    fingerprint.u64(sim_.total_firing_starts());
+    for (std::uint32_t t = 0; t < sim_.compiled().num_transitions(); ++t) {
+      fingerprint.u64(sim_.active_firings(TransitionId(t)));
+      fingerprint.u64(sim_.completed_firings(TransitionId(t)));
+    }
+  }
+
+  const Simulator& sim_;
+  Marking marking_;
+  DataContext data_;
+};
+
+TEST(SimulatorResume, SinkReadsLiveMarkingAndData) {
+  const Net net = pipeline::build_interpreted_pipeline();
+  Simulator sim(net);
+  LiveStateProbe probe(sim);
+  sim.set_sink(&probe);
+  sim.reset(17);
+  sim.run_until(400);
+  sim.finish();
+  expect_pin(probe.fingerprint, 0x42db1f55af66f941ULL);
 }
 
 }  // namespace

@@ -16,43 +16,51 @@
 
 #include "sim/simulator.h"
 #include "support/net_fuzz.h"
+#include "support/sim_run.h"
 #include "trace/trace.h"
 
 namespace pnut {
 namespace {
 
-RecordedTrace run_trace(const Net& net, std::uint64_t seed, Time horizon,
-                        bool incremental) {
+using test_support::Fingerprint;
+using test_support::SimRun;
+using test_support::sim_run;
+
+SimOptions rescan_options(bool incremental) {
   SimOptions options;
   options.incremental_eligibility = incremental;
-  RecordedTrace trace;
-  Simulator sim(net, options);
-  sim.set_sink(&trace);
-  sim.reset(seed);
-  sim.run_until(horizon);
-  sim.finish();
-  return trace;
+  return options;
 }
 
+/// Diff the incremental run against the whole-net rescan and fold the
+/// incremental run's fingerprint into the population's `pin`.
 void expect_modes_agree(const Net& net, std::uint64_t sim_seed, Time horizon,
-                        const std::string& label) {
+                        const std::string& label, Fingerprint& pin) {
   SCOPED_TRACE(label + " sim_seed=" + std::to_string(sim_seed));
-  const RecordedTrace incremental = run_trace(net, sim_seed, horizon, true);
-  const RecordedTrace full_rescan = run_trace(net, sim_seed, horizon, false);
-  ASSERT_EQ(incremental.events().size(), full_rescan.events().size());
-  EXPECT_EQ(incremental, full_rescan);
+  const SimRun incremental = sim_run(net, sim_seed, horizon, rescan_options(true));
+  const SimRun full_rescan = sim_run(net, sim_seed, horizon, rescan_options(false));
+  ASSERT_EQ(incremental.trace.events().size(), full_rescan.trace.events().size());
+  EXPECT_EQ(incremental.trace, full_rescan.trace);
+  pin.u64(test_support::hash_sim_run(incremental));
+}
+
+void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
+  EXPECT_EQ(pin.value(), frozen) << test_support::hex_literal(pin.value());
 }
 
 TEST(SimIncrementalFuzz, TimedNets) {
   test_support::FuzzOptions fuzz;
   fuzz.timed = true;
   fuzz.lossy_pct = 0;  // token-preserving: stays live for the whole horizon
+  Fingerprint pin;
   for (std::uint64_t net_seed = 1; net_seed <= 25; ++net_seed) {
     const Net net = test_support::fuzz_net(net_seed, fuzz);
     for (std::uint64_t sim_seed = 1; sim_seed <= 3; ++sim_seed) {
-      expect_modes_agree(net, sim_seed, 300, "timed net_seed=" + std::to_string(net_seed));
+      expect_modes_agree(net, sim_seed, 300, "timed net_seed=" + std::to_string(net_seed),
+                         pin);
     }
   }
+  expect_pin(pin, 0x7ff19b37550af305ULL);
 }
 
 TEST(SimIncrementalFuzz, TimedInterpretedNets) {
@@ -63,13 +71,15 @@ TEST(SimIncrementalFuzz, TimedInterpretedNets) {
   fuzz.timed = true;
   fuzz.interpreted = true;
   fuzz.lossy_pct = 0;
+  Fingerprint pin;
   for (std::uint64_t net_seed = 101; net_seed <= 125; ++net_seed) {
     const Net net = test_support::fuzz_net(net_seed, fuzz);
     for (std::uint64_t sim_seed = 1; sim_seed <= 3; ++sim_seed) {
       expect_modes_agree(net, sim_seed, 300,
-                         "interpreted net_seed=" + std::to_string(net_seed));
+                         "interpreted net_seed=" + std::to_string(net_seed), pin);
     }
   }
+  expect_pin(pin, 0xea8c6cf20b8726f0ULL);
 }
 
 TEST(SimIncrementalFuzz, InhibitorHeavyNets) {
@@ -79,13 +89,15 @@ TEST(SimIncrementalFuzz, InhibitorHeavyNets) {
   fuzz.timed = true;
   fuzz.inhibitor_pct = 80;
   fuzz.lossy_pct = 5;
+  Fingerprint pin;
   for (std::uint64_t net_seed = 201; net_seed <= 215; ++net_seed) {
     const Net net = test_support::fuzz_net(net_seed, fuzz);
     for (std::uint64_t sim_seed = 1; sim_seed <= 3; ++sim_seed) {
       expect_modes_agree(net, sim_seed, 300,
-                         "inhibitor net_seed=" + std::to_string(net_seed));
+                         "inhibitor net_seed=" + std::to_string(net_seed), pin);
     }
   }
+  expect_pin(pin, 0x9b32c0ea603eeafbULL);
 }
 
 }  // namespace
