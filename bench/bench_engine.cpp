@@ -9,8 +9,9 @@
 // CompiledNet incremental-eligibility core replaced the per-firing
 // whole-net eligibility rescan.
 //
-// The with-statistics row times the two ways to get a run's Figure-5
-// statistics: a scalar Simulator feeding a StatCollector sink (one
+// Simulator is a one-lane view of the batch lane kernel, so the
+// with-statistics row times the two ways to get a run's Figure-5
+// statistics off that kernel: a Simulator feeding a StatCollector sink (one
 // TraceEvent and two virtual calls per event), and a one-lane
 // BatchSimulator accumulating them natively — the path `pnut simulate`
 // runs. Both must print the identical format_report for every seed; any
@@ -50,27 +51,13 @@ Net chain_net(std::size_t n) {
   return net;
 }
 
-/// Silent events/second over `reps` seeded runs to `horizon`.
-double events_per_second(const Net& net, Time horizon, int reps) {
-  Simulator sim(net);
-  std::uint64_t events = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int k = 0; k < reps; ++k) {
-    sim.reset(static_cast<std::uint64_t>(1 + k));
-    sim.run_until(horizon);
-    events += sim.total_firing_starts();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return static_cast<double>(events) / std::chrono::duration<double>(t1 - t0).count();
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Seeds per round and timed rounds of the with-statistics comparison.
-constexpr int kStatSeeds = 5;
-constexpr int kStatRounds = 5;
+/// Seeds per round and timed rounds of every events/second figure.
+constexpr int kSeeds = 5;
+constexpr int kRounds = 5;
 
 /// Median, min and max events/second of one path over the timed rounds.
 struct Spread {
@@ -84,26 +71,44 @@ Spread spread_of(std::vector<double> samples) {
   return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
+/// Silent Simulator events/second over kRounds rounds of seeds 1..kSeeds
+/// to `horizon`, on one reused simulator.
+Spread events_per_second(const Net& net, Time horizon) {
+  Simulator sim(net);
+  std::vector<double> samples;
+  for (int round = 0; round < kRounds; ++round) {
+    std::uint64_t events = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int k = 0; k < kSeeds; ++k) {
+      sim.reset(static_cast<std::uint64_t>(1 + k));
+      sim.run_until(horizon);
+      events += sim.total_firing_starts();
+    }
+    samples.push_back(static_cast<double>(events) / seconds_since(t0));
+  }
+  return spread_of(samples);
+}
+
 struct StatsRow {
-  Spread scalar;  ///< Simulator + StatCollector sink
-  Spread batch;   ///< one-lane BatchSimulator, native statistics
+  Spread simulator;  ///< Simulator + StatCollector sink
+  Spread batch;      ///< one-lane BatchSimulator, native statistics
 };
 
-/// Time both statistics paths over kStatRounds rounds of seeds
-/// 1..kStatSeeds to `horizon`, alternating path per seed. Each run builds
-/// its engine off one compiled net, as a simulate request does. Counts in
-/// `mismatches` every seed whose report or event count differs.
+/// Time both statistics paths over kRounds rounds of seeds 1..kSeeds to
+/// `horizon`, alternating path per seed. Each run builds its engine off one
+/// compiled net, as a simulate request does. Counts in `mismatches` every
+/// seed whose report or event count differs.
 StatsRow stats_paths(const char* label, const Net& net, Time horizon,
                      std::size_t& mismatches) {
   const std::shared_ptr<const CompiledNet> compiled = CompiledNet::compile(net);
-  std::vector<double> scalar_eps;
+  std::vector<double> simulator_eps;
   std::vector<double> batch_eps;
-  for (int round = 0; round < kStatRounds; ++round) {
-    std::uint64_t scalar_events = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::uint64_t simulator_events = 0;
     std::uint64_t batch_events = 0;
-    double scalar_s = 0;
+    double simulator_s = 0;
     double batch_s = 0;
-    for (int k = 0; k < kStatSeeds; ++k) {
+    for (int k = 0; k < kSeeds; ++k) {
       const auto seed = static_cast<std::uint64_t>(1 + k);
 
       auto t0 = std::chrono::steady_clock::now();
@@ -113,8 +118,8 @@ StatsRow stats_paths(const char* label, const Net& net, Time horizon,
       sim.reset(seed);
       sim.run_until(horizon);
       sim.finish();
-      scalar_s += seconds_since(t0);
-      scalar_events += sim.total_firing_starts();
+      simulator_s += seconds_since(t0);
+      simulator_events += sim.total_firing_starts();
 
       t0 = std::chrono::steady_clock::now();
       BatchSimulator lane(compiled, 1);
@@ -131,26 +136,35 @@ StatsRow stats_paths(const char* label, const Net& net, Time horizon,
         ++mismatches;
       }
     }
-    scalar_eps.push_back(static_cast<double>(scalar_events) / scalar_s);
+    simulator_eps.push_back(static_cast<double>(simulator_events) / simulator_s);
     batch_eps.push_back(static_cast<double>(batch_events) / batch_s);
   }
-  return {spread_of(scalar_eps), spread_of(batch_eps)};
+  return {spread_of(simulator_eps), spread_of(batch_eps)};
+}
+
+void print_spread(const char* label, const Spread& spread) {
+  std::printf("  %-22s %.3g (%.3g..%.3g)\n", label, spread.median, spread.min, spread.max);
+}
+
+void json_spread(FILE* json, const char* key, const Spread& spread, const char* tail) {
+  std::fprintf(json, "    \"%s\": {\"median\": %.0f, \"min\": %.0f, \"max\": %.0f}%s\n", key,
+               spread.median, spread.min, spread.max, tail);
 }
 
 void print_stats_row(const char* label, const StatsRow& row) {
-  std::printf("  %-22s scalar+StatCollector %.3g (%.3g..%.3g)   batch lane %.3g "
+  std::printf("  %-22s Simulator+StatCollector %.3g (%.3g..%.3g)   batch lane %.3g "
               "(%.3g..%.3g)   %.2fx\n",
-              label, row.scalar.median, row.scalar.min, row.scalar.max, row.batch.median,
-              row.batch.min, row.batch.max, row.batch.median / row.scalar.median);
+              label, row.simulator.median, row.simulator.min, row.simulator.max, row.batch.median,
+              row.batch.min, row.batch.max, row.batch.median / row.simulator.median);
 }
 
 void json_stats_row(FILE* json, const char* key, const StatsRow& row, const char* tail) {
   std::fprintf(json,
-               "    \"%s\": {\"scalar_statcollector\": %.0f, \"scalar_min\": %.0f, "
-               "\"scalar_max\": %.0f, \"batch_lane\": %.0f, \"batch_min\": %.0f, "
+               "    \"%s\": {\"simulator_statcollector\": %.0f, \"simulator_min\": %.0f, "
+               "\"simulator_max\": %.0f, \"batch_lane\": %.0f, \"batch_min\": %.0f, "
                "\"batch_max\": %.0f, \"speedup\": %.2f}%s\n",
-               key, row.scalar.median, row.scalar.min, row.scalar.max, row.batch.median,
-               row.batch.min, row.batch.max, row.batch.median / row.scalar.median, tail);
+               key, row.simulator.median, row.simulator.min, row.simulator.max, row.batch.median,
+               row.batch.min, row.batch.max, row.batch.median / row.simulator.median, tail);
 }
 
 /// Pre-refactor events/second (whole-net eligibility rescan), measured on
@@ -168,19 +182,22 @@ void print_artifact() {
   std::printf("full pipeline model, 100000 cycles: %llu firing starts\n\n",
               static_cast<unsigned long long>(sim.total_firing_starts()));
 
-  const double full = events_per_second(net, 100000, 5);
-  const double fig1 = events_per_second(pipeline::build_prefetch_model(), 100000, 5);
-  const double fig4 = events_per_second(pipeline::build_interpreted_pipeline(), 100000, 5);
-  std::printf("events/second  full model: %.3g   Figure 1 prefetch: %.3g   "
-              "Figure 4 interpreted: %.3g\n",
-              full, fig1, fig4);
+  const Spread full = events_per_second(net, 100000);
+  const Spread fig1 = events_per_second(pipeline::build_prefetch_model(), 100000);
+  const Spread fig4 = events_per_second(pipeline::build_interpreted_pipeline(), 100000);
+  std::printf("silent Simulator, events/second (median and range of %d rounds x %d seeds, "
+              "t=100000):\n",
+              kRounds, kSeeds);
+  print_spread("full model", full);
+  print_spread("Figure 1 prefetch", fig1);
+  print_spread("Figure 4 interpreted", fig4);
   std::printf("vs pre-CompiledNet baseline  full model: %+.0f%%   Figure 1: %+.0f%%\n\n",
-              100.0 * (full / kPreRefactorFullModel - 1.0),
-              100.0 * (fig1 / kPreRefactorFig1Prefetch - 1.0));
+              100.0 * (full.median / kPreRefactorFullModel - 1.0),
+              100.0 * (fig1.median / kPreRefactorFig1Prefetch - 1.0));
 
   std::printf("with statistics, events/second (median and range of %d rounds x %d seeds, "
               "t=100000):\n",
-              kStatRounds, kStatSeeds);
+              kRounds, kSeeds);
   std::size_t mismatches = 0;
   const StatsRow full_stats = stats_paths("full model", net, 100000, mismatches);
   const StatsRow fig1_stats =
@@ -203,27 +220,29 @@ void print_artifact() {
                  "{\n"
                  "  \"bench\": \"bench_engine\",\n"
                  "  \"metric\": \"events_per_second\",\n"
-                 "  \"full_pipeline_model\": %.0f,\n"
-                 "  \"fig1_prefetch_model\": %.0f,\n"
-                 "  \"fig4_interpreted_pipeline\": %.0f,\n"
-                 "  \"repetitions\": 5,\n"
+                 "  \"rounds\": %d,\n"
+                 "  \"seeds_per_round\": %d,\n"
+                 "  \"silent_simulator\": {\n",
+                 kRounds, kSeeds);
+    json_spread(json, "full_pipeline_model", full, ",");
+    json_spread(json, "fig1_prefetch_model", fig1, ",");
+    json_spread(json, "fig4_interpreted_pipeline", fig4, "");
+    std::fprintf(json,
+                 "  },\n"
                  "  \"pre_refactor_baseline\": {\n"
                  "    \"full_pipeline_model\": %.0f,\n"
                  "    \"fig1_prefetch_model\": %.0f,\n"
                  "    \"note\": \"whole-net eligibility rescan, before the CompiledNet "
                  "incremental core\"\n"
                  "  },\n"
-                 "  \"with_statistics\": {\n"
-                 "    \"rounds\": %d,\n"
-                 "    \"seeds_per_round\": %d,\n",
-                 full, fig1, fig4, kPreRefactorFullModel, kPreRefactorFig1Prefetch,
-                 kStatRounds, kStatSeeds);
+                 "  \"with_statistics\": {\n",
+                 kPreRefactorFullModel, kPreRefactorFig1Prefetch);
     json_stats_row(json, "full_pipeline_model", full_stats, ",");
     json_stats_row(json, "fig1_prefetch_model", fig1_stats, ",");
     json_stats_row(json, "fig4_interpreted_pipeline", fig4_stats, ",");
     std::fprintf(json,
                  "    \"note\": \"events/s to t=100000, median and range over rounds; "
-                 "scalar Simulator + StatCollector sink vs one-lane BatchSimulator with "
+                 "Simulator + StatCollector sink vs one-lane BatchSimulator with "
                  "native statistics (the simulate path); format_report verified identical "
                  "per seed\"\n"
                  "  }\n"
@@ -248,27 +267,6 @@ void BM_ChainSimulation(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ChainSimulation)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_ChainSimulationFullRescan(benchmark::State& state) {
-  // Reference mode: the pre-CompiledNet whole-net eligibility rescan.
-  // Comparing against BM_ChainSimulation shows the incremental win growing
-  // with net size (the rescan is O(T) per firing, the dirty set O(degree)).
-  const Net net = chain_net(static_cast<std::size_t>(state.range(0)));
-  SimOptions options;
-  options.incremental_eligibility = false;
-  Simulator sim(net, options);
-  std::uint64_t seed = 1;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sim.reset(seed++);
-    sim.run_until(5000);
-    events += sim.total_firing_starts();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.counters["firings_per_s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ChainSimulationFullRescan)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_TraceRecording(benchmark::State& state) {
   // Cost of recording vs silent simulation.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -14,51 +15,13 @@ namespace pnut {
 
 namespace {
 
-/// Time-weighted accumulator replicating StatCollector::Accumulator's exact
-/// floating-point operation order — the batch engine accumulates statistics
-/// natively (no TraceEvent, no virtual sink call) and must stay byte-equal
-/// to a StatCollector attached to the equivalent scalar run.
-struct Acc {
-  std::int64_t current = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  Time last_change = 0;
-  double weighted_sum = 0;
-  double weighted_sumsq = 0;
-
-  void settle(Time now) {
-    const double dt = now - last_change;
-    // dt == 0 contributes current * 0.0 == ±0.0; the sums start at +0.0 and
-    // only ever accumulate, so they are never -0.0 and adding ±0.0 is a bit
-    // identity — skipping it is byte-equal and saves work at shared instants.
-    if (dt == 0) return;
-    weighted_sum += static_cast<double>(current) * dt;
-    weighted_sumsq += static_cast<double>(current) * static_cast<double>(current) * dt;
-    last_change = now;
-  }
-  void change(Time now, std::int64_t delta) {
-    settle(now);
-    current += delta;
-    if (current < min) min = current;
-    if (current > max) max = current;
-  }
-};
-
-enum class EventKind : std::uint8_t { kFiringComplete, kEnablingExpiry };
-
-struct Event {
-  Time time = 0;
-  std::uint64_t sequence = 0;
-  EventKind kind = EventKind::kFiringComplete;
-  std::uint32_t transition = 0;
-  std::uint64_t firing_id = 0;
-  std::uint64_t generation = 0;
-};
+using Acc = LaneState::Acc;
+using Event = LaneState::Event;
+using EventKind = LaneState::EventKind;
 
 /// Min-heap comparator on (time, sequence) — a strict total order (sequence
-/// numbers are unique within a lane), so std::push_heap/pop_heap on the
-/// reused worker vector pops events in exactly the order the scalar
-/// engine's std::priority_queue does.
+/// numbers are unique within a lane), so std::push_heap/pop_heap pop
+/// events in FIFO order within an instant.
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
     if (a.time != b.time) return a.time > b.time;
@@ -66,36 +29,14 @@ struct EventAfter {
   }
 };
 
-/// Per-worker scratch reused across the lanes the worker runs: everything a
-/// lane needs transiently but that would otherwise cost an allocation per
-/// lane (or, for the conflict candidate lists, per event).
-struct BatchWorker {
-  std::vector<Event> heap;
-  /// Dirty and ready sets as bitmask words. Iterating set bits with
-  /// countr_zero walks ids in ascending order — exactly the order the
-  /// scalar engine's sorted candidate vectors produce — while marking,
-  /// erasing and membership tests collapse to single bit operations.
-  std::vector<std::uint64_t> dirty_words;
-  std::vector<std::uint64_t> ready_words;  ///< ready && eligible ids
-  std::vector<std::uint32_t> ready_ids;
-  std::vector<double> weights;
-  expr::VmScratch vm;
-  DataFrame frame_before;  ///< action-diff snapshot (sink lanes)
-  std::vector<Acc> place_acc;
-  std::vector<Acc> trans_acc;
-  std::vector<std::uint64_t> starts;
-  std::vector<std::uint64_t> ends;
-};
-
 }  // namespace
 
-/// One lane's execution state: row pointers into the engine's SoA matrices
-/// plus the worker scratch. The methods mirror Simulator's (simulator.cpp)
-/// one for one — same RNG call sites, same event ordering, same errors —
-/// which is what makes lane k bit-identical to a scalar run with its seed.
+/// One lane's execution: row pointers into the engine's SoA matrices plus
+/// the lane's transient LaneState. Built per run call; everything that must
+/// survive between calls lives in the rows and the LaneState.
 struct LaneRun {
   BatchSimulator& b;
-  BatchWorker& w;
+  LaneState& s;
   const CompiledNet& net;
   std::size_t lane;
 
@@ -123,17 +64,10 @@ struct LaneRun {
 
   Rng& rng;
   TraceSink* sink;
-  Time now = 0;
-  std::uint64_t next_sequence = 0;
-  std::uint64_t next_firing = 0;
-  std::uint64_t immediate_this_instant = 0;
-  Time instant = -1;
-  std::uint64_t events_started = 0;
-  std::uint64_t events_finished = 0;
 
-  LaneRun(BatchSimulator& batch, BatchWorker& worker, std::size_t k)
+  LaneRun(BatchSimulator& batch, LaneState& state, std::size_t k)
       : b(batch),
-        w(worker),
+        s(state),
         net(*batch.net_),
         lane(k),
         marking(&batch.marking_m_[k * batch.num_places_]),
@@ -163,18 +97,18 @@ struct LaneRun {
     }
   }
 
-  // --- incremental eligibility (mirrors Simulator) --------------------------
+  // --- incremental eligibility ----------------------------------------------
 
   void ready_insert(std::uint32_t t) {
-    w.ready_words[t >> 6] |= std::uint64_t{1} << (t & 63);
+    s.ready_words[t >> 6] |= std::uint64_t{1} << (t & 63);
   }
 
   void ready_erase(std::uint32_t t) {
-    w.ready_words[t >> 6] &= ~(std::uint64_t{1} << (t & 63));
+    s.ready_words[t >> 6] &= ~(std::uint64_t{1} << (t & 63));
   }
 
   void mark_dirty(TransitionId t) {
-    w.dirty_words[t.value >> 6] |= std::uint64_t{1} << (t.value & 63);
+    s.dirty_words[t.value >> 6] |= std::uint64_t{1} << (t.value & 63);
   }
 
   void mark_place_dirty(PlaceId p) {
@@ -196,12 +130,11 @@ struct LaneRun {
     }
     const expr::Code* predicate = b.program_ ? b.program_->predicate(t) : nullptr;
     return predicate == nullptr ||
-           expr::vm_eval_row(*predicate, fvals, fpres, nullptr, w.vm) != 0;
+           expr::vm_eval_row(*predicate, fvals, fpres, nullptr, s.vm) != 0;
   }
 
-  /// Draw a delay from the lane's effective parameters. Call sites and RNG
-  /// consumption match Simulator::sample_delay kind for kind; the constant
-  /// kind reads the (possibly patched) flat row and never touches the RNG,
+  /// Draw a delay from the lane's effective parameters. The constant kind
+  /// reads the (possibly patched) flat row and never touches the RNG,
   /// exactly like DelaySpec::sample on a rebuilt net.
   [[nodiscard]] Time sample_delay(bool enabling, TransitionId t) {
     const std::size_t i = t.value;
@@ -225,10 +158,12 @@ struct LaneRun {
         return choices.back().first;
       }
       case DelaySpec::Kind::kComputed: {
+        // No rng: computed delays are deterministic in the data state
+        // (irand raises EvalError); negative values clamp to zero.
         const expr::Code* code =
             enabling ? b.program_->enabling_delay(t) : b.program_->firing_delay(t);
         const auto v =
-            static_cast<Time>(expr::vm_eval_row(*code, fvals, fpres, nullptr, w.vm));
+            static_cast<Time>(expr::vm_eval_row(*code, fvals, fpres, nullptr, s.vm));
         return v < 0 ? 0 : v;
       }
     }
@@ -237,8 +172,8 @@ struct LaneRun {
 
   void schedule(Time time, EventKind kind, std::uint32_t t, std::uint64_t firing_id,
                 std::uint64_t gen) {
-    w.heap.push_back(Event{time, next_sequence++, kind, t, firing_id, gen});
-    std::push_heap(w.heap.begin(), w.heap.end(), EventAfter{});
+    s.heap.push_back(Event{time, s.next_sequence++, kind, t, firing_id, gen});
+    std::push_heap(s.heap.begin(), s.heap.end(), EventAfter{});
   }
 
   void refresh_one(TransitionId t) {
@@ -246,36 +181,38 @@ struct LaneRun {
     const bool now_eligible = compute_eligible(t);
 
     if (now_eligible && !eligible[i]) {
+      // Became enabled: arm the enabling timer (or mark ready immediately).
       eligible[i] = 1;
-      enabled_since[i] = now;
+      enabled_since[i] = s.now;
       ++generation[i];
-      // The scalar engine short-circuits statically-zero enabling times;
-      // sampling a constant consumes no randomness, so reading the
-      // (possibly patched) constant row here is bit-equivalent.
       const Time delay = sample_delay(/*enabling=*/true, t);
       if (delay <= 0) {
         ready_flag[i] = 1;
         ready_insert(i);
       } else {
         ready_flag[i] = 0;
-        schedule(now + delay, EventKind::kEnablingExpiry, i, 0, generation[i]);
+        schedule(s.now + delay, EventKind::kEnablingExpiry, i, 0, generation[i]);
       }
     } else if (!now_eligible && eligible[i]) {
+      // Disabled: the continuous-enablement clock resets; any pending
+      // expiry event for the old generation becomes stale.
       eligible[i] = 0;
       ready_flag[i] = 0;
       ++generation[i];
       ready_erase(i);
     }
+    // Still eligible (or still not): leave the running timer untouched —
+    // that is precisely the "continuously enabled" requirement.
   }
 
-  /// refresh_one never re-dirties anything (only firings and token moves
-  /// do), so each word can be consumed in one pass; ascending bit order
-  /// matches the sorted iteration the scalar engine performs.
+  /// Re-evaluate the dirty transitions in ascending id order. refresh_one
+  /// never re-dirties anything (only firings and token moves do), so each
+  /// word can be consumed in one pass.
   void refresh_eligibility() {
-    for (std::size_t wi = 0; wi < w.dirty_words.size(); ++wi) {
-      std::uint64_t word = w.dirty_words[wi];
+    for (std::size_t wi = 0; wi < s.dirty_words.size(); ++wi) {
+      std::uint64_t word = s.dirty_words[wi];
       if (word == 0) continue;
-      w.dirty_words[wi] = 0;
+      s.dirty_words[wi] = 0;
       do {
         const std::uint32_t i =
             static_cast<std::uint32_t>(wi * 64) + std::countr_zero(word);
@@ -303,27 +240,30 @@ struct LaneRun {
 
   // --- firing ---------------------------------------------------------------
 
+  /// Run `t`'s action on the lane's data row; with a trace event, append
+  /// the frame diff to it.
   void run_action(TransitionId t, TraceEvent* ev) {
     const expr::Code* code = b.action_patches_.empty() ? b.program_->action(t)
                                                        : b.patched_action(lane, t);
     if (ev != nullptr) {
-      w.frame_before.values.assign(fvals, fvals + b.program_->schema().num_values());
-      w.frame_before.present.assign(fpres, fpres + b.program_->schema().num_scalars());
+      s.frame_before.values.assign(fvals, fvals + b.program_->schema().num_values());
+      s.frame_before.present.assign(fpres, fpres + b.program_->schema().num_scalars());
     }
-    expr::vm_exec_row(*code, fvals, fpres, &rng, w.vm);
+    expr::vm_exec_row(*code, fvals, fpres, &rng, s.vm);
     mark_predicated_dirty();
     if (ev == nullptr) return;
-    // Frame diff in slot order == name order (see Simulator::run_action).
+    // Frame diff in slot order == name order: the trace lists the exact
+    // variable updates the firing performed, sorted by name.
     const DataSchema& schema = b.program_->schema();
     for (std::size_t i = 0; i < schema.num_scalars(); ++i) {
       if (fpres[i] == 0) continue;
-      if (w.frame_before.present[i] == 0 || w.frame_before.values[i] != fvals[i]) {
+      if (s.frame_before.present[i] == 0 || s.frame_before.values[i] != fvals[i]) {
         ev->scalar_updates.push_back(ScalarUpdate{schema.scalar_names()[i], fvals[i]});
       }
     }
     for (const DataSchema::Table& table : schema.tables()) {
       for (std::uint32_t i = 0; i < table.size; ++i) {
-        if (w.frame_before.values[table.base + i] != fvals[table.base + i]) {
+        if (s.frame_before.values[table.base + i] != fvals[table.base + i]) {
           ev->table_updates.push_back(TableUpdate{
               table.name, static_cast<std::int64_t>(i), fvals[table.base + i]});
         }
@@ -331,8 +271,11 @@ struct LaneRun {
     }
   }
 
+  /// Start one firing of `t` now: consume, apply action, emit Start,
+  /// complete immediately or schedule completion.
   void start_firing(TransitionId t) {
-    const std::uint64_t firing_id = next_firing++;
+    const std::uint64_t firing_id = s.next_firing++;
+    const Time now = s.now;
 
     TraceEvent ev;  // built only on the sink (inspection) path
     if (sink != nullptr) {
@@ -353,19 +296,21 @@ struct LaneRun {
     const Time firing_time = sample_delay(/*enabling=*/false, t);
 
     if (firing_time <= 0) {
-      // Atomic firing: produce at the same instant. Statistics apply the
-      // *net* per-place delta (StatCollector's kAtomic rule), computed
-      // straight off the arc spans.
+      // Zero-duration firing: consume + produce in one atomic state delta
+      // (Section 4.2 relies on instantaneous moves being atomic for the
+      // Bus_busy + Bus_free = 1 style invariants to hold in every state).
+      // Statistics apply the *net* per-place delta (StatCollector's kAtomic
+      // rule), computed straight off the arc spans.
       for (const Arc& a : net.outputs(t)) {
         add_tokens(a.place, a.weight);
         mark_place_dirty(a.place);
         if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
       }
       completions[t.value] += 1;
-      ++events_started;
-      ++events_finished;
-      ++w.starts[t.value];
-      ++w.ends[t.value];
+      ++s.events_started;
+      ++s.events_finished;
+      ++s.starts[t.value];
+      ++s.ends[t.value];
       const std::span<const Arc> ins = net.inputs(t);
       const std::span<const Arc> outs = net.outputs(t);
       for (const Arc& a : ins) {
@@ -373,13 +318,13 @@ struct LaneRun {
         for (const Arc& p : outs) {
           if (p.place == a.place) delta += static_cast<std::int64_t>(p.weight);
         }
-        w.place_acc[a.place.value].change(now, delta);
+        s.place_acc[a.place.value].change(now, delta);
       }
       for (const Arc& p : outs) {
         bool consumed_too = false;
         for (const Arc& a : ins) consumed_too |= (a.place == p.place);
         if (!consumed_too) {
-          w.place_acc[p.place.value].change(now, static_cast<std::int64_t>(p.weight));
+          s.place_acc[p.place.value].change(now, static_cast<std::int64_t>(p.weight));
         }
       }
       if (sink != nullptr) {
@@ -391,17 +336,19 @@ struct LaneRun {
 
     in_flight[t.value] += 1;
     mark_dirty(t);  // in_flight gates single-server eligibility
-    ++events_started;
-    ++w.starts[t.value];
-    w.trans_acc[t.value].change(now, +1);
+    ++s.events_started;
+    ++s.starts[t.value];
+    s.trans_acc[t.value].change(now, +1);
     for (const Arc& a : net.inputs(t)) {
-      w.place_acc[a.place.value].change(now, -static_cast<std::int64_t>(a.weight));
+      s.place_acc[a.place.value].change(now, -static_cast<std::int64_t>(a.weight));
     }
     if (sink != nullptr) sink->event(ev);
     schedule(now + firing_time, EventKind::kFiringComplete, t.value, firing_id, 0);
   }
 
+  /// Apply `t`'s completion: produce tokens, emit End.
   void complete_firing(TransitionId t, std::uint64_t firing_id) {
+    const Time now = s.now;
     TraceEvent ev;
     if (sink != nullptr) {
       ev.kind = TraceEvent::Kind::kEnd;
@@ -412,52 +359,59 @@ struct LaneRun {
     for (const Arc& a : net.outputs(t)) {
       add_tokens(a.place, a.weight);
       mark_place_dirty(a.place);
-      w.place_acc[a.place.value].change(now, static_cast<std::int64_t>(a.weight));
+      s.place_acc[a.place.value].change(now, static_cast<std::int64_t>(a.weight));
       if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
     }
     in_flight[t.value] -= 1;
     mark_dirty(t);
     completions[t.value] += 1;
-    ++events_finished;
-    ++w.ends[t.value];
-    w.trans_acc[t.value].change(now, -1);
+    ++s.events_finished;
+    ++s.ends[t.value];
+    s.trans_acc[t.value].change(now, -1);
     if (sink != nullptr) sink->event(ev);
   }
 
+  /// Fire every ready transition at the current instant, resolving
+  /// conflicts probabilistically, until none remain ready.
   void fire_ready_transitions() {
     while (true) {
-      // Gather the candidate list in ascending id order — the same order
-      // Simulator builds its vectors in — so next_weighted sees the
-      // identical span and draws identically.
-      w.ready_ids.clear();
-      w.weights.clear();
-      for (std::size_t wi = 0; wi < w.ready_words.size(); ++wi) {
-        std::uint64_t word = w.ready_words[wi];
+      // Candidates: transitions that are ready *and still* eligible at this
+      // instant (an earlier firing in this loop may have stolen their
+      // tokens), gathered in ascending id order.
+      s.ready_ids.clear();
+      s.weights.clear();
+      for (std::size_t wi = 0; wi < s.ready_words.size(); ++wi) {
+        std::uint64_t word = s.ready_words[wi];
         while (word != 0) {
           const std::uint32_t i =
               static_cast<std::uint32_t>(wi * 64) + std::countr_zero(word);
           word &= word - 1;
-          w.ready_ids.push_back(i);
-          w.weights.push_back(freq[i]);
+          s.ready_ids.push_back(i);
+          s.weights.push_back(freq[i]);
         }
       }
-      if (w.ready_ids.empty()) return;
+      if (s.ready_ids.empty()) return;
 
-      if (now != instant) {
-        instant = now;
-        immediate_this_instant = 0;
+      // Budget guard against zero-delay livelock.
+      if (s.now != s.instant) {
+        s.instant = s.now;
+        s.immediate_this_instant = 0;
       }
-      if (++immediate_this_instant > b.options_.max_immediate_firings_per_instant) {
+      if (++s.immediate_this_instant > b.options_.max_immediate_firings_per_instant) {
         throw std::runtime_error(
             "Simulator: more than " +
             std::to_string(b.options_.max_immediate_firings_per_instant) +
-            " firings at time " + std::to_string(now) +
+            " firings at time " + std::to_string(s.now) +
             " — the net has a zero-delay livelock");
       }
 
-      const std::size_t pick = rng.next_weighted(w.weights);
-      const TransitionId chosen(w.ready_ids[pick]);
+      const std::size_t pick = rng.next_weighted(s.weights);
+      const TransitionId chosen(s.ready_ids[pick]);
 
+      // Firing consumes this transition's readiness; it must wait out a full
+      // enabling delay again before its next firing. Mark it dirty so the
+      // refresh re-evaluates it even if no watched place changed (e.g. a
+      // source transition with no input arcs).
       ready_flag[chosen.value] = 0;
       eligible[chosen.value] = 0;
       ++generation[chosen.value];
@@ -471,9 +425,11 @@ struct LaneRun {
 
   // --- lane lifecycle -------------------------------------------------------
 
-  void reset() {
-    rng.reseed(b.seeds_[lane]);
-    now = b.options_.start_time;
+  /// Restart from the lane's (patched) initial state, emit begin(), and
+  /// fire the initial instant. Without `reseed` the RNG stream continues.
+  void reset(bool reseed) {
+    if (reseed) rng.reseed(b.seeds_[lane]);
+    s.now = b.options_.start_time;
 
     std::copy(init_tokens, init_tokens + b.num_places_, marking);
     if (b.program_) {
@@ -496,33 +452,33 @@ struct LaneRun {
     std::fill(in_flight, in_flight + T, std::uint32_t{0});
     std::fill(completions, completions + T, std::uint64_t{0});
 
-    w.heap.clear();
+    s.heap.clear();
     const std::size_t words = (T + 63) / 64;
-    w.dirty_words.assign(words, 0);
-    w.ready_words.assign(words, 0);
-    next_sequence = 0;
-    next_firing = 0;
-    immediate_this_instant = 0;
-    instant = now;
-    events_started = 0;
-    events_finished = 0;
+    s.dirty_words.assign(words, 0);
+    s.ready_words.assign(words, 0);
+    s.next_sequence = 0;
+    s.next_firing = 0;
+    s.immediate_this_instant = 0;
+    s.instant = s.now;
+    s.events_started = 0;
+    s.events_finished = 0;
 
     // Native statistics "begin": StatCollector::begin against the lane's
     // (possibly patched) initial marking.
-    w.place_acc.assign(b.num_places_, Acc{});
+    s.place_acc.assign(b.num_places_, Acc{});
     for (std::size_t i = 0; i < b.num_places_; ++i) {
-      Acc& acc = w.place_acc[i];
+      Acc& acc = s.place_acc[i];
       acc.current = static_cast<std::int64_t>(marking[i]);
       acc.min = acc.max = acc.current;
-      acc.last_change = now;
+      acc.last_change = s.now;
     }
-    w.trans_acc.assign(T, Acc{});
-    for (Acc& acc : w.trans_acc) acc.last_change = now;
-    w.starts.assign(T, 0);
-    w.ends.assign(T, 0);
+    s.trans_acc.assign(T, Acc{});
+    for (Acc& acc : s.trans_acc) acc.last_change = s.now;
+    s.starts.assign(T, 0);
+    s.ends.assign(T, 0);
 
     if (sink != nullptr) {
-      TraceHeader header = TraceHeader::from_net(net.net(), now);
+      TraceHeader header = TraceHeader::from_net(net.net(), s.now);
       header.initial_marking =
           Marking::from_tokens(std::span<const TokenCount>(marking, b.num_places_));
       if (!b.scalar_patches_.empty()) {
@@ -538,58 +494,58 @@ struct LaneRun {
     fire_ready_transitions();
   }
 
-  void run_to(Time horizon) {
+  /// Advance to `horizon` (inclusive of events at it), deadlock, or an
+  /// event budget: `budget` non-stale events, checked before each pop.
+  StopReason run_to(Time horizon, std::uint64_t budget) {
     const bool stoppable = b.options_.stop.possible();
-    std::uint64_t events = 0;
-    while (!w.heap.empty() && w.heap.front().time <= horizon) {
+    std::uint64_t popped = 0;
+    std::uint64_t processed = 0;
+    while (!s.heap.empty() && s.heap.front().time <= horizon) {
+      if (processed >= budget) return StopReason::kEventLimit;
       // Cooperative stop: the StopError parks in this lane's error slot and
       // run() rethrows the lowest lane's, like any other lane failure.
-      if (stoppable && (events++ % kStopCheckStride) == 0) {
+      if (stoppable && (popped++ % kStopCheckStride) == 0) {
         b.options_.stop.throw_if_stopped();
       }
-      const Event ev = w.heap.front();
-      std::pop_heap(w.heap.begin(), w.heap.end(), EventAfter{});
-      w.heap.pop_back();
+      const Event ev = s.heap.front();
+      std::pop_heap(s.heap.begin(), s.heap.end(), EventAfter{});
+      s.heap.pop_back();
 
       if (ev.kind == EventKind::kEnablingExpiry) {
         if (generation[ev.transition] != ev.generation) continue;  // stale timer
-        now = ev.time;
+        s.now = ev.time;
+        // A matching generation means continuously eligible since arming.
         ready_flag[ev.transition] = 1;
         ready_insert(ev.transition);
       } else {
-        now = ev.time;
+        s.now = ev.time;
         complete_firing(TransitionId(ev.transition), ev.firing_id);
         refresh_eligibility();
       }
+      ++processed;
       fire_ready_transitions();
     }
-    // The experiment's clock runs to the horizon even when deadlocked, so
-    // statistics integrate over the full window (as in the scalar engine).
-    if (horizon > now) now = horizon;
+    // Whether or not anything can still happen, the experiment's clock runs
+    // to the requested horizon — a deadlocked system keeps existing, so
+    // statistics integrate over the full [start, horizon] window.
+    if (horizon > s.now) s.now = horizon;
+    return b.lane_deadlocked(lane, s) ? StopReason::kDeadlock : StopReason::kTimeLimit;
   }
 
-  [[nodiscard]] bool deadlocked() const {
-    for (std::size_t i = 0; i < b.num_transitions_; ++i) {
-      if (in_flight[i] > 0) return false;
-      if (ready_flag[i] && eligible[i]) return false;
-    }
-    return true;
-  }
-
-  /// StatCollector::end, byte for byte, into the lane's result slot.
+  /// Emit end() and StatCollector::end, byte for byte, into the lane's
+  /// result slot.
   void finish() {
+    const Time now = s.now;
     b.now_[lane] = now;
-    b.firing_starts_[lane] = next_firing;
-    b.stop_[lane] = (w.heap.empty() && deadlocked()) ? StopReason::kDeadlock
-                                                     : StopReason::kTimeLimit;
+    b.firing_starts_[lane] = s.next_firing;
     if (sink != nullptr) sink->end(now);
 
     RunStats out;
     out.run_number = b.run_numbers_[lane];
     out.initial_clock = b.options_.start_time;
     out.length = now - b.options_.start_time;
-    out.events_started = events_started;
-    out.events_finished = events_finished;
+    out.events_started = s.events_started;
+    out.events_finished = s.events_finished;
 
     const double length = out.length;
     auto finalize = [&](Acc acc) {
@@ -607,7 +563,7 @@ struct LaneRun {
 
     out.places.reserve(b.num_places_);
     for (std::size_t i = 0; i < b.num_places_; ++i) {
-      const auto [mn, mx, avg, sd] = finalize(w.place_acc[i]);
+      const auto [mn, mx, avg, sd] = finalize(s.place_acc[i]);
       PlaceStats p;
       p.name = net.place_name(PlaceId(static_cast<std::uint32_t>(i)));
       p.min_tokens = static_cast<TokenCount>(std::max<std::int64_t>(mn, 0));
@@ -618,16 +574,16 @@ struct LaneRun {
     }
     out.transitions.reserve(b.num_transitions_);
     for (std::size_t i = 0; i < b.num_transitions_; ++i) {
-      const auto [mn, mx, avg, sd] = finalize(w.trans_acc[i]);
+      const auto [mn, mx, avg, sd] = finalize(s.trans_acc[i]);
       TransitionStats t;
       t.name = net.transition_name(TransitionId(static_cast<std::uint32_t>(i)));
       t.min_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mn, 0));
       t.max_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mx, 0));
       t.avg_concurrent = avg;
       t.stddev_concurrent = sd;
-      t.starts = w.starts[i];
-      t.ends = w.ends[i];
-      t.throughput = length > 0 ? static_cast<double>(w.ends[i]) / length : 0;
+      t.starts = s.starts[i];
+      t.ends = s.ends[i];
+      t.throughput = length > 0 ? static_cast<double>(s.ends[i]) / length : 0;
       out.transitions.push_back(std::move(t));
     }
     b.results_[lane] = std::move(out);
@@ -644,7 +600,7 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNet> net,
   num_places_ = net_->num_places();
   num_transitions_ = net_->num_transitions();
 
-  // Same rule as the scalar engine: only nets with hooks carry data rows.
+  // Only nets with hooks carry data rows.
   if (net_->net_has_hooks()) program_ = expr::NetProgram::compile(net_->net());
 
   enab_kind_.reserve(num_transitions_);
@@ -923,11 +879,11 @@ void BatchSimulator::run(Time horizon) {
   threads = static_cast<unsigned>(std::min<std::size_t>(threads, num_lanes_));
 
   std::vector<std::exception_ptr> errors(num_lanes_);
-  const auto run_lane = [&](BatchWorker& w, std::size_t lane) {
+  const auto run_lane = [&](LaneState& state, std::size_t lane) {
     try {
-      LaneRun r(*this, w, lane);
-      r.reset();
-      r.run_to(horizon);
+      LaneRun r(*this, state, lane);
+      r.reset(/*reseed=*/true);
+      stop_[lane] = r.run_to(horizon, std::numeric_limits<std::uint64_t>::max());
       r.finish();
     } catch (...) {
       errors[lane] = std::current_exception();
@@ -935,8 +891,8 @@ void BatchSimulator::run(Time horizon) {
   };
 
   if (threads <= 1) {
-    BatchWorker w;
-    for (std::size_t lane = 0; lane < num_lanes_; ++lane) run_lane(w, lane);
+    LaneState state;
+    for (std::size_t lane = 0; lane < num_lanes_; ++lane) run_lane(state, lane);
   } else {
     // Work-stealing by atomic counter; lane k's state and result slots are
     // disjoint SoA rows, so the merged output is independent of scheduling.
@@ -945,11 +901,11 @@ void BatchSimulator::run(Time horizon) {
     pool.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) {
       pool.emplace_back([&] {
-        BatchWorker w;
+        LaneState state;
         while (true) {
           const std::size_t lane = next.fetch_add(1);
           if (lane >= num_lanes_) return;
-          run_lane(w, lane);
+          run_lane(state, lane);
         }
       });
     }
@@ -958,10 +914,32 @@ void BatchSimulator::run(Time horizon) {
   ran_ = true;
 
   // Every lane ran; surface the lowest-lane failure — the same exception a
-  // sequential loop of scalar Simulators would have thrown first.
+  // sequential loop over the lanes would have thrown first.
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+}
+
+void BatchSimulator::reset_lane(std::size_t lane, LaneState& state, bool reseed) {
+  LaneRun(*this, state, lane).reset(reseed);
+}
+
+StopReason BatchSimulator::advance_lane(std::size_t lane, LaneState& state, Time horizon,
+                                        std::optional<std::uint64_t> max_events) {
+  return LaneRun(*this, state, lane)
+      .run_to(horizon, max_events.value_or(std::numeric_limits<std::uint64_t>::max()));
+}
+
+bool BatchSimulator::lane_deadlocked(std::size_t lane, const LaneState& state) const {
+  // No queued events, nothing in flight, nothing ready: an eligible
+  // transition with an armed timer would have an event queued, and one with
+  // a zero enabling delay would have fired already.
+  if (!state.heap.empty()) return false;
+  for (std::size_t i = lane * num_transitions_; i < (lane + 1) * num_transitions_; ++i) {
+    if (in_flight_m_[i] > 0) return false;
+    if (ready_m_[i] && eligible_m_[i]) return false;
+  }
+  return true;
 }
 
 StopReason BatchSimulator::stop_reason(std::size_t lane) const {

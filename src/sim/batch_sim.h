@@ -1,15 +1,61 @@
-// Batched Monte Carlo simulation: many replications of one CompiledNet as
-// structure-of-arrays lanes.
+// The P-NUT simulation engine (Section 4.1): one lane kernel, run as N
+// replication lanes of one CompiledNet by BatchSimulator and as one
+// resumable lane by Simulator (sim/simulator.h).
 //
-// The paper's experiments are sweeps — Figure 5's operating point sits
-// inside a memory-latency grid, and the simulator exists to "control the
-// duration of one or more simulation experiments". The unit of throughput
-// for such experiments is trajectories per second, not events per second on
-// one trajectory. BatchSimulator runs N independent lanes off one immutable
-// CompiledNet with all per-lane state held replication-major:
+// "The P-NUT simulator is a simple simulation engine which 'pushes' tokens
+// around a Timed Petri Net. ... The simulator simply generates a trace."
+//
+// Execution semantics:
+//
+//  * Enabling time (Section 1): a transition must be *continuously* enabled
+//    (input tokens present, inhibitors clear, predicate true, and — for
+//    single-server transitions — no firing of its own in flight) for its
+//    enabling delay before it may fire. Any disablement resets the timer,
+//    and the delay is resampled on re-enablement (enabling-memory policy
+//    with resampling). When it fires, consumption and production happen at
+//    the same instant (atomic firing). This models, e.g., the paper's
+//    End-prefetch memory latency.
+//
+//  * Firing time (Ramchandani-style): when a transition starts firing its
+//    input tokens are removed and its action applied; "during the firing of
+//    a transition tokens are neither on the inputs nor on the outputs";
+//    outputs appear when the firing completes, firing-time later. This
+//    models, e.g., the one-cycle Decode. A transition may carry both delays:
+//    enabling delay to *start*, firing duration to *complete*.
+//
+//  * Conflict resolution (Section 1, [WPS86]): at each instant, transitions
+//    that are ready to fire are selected one at a time with probability
+//    proportional to their relative firing frequencies; the set is
+//    re-evaluated after every firing because one firing can disable its
+//    competitors.
+//
+//  * Immediate transitions (zero enabling and firing time) fire in zero
+//    time; a configurable per-instant firing budget turns an immediate
+//    livelock (a zero-delay cycle that never disables itself) into an error
+//    instead of a hang.
+//
+// Eligibility is kept *incrementally*: after a firing only the transitions
+// adjacent (via the compiled inverse place->transition adjacency) to places
+// whose token count changed — plus the fired transition itself and, when an
+// action ran, every predicated transition — are re-evaluated, in ascending
+// id order, so the RNG draw order equals that of a whole-net rescan. The
+// ready set (ready && eligible transitions, the candidates of each conflict
+// draw) is maintained the same way.
+//
+// A lane is deterministic: one seeded Rng drives every random choice, and
+// the event queue breaks time ties by insertion order, so (net, seed,
+// horizon) reproduces a trace bit-for-bit.
+//
+// Batched Monte Carlo: the paper's experiments are sweeps — Figure 5's
+// operating point sits inside a memory-latency grid, and the simulator
+// exists to "control the duration of one or more simulation experiments".
+// The unit of throughput for such experiments is trajectories per second,
+// not events per second on one trajectory. BatchSimulator runs N
+// independent lanes off one immutable CompiledNet with all per-lane state
+// held replication-major:
 //
 //   * a (lane x place) token matrix — each lane's marking is one contiguous
-//     row swept by the same CSR arc spans the scalar engine uses;
+//     row swept by the CompiledNet's CSR arc spans;
 //   * the lanes' data states as one flat slot matrix (lane x value slots,
 //     plus a lane x scalar presence matrix) — hooks evaluate bytecode
 //     straight against their lane's row (expr::vm_eval_row);
@@ -17,18 +63,13 @@
 //     (eligible/ready flags, enabling generations, in-flight counts,
 //     completion counters) and per-lane RNGs, clocks and seeds.
 //
-// Per-lane transient machinery (event heap, dirty/ready sets, statistics
-// accumulators, VM scratch) lives in per-worker scratch reused across
-// lanes, so a lane run performs no per-event allocation: statistics are
-// accumulated natively with StatCollector's exact arithmetic instead of
-// materializing TraceEvents, which is where the batch engine's speedup over
-// one-Simulator-per-run comes from on top of compiling once.
-//
-// Bit-exactness contract: lane k, seeded s, produces the identical trace
-// (attach a sink to check) and identical RunStats to a scalar Simulator
-// over the same net with seed s — same RNG draw order, same event ordering,
-// same error behaviour. Lanes are independent, so results are identical for
-// every BatchOptions::threads value.
+// Per-lane transient machinery (event heap, dirty/ready sets, counters,
+// statistics accumulators, VM scratch) lives in a LaneState that run()
+// reuses across the lanes a worker runs, so a lane run performs no
+// per-event allocation: statistics are accumulated natively with
+// StatCollector's exact arithmetic instead of materializing TraceEvents.
+// Lanes are independent, so results are identical for every
+// BatchOptions::threads value.
 //
 // Parameter patches: a lane can deviate from the compiled net without
 // recompiling — initial tokens, constant delays, uniform delay bounds,
@@ -45,6 +86,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -55,19 +97,96 @@
 #include "petri/data_frame.h"
 #include "petri/net.h"
 #include "petri/rng.h"
-#include "sim/simulator.h"
 #include "stat/stat.h"
 #include "trace/trace.h"
 #include "util/stop.h"
 
 namespace pnut {
 
+/// Why a lane's run returned.
+enum class StopReason : std::uint8_t {
+  kTimeLimit,   ///< the requested horizon was reached
+  kDeadlock,    ///< no transition can ever fire again
+  kEventLimit,  ///< the requested event budget was exhausted
+};
+
+/// The transient state of one running lane: event queue, dirty/ready sets,
+/// clock and counters, statistics accumulators and evaluation scratch.
+/// BatchSimulator::run keeps one per worker and reuses it across the lanes
+/// the worker runs; a Simulator owns one that persists across its run
+/// calls. Only the lane kernel (batch_sim.cpp) writes it.
+struct LaneState {
+  /// Time-weighted accumulator with StatCollector::Accumulator's exact
+  /// floating-point operation order, so native statistics stay byte-equal
+  /// to a StatCollector attached to the lane's trace.
+  struct Acc {
+    std::int64_t current = 0;
+    std::int64_t min = 0;
+    std::int64_t max = 0;
+    Time last_change = 0;
+    double weighted_sum = 0;
+    double weighted_sumsq = 0;
+
+    void settle(Time now) {
+      const double dt = now - last_change;
+      // dt == 0 contributes current * 0.0 == ±0.0; the sums start at +0.0
+      // and only ever accumulate, so they are never -0.0 and adding ±0.0 is
+      // a bit identity — skipping it is byte-equal and saves work at shared
+      // instants.
+      if (dt == 0) return;
+      weighted_sum += static_cast<double>(current) * dt;
+      weighted_sumsq += static_cast<double>(current) * static_cast<double>(current) * dt;
+      last_change = now;
+    }
+    void change(Time now, std::int64_t delta) {
+      settle(now);
+      current += delta;
+      if (current < min) min = current;
+      if (current > max) max = current;
+    }
+  };
+
+  enum class EventKind : std::uint8_t { kFiringComplete, kEnablingExpiry };
+
+  struct Event {
+    Time time = 0;
+    std::uint64_t sequence = 0;  ///< tie-break: FIFO within an instant
+    EventKind kind = EventKind::kFiringComplete;
+    std::uint32_t transition = 0;
+    std::uint64_t firing_id = 0;   ///< kFiringComplete
+    std::uint64_t generation = 0;  ///< kEnablingExpiry
+  };
+
+  std::vector<Event> heap;  ///< min-heap on (time, sequence)
+  /// Dirty and ready sets as bitmask words: iterating set bits with
+  /// countr_zero walks ids in ascending order, while marking, erasing and
+  /// membership tests are single bit operations.
+  std::vector<std::uint64_t> dirty_words;
+  std::vector<std::uint64_t> ready_words;  ///< ready && eligible ids
+  std::vector<std::uint32_t> ready_ids;    ///< conflict candidates
+  std::vector<double> weights;             ///< their frequencies
+  expr::VmScratch vm;
+  DataFrame frame_before;  ///< action-diff snapshot (sink lanes)
+
+  Time now = 0;
+  std::uint64_t next_sequence = 0;
+  std::uint64_t next_firing = 0;  ///< firing starts since reset
+  std::uint64_t immediate_this_instant = 0;
+  Time instant = -1;  ///< the instant the immediate budget counts against
+
+  std::uint64_t events_started = 0;
+  std::uint64_t events_finished = 0;
+  std::vector<Acc> place_acc;
+  std::vector<Acc> trans_acc;
+  std::vector<std::uint64_t> starts;
+  std::vector<std::uint64_t> ends;
+};
+
 struct BatchOptions {
   /// Lane k defaults to seed base_seed + k (override with set_seed).
   std::uint64_t base_seed = 1;
   Time start_time = 0;
-  /// Abort threshold for zero-delay firing cascades at a single instant
-  /// (same guard, same error text as the scalar engine).
+  /// Abort threshold for zero-delay firing cascades at a single instant.
   std::uint64_t max_immediate_firings_per_instant = 1'000'000;
   /// Worker threads lanes are partitioned over; 0 picks from the hardware.
   /// Results are bit-identical for every value.
@@ -93,13 +212,14 @@ class BatchSimulator {
 
   /// Override lane's seed (default base_seed + lane).
   void set_seed(std::size_t lane, std::uint64_t seed);
-  /// Tag lane's RunStats with a run number (default 1, as the scalar
-  /// StatCollector does; run_replications tags lane k with k + 1).
+  /// Tag lane's RunStats with a run number (default 1, as a StatCollector
+  /// does; run_replications tags lane k with k + 1).
   void set_run_number(std::size_t lane, int run_number);
   /// Attach a sink receiving lane's trace — how `pnut simulate --trace`
   /// writes its trace file, and how the differential tests inspect lanes.
-  /// Lanes without sinks run allocation-free. The sink sees exactly the
-  /// scalar Simulator's begin/event/end stream for the lane's patched net.
+  /// Lanes without sinks run allocation-free. The sink sees the lane's
+  /// begin/event/end stream, identical to a Simulator's over the patched
+  /// net rebuilt.
   void set_sink(std::size_t lane, TraceSink* sink);
 
   // --- per-lane parameter patches (no recompilation) ------------------------
@@ -133,14 +253,14 @@ class BatchSimulator {
   /// Run every lane from its initial state to `horizon`. A lane that throws
   /// (zero-delay livelock, bad action) parks its exception; all other lanes
   /// still run, then the lowest-lane exception is rethrown — the same one a
-  /// sequential loop of scalar Simulators would have surfaced first.
+  /// sequential loop over the lanes would have surfaced first.
   void run(Time horizon);
 
   // --- per-lane results (valid after run()) ---------------------------------
 
   [[nodiscard]] StopReason stop_reason(std::size_t lane) const;
   /// Figure-5 statistics for the lane, byte-identical to a StatCollector
-  /// attached to the equivalent scalar run.
+  /// attached to the lane's trace.
   [[nodiscard]] const RunStats& stats(std::size_t lane) const;
   [[nodiscard]] Time now(std::size_t lane) const;
   [[nodiscard]] std::span<const TokenCount> marking(std::size_t lane) const;
@@ -149,6 +269,21 @@ class BatchSimulator {
 
  private:
   friend struct LaneRun;
+  friend class Simulator;
+
+  // --- one resumable lane (the Simulator view) ------------------------------
+
+  /// Restart `lane` from its initial state into `state`: reseed its RNG
+  /// from the lane seed when `reseed`, else continue the RNG stream; emit
+  /// begin() and fire the initial instant.
+  void reset_lane(std::size_t lane, LaneState& state, bool reseed);
+  /// Advance `lane` to `horizon` (inclusive), deadlock, or — when set — an
+  /// event budget counting non-stale events, checked before each pop.
+  StopReason advance_lane(std::size_t lane, LaneState& state, Time horizon,
+                          std::optional<std::uint64_t> max_events);
+  /// Nothing can ever happen again: no queued events, no in-flight firings,
+  /// no ready transitions.
+  [[nodiscard]] bool lane_deadlocked(std::size_t lane, const LaneState& state) const;
 
   void check_lane(std::size_t lane) const;
   void check_ran(std::size_t lane) const;

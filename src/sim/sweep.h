@@ -16,8 +16,8 @@
 // Replication r of every cell is seeded base_seed + r (common random
 // numbers across cells: cross-cell differences are parameter effects, not
 // seed effects — the standard variance-reduction choice for comparing grid
-// points). Each lane is bit-identical to a scalar Simulator over a Net
-// rebuilt with that cell's parameter values and run with that seed.
+// points). Each lane is bit-identical to a Simulator over a Net rebuilt
+// with that cell's parameter values and run with that seed.
 //
 // Patches cannot change net *structure*: a cache-present vs cache-absent
 // comparison is two sweeps over two compiled nets (see

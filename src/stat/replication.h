@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "petri/compiled_net.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "stat/stat.h"
 #include "util/stop.h"
 

@@ -1,13 +1,14 @@
 // Differential tests for the batch engine: every lane of a BatchSimulator
 // must be bit-identical — trace, statistics, stop reason, clock — to a
-// scalar Simulator over the same net with the lane's seed, for any thread
-// count, with or without per-lane parameter patches (a patched lane is
-// compared against a scalar run of a *rebuilt* net). Interpreted lanes are
-// also pinned to fingerprints recorded when the batch engine's
+// Simulator (the resumable one-lane view) over the same net with the lane's
+// seed, for any thread count, with or without per-lane parameter patches (a
+// patched lane is compared against a Simulator run of a *rebuilt* net).
+// Every Simulator run is also pinned to fingerprints frozen while the
+// scalar engine still ran beside the lanes (tests/support/sim_run.h), and
+// interpreted lanes to fingerprints recorded when the batch engine's
 // AST/DataContext lanes still ran (tests/support/golden_hash.h). Also pins
-// the rebased run_replications to the historical
-// one-Simulator-per-replication implementation, kept inline here as the
-// compatibility oracle.
+// run_replications to the historical one-Simulator-per-replication
+// implementation, kept inline here as the compatibility oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +47,7 @@ using test_support::sim_run;
 /// Simulator seeded base_seed + lane. Returns a fingerprint of every lane's
 /// trace, statistics, stop reason and clock; folds each Simulator run's
 /// fingerprint (test_support::hash_sim_run) into `oracle`.
-std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
+std::uint64_t expect_batch_matches_simulator(const Net& net, std::size_t lanes,
                                           std::uint64_t base_seed, Time horizon,
                                           unsigned threads, const std::string& label,
                                           Fingerprint& oracle) {
@@ -59,17 +60,17 @@ std::uint64_t expect_batch_matches_scalar(const Net& net, std::size_t lanes,
   batch.run(horizon);
   Fingerprint fingerprint;
   for (std::size_t k = 0; k < lanes; ++k) {
-    const SimRun scalar = sim_run(net, base_seed + k, horizon);
+    const SimRun run = sim_run(net, base_seed + k, horizon);
     const std::string at = label + " lane " + std::to_string(k);
-    EXPECT_EQ(traces[k], scalar.trace) << at;
-    expect_stats_equal(batch.stats(k), scalar.stats, at);
-    EXPECT_EQ(batch.stop_reason(k), scalar.stop) << at;
-    EXPECT_EQ(batch.now(k), scalar.now) << at;
+    EXPECT_EQ(traces[k], run.trace) << at;
+    expect_stats_equal(batch.stats(k), run.stats, at);
+    EXPECT_EQ(batch.stop_reason(k), run.stop) << at;
+    EXPECT_EQ(batch.now(k), run.now) << at;
     fingerprint.u64(test_support::hash_trace(traces[k]));
     fingerprint.u64(test_support::hash_stats(batch.stats(k)));
     fingerprint.u64(static_cast<std::uint64_t>(batch.stop_reason(k)));
     fingerprint.f64(batch.now(k));
-    oracle.u64(test_support::hash_sim_run(scalar));
+    oracle.u64(test_support::hash_sim_run(run));
   }
   return fingerprint.value();
 }
@@ -88,13 +89,13 @@ pipeline::PipelineConfig cached_config(double hit_ratio) {
 
 TEST(BatchEquivalence, GoldenPipelineModelsMatchScalarLanes) {
   Fingerprint oracle;
-  expect_batch_matches_scalar(pipeline::build_full_model(), 4, 100, 2000, 1, "full",
+  expect_batch_matches_simulator(pipeline::build_full_model(), 4, 100, 2000, 1, "full",
                               oracle);
-  expect_batch_matches_scalar(pipeline::build_full_model(cached_config(0.9)), 4, 100,
+  expect_batch_matches_simulator(pipeline::build_full_model(cached_config(0.9)), 4, 100,
                               2000, 1, "cached", oracle);
-  expect_batch_matches_scalar(pipeline::build_prefetch_model(), 4, 100, 2000, 1,
+  expect_batch_matches_simulator(pipeline::build_prefetch_model(), 4, 100, 2000, 1,
                               "prefetch", oracle);
-  expect_batch_matches_scalar(pipeline::build_interpreted_pipeline(), 4, 100, 2000, 1,
+  expect_batch_matches_simulator(pipeline::build_interpreted_pipeline(), 4, 100, 2000, 1,
                               "interpreted", oracle);
   expect_oracle(oracle, 0x5888eb1c873cfe6bULL);
 }
@@ -105,7 +106,7 @@ TEST(BatchEquivalence, FuzzedTimedNetsMatchScalarLanes) {
   options.lossy_pct = 0;  // token-preserving: live for the whole horizon
   Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 12; ++net_seed) {
-    expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 1000 + net_seed, 300, 1,
+    expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 1000 + net_seed, 300, 1,
                                 "timed net_seed=" + std::to_string(net_seed), oracle);
   }
   expect_oracle(oracle, 0xf0b8637f0cd18015ULL);
@@ -118,7 +119,7 @@ TEST(BatchEquivalence, FuzzedInhibitorHeavyNetsMatchScalarLanes) {
   options.inhibitor_pct = 80;
   Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
-    expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 50 + net_seed, 300, 1,
+    expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 50 + net_seed, 300, 1,
                                 "inhibitor net_seed=" + std::to_string(net_seed), oracle);
   }
   expect_oracle(oracle, 0x88250bc366f9197aULL);
@@ -131,7 +132,7 @@ TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
   options.interpreted = true;
   Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 10; ++net_seed) {
-    expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 9000 + net_seed, 300, 1,
+    expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 9000 + net_seed, 300, 1,
                                 "expr net_seed=" + std::to_string(net_seed), oracle);
   }
   expect_oracle(oracle, 0x4cd0975f7539e4c8ULL);
@@ -153,7 +154,7 @@ TEST(BatchEquivalence, FuzzedInterpretedLanesMatchFrozenAstLanes) {
   Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
     const std::string label = "frozen net_seed=" + std::to_string(net_seed);
-    EXPECT_EQ(expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 400 + net_seed,
+    EXPECT_EQ(expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 400 + net_seed,
                                           300, 1, label, oracle),
               kFrozenAstLanes[net_seed - 1])
         << label;
@@ -167,7 +168,7 @@ TEST(BatchEquivalence, DeadlockingLanesMatchScalarStopReasons) {
   options.lossy_pct = 60;  // drifts toward deadlock well before the horizon
   Fingerprint oracle;
   for (std::uint64_t net_seed = 1; net_seed <= 8; ++net_seed) {
-    expect_batch_matches_scalar(fuzz_net(net_seed, options), 3, 700 + net_seed, 500, 1,
+    expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 700 + net_seed, 500, 1,
                                 "lossy net_seed=" + std::to_string(net_seed), oracle);
   }
   expect_oracle(oracle, 0x3fdda2aa80f2437fULL);
@@ -283,16 +284,16 @@ TEST(BatchEquivalence, RunReplicationsReproducesPreBatchResults) {
 
 // --- patched lanes vs rebuilt nets -----------------------------------------------
 
-/// Diff one patched batch lane against a scalar run of `rebuilt` (the net a
+/// Diff one patched batch lane against a Simulator run of `rebuilt` (the net a
 /// pre-sweep experiment would have constructed for these parameter values).
 void expect_lane_matches_rebuilt(BatchSimulator& batch, RecordedTrace& trace,
                                  std::size_t lane, const Net& rebuilt,
                                  std::uint64_t seed, Time horizon,
                                  const std::string& label) {
-  const SimRun scalar = sim_run(rebuilt, seed, horizon);
-  EXPECT_EQ(trace, scalar.trace) << label;
-  expect_stats_equal(batch.stats(lane), scalar.stats, label);
-  EXPECT_EQ(batch.stop_reason(lane), scalar.stop) << label;
+  const SimRun run = sim_run(rebuilt, seed, horizon);
+  EXPECT_EQ(trace, run.trace) << label;
+  expect_stats_equal(batch.stats(lane), run.stats, label);
+  EXPECT_EQ(batch.stop_reason(lane), run.stop) << label;
 }
 
 TEST(BatchPatch, MemoryLatencyConstantsMatchRebuiltNets) {

@@ -1,18 +1,21 @@
-// Golden-trace equivalence for the CompiledNet simulator core.
+// Golden-trace pins for the simulator.
 //
-// Two guarantees are pinned here:
+// Three guarantees are pinned here:
 //
-//  1. The incremental (dirty-set, inverse-adjacency-driven) eligibility
-//     update produces traces bit-for-bit identical to the reference
-//     whole-net rescan (SimOptions::incremental_eligibility = false, the
-//     exact pre-CompiledNet algorithm) — on the paper's Figure 1 and
-//     Figure 4 models, on stochastic nets exercising every delay kind, and
-//     on randomized nets.
-//
-//  2. Golden anchors: trace fingerprints (event count, firing starts, an
+//  1. Golden anchors: trace fingerprints (event count, firing starts, an
 //     FNV-1a hash over the full event stream, and the final marking)
-//     captured from the pre-refactor simulator on the paper's models.
+//     captured from the pre-CompiledNet simulator on the paper's models.
 //     (net, seed, horizon) must keep reproducing those exact traces.
+//
+//  2. The incremental (dirty-set, inverse-adjacency-driven) eligibility
+//     update keeps reproducing the runs of the historical whole-net
+//     rescan, frozen as test_support::hash_sim_run fingerprints while the
+//     rescan still ran — on the paper's Figure 1 and Figure 4 models and
+//     on stochastic nets exercising every delay kind.
+//
+//  3. Resumable runs (SimulatorResume): chunked run_until, run_for, event
+//     budgets, reset without a seed and a sink reading the live state,
+//     pinned to fingerprints frozen from the scalar engine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,26 +36,9 @@ using test_support::Fingerprint;
 using test_support::SimRun;
 using test_support::sim_run;
 
-SimOptions rescan_options(bool incremental) {
-  SimOptions options;
-  options.incremental_eligibility = incremental;
-  return options;
-}
-
-RecordedTrace run_trace(const Net& net, std::uint64_t seed, Time horizon,
-                        bool incremental) {
-  return sim_run(net, seed, horizon, rescan_options(incremental)).trace;
-}
-
-/// Diff the incremental run against the whole-net rescan and fold the
-/// incremental run's fingerprint into `pin`.
-void expect_modes_agree(const Net& net, std::uint64_t seed, Time horizon,
-                        Fingerprint& pin) {
-  const SimRun incremental = sim_run(net, seed, horizon, rescan_options(true));
-  const SimRun full_rescan = sim_run(net, seed, horizon, rescan_options(false));
-  ASSERT_EQ(incremental.trace.events().size(), full_rescan.trace.events().size());
-  EXPECT_EQ(incremental.trace, full_rescan.trace);
-  pin.u64(test_support::hash_sim_run(incremental));
+/// Fold one run's fingerprint into `pin`.
+void fold_run(const Net& net, std::uint64_t seed, Time horizon, Fingerprint& pin) {
+  pin.u64(test_support::hash_sim_run(sim_run(net, seed, horizon)));
 }
 
 void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
@@ -171,44 +157,44 @@ TEST(SimCompiledEquivalence, GoldenFigure4InterpretedPipeline) {
                  "Full_I_buffers=3 pre_fetching=1"});
 }
 
-// --- incremental vs whole-net rescan ----------------------------------------
+// --- incremental eligibility vs the frozen whole-net rescan ----------------
 
-TEST(SimCompiledEquivalence, ModesAgreeOnFigure1Prefetch) {
+TEST(SimCompiledEquivalence, MatchesFrozenRescanOnFigure1Prefetch) {
   const Net net = pipeline::build_prefetch_model();
   Fingerprint pin;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 3000, pin);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) fold_run(net, seed, 3000, pin);
   expect_pin(pin, 0x880a1132be1432b4ULL);
 }
 
-TEST(SimCompiledEquivalence, ModesAgreeOnFullModel) {
+TEST(SimCompiledEquivalence, MatchesFrozenRescanOnFullModel) {
   const Net net = pipeline::build_full_model();
   Fingerprint pin;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) expect_modes_agree(net, seed, 2000, pin);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) fold_run(net, seed, 2000, pin);
   expect_pin(pin, 0x94c91a0edba12c8cULL);
 }
 
-TEST(SimCompiledEquivalence, ModesAgreeOnFigure4Models) {
+TEST(SimCompiledEquivalence, MatchesFrozenRescanOnFigure4Models) {
   const Net fetch = pipeline::build_interpreted_operand_fetch();
   const Net full = pipeline::build_interpreted_pipeline();
   Fingerprint pin;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    expect_modes_agree(fetch, seed, 2000, pin);
-    expect_modes_agree(full, seed, 1500, pin);
+    fold_run(fetch, seed, 2000, pin);
+    fold_run(full, seed, 1500, pin);
   }
   expect_pin(pin, 0x5a16c7fbad1edf27ULL);
 }
 
-TEST(SimCompiledEquivalence, ModesAgreeWithStochasticEnablingDelays) {
+TEST(SimCompiledEquivalence, MatchesFrozenRescanWithStochasticEnablingDelays) {
   // Non-constant enabling delays consume RNG draws when transitions become
-  // eligible — the hardest case for keeping draw order identical between
-  // the dirty-set and whole-net refresh.
+  // eligible — the hardest case for keeping the dirty-set refresh's draw
+  // order identical to the whole-net rescan's.
   const Net net = stochastic_enabling_net();
   Fingerprint pin;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 500, pin);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) fold_run(net, seed, 500, pin);
   expect_pin(pin, 0x9c85031698e4be67ULL);
 }
 
-TEST(SimCompiledEquivalence, ModesAgreeWithPredicatesAndActions) {
+TEST(SimCompiledEquivalence, MatchesFrozenRescanWithPredicatesAndActions) {
   // An action flips a variable; a predicated transition elsewhere in the
   // net (sharing no places) must still be re-evaluated after the action.
   Net net("predicated");
@@ -226,7 +212,7 @@ TEST(SimCompiledEquivalence, ModesAgreeWithPredicatesAndActions) {
   net.set_firing_time(gated, DelaySpec::constant(2));
   net.set_predicate(gated, expr::compile_predicate("gate == 1"));
   Fingerprint pin;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) expect_modes_agree(net, seed, 400, pin);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) fold_run(net, seed, 400, pin);
   expect_pin(pin, 0xc6c2318f5b0c7673ULL);
 }
 
@@ -244,7 +230,7 @@ TEST(SimCompiledEquivalence, SharedCompiledNetReproducesIndependentRuns) {
     shared_sim.run_until(1500);
     shared_sim.finish();
 
-    const RecordedTrace from_private = run_trace(net, seed, 1500, true);
+    const RecordedTrace from_private = sim_run(net, seed, 1500).trace;
     EXPECT_EQ(from_shared, from_private);
   }
 }

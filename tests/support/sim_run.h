@@ -28,14 +28,13 @@ struct SimRun {
 
 /// Run `net` seeded `seed` to `horizon` with a trace recorder and a stat
 /// collector attached — the harness every figure-producing run uses.
-inline SimRun sim_run(const Net& net, std::uint64_t seed, Time horizon,
-                      SimOptions options = {}) {
+inline SimRun sim_run(const Net& net, std::uint64_t seed, Time horizon) {
   SimRun out;
   StatCollector collector;
   MultiSink sinks;
   sinks.add(out.trace);
   sinks.add(collector);
-  Simulator sim(CompiledNet::compile(net), options);
+  Simulator sim(CompiledNet::compile(net));
   sim.set_sink(&sinks);
   sim.reset(seed);
   out.stop = sim.run_until(horizon);
