@@ -303,8 +303,12 @@ class ParallelExplorer {
         continue;
       }
 
+      // A deposit past UINT32_MAX throws; the exception parks on the batch
+      // and surfaces at this parent's canonical position, as sequentially.
       for (const Arc& a : net_->inputs(t)) scratch.words[a.place.value] -= a.weight;
-      for (const Arc& a : net_->outputs(t)) scratch.words[a.place.value] += a.weight;
+      for (const Arc& a : net_->outputs(t)) {
+        add_tokens_checked(scratch.words[a.place.value], a.place, a.weight);
+      }
 
       // Same boundedness rule as the sequential builder, including the
       // whole-marking check when expanding the initial state.

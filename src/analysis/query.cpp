@@ -187,19 +187,18 @@ class QBinNode final : public QNode {
     const std::int64_t a = lhs_->eval(env);
     const std::int64_t b = rhs_->eval(env);
     switch (op_) {
-      // Two's-complement wrapping, like the expression evaluators; the one
-      // quotient that cannot wrap (INT64_MIN / -1) raises instead of trapping.
+      // The expression evaluators' arithmetic: two's-complement wrapping,
+      // and division errors under this engine's prefix.
       case QBinOp::kAdd: return expr::wrap_add(a, b);
       case QBinOp::kSub: return expr::wrap_sub(a, b);
       case QBinOp::kMul: return expr::wrap_mul(a, b);
       case QBinOp::kDiv:
-        if (b == 0) eval_fail("division by zero");
-        if (a == INT64_MIN && b == -1) eval_fail("division overflow");
-        return a / b;
       case QBinOp::kMod:
-        if (b == 0) eval_fail("modulo by zero");
-        if (a == INT64_MIN && b == -1) eval_fail("modulo overflow");
-        return a % b;
+        try {
+          return op_ == QBinOp::kDiv ? expr::checked_div(a, b) : expr::checked_mod(a, b);
+        } catch (const expr::EvalError& e) {
+          eval_fail(e.what());
+        }
       case QBinOp::kEq: return a == b;
       case QBinOp::kNe: return a != b;
       case QBinOp::kLt: return a < b;

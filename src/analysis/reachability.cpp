@@ -139,9 +139,12 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
       if (!predicate_holds(t, frame)) continue;
       if (options.respect_capacities && overflows_capacity(*net_, tokens, t)) continue;
 
-      // Fire in place (enablement guarantees no underflow); undone below.
+      // Fire in place (enablement guarantees no underflow; a deposit past
+      // UINT32_MAX throws instead of wrapping); undone below.
       for (const Arc& a : net_->inputs(t)) scratch[a.place.value] -= a.weight;
-      for (const Arc& a : net_->outputs(t)) scratch[a.place.value] += a.weight;
+      for (const Arc& a : net_->outputs(t)) {
+        add_tokens_checked(scratch[a.place.value], a.place, a.weight);
+      }
 
       // Boundedness: only output places can newly exceed the bound — every
       // interned state already passed this check — except when expanding

@@ -237,15 +237,8 @@ std::int64_t BinaryNode::eval(const EvalContext& ctx) const {
     case BinaryOp::kAdd: return wrap_add(a, b);
     case BinaryOp::kSub: return wrap_sub(a, b);
     case BinaryOp::kMul: return wrap_mul(a, b);
-    case BinaryOp::kDiv:
-      if (b == 0) throw EvalError("division by zero");
-      // INT64_MIN / -1 overflows (and traps on x86); it is an error like /0.
-      if (a == INT64_MIN && b == -1) throw EvalError("division overflow");
-      return a / b;
-    case BinaryOp::kMod:
-      if (b == 0) throw EvalError("modulo by zero");
-      if (a == INT64_MIN && b == -1) throw EvalError("modulo overflow");
-      return a % b;
+    case BinaryOp::kDiv: return checked_div(a, b);
+    case BinaryOp::kMod: return checked_mod(a, b);
     case BinaryOp::kEq: return a == b ? 1 : 0;
     case BinaryOp::kNe: return a != b ? 1 : 0;
     case BinaryOp::kLt: return a < b ? 1 : 0;

@@ -129,6 +129,20 @@ class Node {
   return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(v));
 }
 
+/// Integer quotient and remainder shared by the AST evaluator, the bytecode
+/// VM and the query engine. A zero divisor raises EvalError, and so does
+/// INT64_MIN / -1: its quotient cannot wrap (it traps on x86).
+[[nodiscard]] inline std::int64_t checked_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw EvalError("division by zero");
+  if (a == INT64_MIN && b == -1) throw EvalError("division overflow");
+  return a / b;
+}
+[[nodiscard]] inline std::int64_t checked_mod(std::int64_t a, std::int64_t b) {
+  if (b == 0) throw EvalError("modulo by zero");
+  if (a == INT64_MIN && b == -1) throw EvalError("modulo overflow");
+  return a % b;
+}
+
 class NumberNode final : public Node {
  public:
   explicit NumberNode(std::int64_t value) : value_(value) {}

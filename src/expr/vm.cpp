@@ -70,22 +70,8 @@ std::int64_t run(const Code& code, std::int64_t* values, std::uint8_t* present,
       case Op::kAdd: --sp; stack[sp - 1] = wrap_add(stack[sp - 1], stack[sp]); break;
       case Op::kSub: --sp; stack[sp - 1] = wrap_sub(stack[sp - 1], stack[sp]); break;
       case Op::kMul: --sp; stack[sp - 1] = wrap_mul(stack[sp - 1], stack[sp]); break;
-      case Op::kDiv: {
-        const std::int64_t b = stack[--sp];
-        const std::int64_t a = stack[sp - 1];
-        if (b == 0) throw EvalError("division by zero");
-        if (a == INT64_MIN && b == -1) throw EvalError("division overflow");
-        stack[sp - 1] = a / b;
-        break;
-      }
-      case Op::kMod: {
-        const std::int64_t b = stack[--sp];
-        const std::int64_t a = stack[sp - 1];
-        if (b == 0) throw EvalError("modulo by zero");
-        if (a == INT64_MIN && b == -1) throw EvalError("modulo overflow");
-        stack[sp - 1] = a % b;
-        break;
-      }
+      case Op::kDiv: --sp; stack[sp - 1] = checked_div(stack[sp - 1], stack[sp]); break;
+      case Op::kMod: --sp; stack[sp - 1] = checked_mod(stack[sp - 1], stack[sp]); break;
       case Op::kEq: --sp; stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1 : 0; break;
       case Op::kNe: --sp; stack[sp - 1] = stack[sp - 1] != stack[sp] ? 1 : 0; break;
       case Op::kLt: --sp; stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1 : 0; break;

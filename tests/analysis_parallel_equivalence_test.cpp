@@ -11,6 +11,7 @@
 // table writes, runtime-created variables).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -217,6 +218,70 @@ TEST(ParallelEquivalence, UnsuppressedCallbackThrowPropagates) {
           << (predicate ? "predicate" : "action") << " @" << threads;
     }
   }
+}
+
+// --- token-count overflow ----------------------------------------------------
+
+/// stop_vs_throw_net's shape with a token-count overflow as the failure:
+/// the boom side deposits UINT32_MAX tokens on a place already holding one.
+Net stop_vs_overflow_net() {
+  Net net("stop_vs_overflow");
+  const PlaceId src = net.add_place("src", 1);
+  const PlaceId pump_p = net.add_place("pp");
+  const PlaceId q = net.add_place("q");
+  const PlaceId boom_p = net.add_place("bp");
+  const PlaceId big = net.add_place("big", 1);
+  const TransitionId to_pump = net.add_transition("to_pump");
+  net.add_input(to_pump, src);
+  net.add_output(to_pump, pump_p);
+  const TransitionId to_boom = net.add_transition("to_boom");
+  net.add_input(to_boom, src);
+  net.add_output(to_boom, boom_p);
+  const TransitionId pump = net.add_transition("pump");
+  net.add_input(pump, pump_p);
+  net.add_output(pump, pump_p);
+  net.add_output(pump, q, 100);
+  const TransitionId boom = net.add_transition("boom");
+  net.add_input(boom, boom_p);
+  net.add_output(boom, boom_p);
+  net.add_output(boom, big, std::numeric_limits<TokenCount>::max());
+  return net;
+}
+
+std::string overflow_message(const Net& net, unsigned threads) {
+  ReachOptions options;
+  options.threads = threads;
+  try {
+    const ReachabilityGraph graph(net, options);
+  } catch (const std::overflow_error& e) {
+    return e.what();
+  }
+  return "no overflow";
+}
+
+TEST(ParallelEquivalence, TokenOverflowIsThreadCountIndependent) {
+  // A deposit past UINT32_MAX raises instead of wrapping, at one thread
+  // and at four.
+  Net net = stop_vs_overflow_net();
+  net.set_predicate(net.transition_named("pump"), expr::compile_predicate("0 > 1"));
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(overflow_message(net, threads),
+              "Marking::add: token count overflow on place 4")
+        << threads << " threads";
+  }
+}
+
+TEST(ParallelEquivalence, StopRuleBeatsTokenOverflowInSameLevel) {
+  // The pump's unbounded stop fires at the canonically-earlier parent, so
+  // the overflow a parallel worker hits expanding the boom state is never
+  // surfaced — the same graph as sequentially, no throw.
+  const Net net = stop_vs_overflow_net();
+  ReachOptions options;
+  options.place_bound = 50;
+  options.threads = 1;
+  const ReachabilityGraph seq(net, options);
+  ASSERT_EQ(seq.status(), ReachStatus::kUnbounded);
+  expect_parallel_matches(net, "stop vs token overflow", options);
 }
 
 // --- randomized nets ---------------------------------------------------------
