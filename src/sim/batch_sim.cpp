@@ -144,19 +144,8 @@ struct LaneRun {
       case DelaySpec::Kind::kUniform:
         return static_cast<Time>(enabling ? rng.next_int(enab_lo[i], enab_hi[i])
                                           : rng.next_int(fire_lo[i], fire_hi[i]));
-      case DelaySpec::Kind::kDiscrete: {
-        // Same walk as DelaySpec::sample's discrete branch.
-        const auto& choices =
-            (enabling ? net.enabling_time(t) : net.firing_time(t)).choices();
-        double total = 0;
-        for (const auto& [value, weight] : choices) total += weight;
-        double r = rng.next_double() * total;
-        for (const auto& [value, weight] : choices) {
-          r -= weight;
-          if (r < 0) return value;
-        }
-        return choices.back().first;
-      }
+      case DelaySpec::Kind::kDiscrete:
+        return (enabling ? net.enabling_time(t) : net.firing_time(t)).sample(rng);
       case DelaySpec::Kind::kComputed: {
         // No rng: computed delays are deterministic in the data state
         // (irand raises EvalError); negative values clamp to zero.

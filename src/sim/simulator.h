@@ -4,6 +4,8 @@
 // advanced in steps (run_until, run_for, an event budget) and inspected
 // between them — or from inside its own sink — through marking(), data()
 // and the firing counters, which read the live lane row on every call.
+// marking() and data() refresh a snapshot member, so concurrent readers of
+// one Simulator need their own synchronization.
 //
 // The engine is deterministic: (net, seed, horizon) reproduces a trace
 // bit-for-bit, identical to lane k of a BatchSimulator seeded the same.

@@ -38,6 +38,7 @@ namespace {
 using test_support::FuzzOptions;
 using test_support::fuzz_net;
 using test_support::expect_stats_equal;
+using test_support::expect_pin;
 using test_support::Fingerprint;
 
 using test_support::SimRun;
@@ -75,11 +76,6 @@ std::uint64_t expect_batch_matches_simulator(const Net& net, std::size_t lanes,
   return fingerprint.value();
 }
 
-/// Pin a folded oracle fingerprint; a mismatch prints the literal to paste.
-void expect_oracle(const Fingerprint& oracle, std::uint64_t frozen) {
-  EXPECT_EQ(oracle.value(), frozen) << test_support::hex_literal(oracle.value());
-}
-
 pipeline::PipelineConfig cached_config(double hit_ratio) {
   pipeline::PipelineConfig config;
   config.icache = pipeline::CacheConfig{hit_ratio, 1};
@@ -97,7 +93,7 @@ TEST(BatchEquivalence, GoldenPipelineModelsMatchScalarLanes) {
                               "prefetch", oracle);
   expect_batch_matches_simulator(pipeline::build_interpreted_pipeline(), 4, 100, 2000, 1,
                               "interpreted", oracle);
-  expect_oracle(oracle, 0x5888eb1c873cfe6bULL);
+  expect_pin(oracle, 0x5888eb1c873cfe6bULL);
 }
 
 TEST(BatchEquivalence, FuzzedTimedNetsMatchScalarLanes) {
@@ -109,7 +105,7 @@ TEST(BatchEquivalence, FuzzedTimedNetsMatchScalarLanes) {
     expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 1000 + net_seed, 300, 1,
                                 "timed net_seed=" + std::to_string(net_seed), oracle);
   }
-  expect_oracle(oracle, 0xf0b8637f0cd18015ULL);
+  expect_pin(oracle, 0xf0b8637f0cd18015ULL);
 }
 
 TEST(BatchEquivalence, FuzzedInhibitorHeavyNetsMatchScalarLanes) {
@@ -122,7 +118,7 @@ TEST(BatchEquivalence, FuzzedInhibitorHeavyNetsMatchScalarLanes) {
     expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 50 + net_seed, 300, 1,
                                 "inhibitor net_seed=" + std::to_string(net_seed), oracle);
   }
-  expect_oracle(oracle, 0x88250bc366f9197aULL);
+  expect_pin(oracle, 0x88250bc366f9197aULL);
 }
 
 TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
@@ -135,7 +131,7 @@ TEST(BatchEquivalence, FuzzedInterpretedExprNetsMatchScalarLanes) {
     expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 9000 + net_seed, 300, 1,
                                 "expr net_seed=" + std::to_string(net_seed), oracle);
   }
-  expect_oracle(oracle, 0x4cd0975f7539e4c8ULL);
+  expect_pin(oracle, 0x4cd0975f7539e4c8ULL);
 }
 
 // Per net seed 1..8: the batch engine's AST/DataContext lanes, recorded on
@@ -159,7 +155,7 @@ TEST(BatchEquivalence, FuzzedInterpretedLanesMatchFrozenAstLanes) {
               kFrozenAstLanes[net_seed - 1])
         << label;
   }
-  expect_oracle(oracle, 0xe5838f9f31633549ULL);
+  expect_pin(oracle, 0xe5838f9f31633549ULL);
 }
 
 TEST(BatchEquivalence, DeadlockingLanesMatchScalarStopReasons) {
@@ -171,7 +167,7 @@ TEST(BatchEquivalence, DeadlockingLanesMatchScalarStopReasons) {
     expect_batch_matches_simulator(fuzz_net(net_seed, options), 3, 700 + net_seed, 500, 1,
                                 "lossy net_seed=" + std::to_string(net_seed), oracle);
   }
-  expect_oracle(oracle, 0x3fdda2aa80f2437fULL);
+  expect_pin(oracle, 0x3fdda2aa80f2437fULL);
 }
 
 TEST(BatchEquivalence, ThreadCountsAreBitIdentical) {
@@ -260,7 +256,7 @@ TEST(BatchEquivalence, RunReplicationsReproducesPreBatchResults) {
     frozen.u64(m.replications);
     for (const double v : {m.mean, m.stddev, m.min, m.max}) frozen.f64(v);
   }
-  expect_oracle(frozen, 0xf746d3a66d707824ULL);
+  expect_pin(frozen, 0xf746d3a66d707824ULL);
 
   for (const unsigned threads : {1u, 2u, 4u}) {
     const ReplicationResult result = run_replications(net, 1500, 5, metrics, 77, threads);

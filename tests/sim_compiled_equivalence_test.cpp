@@ -32,17 +32,15 @@
 namespace pnut {
 namespace {
 
+using test_support::expect_pin;
 using test_support::Fingerprint;
+using test_support::driven_run;
 using test_support::SimRun;
 using test_support::sim_run;
 
 /// Fold one run's fingerprint into `pin`.
 void fold_run(const Net& net, std::uint64_t seed, Time horizon, Fingerprint& pin) {
   pin.u64(test_support::hash_sim_run(sim_run(net, seed, horizon)));
-}
-
-void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
-  EXPECT_EQ(pin.value(), frozen) << test_support::hex_literal(pin.value());
 }
 
 /// Every delay kind, conflicts, infinite-server and inhibitor arcs: enabling
@@ -253,26 +251,6 @@ TEST(SimCompiledEquivalence, CompiledNetOutlivesSourceNet) {
 // What a Simulator does beyond one run from reset to horizon: resume across
 // calls, stop on an event budget, reset without a seed, and expose its live
 // state to its own sink.
-
-/// sim_run, but `drive` makes the run calls and returns the last stop reason.
-template <typename Drive>
-SimRun driven_run(const Net& net, std::uint64_t seed, Drive drive) {
-  SimRun out;
-  StatCollector collector;
-  MultiSink sinks;
-  sinks.add(out.trace);
-  sinks.add(collector);
-  Simulator sim(net);
-  sim.set_sink(&sinks);
-  sim.reset(seed);
-  out.stop = drive(sim);
-  sim.finish();
-  out.stats = collector.stats();
-  out.now = sim.now();
-  out.firing_starts = sim.total_firing_starts();
-  out.marking = sim.marking();
-  return out;
-}
 
 TEST(SimulatorResume, ChunkedRunUntilMatchesOneCall) {
   const Net net = pipeline::build_interpreted_pipeline();

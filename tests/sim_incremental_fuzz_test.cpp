@@ -22,16 +22,13 @@
 namespace pnut {
 namespace {
 
+using test_support::expect_pin;
 using test_support::Fingerprint;
 using test_support::sim_run;
 
 /// Fold one run's fingerprint into the population's `pin`.
 void fold_run(const Net& net, std::uint64_t sim_seed, Time horizon, Fingerprint& pin) {
   pin.u64(test_support::hash_sim_run(sim_run(net, sim_seed, horizon)));
-}
-
-void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
-  EXPECT_EQ(pin.value(), frozen) << test_support::hex_literal(pin.value());
 }
 
 TEST(SimIncrementalFuzz, TimedNets) {

@@ -6,6 +6,8 @@
 // lane kernel.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 
 #include "golden_hash.h"
@@ -26,9 +28,11 @@ struct SimRun {
   Marking marking;
 };
 
-/// Run `net` seeded `seed` to `horizon` with a trace recorder and a stat
-/// collector attached — the harness every figure-producing run uses.
-inline SimRun sim_run(const Net& net, std::uint64_t seed, Time horizon) {
+/// Run `net` seeded `seed` with a trace recorder and a stat collector
+/// attached — the harness every figure-producing run uses. `drive` makes
+/// the run calls on the reset simulator and returns the last stop reason.
+template <typename Drive>
+SimRun driven_run(const Net& net, std::uint64_t seed, Drive drive) {
   SimRun out;
   StatCollector collector;
   MultiSink sinks;
@@ -37,13 +41,18 @@ inline SimRun sim_run(const Net& net, std::uint64_t seed, Time horizon) {
   Simulator sim(CompiledNet::compile(net));
   sim.set_sink(&sinks);
   sim.reset(seed);
-  out.stop = sim.run_until(horizon);
+  out.stop = drive(sim);
   sim.finish();
   out.stats = collector.stats();
   out.now = sim.now();
   out.firing_starts = sim.total_firing_starts();
   out.marking = sim.marking();
   return out;
+}
+
+/// One run_until call to `horizon`.
+inline SimRun sim_run(const Net& net, std::uint64_t seed, Time horizon) {
+  return driven_run(net, seed, [horizon](Simulator& sim) { return sim.run_until(horizon); });
 }
 
 inline void add_marking(Fingerprint& f, const Marking& m) {
@@ -60,6 +69,11 @@ inline void add_marking(Fingerprint& f, const Marking& m) {
   f.u64(run.firing_starts);
   add_marking(f, run.marking);
   return f.value();
+}
+
+/// Pin a folded fingerprint; a mismatch prints the literal to paste.
+inline void expect_pin(const Fingerprint& pin, std::uint64_t frozen) {
+  EXPECT_EQ(pin.value(), frozen) << hex_literal(pin.value());
 }
 
 }  // namespace pnut::test_support
