@@ -312,6 +312,151 @@ TEST(Reachability, ActionWritingAnUndeclaredTableRaises) {
   EXPECT_THROW(ReachabilityGraph{net}, expr::EvalError);
 }
 
+// --- ReachKernel: the untimed successor rule, pinned at threads 1 and 4 ---
+
+constexpr unsigned kKernelThreads[] = {1, 4};
+
+ReachOptions kernel_options(unsigned threads) {
+  ReachOptions options;
+  options.threads = threads;
+  return options;
+}
+
+/// Per state, the x value of each out-edge target in edge order.
+std::vector<std::vector<std::int64_t>> x_rows(const ReachabilityGraph& graph) {
+  std::vector<std::vector<std::int64_t>> rows;
+  for (std::size_t s = 0; s < graph.num_states(); ++s) {
+    rows.emplace_back();
+    for (const ReachabilityGraph::Edge& e : graph.edges(s)) {
+      rows.back().push_back(graph.variable(e.target, "x").value_or(-1));
+    }
+  }
+  return rows;
+}
+
+TEST(ReachKernel, InitialMarkingOverBoundOffTheFiringIsUnboundedAtStateZero) {
+  // A holds 5 > place_bound 3, and the ring's first firing never touches
+  // A: the whole-marking check when state 0 is expanded still stops the
+  // build there, before any edge.
+  Net net = ring_net();
+  net.add_place("A", 5);
+  for (const unsigned threads : kKernelThreads) {
+    ReachOptions options = kernel_options(threads);
+    options.place_bound = 3;
+    const ReachabilityGraph graph(net, options);
+    EXPECT_EQ(graph.status(), ReachStatus::kUnbounded) << threads;
+    EXPECT_EQ(graph.num_states(), 1u) << threads;
+    EXPECT_EQ(graph.num_edges(), 0u) << threads;
+    EXPECT_EQ(graph.num_expanded(), 0u) << threads;
+    EXPECT_TRUE(graph.deadlock_states().empty()) << threads;
+  }
+}
+
+TEST(ReachKernel, InitialStateOverBoundWithNothingEnabledIsComplete) {
+  // The bound is checked on firings only: with no enabled transition the
+  // over-bound initial marking is never looked at.
+  Net net;
+  net.add_place("A", 5);
+  const PlaceId b = net.add_place("B");
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, b);
+  for (const unsigned threads : kKernelThreads) {
+    ReachOptions options = kernel_options(threads);
+    options.place_bound = 3;
+    const ReachabilityGraph graph(net, options);
+    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
+    EXPECT_EQ(graph.num_states(), 1u) << threads;
+    EXPECT_EQ(graph.num_edges(), 0u) << threads;
+    EXPECT_EQ(graph.deadlock_states(), std::vector<std::size_t>{0}) << threads;
+  }
+}
+
+Net irand_collision_net() {
+  Net net;
+  net.initial_data().set("x", 0);
+  const PlaceId p = net.add_place("P", 1);
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  net.set_action(t, expr::compile_action("x = irand[1, 2]"));
+  return net;
+}
+
+TEST(ReachKernel, IrandCollisionsKeepFirstOccurrencesInOrder) {
+  // 64 samples over two values collide constantly; the distinct outcomes
+  // become successors in order of first occurrence.
+  const Net net = irand_collision_net();
+  for (const unsigned threads : kKernelThreads) {
+    const ReachabilityGraph graph(net, kernel_options(threads));
+    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
+    ASSERT_EQ(graph.num_states(), 3u) << threads;
+    EXPECT_EQ(graph.variable(1, "x"), 1) << threads;
+    EXPECT_EQ(graph.variable(2, "x"), 2) << threads;
+    const std::vector<std::vector<std::int64_t>> expected = {{1, 2}, {1, 2}, {2, 1}};
+    EXPECT_EQ(x_rows(graph), expected) << threads;
+  }
+}
+
+TEST(ReachKernel, IrandFanoutLimitOneKeepsTheFirstSample) {
+  const Net net = irand_collision_net();
+  for (const unsigned threads : kKernelThreads) {
+    ReachOptions options = kernel_options(threads);
+    options.irand_fanout_limit = 1;
+    const ReachabilityGraph graph(net, options);
+    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
+    EXPECT_EQ(graph.num_states(), 2u) << threads;
+    const std::vector<std::vector<std::int64_t>> expected = {{1}, {1}};
+    EXPECT_EQ(x_rows(graph), expected) << threads;
+  }
+}
+
+/// P0 -> P1 -> P2 chain; `bad` loops on P2 behind a predicate that always
+/// divides by zero, and `never` (no tokens ever) carries the same predicate.
+Net throwing_predicate_net() {
+  Net net;
+  net.initial_data().set("z", 0);
+  const PlaceId p0 = net.add_place("P0", 1);
+  const PlaceId p1 = net.add_place("P1");
+  const PlaceId p2 = net.add_place("P2");
+  const PlaceId empty = net.add_place("E");
+  const TransitionId t0 = net.add_transition("t0");
+  net.add_input(t0, p0);
+  net.add_output(t0, p1);
+  const TransitionId t1 = net.add_transition("t1");
+  net.add_input(t1, p1);
+  net.add_output(t1, p2);
+  const TransitionId never = net.add_transition("never");
+  net.add_input(never, empty);
+  net.set_predicate(never, expr::compile_predicate("1 / z > 0"));
+  const TransitionId bad = net.add_transition("bad");
+  net.add_input(bad, p2);
+  net.add_output(bad, p2);
+  net.set_predicate(bad, expr::compile_predicate("1 / z > 0"));
+  return net;
+}
+
+TEST(ReachKernel, ThrowingPredicateRaisesAtItsFirstEnabledTest) {
+  // Action-free: the predicate is evaluated only once its transition is
+  // token-enabled (state 2 for `bad`, never for `never`), and its error
+  // surfaces there with the evaluator's text.
+  const Net net = throwing_predicate_net();
+  for (const unsigned threads : kKernelThreads) {
+    try {
+      const ReachabilityGraph graph(net, kernel_options(threads));
+      ADD_FAILURE() << "expected the predicate's EvalError at threads " << threads;
+    } catch (const expr::EvalError& e) {
+      EXPECT_STREQ(e.what(), "division by zero") << threads;
+    }
+    // Truncated before state 2 is expanded: the predicate never runs.
+    ReachOptions options = kernel_options(threads);
+    options.max_states = 2;
+    const ReachabilityGraph prefix(net, options);
+    EXPECT_EQ(prefix.status(), ReachStatus::kTruncated) << threads;
+    EXPECT_EQ(prefix.num_states(), 3u) << threads;
+    EXPECT_EQ(prefix.num_expanded(), 1u) << threads;
+  }
+}
+
 TEST(Reachability, InvalidNetRejected) {
   Net net;
   net.add_place("X", 0);

@@ -23,8 +23,10 @@
 
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
+#include "analysis/timed_reachability.h"
 #include "cli/session.h"
 #include "petri/net.h"
+#include "support/golden_hash.h"
 #include "util/fault_inject.h"
 
 namespace pnut {
@@ -134,6 +136,83 @@ TEST_F(ChaosTest, BadAllocAtArenaGrowthFailsCleanly) {
   FaultInjector::disarm_all();
   const analysis::ReachabilityGraph retry(net, {});
   EXPECT_EQ(retry.status(), analysis::ReachStatus::kComplete);
+}
+
+// --- the level engines: threaded untimed builds and the timed graph ---
+//
+// A fault raised on a worker parks on its batch and surfaces at the seal;
+// one raised while sealing unwinds the engine. Either way the build fails
+// with the injected exception, the spill directory goes with it, and a
+// retry is byte-identical to a never-faulted build.
+
+/// How often a clean build checks `site`: the countdown that lands an
+/// injected fault mid-build is half of it.
+template <typename Build>
+std::uint64_t clean_checks(Site site, const Build& build) {
+  FaultInjector::arm(site, std::uint64_t{1} << 40);
+  build();
+  const std::uint64_t checks = FaultInjector::checks(site);
+  FaultInjector::disarm_all();
+  return checks;
+}
+
+class ChaosLevelEngineTest : public ChaosTest {
+ protected:
+  /// Fault `site` halfway through `build` (which returns a fingerprint of
+  /// the graph it built), expect `Error`, then a clean retry equal to
+  /// `reference`.
+  template <typename Error, typename Build>
+  void expect_clean_failure(Site site, Failure failure, const Build& build,
+                            std::uint64_t reference, const std::string& label) {
+    const std::uint64_t checks = clean_checks(site, build);
+    ASSERT_GE(checks, 2u) << label;
+    FaultInjector::arm(site, checks / 2, failure);
+    EXPECT_THROW((void)build(), Error) << label;
+    EXPECT_GE(FaultInjector::hits(site), 1u) << label;
+    FaultInjector::disarm_all();
+    EXPECT_EQ(dir_entries(), 0u) << label;
+    EXPECT_EQ(build(), reference) << label;
+    EXPECT_EQ(dir_entries(), 0u) << label;
+  }
+};
+
+TEST_F(ChaosLevelEngineTest, ThreadedUntimedBuildFailsCleanlyAndRetriesIdentically) {
+  const Net net = reach_models::stress_ring(20, 4);
+  const std::uint64_t reference =
+      test_support::hash_graph(analysis::ReachabilityGraph(net, {}), {}, 0);
+  analysis::ReachOptions options;
+  options.threads = 4;
+  options.spill = tiny_spill(dir_.string());
+  const auto build = [&] {
+    const analysis::ReachabilityGraph graph(net, options);
+    EXPECT_TRUE(graph.spill_engaged());
+    return test_support::hash_graph(graph, {}, 0);
+  };
+  expect_clean_failure<std::bad_alloc>(Site::kArenaGrow, Failure::kBadAlloc, build,
+                                       reference, "arena growth, 4 threads");
+  expect_clean_failure<std::system_error>(Site::kSpillWrite, Failure::kDiskFull, build,
+                                          reference, "spill write, 4 threads");
+}
+
+TEST_F(ChaosLevelEngineTest, TimedBuildFailsCleanlyAndRetriesIdentically) {
+  const Net net = reach_models::timed_race_ring(9, 3);
+  const std::uint64_t reference =
+      test_support::hash_timed_graph(analysis::TimedReachabilityGraph(net, {}));
+  for (const unsigned threads : {1u, 4u}) {
+    analysis::TimedReachOptions options;
+    options.threads = threads;
+    options.spill = tiny_spill(dir_.string());
+    const auto build = [&] {
+      const analysis::TimedReachabilityGraph graph(net, options);
+      EXPECT_TRUE(graph.spill_engaged());
+      return test_support::hash_timed_graph(graph);
+    };
+    const std::string at = ", " + std::to_string(threads) + " thread(s)";
+    expect_clean_failure<std::bad_alloc>(Site::kArenaGrow, Failure::kBadAlloc, build,
+                                         reference, "arena growth" + at);
+    expect_clean_failure<std::system_error>(Site::kSpillWrite, Failure::kDiskFull, build,
+                                            reference, "spill write" + at);
+  }
 }
 
 // --- the Session surface: structured failure, live server, identical retry ---
