@@ -35,6 +35,17 @@ struct GraphRun {
   bool counts_ok = false;
 };
 
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
 /// Build the graph `reps` times; report construction throughput, the
 /// arena + edge-pool footprint per state, and whether the counts match the
 /// pre-refactor goldens.
@@ -120,6 +131,28 @@ GraphRun measure_parallel(const Net& net, unsigned threads, const Golden& golden
 }
 
 constexpr unsigned kScalingThreads[] = {1, 2, 4, 8};
+/// Builds per thread-sweep point; the JSON records median, min and max.
+constexpr int kScalingReps = 5;
+
+struct ScalingPoint {
+  Spread states_per_second;
+  bool counts_ok = true;  ///< every repetition matched the golden counts
+};
+
+/// Repeat one thread-sweep point kScalingReps times; `build()` returns one
+/// build's GraphRun.
+template <typename BuildFn>
+ScalingPoint measure_scaling(BuildFn&& build) {
+  ScalingPoint point;
+  std::vector<double> samples;
+  for (int rep = 0; rep < kScalingReps; ++rep) {
+    const GraphRun run = build();
+    samples.push_back(run.states_per_second);
+    point.counts_ok = point.counts_ok && run.counts_ok;
+  }
+  point.states_per_second = spread_of(std::move(samples));
+  return point;
+}
 
 /// Out-of-core sweep: one ring family at growing sizes, built all-in-RAM
 /// and again under a fixed residency budget the larger sizes cannot fit.
@@ -195,12 +228,6 @@ GraphRun measure_timed_parallel(const Net& net, unsigned threads, const Golden& 
 constexpr int kLayerReps = 7;
 constexpr double kLayerRepSeconds = 0.05;
 
-struct Spread {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-};
-
 struct LayerRun {
   std::size_t states = 0;
   int builds = 0;  ///< builds per repetition
@@ -224,8 +251,7 @@ LayerRun measure_layer(BuildFn&& build) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     samples.push_back(static_cast<double>(run.states) * run.builds / seconds);
   }
-  std::sort(samples.begin(), samples.end());
-  run.states_per_second = {samples[samples.size() / 2], samples.front(), samples.back()};
+  run.states_per_second = spread_of(std::move(samples));
   return run;
 }
 
@@ -275,6 +301,30 @@ void print_spread_json(FILE* json, const char* name, const Spread& s, const char
                s.median, s.min, s.max, tail);
 }
 
+void print_scaling_point(const char* label, unsigned threads, const ScalingPoint& point,
+                         const ScalingPoint& one_thread) {
+  std::printf("%s @%u thread%s %10.3g states/s [%.3g, %.3g]  (%.2fx vs 1 thread)  "
+              "counts %s\n",
+              label, threads, threads == 1 ? " " : "s", point.states_per_second.median,
+              point.states_per_second.min, point.states_per_second.max,
+              point.states_per_second.median / one_thread.states_per_second.median,
+              point.counts_ok ? "match golden" : "MISMATCH");
+}
+
+/// One thread-sweep section's points: "threads_N": {median, min, max,
+/// speedup of the medians}, then the golden-count verdict.
+void print_scaling_json(FILE* json, const std::vector<ScalingPoint>& points) {
+  bool counts_ok = true;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    counts_ok = counts_ok && points[i].counts_ok;
+    std::fprintf(json, "    \"threads_%u\": {", kScalingThreads[i]);
+    print_spread_json(json, "states_per_second", points[i].states_per_second, ", ");
+    std::fprintf(json, "\"speedup_vs_1_thread\": %.2f},\n",
+                 points[i].states_per_second.median / points[0].states_per_second.median);
+  }
+  std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n", counts_ok ? "true" : "false");
+}
+
 void print_artifact() {
   print_header("bench_reach", "exploration-core throughput (not a paper artifact)");
   const std::vector<Model> models = make_models();
@@ -301,16 +351,12 @@ void print_artifact() {
   // graphs are byte-identical across thread counts (the differential tests
   // pin that); here we also re-check the frozen golden counts per point.
   const Net scaling_net = stress_ring(38, 5);
-  std::vector<GraphRun> scaling;
+  std::vector<ScalingPoint> scaling;
   for (const unsigned threads : kScalingThreads) {
-    const GraphRun run =
-        measure_parallel(scaling_net, threads, reach_models::kStressRing38x5);
-    scaling.push_back(run);
-    std::printf("stress ring @%u thread%s %10.3g states/s  (%.2fx vs 1 thread)  "
-                "counts %s\n",
-                threads, threads == 1 ? " " : "s", run.states_per_second,
-                run.states_per_second / scaling.front().states_per_second,
-                run.counts_ok ? "match golden" : "MISMATCH");
+    const ScalingPoint point = measure_scaling(
+        [&] { return measure_parallel(scaling_net, threads, reach_models::kStressRing38x5); });
+    scaling.push_back(point);
+    print_scaling_point("stress ring", threads, point, scaling.front());
   }
   std::printf("\n");
 
@@ -319,16 +365,13 @@ void print_artifact() {
   // sequential two-bucket builder; the graphs are byte-identical across
   // thread counts (the timed differential tests pin that).
   const Net timed_net = reach_models::timed_race_ring(12, 3);
-  std::vector<GraphRun> timed_scaling;
+  std::vector<ScalingPoint> timed_scaling;
   for (const unsigned threads : kScalingThreads) {
-    const GraphRun run =
-        measure_timed_parallel(timed_net, threads, reach_models::kTimedRaceRing12x3);
-    timed_scaling.push_back(run);
-    std::printf("timed race ring @%u thread%s %10.3g states/s  (%.2fx vs 1 thread)  "
-                "counts %s\n",
-                threads, threads == 1 ? " " : "s", run.states_per_second,
-                run.states_per_second / timed_scaling.front().states_per_second,
-                run.counts_ok ? "match golden" : "MISMATCH");
+    const ScalingPoint point = measure_scaling([&] {
+      return measure_timed_parallel(timed_net, threads, reach_models::kTimedRaceRing12x3);
+    });
+    timed_scaling.push_back(point);
+    print_scaling_point("timed race ring", threads, point, timed_scaling.front());
   }
   std::printf("\n");
 
@@ -395,45 +438,28 @@ void print_artifact() {
                  "  },\n"
                  "  \"parallel_scaling\": {\n"
                  "    \"model\": \"stress_ring_38x5\",\n"
-                 "    \"note\": \"ReachOptions::threads sweep; graphs are "
-                 "byte-identical across thread counts\",\n"
+                 "    \"note\": \"ReachOptions::threads sweep; each point is built "
+                 "repetitions times, states/s median, min, max, speedup of the medians; "
+                 "graphs are byte-identical across thread counts\",\n"
+                 "    \"repetitions\": %d,\n"
                  "    \"host_hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    bool scaling_counts_ok = true;
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-      scaling_counts_ok = scaling_counts_ok && scaling[i].counts_ok;
-      std::fprintf(json,
-                   "    \"threads_%u\": {\"states_per_second\": %.0f, "
-                   "\"speedup_vs_1_thread\": %.2f},\n",
-                   kScalingThreads[i], scaling[i].states_per_second,
-                   scaling[i].states_per_second / scaling[0].states_per_second);
-    }
-    std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n",
-                 scaling_counts_ok ? "true" : "false");
+                 kScalingReps, std::thread::hardware_concurrency());
+    print_scaling_json(json, scaling);
     std::fprintf(json,
                  "  \"timed_parallel_scaling\": {\n"
                  "    \"model\": \"timed_race_ring_12x3\",\n"
                  "    \"note\": \"TimedReachOptions::threads sweep; threads_1 is the "
-                 "sequential two-bucket builder, graphs byte-identical across "
-                 "thread counts\",\n"
+                 "sequential two-bucket builder; each point is built repetitions times, "
+                 "states/s median, min, max, speedup of the medians; graphs "
+                 "byte-identical across thread counts\",\n"
                  "    \"states\": %zu,\n"
                  "    \"edges\": %zu,\n"
+                 "    \"repetitions\": %d,\n"
                  "    \"host_hardware_threads\": %u,\n",
                  reach_models::kTimedRaceRing12x3.states,
-                 reach_models::kTimedRaceRing12x3.edges,
+                 reach_models::kTimedRaceRing12x3.edges, kScalingReps,
                  std::thread::hardware_concurrency());
-    bool timed_counts_ok = true;
-    for (std::size_t i = 0; i < timed_scaling.size(); ++i) {
-      timed_counts_ok = timed_counts_ok && timed_scaling[i].counts_ok;
-      std::fprintf(json,
-                   "    \"threads_%u\": {\"states_per_second\": %.0f, "
-                   "\"speedup_vs_1_thread\": %.2f},\n",
-                   kScalingThreads[i], timed_scaling[i].states_per_second,
-                   timed_scaling[i].states_per_second /
-                       timed_scaling[0].states_per_second);
-    }
-    std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n",
-                 timed_counts_ok ? "true" : "false");
+    print_scaling_json(json, timed_scaling);
     std::fprintf(json,
                  "  \"timed_models\": {\n"
                  "    \"note\": \"threads=1 timed vs untimed graph construction on the "

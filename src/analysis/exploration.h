@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "analysis/spill.h"
+#include "analysis/state_store.h"
 
 namespace pnut::analysis {
 
@@ -278,6 +279,23 @@ std::size_t drive_frontier_bfs(Frontier& frontier, EdgeCsr<EdgeT>& edges,
     ++completed;
   }
   return completed;
+}
+
+/// Spill setup for the one-thread builders: one shared SpillDir, 2/3 of the
+/// budget to the state arena and 1/3 to the edge pool. (The parallel level
+/// engine splits its budget three ways; see level_engine.h.) No-op when
+/// spilling is disabled.
+template <typename EdgeT>
+void enable_sequential_spill(const SpillOptions& spill, StateStore& store,
+                             EdgeCsr<EdgeT>& edges) {
+  if (spill.max_resident_bytes == 0) return;
+  auto dir = std::make_shared<detail::SpillDir>(spill.dir);
+  const std::size_t budget = spill.max_resident_bytes;
+  store.enable_spill(dir, "states.seg",
+                     detail::segment_bytes_for(spill.segment_bytes, budget * 2 / 3),
+                     budget * 2 / 3);
+  edges.enable_spill(std::move(dir), "edges.seg",
+                     detail::segment_bytes_for(spill.segment_bytes, budget / 3), budget / 3);
 }
 
 }  // namespace pnut::analysis

@@ -1,4 +1,4 @@
-// Parallel state-space exploration on the StateStore core.
+// Parallel untimed state-space exploration on the level-engine core.
 //
 // The sequential reachability builder expands one frontier state at a time;
 // at million-state scale the expansion work (enablement tests over the CSR
@@ -6,36 +6,29 @@
 // state* — what is not parallel is the thing every consumer depends on: the
 // state numbering. Deadlock sets, place bounds, edge lists, query-engine
 // state indices and the truncation point are all expressed in state ids, so
-// a parallel explorer that numbers states by interleaving order would give
+// a parallel explorer that numbered states by interleaving order would give
 // a different (if isomorphic) graph on every run.
 //
-// This engine keeps the parallelism and discards the nondeterminism by
-// splitting every BFS level into two phases:
+// This engine runs the rounds of detail::LevelEngine (level_engine.h: the
+// sharded provisional interning, batches, worker pool, failure parking and
+// candidate capture both parallel engines share). Here a round is one BFS
+// level — a contiguous canonical id range, because canonical ids *are* BFS
+// discovery order — and every worker expands its parents with its own copy
+// of the one untimed successor rule, detail::ReachKernel (reach_encode.h),
+// which the sequential builder runs too. What is specific to this engine is
+// the seal:
 //
-//   EXPAND (parallel) — the current level's states (a contiguous canonical
-//   id range: canonical ids *are* BFS discovery order) are chopped into
-//   batches handed to worker threads by an atomic cursor. Each worker
-//   copies its parent state out of the canonical arena (the intern contract
-//   — see StateStore::intern — forbids holding arena spans while interning),
-//   enumerates firings exactly like the sequential builder, and interns
-//   each successor into one of S hash-sharded StateStores (shard =
-//   high bits of the state hash, one striped mutex per shard). The shard
-//   slot a successor lands in is interleaving-dependent — but it is only a
-//   *provisional* identity, stable for the rest of the run and never
-//   visible outside the engine. Edges are recorded per batch as flat
-//   (transition, shard, slot) segments in expansion order.
+//   Phase A walks only the level's candidates (fresh-state sightings, a
+//   small fraction of all edges) in canonical parent order, assigning the
+//   next canonical id at each first appearance and appending the captured
+//   words to the canonical arena. The sequential builder's stop rules —
+//   stop-token polls, max_states truncation, place-bound overflow (a row
+//   the kernel cut short) and a parked model error — fire at the same
+//   positions they would sequentially; a stop emits the exact truncated
+//   edge prefix.
 //
-//   SEAL (sequential, cheap) — replays the batch segments in canonical
-//   parent order, edge order within each parent. The first time a
-//   provisional (shard, slot) appears it gets the next canonical id —
-//   exactly the id the sequential FIFO builder would have assigned, because
-//   sequential BFS discovery order is precisely "parents ascending, edges
-//   in firing order". The sealed state's words are appended to the
-//   canonical StateStore (which the next level's workers read), edges are
-//   stitched into the one flat EdgeCsr pool, and the sequential builder's
-//   stop rules (max_states truncation, place-bound overflow) are applied at
-//   the same event positions they would fire sequentially. Array lookups
-//   only — no hashing, no net evaluation — so Amdahl stays friendly.
+//   Phase B opens the level's CSR rows in one bulk append and translates
+//   the batches' edge items to canonical ids, batches in parallel.
 //
 // The result is byte-identical to the sequential builder for every thread
 // count: same state numbering, same edge pool order, same status, same
@@ -43,17 +36,13 @@
 // (tests/analysis_parallel_equivalence_test.cpp) pins this on the golden
 // models and on randomized nets.
 //
-// Interpreted nets run predicates and actions as bytecode (expr/vm.h)
-// against each worker's decoded parent frame. A state is its full
-// [marking | schema-encoded data] word vector — provisional and canonical
-// words coincide, and the width is frozen before the first state, so
-// interpreted nets seal exactly like plain ones. Bytecode is immutable and
-// each worker evaluates with its own scratch, so concurrent evaluation is
-// safe by construction.
+// Interpreted nets run predicates and actions as bytecode (expr/vm.h) in
+// each worker's kernel. A state is its full [marking | schema-encoded data]
+// word vector — provisional and canonical words coincide, and the width is
+// frozen before the first state, so interpreted nets seal exactly like
+// plain ones. Bytecode is immutable and each kernel evaluates with its own
+// scratch, so concurrent evaluation is safe by construction.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "analysis/exploration.h"
 #include "analysis/reachability.h"
@@ -83,8 +72,8 @@ struct ParallelReachResult {
 /// Byte-identical to the sequential builder for any thread count.
 /// `program` is the net's compiled bytecode; it must be non-null whenever
 /// the net has predicates or actions.
-ParallelReachResult explore_reachability_parallel(
-    const std::shared_ptr<const CompiledNet>& net, const ReachOptions& options,
-    unsigned threads, const std::shared_ptr<const expr::NetProgram>& program);
+ParallelReachResult explore_reachability_parallel(const CompiledNet& net,
+                                                  const ReachOptions& options, unsigned threads,
+                                                  const expr::NetProgram* program);
 
 }  // namespace pnut::analysis

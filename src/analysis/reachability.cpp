@@ -1,7 +1,6 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -9,17 +8,6 @@
 #include "analysis/reach_encode.h"
 
 namespace pnut::analysis {
-
-using detail::overflows_capacity;
-
-namespace {
-
-ReachStatus stop_status(StopToken::Reason reason) {
-  return reason == StopToken::Reason::kDeadline ? ReachStatus::kTimeout
-                                                : ReachStatus::kCancelled;
-}
-
-}  // namespace
 
 ReachabilityGraph::ReachabilityGraph(const Net& net, ReachOptions options)
     : ReachabilityGraph(CompiledNet::compile(net), options) {}
@@ -43,7 +31,7 @@ void ReachabilityGraph::explore(ReachOptions options) {
 
   if (threads > 1) {
     ParallelReachResult result =
-        explore_reachability_parallel(net_, options, threads, program_);
+        explore_reachability_parallel(*net_, options, threads, program_.get());
     store_ = std::move(result.store);
     edges_ = std::move(result.edges);
     status_ = result.status;
@@ -55,146 +43,28 @@ void ReachabilityGraph::explore(ReachOptions options) {
   explore_sequential(options);
 }
 
-void ReachabilityGraph::configure_spill_sequential(const ReachOptions& options) {
-  if (options.spill.max_resident_bytes == 0) return;
-  auto dir = std::make_shared<detail::SpillDir>(options.spill.dir);
-  const std::size_t budget = options.spill.max_resident_bytes;
-  store_.enable_spill(dir, "states.seg",
-                      detail::segment_bytes_for(options.spill.segment_bytes, budget * 2 / 3),
-                      budget * 2 / 3);
-  edges_.enable_spill(std::move(dir), "edges.seg",
-                      detail::segment_bytes_for(options.spill.segment_bytes, budget / 3),
-                      budget / 3);
-}
-
 void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
-  const std::size_t num_places = net_->num_places();
-  const std::size_t data_words = track_data_ ? program_->schema().encoded_words() : 0;
-  const std::size_t width = num_places + data_words;
-  store_ = StateStore(width);
-  configure_spill_sequential(options);
-
-  std::vector<std::uint32_t> scratch(width);
-  DataFrame parent_frame;
-  DataFrame cand_frame;
-  expr::VmScratch vm;
-  // Action-free nets read the fixed initial data (hook-free nets read none).
-  const DataFrame& fixed_frame = program_ ? program_->initial_frame() : parent_frame;
-
-  // Action-free nets have a constant data state, so each predicate has one
-  // truth value per run: memoize it at its first evaluation (its first
-  // enabled-by-tokens test, so an evaluation error surfaces there).
-  std::vector<std::int8_t> pred_memo;
-  if (!track_data_) pred_memo.assign(net_->num_transitions(), -1);
-  const auto predicate_holds = [&](TransitionId t, const DataFrame& frame) {
-    const expr::Code* code = program_ ? program_->predicate(t) : nullptr;
-    if (code == nullptr) return true;
-    if (!track_data_) {
-      std::int8_t& memo = pred_memo[t.value];
-      if (memo < 0) memo = expr::vm_eval(*code, frame, nullptr, vm) != 0 ? 1 : 0;
-      return memo != 0;
-    }
-    return expr::vm_eval(*code, frame, nullptr, vm) != 0;
-  };
-
-  {
-    const Marking initial = Marking::initial(net_->net());
-    std::memcpy(scratch.data(), initial.tokens().data(),
-                num_places * sizeof(std::uint32_t));
-    if (track_data_) {
-      program_->schema().encode(program_->initial_frame(), scratch.data() + num_places);
-    }
-    store_.intern(scratch);
-  }
+  detail::ReachKernel kernel(*net_, options, program_.get());
+  store_ = StateStore(kernel.width());
+  enable_sequential_spill(options.spill, store_, edges_);
+  store_.intern(kernel.initial_state());
 
   Frontier frontier;
   frontier.push_back(0);
-
-  // Reused outcome-dedup buffers (stochastic actions): distinct encoded
-  // data words, first occurrence kept.
-  std::vector<std::vector<std::uint32_t>> outcome_keys;
-  std::size_t num_outcomes = 0;
-
   num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
-    // Canonical-position stop poll: expansion order is canonical id order
-    // in every engine (the parallel seal replays parents in this exact
-    // order), so a stop here lands on the same state at any thread count.
-    if (state % kStopCheckStride == 0) {
-      if (const StopToken::Reason r = options.stop.poll(); r != StopToken::Reason::kNone) {
-        status_ = stop_status(r);
-        return false;
-      }
+    // Canonical-position stop poll (the parallel seal replays parents in
+    // this exact order).
+    if (const auto stop = detail::poll_stop(options.stop, state)) {
+      status_ = *stop;
+      return false;
     }
     // States before the BFS cursor are sealed; their segments may spill.
     store_.set_spill_floor(state);
-    // Copies: interning may grow the arena while we expand.
-    std::copy(store_.state(state).begin(), store_.state(state).end(), scratch.begin());
-    if (track_data_) program_->schema().decode(scratch.data() + num_places, parent_frame);
-    const DataFrame& frame = track_data_ ? parent_frame : fixed_frame;
-    const std::span<const TokenCount> tokens(scratch.data(), num_places);
-
-    for (std::uint32_t ti = 0; ti < net_->num_transitions(); ++ti) {
-      const TransitionId t(ti);
-      if (!net_->tokens_available(tokens, t)) continue;
-      if (!predicate_holds(t, frame)) continue;
-      if (options.respect_capacities && overflows_capacity(*net_, tokens, t)) continue;
-
-      // Fire in place (enablement guarantees no underflow; a deposit past
-      // UINT32_MAX throws instead of wrapping); undone below.
-      for (const Arc& a : net_->inputs(t)) scratch[a.place.value] -= a.weight;
-      for (const Arc& a : net_->outputs(t)) {
-        add_tokens_checked(scratch[a.place.value], a.place, a.weight);
-      }
-
-      // Boundedness: only output places can newly exceed the bound — every
-      // interned state already passed this check — except when expanding
-      // the initial state, whose marking is the model's to declare.
-      bool over = false;
-      if (state == 0) {
-        for (std::size_t i = 0; i < num_places; ++i) over |= scratch[i] > options.place_bound;
-      } else {
-        for (const Arc& a : net_->outputs(t)) {
-          over |= scratch[a.place.value] > options.place_bound;
-        }
-      }
-      if (over) {
-        status_ = ReachStatus::kUnbounded;
-        return false;
-      }
-
-      if (!net_->has_action(t)) {
-        // Deterministic data: the parent's data words are still in scratch.
-        const auto interned = store_.intern(scratch);
-        edges_.add(Edge{t, interned.index});
-        if (interned.inserted) {
-          if (store_.size() > options.max_states) {
-            status_ = ReachStatus::kTruncated;
-            return false;
-          }
-          frontier.push_back(interned.index);
-        }
-      } else {
-        num_outcomes = 0;
-        const std::size_t samples = std::max<std::size_t>(options.irand_fanout_limit, 1);
-        for (std::size_t k = 0; k < samples; ++k) {
-          cand_frame.assign(parent_frame);
-          Rng rng(detail::action_sample_seed(state, ti, k));
-          expr::vm_exec(*program_->action(t), cand_frame, &rng, vm);
-          if (outcome_keys.size() <= num_outcomes) outcome_keys.emplace_back();
-          std::vector<std::uint32_t>& key = outcome_keys[num_outcomes];
-          key.resize(data_words);
-          program_->schema().encode(cand_frame, key.data());
-          bool seen = false;
-          for (std::size_t i = 0; i < num_outcomes && !seen; ++i) {
-            seen = outcome_keys[i] == key;
-          }
-          if (!seen) ++num_outcomes;
-        }
-
-        for (std::size_t i = 0; i < num_outcomes; ++i) {
-          std::memcpy(scratch.data() + num_places, outcome_keys[i].data(),
-                      data_words * sizeof(std::uint32_t));
-          const auto interned = store_.intern(scratch);
+    // The kernel copies the parent's words first: interning may grow the
+    // arena under the span.
+    const auto expansion = kernel.expand(
+        state, store_.state(state), [&](TransitionId t, std::span<const std::uint32_t> succ) {
+          const auto interned = store_.intern(succ);
           edges_.add(Edge{t, interned.index});
           if (interned.inserted) {
             if (store_.size() > options.max_states) {
@@ -203,17 +73,12 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
             }
             frontier.push_back(interned.index);
           }
-        }
-        // Restore the parent's data words for the next transition.
-        std::memcpy(scratch.data() + num_places, store_.state(state).data() + num_places,
-                    data_words * sizeof(std::uint32_t));
-      }
-
-      // Undo the firing.
-      for (const Arc& a : net_->outputs(t)) scratch[a.place.value] -= a.weight;
-      for (const Arc& a : net_->inputs(t)) scratch[a.place.value] += a.weight;
+          return true;
+        });
+    if (expansion == detail::ReachKernel::Expansion::kOverBound) {
+      status_ = ReachStatus::kUnbounded;
     }
-    return true;
+    return expansion == detail::ReachKernel::Expansion::kComplete;
   });
 
   edges_.finalize(store_.size());

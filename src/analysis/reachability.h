@@ -206,9 +206,6 @@ class ReachabilityGraph final : public StateSpace {
 
  private:
   void explore(ReachOptions options);
-  /// Sequential spill setup: shared SpillDir, 2/3 of the budget to the
-  /// state arena, 1/3 to the edge pool. No-op when spilling is disabled.
-  void configure_spill_sequential(const ReachOptions& options);
   /// The sequential builder (threads == 1).
   void explore_sequential(const ReachOptions& options);
 

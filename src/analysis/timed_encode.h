@@ -56,18 +56,25 @@ struct TimedSchedule {
   std::uint64_t now = 0;
   TimedReachStatus status = TimedReachStatus::kComplete;
   /// Stop-poll accounting, shared so both engines poll at identical
-  /// canonical positions: exactly one poll_due() call per expanded state
+  /// canonical positions: exactly one stopped_by() call per expanded state
   /// (the sequential pop and the parallel seal walk visit states in the
-  /// same order), due every kStopCheckStride states plus the first state
-  /// after each tick (instant boundaries).
+  /// same order), polling every kStopCheckStride states plus the first
+  /// state after each tick (instant boundaries).
   std::uint64_t expand_count = 0;
   bool poll_pending = false;
 
-  [[nodiscard]] bool poll_due() {
+  /// The stop poll before expanding the next state: true when `stop`
+  /// fires here, with `status` set to kTimeout or kCancelled.
+  [[nodiscard]] bool stopped_by(const StopToken& stop) {
     const bool due = poll_pending || expand_count % kStopCheckStride == 0;
     poll_pending = false;
     ++expand_count;
-    return due;
+    if (!due) return false;
+    const StopToken::Reason reason = stop.poll();
+    if (reason == StopToken::Reason::kNone) return false;
+    status = reason == StopToken::Reason::kDeadline ? TimedReachStatus::kTimeout
+                                                    : TimedReachStatus::kCancelled;
+    return true;
   }
 
   /// Seed with the initial state (index 0, time 0, pending expansion).

@@ -1,35 +1,30 @@
-// Parallel timed reachability on the StateStore core.
+// Parallel timed reachability on the level-engine core.
 //
 // The timed graph is a 0-1 BFS (firing edges cost 0 ticks, the tick edge
 // costs 1), so the untimed engine's "one BFS level = one contiguous
-// canonical id range" assumption does not hold: the unit of parallelism
-// here is one *round* of the two-bucket scheduler the sequential builder
-// runs (timed_reachability.cpp). `current` holds the cost-0 closure of the
-// instant `now` as an append-only pending list; each round EXPANDs the
-// not-yet-expanded tail of that list in parallel and SEALs the discoveries
-// sequentially:
+// canonical id range" assumption does not hold: a round here is one
+// closure round of the two-bucket scheduler the sequential builder runs
+// (detail::TimedSchedule, timed_encode.h). `current` holds the cost-0
+// closure of the instant `now` as an append-only pending list; each round
+// EXPANDs the not-yet-expanded tail of that list and SEALs its discoveries.
 //
-//   EXPAND (parallel) — the round's pending states are chopped into batches
-//   handed to worker threads by an atomic cursor. Each worker expands its
-//   parent's canonical arena words with its own copy of the successor
-//   kernel the sequential builder runs (analysis/timed_encode.h: ready
-//   firings in transition order under maximal progress, else one tick), and
-//   interns each successor into one of S hash-sharded provisional
-//   StateStores under striped locks. Edges
-//   are recorded per batch as flat (label, shard, slot) segments; the first
-//   batch-local sighting of a freshly minted slot is captured with its
-//   words (candidates), so sealing copies linearly.
+// EXPAND is detail::LevelEngine's (level_engine.h: batches, worker pool,
+// sharded provisional interning, failure parking, candidate capture — the
+// machinery the untimed engine runs too). Each worker expands its parents'
+// canonical arena words with its own copy of the successor kernel the
+// sequential builder runs (detail::TimedKernel: ready firings in
+// transition order under maximal progress, else one tick).
 //
-//   SEAL (sequential, cheap) — replays the batch segments in pending-list
-//   order, edges in firing order. First canonical appearance of a
-//   provisional slot gets the next canonical id — exactly the sequential
-//   builder's discovery order — with its earliest time assigned from the
-//   replay position (`now` + edge cost, min-updated on later sightings:
-//   a state staged for the next tick bucket can be *promoted* into the
-//   current closure when a firing path reaches it one tick earlier).
-//   Scheduling into current/next and the stop rules (max_states truncation
-//   at the exact sequential edge position, max_time horizon gating) run at
-//   the same event positions they would fire sequentially.
+// The SEAL is this engine's own. It replays every item of the round, not
+// only the candidates, because each edge feeds the scheduler: the first
+// canonical appearance of a provisional slot gets the next canonical id —
+// exactly the sequential builder's discovery order — with its earliest
+// time assigned from the replay position (`now` + edge cost, min-updated
+// on later sightings: a state staged for the next tick bucket is
+// *promoted* into the current closure when a firing path reaches it one
+// tick earlier), and TimedSchedule stages ticks, gates the max_time
+// horizon and applies max_states truncation at the exact sequential edge
+// position.
 //
 // When a round discovers nothing more at cost 0, the closure is complete:
 // the staged bucket (minus promoted states) becomes the next `current` and

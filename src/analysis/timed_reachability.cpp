@@ -47,19 +47,7 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
   }
 
   store_ = StateStore(layout.width());
-  if (options.spill.max_resident_bytes != 0) {
-    // Sequential split: 2/3 of the budget to the state arena, 1/3 to the
-    // edge pool, one shared directory cleaned up with the graph.
-    auto dir = std::make_shared<detail::SpillDir>(options.spill.dir);
-    const std::size_t budget = options.spill.max_resident_bytes;
-    store_.enable_spill(
-        dir, "states.seg",
-        detail::segment_bytes_for(options.spill.segment_bytes, budget * 2 / 3),
-        budget * 2 / 3);
-    edges_.enable_spill(std::move(dir), "edges.seg",
-                        detail::segment_bytes_for(options.spill.segment_bytes, budget / 3),
-                        budget / 3);
-  }
+  enable_sequential_spill(options.spill, store_, edges_);
   detail::TimedKernel kernel(net, layout);
   store_.intern(kernel.initial_state());
 
@@ -83,14 +71,9 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
     // Canonical-position stop poll, via the shared schedule's counter so
     // the parallel seal polls at identical positions. The stopping state's
     // row is opened and left empty, and it stays unmarked in expanded_.
-    if (schedule.poll_due()) {
-      if (const StopToken::Reason r = options.stop.poll(); r != StopToken::Reason::kNone) {
-        schedule.status = r == StopToken::Reason::kDeadline
-                              ? TimedReachStatus::kTimeout
-                              : TimedReachStatus::kCancelled;
-        stopped = true;
-        continue;
-      }
+    if (schedule.stopped_by(options.stop)) {
+      stopped = true;
+      continue;
     }
     // The kernel copies the parent's words first: interning may grow the
     // arena under the span.

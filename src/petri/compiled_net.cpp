@@ -83,7 +83,6 @@ CompiledNet::CompiledNet(const Net& net) : net_(net) {
     if (tr.is_interpreted()) f |= kInterpreted;
     if (!tr.inhibitors.empty()) f |= kHasInhibitors;
     if (tr.policy == FiringPolicy::kSingleServer) f |= kSingleServer;
-    if (tr.enabling_time.is_statically_zero()) f |= kZeroEnabling;
     if (tr.predicate) {
       f |= kHasPredicate;
       predicated_.push_back(TransitionId(t));

@@ -122,9 +122,6 @@ class CompiledNet {
   [[nodiscard]] bool is_single_server(TransitionId t) const {
     return (flags_[t.value] & kSingleServer) != 0;
   }
-  [[nodiscard]] bool has_zero_enabling_time(TransitionId t) const {
-    return (flags_[t.value] & kZeroEnabling) != 0;
-  }
   [[nodiscard]] bool has_predicate(TransitionId t) const {
     return (flags_[t.value] & kHasPredicate) != 0;
   }
@@ -220,7 +217,6 @@ class CompiledNet {
     kInterpreted = 2,
     kHasInhibitors = 4,
     kSingleServer = 8,
-    kZeroEnabling = 16,
     kHasPredicate = 32,
     kHasAction = 64,
   };

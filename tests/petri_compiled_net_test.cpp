@@ -92,7 +92,6 @@ void expect_adjacency_matches(const Net& net, const CompiledNet& compiled) {
     EXPECT_EQ(compiled.is_interpreted(t), tr.is_interpreted());
     EXPECT_EQ(compiled.has_inhibitors(t), !tr.inhibitors.empty());
     EXPECT_EQ(compiled.is_single_server(t), tr.policy == FiringPolicy::kSingleServer);
-    EXPECT_EQ(compiled.has_zero_enabling_time(t), tr.enabling_time.is_statically_zero());
     EXPECT_EQ(compiled.frequency(t), tr.frequency);
     EXPECT_EQ(compiled.transition_name(t), tr.name);
     for (std::uint32_t pi = 0; pi < net.num_places(); ++pi) {
