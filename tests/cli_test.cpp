@@ -8,7 +8,10 @@
 
 #include "cli/cli.h"
 #include "expr/lexer.h"
+#include "pipeline/interpreted.h"
+#include "sim/simulator.h"
 #include "support/golden_hash.h"
+#include "trace/trace_text.h"
 
 namespace pnut::cli {
 namespace {
@@ -890,6 +893,128 @@ TEST_F(CliTest, SimulateEdgeCasesArePinned) {
   const Result idle = run_cli({"simulate", model_path_, "--until", "0", "--timeout", "0"});
   EXPECT_EQ(idle.code, 0) << idle.err;
   EXPECT_EQ(idle.out.rfind("simulated to t=0 (seed 1, time limit)\n", 0), 0u) << idle.out;
+}
+
+
+// --- render golden pins ------------------------------------------------------
+//
+// FNV fingerprints of render's stdout on traces of the shipped models and of
+// Figure 4's interpreted pipeline, with place, transition, variable and
+// function signals, plus the exact exit codes and error texts of failing
+// function signals. Recorded while function signals ran on the AST
+// tree-walking evaluator; they hold unchanged on the bytecode VM.
+
+TEST_F(CliTest, RenderOutputIsPinnedOnTheShippedModels) {
+  struct Pin {
+    const char* model;
+    std::uint64_t render;
+  };
+  constexpr Pin kPins[] = {
+      {"pipeline_nocache.pn", 25004546811527652u},
+      {"ext_cache_icache.pn", 14993635012033710137u},
+      {"ext_cache_dcache.pn", 17164213573384318899u},
+      {"ext_cache_unified.pn", 2318189118377221372u},
+  };
+  const std::string trace_path = (dir_ / "pin.trace").string();
+  for (const Pin& pin : kPins) {
+    const std::string model = std::string(PNUT_MODELS_DIR) + "/" + pin.model;
+    const Result sim = run_cli({"simulate", model, "--until", "400", "--seed", "11",
+                                "--trace", trace_path});
+    ASSERT_EQ(sim.code, 0) << pin.model << ": " << sim.err;
+    test_support::Fingerprint f;
+    for (const char* signals :
+         {"Bus_busy,Decode,memory_cycles",
+          "load=Bus_busy+Decode*2+memory_cycles,ratio=Empty_I_buffers*7/3%4",
+          "cmp=(Bus_busy>0)&&(memory_cycles==5),skip=(Bus_busy<0)&&nope",
+          "any=(Full_I_buffers>=0)||(1/0),neg=abs(0-Empty_I_buffers)-!Bus_busy"}) {
+      const Result r = run_cli({"render", trace_path, "--signals", signals, "--columns", "60"});
+      EXPECT_EQ(r.code, 0) << pin.model << " " << signals << ": " << r.err;
+      EXPECT_EQ(r.err, "");
+      f.str(r.out);
+    }
+    EXPECT_EQ(f.value(), pin.render) << pin.model;
+  }
+}
+
+TEST_F(CliTest, RenderOutputIsPinnedOnTheInterpretedPipeline) {
+  // Figure 4's table-driven processor: its variables change every decode.
+  const std::string trace_path = (dir_ / "fig4.trace").string();
+  {
+    std::ofstream out(trace_path);
+    TextTraceWriter writer(out);
+    Simulator sim(pipeline::build_interpreted_pipeline());
+    sim.set_sink(&writer);
+    sim.reset(1988);
+    sim.run_until(300);
+    sim.finish();
+  }
+  test_support::Fingerprint f;
+  for (const char* signals :
+       {"Bus_busy,Decode,type,number_of_operands_needed",
+        "work=number_of_operands_needed*10+type+fetching,"
+        "slow=(exec_cycles_current>1)&&(store_needed==0)"}) {
+    const Result r = run_cli({"render", trace_path, "--signals", signals, "--unicode"});
+    EXPECT_EQ(r.code, 0) << signals << ": " << r.err;
+    EXPECT_EQ(r.err, "");
+    f.str(r.out);
+  }
+  EXPECT_EQ(f.value(), 4468229169599175501u);
+
+  // Tables are not trace signals: a table call is an unknown function.
+  const Result table = run_cli({"render", trace_path, "--signals", "f=operands[1]"});
+  EXPECT_EQ(table.code, 2);
+  EXPECT_EQ(table.out, "");
+  EXPECT_EQ(table.err,
+            "pnut render: unknown function or table 'operands' with 1 argument(s)\n");
+}
+
+TEST_F(CliTest, RenderSignalErrorsArePinned) {
+  const std::string trace_path = make_trace_file();
+  struct Case {
+    const char* signals;
+    int code;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"f=nope+1", 2, "pnut render: unknown identifier 'nope'\n"},
+      {"f=x[0]", 2, "pnut render: unknown function or table 'x' with 1 argument(s)\n"},
+      {"f=min(1)", 2, "pnut render: min expects 2 arguments, got 1\n"},
+      // --signals splits at every comma, so a two-argument call never
+      // reaches the evaluator (tracer_test pins irand's own error).
+      {"f=irand(1,2)", 2,
+       "pnut render: expected ')' to close argument list, got end of input\n"},
+      {"f=1/0", 2, "pnut render: division by zero\n"},
+      {"f=(0-9223372036854775807-1)/(0-1)", 2, "pnut render: division overflow\n"},
+      {"f=(0-9223372036854775807-1)%(0-1)", 2, "pnut render: modulo overflow\n"},
+  };
+  for (const Case& c : kCases) {
+    const Result r = run_cli({"render", trace_path, "--signals", c.signals});
+    EXPECT_EQ(r.code, c.code) << c.signals;
+    EXPECT_EQ(r.out, "") << c.signals;
+    EXPECT_EQ(r.err, c.err) << c.signals;
+  }
+
+  // A variable an action creates is absent in the states before it runs: a
+  // function signal over it fails at the first such state, a bare probe
+  // rejects it by name.
+  const std::string late_model = (dir_ / "late.pn").string();
+  std::ofstream(late_model) << "net late\n"
+                               "place p init 1\n"
+                               "trans t in p out p firing 3 do \"late = late_seed + 1\"\n"
+                               "param late_seed 4\n";
+  const std::string late_trace = (dir_ / "late.trace").string();
+  ASSERT_EQ(run_cli({"simulate", late_model, "--until", "20", "--trace", late_trace}).code, 0);
+  for (const Case& c : {Case{"f=late*2", 2, "pnut render: unknown identifier 'late'\n"},
+                        Case{"late", 2, "pnut render: Tracer: no data variable named 'late'\n"}}) {
+    const Result r = run_cli({"render", late_trace, "--signals", c.signals});
+    EXPECT_EQ(r.code, c.code) << c.signals;
+    EXPECT_EQ(r.out, "") << c.signals;
+    EXPECT_EQ(r.err, c.err) << c.signals;
+  }
+  // Behind a false && the absent variable is never read.
+  const Result guarded = run_cli({"render", late_trace, "--signals", "f=(p<0)&&late"});
+  EXPECT_EQ(guarded.code, 0) << guarded.err;
+  EXPECT_EQ(hash_text(guarded.out), 526673238108124967u) << guarded.out;
 }
 
 }  // namespace

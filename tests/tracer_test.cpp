@@ -133,6 +133,63 @@ TEST(Tracer, UnknownNamesRejectedAtDefinition) {
   EXPECT_THROW(tracer.add_function_signal("f", "1 +"), expr::ParseError);
 }
 
+TEST(Tracer, FunctionSignalErrorsArePinned) {
+  const Net net = square_wave_net();
+  const RecordedTrace trace = run(net, 10);
+  Tracer tracer(trace);
+  const auto error_of = [&](const char* expression) -> std::string {
+    try {
+      tracer.add_function_signal("f", expression);
+    } catch (const expr::EvalError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("nope + 1"), "unknown identifier 'nope'");
+  EXPECT_EQ(error_of("irand(1, 2)"),
+            "irand is not allowed here (no random source; predicates must be "
+            "deterministic)");
+  EXPECT_EQ(error_of("Bus_busy[0]"),
+            "unknown function or table 'Bus_busy' with 1 argument(s)");
+  EXPECT_EQ(error_of("min(1)"), "min expects 2 arguments, got 1");
+  EXPECT_EQ(error_of("grab / (Bus_busy - Bus_busy)"), "division by zero");
+  EXPECT_EQ(error_of("(0 - 9223372036854775807 - 1) / (0 - 1)"), "division overflow");
+  // Operands evaluate left to right: the first failure wins.
+  EXPECT_EQ(error_of("1 / 0 + nope"), "division by zero");
+  EXPECT_EQ(error_of("nope + 1 / 0"), "unknown identifier 'nope'");
+  EXPECT_EQ(tracer.num_signals(), 0u);  // a failed signal is not added
+}
+
+TEST(Tracer, FunctionSignalNamesResolvePlaceTransitionVariable) {
+  // `x` is both a place and a variable, `T` both a transition and a
+  // variable: the net element wins. `late` exists only once T's action
+  // has run, so reading it fails at the first state before that.
+  Net net;
+  net.initial_data().set("x", 100);
+  net.initial_data().set("T", 200);
+  const PlaceId x = net.add_place("x", 1);
+  const TransitionId t = net.add_transition("T");
+  net.add_input(t, x);
+  net.add_output(t, x);
+  net.set_firing_time(t, DelaySpec::constant(2));
+  net.set_action(t, expr::compile_action("late = 7"));
+
+  const RecordedTrace trace = run(net, 9);
+  Tracer tracer(trace);
+  tracer.add_function_signal("xt", "x * 10 + T");
+  EXPECT_EQ(tracer.series(0).front(), 10);  // initial state: x holds 1 token
+  EXPECT_EQ(tracer.value_at(0, 2.0), 1);    // x empty, T firing again
+  tracer.add_function_signal("guarded", "(x > 5) && late");
+  EXPECT_EQ(tracer.value_at(1, 8.0), 0);
+  try {
+    tracer.add_function_signal("late", "late + 1");
+    ADD_FAILURE() << "an absent variable must not read as a value";
+  } catch (const expr::EvalError& e) {
+    EXPECT_STREQ(e.what(), "unknown identifier 'late'");
+  }
+  EXPECT_EQ(tracer.num_signals(), 2u);
+}
+
 TEST(Tracer, MarkersMeasureIntervals) {
   const Net net = square_wave_net();
   const RecordedTrace trace = run(net, 100);
