@@ -18,9 +18,11 @@ namespace pnut::analysis {
 
 namespace {
 
+using expr::BinaryOp;
 using expr::ParseError;
 using expr::Token;
 using expr::TokenKind;
+using expr::UnaryOp;
 
 // --- evaluation environment -----------------------------------------------------
 
@@ -172,64 +174,40 @@ class StateFnNode final : public QNode {
   mutable std::uint32_t id_ = 0;
 };
 
-enum class QBinOp : std::uint8_t {
-  kAdd, kSub, kMul, kDiv, kMod, kEq, kNe, kLt, kLe, kGt, kGe, kAnd, kOr
-};
-
+/// An operator of the expression language, on expr::apply_binary: && and
+/// || short-circuit here, and evaluation errors take this engine's prefix.
 class QBinNode final : public QNode {
  public:
-  QBinNode(QBinOp op, QNodePtr lhs, QNodePtr rhs)
+  QBinNode(BinaryOp op, QNodePtr lhs, QNodePtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   std::int64_t eval(Env& env) const override {
-    if (op_ == QBinOp::kAnd) return (lhs_->eval(env) != 0 && rhs_->eval(env) != 0) ? 1 : 0;
-    if (op_ == QBinOp::kOr) return (lhs_->eval(env) != 0 || rhs_->eval(env) != 0) ? 1 : 0;
+    if (op_ == BinaryOp::kAnd) return (lhs_->eval(env) != 0 && rhs_->eval(env) != 0) ? 1 : 0;
+    if (op_ == BinaryOp::kOr) return (lhs_->eval(env) != 0 || rhs_->eval(env) != 0) ? 1 : 0;
     const std::int64_t a = lhs_->eval(env);
     const std::int64_t b = rhs_->eval(env);
-    switch (op_) {
-      // The expression evaluators' arithmetic: two's-complement wrapping,
-      // and division errors under this engine's prefix.
-      case QBinOp::kAdd: return expr::wrap_add(a, b);
-      case QBinOp::kSub: return expr::wrap_sub(a, b);
-      case QBinOp::kMul: return expr::wrap_mul(a, b);
-      case QBinOp::kDiv:
-      case QBinOp::kMod:
-        try {
-          return op_ == QBinOp::kDiv ? expr::checked_div(a, b) : expr::checked_mod(a, b);
-        } catch (const expr::EvalError& e) {
-          eval_fail(e.what());
-        }
-      case QBinOp::kEq: return a == b;
-      case QBinOp::kNe: return a != b;
-      case QBinOp::kLt: return a < b;
-      case QBinOp::kLe: return a <= b;
-      case QBinOp::kGt: return a > b;
-      case QBinOp::kGe: return a >= b;
-      default: return 0;
+    try {
+      return expr::apply_binary(op_, a, b);
+    } catch (const expr::EvalError& e) {
+      eval_fail(e.what());
     }
   }
 
  private:
-  QBinOp op_;
+  BinaryOp op_;
   QNodePtr lhs_;
   QNodePtr rhs_;
 };
 
-class QNotNode final : public QNode {
+class QUnaryNode final : public QNode {
  public:
-  explicit QNotNode(QNodePtr inner) : inner_(std::move(inner)) {}
-  std::int64_t eval(Env& env) const override { return inner_->eval(env) == 0 ? 1 : 0; }
+  QUnaryNode(UnaryOp op, QNodePtr inner) : op_(op), inner_(std::move(inner)) {}
+  std::int64_t eval(Env& env) const override {
+    return expr::apply_unary(op_, inner_->eval(env));
+  }
 
  private:
-  QNodePtr inner_;
-};
-
-class QNegNode final : public QNode {
- public:
-  explicit QNegNode(QNodePtr inner) : inner_(std::move(inner)) {}
-  std::int64_t eval(Env& env) const override { return expr::wrap_neg(inner_->eval(env)); }
-
- private:
+  UnaryOp op_;
   QNodePtr inner_;
 };
 
@@ -578,7 +556,7 @@ class QueryParser {
     while (peek().kind == TokenKind::kOr) {
       nest();
       advance();
-      lhs = std::make_unique<QBinNode>(QBinOp::kOr, std::move(lhs), parse_and());
+      lhs = std::make_unique<QBinNode>(BinaryOp::kOr, std::move(lhs), parse_and());
     }
     return lhs;
   }
@@ -589,7 +567,7 @@ class QueryParser {
     while (peek().kind == TokenKind::kAnd) {
       nest();
       advance();
-      lhs = std::make_unique<QBinNode>(QBinOp::kAnd, std::move(lhs), parse_rel());
+      lhs = std::make_unique<QBinNode>(BinaryOp::kAnd, std::move(lhs), parse_rel());
     }
     return lhs;
   }
@@ -597,15 +575,15 @@ class QueryParser {
   QNodePtr parse_rel() {
     const DepthScope scope(*this);
     QNodePtr lhs = parse_add();
-    QBinOp op;
+    BinaryOp op;
     switch (peek().kind) {
       case TokenKind::kEq:
-      case TokenKind::kAssignOrEq: op = QBinOp::kEq; break;
-      case TokenKind::kNe: op = QBinOp::kNe; break;
-      case TokenKind::kLt: op = QBinOp::kLt; break;
-      case TokenKind::kLe: op = QBinOp::kLe; break;
-      case TokenKind::kGt: op = QBinOp::kGt; break;
-      case TokenKind::kGe: op = QBinOp::kGe; break;
+      case TokenKind::kAssignOrEq: op = BinaryOp::kEq; break;
+      case TokenKind::kNe: op = BinaryOp::kNe; break;
+      case TokenKind::kLt: op = BinaryOp::kLt; break;
+      case TokenKind::kLe: op = BinaryOp::kLe; break;
+      case TokenKind::kGt: op = BinaryOp::kGt; break;
+      case TokenKind::kGe: op = BinaryOp::kGe; break;
       default: return lhs;
     }
     nest();
@@ -617,11 +595,11 @@ class QueryParser {
     const DepthScope scope(*this);
     QNodePtr lhs = parse_mul();
     while (true) {
-      QBinOp op;
+      BinaryOp op;
       if (peek().kind == TokenKind::kPlus) {
-        op = QBinOp::kAdd;
+        op = BinaryOp::kAdd;
       } else if (peek().kind == TokenKind::kMinus && peek(1).kind != TokenKind::kLBrace) {
-        op = QBinOp::kSub;
+        op = BinaryOp::kSub;
       } else {
         return lhs;
       }
@@ -635,11 +613,11 @@ class QueryParser {
     const DepthScope scope(*this);
     QNodePtr lhs = parse_unary();
     while (true) {
-      QBinOp op;
+      BinaryOp op;
       switch (peek().kind) {
-        case TokenKind::kStar: op = QBinOp::kMul; break;
-        case TokenKind::kSlash: op = QBinOp::kDiv; break;
-        case TokenKind::kPercent: op = QBinOp::kMod; break;
+        case TokenKind::kStar: op = BinaryOp::kMul; break;
+        case TokenKind::kSlash: op = BinaryOp::kDiv; break;
+        case TokenKind::kPercent: op = BinaryOp::kMod; break;
         default: return lhs;
       }
       nest();
@@ -654,8 +632,9 @@ class QueryParser {
     }
     const DepthScope scope(*this);
     nest();
-    if (advance().kind == TokenKind::kMinus) return std::make_unique<QNegNode>(parse_unary());
-    return std::make_unique<QNotNode>(parse_unary());
+    const UnaryOp op =
+        advance().kind == TokenKind::kMinus ? UnaryOp::kNeg : UnaryOp::kNot;
+    return std::make_unique<QUnaryNode>(op, parse_unary());
   }
 
   QNodePtr parse_primary() {

@@ -364,9 +364,9 @@ struct Session::Impl {
 
   /// Static model check: parse the document (line-mapped diagnostics with
   /// caret snippets come straight from the .pn/expression parsers) and then
-  /// lower every expression hook to bytecode, so mistakes the AST evaluator
-  /// would only raise at run time — builtin arity errors, say, on a
-  /// transition that never fires — surface here. Diagnostics go to `out`
+  /// lower every expression hook to bytecode, so mistakes the VM would only
+  /// raise at run time — builtin arity errors, say, on a transition that
+  /// never fires — surface here. Diagnostics go to `out`
   /// with exit code 1; only infrastructure failures exit 2.
   int cmd_check(const Args& args, std::ostream& out) {
     const std::string& path = require_positional(args, 0, "model file");

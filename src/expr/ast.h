@@ -1,33 +1,26 @@
-// AST and evaluator for the expression language.
+// AST of the expression language: the parsed, printable description form
+// of predicates, actions, computed delays, scripts and tracer signals.
 //
-// Values are 64-bit integers; booleans are 0/1 as in C. Evaluation runs
-// against an EvalContext that provides:
-//   * the DataContext for variable and table reads,
-//   * optionally a mutable DataContext and an Rng (actions, `irand`),
-//   * optional resolver hooks so embedding tools can add their own
-//     identifiers and functions — the query engine resolves `Bus_busy(s)`
-//     (tokens on a place in state s) and the tracer resolves signal names
-//     through exactly these hooks.
+// Values are 64-bit integers; booleans are 0/1 as in C. Nothing in src/
+// evaluates a tree: expressions run as bytecode (program.h compiles, vm.h
+// runs), and the VM's error texts are the texts of record. The operator
+// semantics live here once, in apply_binary and apply_unary, which the VM,
+// the query engine and the test-only tree-walking oracle
+// (tests/support/ast_eval.h) all call.
 //
 // Script constructs (user functions, `let` bindings, local arrays, bounded
 // `for` loops) are resolved statically by the parser: every local gets a
-// dense frame slot, every call site knows at parse time whether it names a
-// builtin, a local array, a user function, or falls through to the dynamic
-// resolvers. Both evaluators (this tree-walker and the bytecode VM) share
-// the slot layout, so locals never exist in the DataContext and the state
-// encoding is untouched.
+// dense frame slot, and every call site knows whether it names a builtin,
+// a local array, a user function, or something the compiler resolves (a
+// data table, or nothing). Locals never live in the net's data.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
-#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "petri/data_context.h"
-#include "petri/rng.h"
 
 namespace pnut::expr {
 
@@ -58,32 +51,8 @@ struct FunctionLibrary {
       std::string_view name) const;
 };
 
-/// Environment an expression evaluates in.
-struct EvalContext {
-  /// Variable/table reads. May be null if the embedder resolves everything.
-  const DataContext* data = nullptr;
-  /// Assignment target for statements; null makes assignments an error.
-  DataContext* mutable_data = nullptr;
-  /// Random source for `irand`; null makes `irand` an error (e.g. inside
-  /// predicates, which must be side-effect free and deterministic).
-  Rng* rng = nullptr;
-  /// Current local frame (parameters, lets, arrays) — set internally by
-  /// Program::execute and function invocation, null at the top of a bare
-  /// expression. Reads index this array by the parser-assigned slot.
-  const std::int64_t* locals = nullptr;
-
-  /// Hook consulted for bare identifiers before `data` (e.g. the bound
-  /// state variable `s` in queries, or a tracer signal name).
-  std::function<std::optional<std::int64_t>(std::string_view)> resolve_identifier;
-
-  /// Hook consulted for `name(args...)` / `name[args...]` before tables
-  /// (e.g. `Bus_busy(s)` in queries, `inev(...)` is handled upstream).
-  std::function<std::optional<std::int64_t>(std::string_view, std::span<const std::int64_t>)>
-      resolve_call;
-};
-
 /// Thrown when evaluation fails (unknown name, division by zero, irand
-/// without an Rng, assignment without a mutable context, ...).
+/// without an Rng, a builtin arity mistake, ...).
 class EvalError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -97,22 +66,20 @@ enum class BinaryOp : std::uint8_t {
 
 enum class UnaryOp : std::uint8_t { kNeg, kNot };
 
-/// Expression node. A small closed class hierarchy keeps evaluation simple
-/// and the memory model obvious (unique ownership, no cycles — function
-/// bodies are shared immutably and only reference earlier definitions).
+/// Expression node. A small closed class hierarchy: consumers dispatch on
+/// the concrete type (the compiler in program.cpp), and the memory model
+/// stays obvious (unique ownership, no cycles — function bodies are shared
+/// immutably and only reference earlier definitions).
 class Node {
  public:
   virtual ~Node() = default;
-  [[nodiscard]] virtual std::int64_t eval(const EvalContext& ctx) const = 0;
   /// Re-render the expression (canonical spacing); used in diagnostics and
   /// report labels.
   [[nodiscard]] virtual std::string to_string() const = 0;
 };
 
-/// Two's-complement wrapping arithmetic shared by the AST evaluator and the
-/// bytecode VM: expression arithmetic is defined to wrap on overflow (both
-/// evaluators must agree bit-for-bit, and plain signed +,-,* would be
-/// undefined behaviour on overflow).
+/// Two's-complement wrapping arithmetic: expression arithmetic is defined
+/// to wrap on overflow (plain signed +,-,* would be undefined behaviour).
 [[nodiscard]] inline std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
                                    static_cast<std::uint64_t>(b));
@@ -129,9 +96,8 @@ class Node {
   return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(v));
 }
 
-/// Integer quotient and remainder shared by the AST evaluator, the bytecode
-/// VM and the query engine. A zero divisor raises EvalError, and so does
-/// INT64_MIN / -1: its quotient cannot wrap (it traps on x86).
+/// Integer quotient and remainder. A zero divisor raises EvalError, and so
+/// does INT64_MIN / -1: its quotient cannot wrap (it traps on x86).
 [[nodiscard]] inline std::int64_t checked_div(std::int64_t a, std::int64_t b) {
   if (b == 0) throw EvalError("division by zero");
   if (a == INT64_MIN && b == -1) throw EvalError("division overflow");
@@ -143,10 +109,39 @@ class Node {
   return a % b;
 }
 
+/// The one operator kernel: the arithmetic and comparison semantics of
+/// every evaluator (the bytecode VM, the query engine, the test oracle).
+/// The short-circuit && and || are sequenced by the callers, which must not
+/// evaluate the right operand first; given both operands, their values are
+/// the logical ones. Callers pass a constant `op` where they can, and the
+/// switch folds away.
+[[nodiscard]] inline std::int64_t apply_binary(BinaryOp op, std::int64_t a,
+                                               std::int64_t b) {
+  switch (op) {
+    case BinaryOp::kAdd: return wrap_add(a, b);
+    case BinaryOp::kSub: return wrap_sub(a, b);
+    case BinaryOp::kMul: return wrap_mul(a, b);
+    case BinaryOp::kDiv: return checked_div(a, b);
+    case BinaryOp::kMod: return checked_mod(a, b);
+    case BinaryOp::kEq: return a == b ? 1 : 0;
+    case BinaryOp::kNe: return a != b ? 1 : 0;
+    case BinaryOp::kLt: return a < b ? 1 : 0;
+    case BinaryOp::kLe: return a <= b ? 1 : 0;
+    case BinaryOp::kGt: return a > b ? 1 : 0;
+    case BinaryOp::kGe: return a >= b ? 1 : 0;
+    case BinaryOp::kAnd: return a != 0 && b != 0 ? 1 : 0;
+    case BinaryOp::kOr: return a != 0 || b != 0 ? 1 : 0;
+  }
+  return 0;  // unreachable
+}
+
+[[nodiscard]] inline std::int64_t apply_unary(UnaryOp op, std::int64_t v) {
+  return op == UnaryOp::kNeg ? wrap_neg(v) : (v == 0 ? 1 : 0);
+}
+
 class NumberNode final : public Node {
  public:
   explicit NumberNode(std::int64_t value) : value_(value) {}
-  std::int64_t eval(const EvalContext&) const override { return value_; }
   std::string to_string() const override { return std::to_string(value_); }
   [[nodiscard]] std::int64_t value() const { return value_; }
 
@@ -158,7 +153,6 @@ class IdentifierNode final : public Node {
  public:
   explicit IdentifierNode(std::string name, std::int32_t local_slot = -1)
       : name_(std::move(name)), local_slot_(local_slot) {}
-  std::int64_t eval(const EvalContext& ctx) const override;
   std::string to_string() const override { return name_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Frame slot when the parser resolved this name to a local; -1 otherwise.
@@ -171,7 +165,7 @@ class IdentifierNode final : public Node {
 
 /// What a `name[...]` / `name(...)` site resolved to at parse time.
 enum class CallKind : std::uint8_t {
-  kDynamic,     ///< builtin / resolver hook / data table / unknown, at eval
+  kDynamic,     ///< builtin / data table / unknown, decided by the compiler
   kLocalArray,  ///< indexed read of a local array (slot base + extent known)
   kFunction,    ///< user-defined function call (arity checked at parse)
 };
@@ -181,7 +175,6 @@ class CallNode final : public Node {
  public:
   CallNode(std::string name, std::vector<NodePtr> args)
       : name_(std::move(name)), args_(std::move(args)) {}
-  std::int64_t eval(const EvalContext& ctx) const override;
   std::string to_string() const override;
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<NodePtr>& args() const { return args_; }
@@ -213,7 +206,6 @@ class CallNode final : public Node {
 class UnaryNode final : public Node {
  public:
   UnaryNode(UnaryOp op, NodePtr operand) : op_(op), operand_(std::move(operand)) {}
-  std::int64_t eval(const EvalContext& ctx) const override;
   std::string to_string() const override;
   [[nodiscard]] UnaryOp op() const { return op_; }
   [[nodiscard]] const Node& operand() const { return *operand_; }
@@ -227,7 +219,6 @@ class BinaryNode final : public Node {
  public:
   BinaryNode(BinaryOp op, NodePtr lhs, NodePtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-  std::int64_t eval(const EvalContext& ctx) const override;
   std::string to_string() const override;
   [[nodiscard]] BinaryOp op() const { return op_; }
   [[nodiscard]] const Node& lhs() const { return *lhs_; }
@@ -238,6 +229,21 @@ class BinaryNode final : public Node {
   NodePtr lhs_;
   NodePtr rhs_;
 };
+
+/// Call f(child) on each direct subexpression of `node`, left to right:
+/// call arguments, a unary operand, a binary node's two sides. User-function
+/// bodies are not children (a call site only references its callee).
+template <class F>
+void for_each_child(const Node& node, F&& f) {
+  if (const auto* call = dynamic_cast<const CallNode*>(&node)) {
+    for (const NodePtr& arg : call->args()) f(*arg);
+  } else if (const auto* unary = dynamic_cast<const UnaryNode*>(&node)) {
+    f(unary->operand());
+  } else if (const auto* binary = dynamic_cast<const BinaryNode*>(&node)) {
+    f(binary->lhs());
+    f(binary->rhs());
+  }
+}
 
 /// One statement of a script body. Assignments keep their historical field
 /// layout (`target`, `index`, `value`); the other kinds reuse those fields
@@ -274,9 +280,6 @@ struct Program {
   /// in the document's library instead and are referenced by call nodes).
   std::vector<std::shared_ptr<const FunctionDef>> local_fns;
   std::uint32_t frame_slots = 0;
-
-  /// Run every statement in order against ctx.mutable_data.
-  void execute(const EvalContext& ctx) const;
 
   [[nodiscard]] std::string to_string() const;
 };

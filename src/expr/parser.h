@@ -30,10 +30,9 @@
 // All script name resolution is static: the parser assigns dense frame
 // slots to locals, checks function arity against the library, marks each
 // assignment local or data-bound, and enforces the compile-time budgets
-// below — so the tree-walking evaluator and the bytecode VM agree on
-// behaviour (and on every error) by construction. Function bodies may only
-// assign locals, and a function may only call functions defined earlier,
-// so evaluation is total.
+// below, so every evaluator sees the same resolved, budgeted tree. Function
+// bodies may only assign locals, and a function may only call functions
+// defined earlier, so evaluation is total.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +47,7 @@ namespace pnut::expr {
 
 /// Compile-time budgets: every local array extent and loop trip count is a
 /// literal in the source, checked here — a ParseError, not a runtime error,
-/// so the AST and VM paths reject the same scripts identically.
+/// so no evaluator ever meets an over-budget script.
 inline constexpr std::int64_t kMaxArrayExtent = std::int64_t{1} << 16;
 inline constexpr std::uint64_t kMaxLoopTrips = std::uint64_t{1} << 16;
 /// Ceiling on one frame's total local slots (arrays are slot ranges).
@@ -56,8 +55,8 @@ inline constexpr std::uint32_t kMaxFrameSlots = std::uint32_t{1} << 20;
 /// Nesting budget: parenthesized groups and call arguments, unary
 /// operators, chained binary operators (each one deepens the tree) and
 /// `for` blocks together may nest at most this deep. The parser, the
-/// tree-walking evaluator, the bytecode compiler and AST teardown all
-/// recurse once per level, so the budget bounds their stack use; deeper
+/// bytecode compiler, AST printing and AST teardown all recurse once per
+/// level, so the budget bounds their stack use; deeper
 /// input is a ParseError like any other syntax error.
 inline constexpr std::size_t kMaxNestingDepth = 256;
 

@@ -27,24 +27,12 @@ void collect_fns(const std::vector<Statement>& statements,
 
 void collect_fns(const Node& node,
                  std::map<const FunctionDef*, std::shared_ptr<const FunctionDef>>& out) {
-  if (const auto* call = dynamic_cast<const CallNode*>(&node)) {
-    for (const NodePtr& a : call->args()) collect_fns(*a, out);
-    if (call->kind() == CallKind::kFunction) {
-      const auto [it, inserted] = out.try_emplace(call->fn().get(), call->fn());
-      if (inserted) collect_fns(call->fn()->body, out);
-    }
-    return;
+  for_each_child(node, [&](const Node& child) { collect_fns(child, out); });
+  const auto* call = dynamic_cast<const CallNode*>(&node);
+  if (call != nullptr && call->kind() == CallKind::kFunction) {
+    const auto [it, inserted] = out.try_emplace(call->fn().get(), call->fn());
+    if (inserted) collect_fns(call->fn()->body, out);
   }
-  if (const auto* unary = dynamic_cast<const UnaryNode*>(&node)) {
-    collect_fns(unary->operand(), out);
-    return;
-  }
-  if (const auto* binary = dynamic_cast<const BinaryNode*>(&node)) {
-    collect_fns(binary->lhs(), out);
-    collect_fns(binary->rhs(), out);
-    return;
-  }
-  // NumberNode / IdentifierNode: no children.
 }
 
 /// One-pass AST -> bytecode lowering with static stack-depth tracking.
@@ -88,7 +76,7 @@ class ExprCompiler {
              add_name(ident->name()), +1);
       } else {
         // The name can never exist (the schema is the complete universe):
-        // defer the AST evaluator's error to evaluation time.
+        // defer its error to evaluation time.
         emit(Op::kThrowIdent, add_name(ident->name()), 0, +1);
       }
       return;
@@ -112,8 +100,7 @@ class ExprCompiler {
   void compile_statement(const Statement& stmt) {
     switch (stmt.kind) {
       case Statement::Kind::kAssign:
-        // Statement evaluation order matches Program::execute: value first,
-        // then (for indexed writes) the index.
+        // Value first, then (for indexed writes) the index.
         compile_expr(*stmt.value);
         if (stmt.slot >= 0) {
           if (stmt.index) {
@@ -127,8 +114,8 @@ class ExprCompiler {
           if (const auto ti = schema_.table_index(stmt.target)) {
             emit(Op::kStoreTable, add_table(*ti), 0, -2);
           } else {
-            // Actions cannot create tables; the tree-walking evaluator raises the
-            // DataContext error at execution time — so do we.
+            // Actions cannot create tables: raise DataContext's unknown-table
+            // error if the assignment ever runs.
             emit(Op::kThrowTable, add_name(stmt.target), 0, -2);
           }
         } else {
@@ -204,7 +191,7 @@ class ExprCompiler {
     fn_infos_.emplace(&def, info);
 
     for (const Statement& stmt : def.body) compile_statement(stmt);
-    // Falling off the end returns 0, like the AST evaluator.
+    // Falling off the end returns 0.
     emit(Op::kConst, add_const(0), 0, +1);
     emit(Op::kReturn, 0, 0, -1);
 
@@ -242,8 +229,8 @@ class ExprCompiler {
       const std::size_t want = binary_builtin ? 2 : 1;
       for (const NodePtr& a : args) compile_expr(*a);
       if (args.size() != want) {
-        // The AST evaluator computes every argument, then raises the arity
-        // error; so does the throw instruction. It only fires if evaluated.
+        // Every argument is computed, then the arity error is raised. The
+        // throw instruction only fires if evaluated.
         std::string message = name + " expects " + std::to_string(want) + " argument" +
                               (want == 1 ? "" : "s") + ", got " +
                               std::to_string(args.size());
@@ -266,9 +253,9 @@ class ExprCompiler {
         return;
       }
     }
-    // Unknown name (or a table called with the wrong argument count): the
-    // AST evaluator computes every argument first, then throws — keep the
-    // argument side effects (rng draws) and the error position identical.
+    // Unknown name (or a table called with the wrong argument count): every
+    // argument is computed first, then the call throws — the argument side
+    // effects (rng draws) happen before the error.
     for (const NodePtr& a : args) compile_expr(*a);
     emit(Op::kThrowCall, add_name(name), static_cast<std::int32_t>(args.size()),
          1 - static_cast<int>(args.size()));

@@ -12,12 +12,11 @@
 //   * the initial DataFrame;
 //   * per-transition bytecode (expr/vm.h) for each attached expression.
 //
-// Compilation is semantics-preserving down to error behaviour: names that
-// can never resolve and builtin arity mistakes lower to throw instructions
-// that raise the tree-walking evaluator's EvalError at *evaluation* time,
-// in the same order (arguments first) it would — a model with a broken
-// predicate on a transition that never fires runs normally. Every net
-// compiles; `pnut check` still reports the first arity mistake.
+// Errors surface at *evaluation* time: names that can never resolve and
+// builtin arity mistakes lower to throw instructions that raise the VM's
+// EvalError (the texts of record) after computing the arguments — a model
+// with a broken predicate on a transition that never fires runs normally.
+// Every net compiles; `pnut check` still reports the first arity mistake.
 #pragma once
 
 #include <memory>

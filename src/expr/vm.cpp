@@ -6,6 +6,13 @@ namespace pnut::expr {
 
 namespace {
 
+/// Pop b and replace a with `a op b`. Every call site passes a constant op,
+/// so apply_binary's switch folds down to that one operator.
+inline void binary(BinaryOp op, std::int64_t* stack, std::size_t& sp) {
+  --sp;
+  stack[sp - 1] = apply_binary(op, stack[sp - 1], stack[sp]);
+}
+
 /// The one interpreter loop over a raw (values, present) slot row — a
 /// DataFrame's storage, or one lane of batch_sim's flat slot matrix. The
 /// row is written only by store opcodes, which the compiler emits only
@@ -67,19 +74,19 @@ std::int64_t run(const Code& code, std::int64_t* values, std::uint8_t* present,
         values[t.base + static_cast<std::uint32_t>(index)] = value;
         break;
       }
-      case Op::kAdd: --sp; stack[sp - 1] = wrap_add(stack[sp - 1], stack[sp]); break;
-      case Op::kSub: --sp; stack[sp - 1] = wrap_sub(stack[sp - 1], stack[sp]); break;
-      case Op::kMul: --sp; stack[sp - 1] = wrap_mul(stack[sp - 1], stack[sp]); break;
-      case Op::kDiv: --sp; stack[sp - 1] = checked_div(stack[sp - 1], stack[sp]); break;
-      case Op::kMod: --sp; stack[sp - 1] = checked_mod(stack[sp - 1], stack[sp]); break;
-      case Op::kEq: --sp; stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1 : 0; break;
-      case Op::kNe: --sp; stack[sp - 1] = stack[sp - 1] != stack[sp] ? 1 : 0; break;
-      case Op::kLt: --sp; stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1 : 0; break;
-      case Op::kLe: --sp; stack[sp - 1] = stack[sp - 1] <= stack[sp] ? 1 : 0; break;
-      case Op::kGt: --sp; stack[sp - 1] = stack[sp - 1] > stack[sp] ? 1 : 0; break;
-      case Op::kGe: --sp; stack[sp - 1] = stack[sp - 1] >= stack[sp] ? 1 : 0; break;
-      case Op::kNeg: stack[sp - 1] = wrap_neg(stack[sp - 1]); break;
-      case Op::kNot: stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0; break;
+      case Op::kAdd: binary(BinaryOp::kAdd, stack, sp); break;
+      case Op::kSub: binary(BinaryOp::kSub, stack, sp); break;
+      case Op::kMul: binary(BinaryOp::kMul, stack, sp); break;
+      case Op::kDiv: binary(BinaryOp::kDiv, stack, sp); break;
+      case Op::kMod: binary(BinaryOp::kMod, stack, sp); break;
+      case Op::kEq: binary(BinaryOp::kEq, stack, sp); break;
+      case Op::kNe: binary(BinaryOp::kNe, stack, sp); break;
+      case Op::kLt: binary(BinaryOp::kLt, stack, sp); break;
+      case Op::kLe: binary(BinaryOp::kLe, stack, sp); break;
+      case Op::kGt: binary(BinaryOp::kGt, stack, sp); break;
+      case Op::kGe: binary(BinaryOp::kGe, stack, sp); break;
+      case Op::kNeg: stack[sp - 1] = apply_unary(UnaryOp::kNeg, stack[sp - 1]); break;
+      case Op::kNot: stack[sp - 1] = apply_unary(UnaryOp::kNot, stack[sp - 1]); break;
       case Op::kAndFalse:
         if (stack[--sp] == 0) {
           stack[sp++] = 0;
@@ -116,9 +123,9 @@ std::int64_t run(const Code& code, std::int64_t* values, std::uint8_t* present,
         throw EvalError("unknown identifier '" +
                         code.names[static_cast<std::size_t>(in.a)] + "'");
       case Op::kThrowCall:
-        // The AST evaluator computes every argument (side effects and all)
-        // before discovering the name resolves to nothing; the compiler
-        // mirrors that by emitting the argument code ahead of this throw.
+        // Every argument is computed (side effects and all) before the
+        // name turns out to resolve to nothing: the compiler emits the
+        // argument code ahead of this throw.
         sp -= static_cast<std::size_t>(in.b);
         throw EvalError("unknown function or table '" +
                         code.names[static_cast<std::size_t>(in.a)] + "' with " +

@@ -1,30 +1,27 @@
-// Expression bytecode: the runtime form of predicates, actions and computed
-// delays.
+// Expression bytecode: the one runtime of the expression language. It runs
+// predicates, actions and computed delays in every engine, and the tracer's
+// function signals.
 //
-// The AST evaluator (ast.h) pays a virtual call per node, a heap vector per
-// call node, std::function resolver hooks and a string-keyed map lookup per
-// variable touch — fine at a tool's boundary, ruinous in the per-state /
-// per-event inner loops of the simulator and the exploration engines. The
-// compiler (program.h) lowers each AST once, against a frozen DataSchema,
-// into a flat instruction array evaluated here by a plain stack machine:
+// The compiler (program.h) lowers each AST once, against a frozen
+// DataSchema, into a flat instruction array evaluated here by a plain
+// stack machine:
 //
 //   * variable and table reads/writes are dense slot indices into a
-//     DataFrame — no string hashing, no map nodes;
+//     DataFrame — no virtual dispatch, no string hashing, no map nodes;
 //   * irand/min/max/abs are opcodes (a wrong argument count compiles to a
-//     throw instruction carrying the evaluator's arity message);
-//   * && and || compile to conditional jumps, preserving the AST's
-//     short-circuit semantics exactly (including which side effects run —
-//     the rng streams of the two evaluators must match bit for bit);
+//     throw instruction carrying the builtin's arity message);
+//   * && and || compile to conditional jumps, so the right operand (side
+//     effects and all) runs only when the left one does not decide;
+//   * arithmetic and comparisons are ast.h's apply_binary / apply_unary;
 //   * names that can never resolve compile to throw instructions, so the
-//     error surfaces at evaluation time with the AST evaluator's message,
-//     not at compile time (a model with a broken predicate on a transition
-//     that never fires behaves identically either way).
+//     error surfaces at evaluation time (a broken predicate on a transition
+//     that never fires is harmless).
 //
 // Evaluation never allocates: the caller-owned VmScratch holds the value
 // stack, sized once per Code to its precomputed max depth. Errors are
-// expr::EvalError, byte-for-byte the messages the AST evaluator raises —
-// the differential fuzzer (tests/support/expr_fuzz.h) pins value, error,
-// rng-stream and data-state equivalence between the two evaluators.
+// expr::EvalError, and these texts are the texts of record: the test-only
+// tree-walking oracle (tests/support/ast_eval.h) is pinned to them in
+// value, error, rng stream and data state by the differential fuzzer.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +46,7 @@ enum class Op : std::uint8_t {
   kAndFalse,    ///< pop v; if v == 0: push 0, jump to a (short-circuit &&)
   kOrTrue,      ///< pop v; if v != 0: push 1, jump to a (short-circuit ||)
   kToBool,      ///< pop v, push v != 0
-  kIrand,       ///< pop hi, pop lo, push rng draw (errors match the AST)
+  kIrand,       ///< pop hi, pop lo, push rng draw (null rng or empty range throws)
   kMin, kMax,   ///< pop b, pop a
   kAbs,         ///< pop v
   kThrowIdent,  ///< throw "unknown identifier '<names[a]>'"
@@ -128,8 +125,8 @@ struct VmScratch {
 };
 
 /// Evaluate expression code against `frame`; returns the result value.
-/// `rng` may be null (irand then raises the AST evaluator's "no random
-/// source" error). Throws EvalError exactly where the AST evaluator would.
+/// `rng` may be null (irand then raises its "not allowed here" error).
+/// Throws EvalError on any evaluation failure.
 std::int64_t vm_eval(const Code& code, const DataFrame& frame, Rng* rng,
                      VmScratch& scratch);
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "petri/marking.h"
 
@@ -15,7 +13,6 @@ namespace pnut {
 
 namespace {
 
-using Acc = LaneState::Acc;
 using Event = LaneState::Event;
 using EventKind = LaneState::EventKind;
 
@@ -296,10 +293,10 @@ struct LaneRun {
         if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
       }
       completions[t.value] += 1;
-      ++s.events_started;
-      ++s.events_finished;
-      ++s.starts[t.value];
-      ++s.ends[t.value];
+      ++s.stats.events_started;
+      ++s.stats.events_finished;
+      ++s.stats.starts[t.value];
+      ++s.stats.ends[t.value];
       const std::span<const Arc> ins = net.inputs(t);
       const std::span<const Arc> outs = net.outputs(t);
       for (const Arc& a : ins) {
@@ -307,13 +304,13 @@ struct LaneRun {
         for (const Arc& p : outs) {
           if (p.place == a.place) delta += static_cast<std::int64_t>(p.weight);
         }
-        s.place_acc[a.place.value].change(now, delta);
+        s.stats.places[a.place.value].change(now, delta);
       }
       for (const Arc& p : outs) {
         bool consumed_too = false;
         for (const Arc& a : ins) consumed_too |= (a.place == p.place);
         if (!consumed_too) {
-          s.place_acc[p.place.value].change(now, static_cast<std::int64_t>(p.weight));
+          s.stats.places[p.place.value].change(now, static_cast<std::int64_t>(p.weight));
         }
       }
       if (sink != nullptr) {
@@ -325,11 +322,11 @@ struct LaneRun {
 
     in_flight[t.value] += 1;
     mark_dirty(t);  // in_flight gates single-server eligibility
-    ++s.events_started;
-    ++s.starts[t.value];
-    s.trans_acc[t.value].change(now, +1);
+    ++s.stats.events_started;
+    ++s.stats.starts[t.value];
+    s.stats.transitions[t.value].change(now, +1);
     for (const Arc& a : net.inputs(t)) {
-      s.place_acc[a.place.value].change(now, -static_cast<std::int64_t>(a.weight));
+      s.stats.places[a.place.value].change(now, -static_cast<std::int64_t>(a.weight));
     }
     if (sink != nullptr) sink->event(ev);
     schedule(now + firing_time, EventKind::kFiringComplete, t.value, firing_id, 0);
@@ -348,15 +345,15 @@ struct LaneRun {
     for (const Arc& a : net.outputs(t)) {
       add_tokens(a.place, a.weight);
       mark_place_dirty(a.place);
-      s.place_acc[a.place.value].change(now, static_cast<std::int64_t>(a.weight));
+      s.stats.places[a.place.value].change(now, static_cast<std::int64_t>(a.weight));
       if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
     }
     in_flight[t.value] -= 1;
     mark_dirty(t);
     completions[t.value] += 1;
-    ++s.events_finished;
-    ++s.ends[t.value];
-    s.trans_acc[t.value].change(now, -1);
+    ++s.stats.events_finished;
+    ++s.stats.ends[t.value];
+    s.stats.transitions[t.value].change(now, -1);
     if (sink != nullptr) sink->event(ev);
   }
 
@@ -449,22 +446,10 @@ struct LaneRun {
     s.next_firing = 0;
     s.immediate_this_instant = 0;
     s.instant = s.now;
-    s.events_started = 0;
-    s.events_finished = 0;
 
-    // Native statistics "begin": StatCollector::begin against the lane's
-    // (possibly patched) initial marking.
-    s.place_acc.assign(b.num_places_, Acc{});
-    for (std::size_t i = 0; i < b.num_places_; ++i) {
-      Acc& acc = s.place_acc[i];
-      acc.current = static_cast<std::int64_t>(marking[i]);
-      acc.min = acc.max = acc.current;
-      acc.last_change = s.now;
-    }
-    s.trans_acc.assign(T, Acc{});
-    for (Acc& acc : s.trans_acc) acc.last_change = s.now;
-    s.starts.assign(T, 0);
-    s.ends.assign(T, 0);
+    // Native statistics "begin": StatCollector::begin's RunCounters::begin,
+    // against the lane's (possibly patched) initial marking.
+    s.stats.begin(s.now, std::span<const TokenCount>(marking, b.num_places_), T);
 
     if (sink != nullptr) {
       TraceHeader header = TraceHeader::from_net(net.net(), s.now);
@@ -521,61 +506,16 @@ struct LaneRun {
     return b.lane_deadlocked(lane, s) ? StopReason::kDeadlock : StopReason::kTimeLimit;
   }
 
-  /// Emit end() and StatCollector::end, byte for byte, into the lane's
-  /// result slot.
+  /// Emit end() and summarize the lane's statistics into its result slot
+  /// through RunCounters::finish, the summary StatCollector::end runs.
   void finish() {
     const Time now = s.now;
     b.now_[lane] = now;
     b.firing_starts_[lane] = s.next_firing;
     if (sink != nullptr) sink->end(now);
 
-    RunStats out;
-    out.run_number = b.run_numbers_[lane];
-    out.initial_clock = b.options_.start_time;
-    out.length = now - b.options_.start_time;
-    out.events_started = s.events_started;
-    out.events_finished = s.events_finished;
-
-    const double length = out.length;
-    auto finalize = [&](Acc acc) {
-      acc.settle(now);
-      double avg = 0;
-      double stddev = 0;
-      if (length > 0) {
-        avg = acc.weighted_sum / length;
-        const double var = acc.weighted_sumsq / length - avg * avg;
-        stddev = var > 0 ? std::sqrt(var) : 0;
-      }
-      return std::tuple<std::int64_t, std::int64_t, double, double>(acc.min, acc.max,
-                                                                    avg, stddev);
-    };
-
-    out.places.reserve(b.num_places_);
-    for (std::size_t i = 0; i < b.num_places_; ++i) {
-      const auto [mn, mx, avg, sd] = finalize(s.place_acc[i]);
-      PlaceStats p;
-      p.name = net.place_name(PlaceId(static_cast<std::uint32_t>(i)));
-      p.min_tokens = static_cast<TokenCount>(std::max<std::int64_t>(mn, 0));
-      p.max_tokens = static_cast<TokenCount>(std::max<std::int64_t>(mx, 0));
-      p.avg_tokens = avg;
-      p.stddev_tokens = sd;
-      out.places.push_back(std::move(p));
-    }
-    out.transitions.reserve(b.num_transitions_);
-    for (std::size_t i = 0; i < b.num_transitions_; ++i) {
-      const auto [mn, mx, avg, sd] = finalize(s.trans_acc[i]);
-      TransitionStats t;
-      t.name = net.transition_name(TransitionId(static_cast<std::uint32_t>(i)));
-      t.min_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mn, 0));
-      t.max_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mx, 0));
-      t.avg_concurrent = avg;
-      t.stddev_concurrent = sd;
-      t.starts = s.starts[i];
-      t.ends = s.ends[i];
-      t.throughput = length > 0 ? static_cast<double>(s.ends[i]) / length : 0;
-      out.transitions.push_back(std::move(t));
-    }
-    b.results_[lane] = std::move(out);
+    b.results_[lane] = s.stats.finish(b.run_numbers_[lane], b.options_.start_time, now,
+                                      b.place_names_, b.transition_names_);
   }
 };
 
@@ -588,6 +528,8 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNet> net,
   if (num_lanes_ == 0) throw std::invalid_argument("BatchSimulator: zero lanes");
   num_places_ = net_->num_places();
   num_transitions_ = net_->num_transitions();
+  for (const Place& p : net_->net().places()) place_names_.push_back(p.name);
+  for (const Transition& t : net_->net().transitions()) transition_names_.push_back(t.name);
 
   // Only nets with hooks carry data rows.
   if (net_->net_has_hooks()) program_ = expr::NetProgram::compile(net_->net());

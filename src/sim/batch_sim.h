@@ -116,36 +116,6 @@ enum class StopReason : std::uint8_t {
 /// the worker runs; a Simulator owns one that persists across its run
 /// calls. Only the lane kernel (batch_sim.cpp) writes it.
 struct LaneState {
-  /// Time-weighted accumulator with StatCollector::Accumulator's exact
-  /// floating-point operation order, so native statistics stay byte-equal
-  /// to a StatCollector attached to the lane's trace.
-  struct Acc {
-    std::int64_t current = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-    Time last_change = 0;
-    double weighted_sum = 0;
-    double weighted_sumsq = 0;
-
-    void settle(Time now) {
-      const double dt = now - last_change;
-      // dt == 0 contributes current * 0.0 == ±0.0; the sums start at +0.0
-      // and only ever accumulate, so they are never -0.0 and adding ±0.0 is
-      // a bit identity — skipping it is byte-equal and saves work at shared
-      // instants.
-      if (dt == 0) return;
-      weighted_sum += static_cast<double>(current) * dt;
-      weighted_sumsq += static_cast<double>(current) * static_cast<double>(current) * dt;
-      last_change = now;
-    }
-    void change(Time now, std::int64_t delta) {
-      settle(now);
-      current += delta;
-      if (current < min) min = current;
-      if (current > max) max = current;
-    }
-  };
-
   enum class EventKind : std::uint8_t { kFiringComplete, kEnablingExpiry };
 
   struct Event {
@@ -174,12 +144,7 @@ struct LaneState {
   std::uint64_t immediate_this_instant = 0;
   Time instant = -1;  ///< the instant the immediate budget counts against
 
-  std::uint64_t events_started = 0;
-  std::uint64_t events_finished = 0;
-  std::vector<Acc> place_acc;
-  std::vector<Acc> trans_acc;
-  std::vector<std::uint64_t> starts;
-  std::vector<std::uint64_t> ends;
+  RunCounters stats;  ///< Figure 5's counters, summarized by finish()
 };
 
 struct BatchOptions {
@@ -301,6 +266,8 @@ class BatchSimulator {
   std::size_t num_lanes_ = 0;
   std::size_t num_places_ = 0;
   std::size_t num_transitions_ = 0;
+  /// RunStats row labels, in id order.
+  std::vector<std::string> place_names_, transition_names_;
 
   /// Bytecode runtime; null for hook-free nets (no data rows at all).
   std::shared_ptr<const expr::NetProgram> program_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace pnut {
 
@@ -22,78 +23,36 @@ const TransitionStats& RunStats::transition(std::string_view name) const {
   throw std::invalid_argument("RunStats: no transition named '" + std::string(name) + "'");
 }
 
-void StatCollector::begin(const TraceHeader& header) {
-  header_ = header;
-  place_acc_.assign(header.place_names.size(), Accumulator{});
-  transition_acc_.assign(header.transition_names.size(), Accumulator{});
-  starts_.assign(header.transition_names.size(), 0);
-  ends_.assign(header.transition_names.size(), 0);
-  events_started_ = 0;
-  events_finished_ = 0;
-  result_.reset();
-
-  for (std::size_t i = 0; i < place_acc_.size(); ++i) {
-    Accumulator& acc = place_acc_[i];
-    acc.current = header.initial_marking[PlaceId(static_cast<std::uint32_t>(i))];
+void RunCounters::begin(Time start, std::span<const TokenCount> initial_tokens,
+                        std::size_t num_transitions) {
+  places.assign(initial_tokens.size(), TimeWeighted{});
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    TimeWeighted& acc = places[i];
+    acc.current = static_cast<std::int64_t>(initial_tokens[i]);
     acc.min = acc.max = acc.current;
-    acc.last_change = header.start_time;
+    acc.last_change = start;
   }
-  for (Accumulator& acc : transition_acc_) {
-    acc.last_change = header.start_time;
-  }
+  transitions.assign(num_transitions, TimeWeighted{});
+  for (TimeWeighted& acc : transitions) acc.last_change = start;
+  starts.assign(num_transitions, 0);
+  ends.assign(num_transitions, 0);
+  events_started = 0;
+  events_finished = 0;
 }
 
-void StatCollector::event(const TraceEvent& ev) {
-  if (ev.kind == TraceEvent::Kind::kAtomic) {
-    ++events_started_;
-    ++events_finished_;
-    ++starts_.at(ev.transition.value);
-    ++ends_.at(ev.transition.value);
-    // Apply the *net* per-place delta so a token swapped through a place at
-    // one instant does not register a transient min/max excursion.
-    for (const TokenDelta& d : ev.consumed) {
-      std::int64_t net = -static_cast<std::int64_t>(d.count);
-      for (const TokenDelta& p : ev.produced) {
-        if (p.place == d.place) net += static_cast<std::int64_t>(p.count);
-      }
-      place_acc_.at(d.place.value).change(ev.time, net);
-    }
-    for (const TokenDelta& p : ev.produced) {
-      bool consumed_too = false;
-      for (const TokenDelta& d : ev.consumed) consumed_too |= (d.place == p.place);
-      if (!consumed_too) {
-        place_acc_.at(p.place.value).change(ev.time, static_cast<std::int64_t>(p.count));
-      }
-    }
-    return;
-  }
-  if (ev.kind == TraceEvent::Kind::kStart) {
-    ++events_started_;
-    ++starts_.at(ev.transition.value);
-    transition_acc_.at(ev.transition.value).change(ev.time, +1);
-    for (const TokenDelta& d : ev.consumed) {
-      place_acc_.at(d.place.value).change(ev.time, -static_cast<std::int64_t>(d.count));
-    }
-  } else {
-    ++events_finished_;
-    ++ends_.at(ev.transition.value);
-    transition_acc_.at(ev.transition.value).change(ev.time, -1);
-    for (const TokenDelta& d : ev.produced) {
-      place_acc_.at(d.place.value).change(ev.time, +static_cast<std::int64_t>(d.count));
-    }
-  }
-}
-
-void StatCollector::end(Time end_time) {
+RunStats RunCounters::finish(int run_number, Time start_time, Time end_time,
+                             std::span<const std::string> place_names,
+                             std::span<const std::string> transition_names) const {
   RunStats out;
-  out.run_number = run_number_;
-  out.initial_clock = header_.start_time;
-  out.length = end_time - header_.start_time;
-  out.events_started = events_started_;
-  out.events_finished = events_finished_;
+  out.run_number = run_number;
+  out.initial_clock = start_time;
+  out.length = end_time - start_time;
+  out.events_started = events_started;
+  out.events_finished = events_finished;
 
   const double length = out.length;
-  auto finalize = [&](Accumulator acc) {
+  // Time-weighted mean and standard deviation, settling a copy at end_time.
+  const auto moments = [&](TimeWeighted acc) {
     acc.settle(end_time);
     double avg = 0;
     double stddev = 0;
@@ -102,38 +61,98 @@ void StatCollector::end(Time end_time) {
       const double var = acc.weighted_sumsq / length - avg * avg;
       stddev = var > 0 ? std::sqrt(var) : 0;
     }
-    return std::tuple<std::int64_t, std::int64_t, double, double>(acc.min, acc.max, avg,
-                                                                  stddev);
+    return std::pair<double, double>(avg, stddev);
   };
 
-  out.places.reserve(place_acc_.size());
-  for (std::size_t i = 0; i < place_acc_.size(); ++i) {
-    const auto [mn, mx, avg, sd] = finalize(place_acc_[i]);
+  out.places.reserve(places.size());
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    const TimeWeighted& acc = places[i];
+    const auto [avg, sd] = moments(acc);
     PlaceStats p;
-    p.name = header_.place_names[i];
-    p.min_tokens = static_cast<TokenCount>(std::max<std::int64_t>(mn, 0));
-    p.max_tokens = static_cast<TokenCount>(std::max<std::int64_t>(mx, 0));
+    p.name = place_names[i];
+    p.min_tokens = static_cast<TokenCount>(std::max<std::int64_t>(acc.min, 0));
+    p.max_tokens = static_cast<TokenCount>(std::max<std::int64_t>(acc.max, 0));
     p.avg_tokens = avg;
     p.stddev_tokens = sd;
     out.places.push_back(std::move(p));
   }
 
-  out.transitions.reserve(transition_acc_.size());
-  for (std::size_t i = 0; i < transition_acc_.size(); ++i) {
-    const auto [mn, mx, avg, sd] = finalize(transition_acc_[i]);
+  out.transitions.reserve(transitions.size());
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const TimeWeighted& acc = transitions[i];
+    const auto [avg, sd] = moments(acc);
     TransitionStats t;
-    t.name = header_.transition_names[i];
-    t.min_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mn, 0));
-    t.max_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(mx, 0));
+    t.name = transition_names[i];
+    t.min_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(acc.min, 0));
+    t.max_concurrent = static_cast<std::uint32_t>(std::max<std::int64_t>(acc.max, 0));
     t.avg_concurrent = avg;
     t.stddev_concurrent = sd;
-    t.starts = starts_[i];
-    t.ends = ends_[i];
-    t.throughput = length > 0 ? static_cast<double>(ends_[i]) / length : 0;
+    t.starts = starts[i];
+    t.ends = ends[i];
+    t.throughput = length > 0 ? static_cast<double>(ends[i]) / length : 0;
     out.transitions.push_back(std::move(t));
   }
+  return out;
+}
 
-  result_ = std::move(out);
+void StatCollector::begin(const TraceHeader& header) {
+  if (header.initial_marking.size() != header.place_names.size()) {
+    throw std::invalid_argument("StatCollector: the trace header names " +
+                                std::to_string(header.place_names.size()) +
+                                " places but its initial marking has " +
+                                std::to_string(header.initial_marking.size()));
+  }
+  header_ = header;
+  counters_.begin(header.start_time, header.initial_marking.tokens(),
+                  header.transition_names.size());
+  result_.reset();
+}
+
+void StatCollector::event(const TraceEvent& ev) {
+  RunCounters& c = counters_;
+  if (ev.kind == TraceEvent::Kind::kAtomic) {
+    ++c.events_started;
+    ++c.events_finished;
+    ++c.starts.at(ev.transition.value);
+    ++c.ends.at(ev.transition.value);
+    // Apply the *net* per-place delta so a token swapped through a place at
+    // one instant does not register a transient min/max excursion.
+    for (const TokenDelta& d : ev.consumed) {
+      std::int64_t net = -static_cast<std::int64_t>(d.count);
+      for (const TokenDelta& p : ev.produced) {
+        if (p.place == d.place) net += static_cast<std::int64_t>(p.count);
+      }
+      c.places.at(d.place.value).change(ev.time, net);
+    }
+    for (const TokenDelta& p : ev.produced) {
+      bool consumed_too = false;
+      for (const TokenDelta& d : ev.consumed) consumed_too |= (d.place == p.place);
+      if (!consumed_too) {
+        c.places.at(p.place.value).change(ev.time, static_cast<std::int64_t>(p.count));
+      }
+    }
+    return;
+  }
+  if (ev.kind == TraceEvent::Kind::kStart) {
+    ++c.events_started;
+    ++c.starts.at(ev.transition.value);
+    c.transitions.at(ev.transition.value).change(ev.time, +1);
+    for (const TokenDelta& d : ev.consumed) {
+      c.places.at(d.place.value).change(ev.time, -static_cast<std::int64_t>(d.count));
+    }
+  } else {
+    ++c.events_finished;
+    ++c.ends.at(ev.transition.value);
+    c.transitions.at(ev.transition.value).change(ev.time, -1);
+    for (const TokenDelta& d : ev.produced) {
+      c.places.at(d.place.value).change(ev.time, +static_cast<std::int64_t>(d.count));
+    }
+  }
+}
+
+void StatCollector::end(Time end_time) {
+  result_ = counters_.finish(run_number_, header_.start_time, end_time,
+                             header_.place_names, header_.transition_names);
 }
 
 const RunStats& StatCollector::stats() const {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,59 @@ struct RunStats {
   [[nodiscard]] const TransitionStats& transition(std::string_view name) const;
 };
 
+/// Figure 5's time-weighted accumulator: one place's token count or one
+/// transition's in-flight firings, integrated over simulated time.
+struct TimeWeighted {
+  std::int64_t current = 0;
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+  Time last_change = 0;
+  double weighted_sum = 0;    ///< ∫ value dt
+  double weighted_sumsq = 0;  ///< ∫ value² dt
+
+  void settle(Time now) {
+    const double dt = now - last_change;
+    // dt == 0 contributes current * 0.0 == ±0.0; the sums start at +0.0
+    // and only ever accumulate, so they are never -0.0 and adding ±0.0 is
+    // a bit identity — skipping it is byte-equal and saves work at shared
+    // instants.
+    if (dt == 0) return;
+    weighted_sum += static_cast<double>(current) * dt;
+    weighted_sumsq += static_cast<double>(current) * static_cast<double>(current) * dt;
+    last_change = now;
+  }
+  void change(Time now, std::int64_t delta) {
+    settle(now);
+    current += delta;
+    if (current < min) min = current;
+    if (current > max) max = current;
+  }
+};
+
+/// One run's raw Figure 5 counters. StatCollector fills them from a trace,
+/// the batch lane kernel (sim/batch_sim.h) from its own firings; both start
+/// with begin() and summarize with finish(), so their reports agree to the
+/// bit.
+struct RunCounters {
+  std::vector<TimeWeighted> places;
+  std::vector<TimeWeighted> transitions;
+  std::vector<std::uint64_t> starts;  ///< per transition
+  std::vector<std::uint64_t> ends;    ///< per transition
+  std::uint64_t events_started = 0;
+  std::uint64_t events_finished = 0;
+
+  /// Start a run at `start`: place i holds initial_tokens[i], nothing is
+  /// in flight, nothing has been counted.
+  void begin(Time start, std::span<const TokenCount> initial_tokens,
+             std::size_t num_transitions);
+
+  /// Settle every accumulator at `end_time` and summarize the run over
+  /// [start_time, end_time]; rows take their names from the spans.
+  [[nodiscard]] RunStats finish(int run_number, Time start_time, Time end_time,
+                                std::span<const std::string> place_names,
+                                std::span<const std::string> transition_names) const;
+};
+
 /// Streaming statistics accumulator. Attach to a simulator (possibly behind
 /// a TraceFilter) or feed a RecordedTrace through collect().
 class StatCollector final : public TraceSink {
@@ -74,36 +128,9 @@ class StatCollector final : public TraceSink {
   [[nodiscard]] const RunStats& stats() const;
 
  private:
-  struct Accumulator {
-    std::int64_t current = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-    Time last_change = 0;
-    double weighted_sum = 0;    ///< ∫ value dt
-    double weighted_sumsq = 0;  ///< ∫ value² dt
-
-    void settle(Time now) {
-      const double dt = now - last_change;
-      weighted_sum += static_cast<double>(current) * dt;
-      weighted_sumsq += static_cast<double>(current) * static_cast<double>(current) * dt;
-      last_change = now;
-    }
-    void change(Time now, std::int64_t delta) {
-      settle(now);
-      current += delta;
-      if (current < min) min = current;
-      if (current > max) max = current;
-    }
-  };
-
   int run_number_ = 1;
   TraceHeader header_;
-  std::vector<Accumulator> place_acc_;
-  std::vector<Accumulator> transition_acc_;
-  std::vector<std::uint64_t> starts_;
-  std::vector<std::uint64_t> ends_;
-  std::uint64_t events_started_ = 0;
-  std::uint64_t events_finished_ = 0;
+  RunCounters counters_;
   std::optional<RunStats> result_;
 };
 

@@ -6,8 +6,10 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "expr/ast.h"
 #include "expr/parser.h"
+#include "expr/program.h"
+#include "expr/vm.h"
+#include "petri/data_frame.h"
 
 namespace pnut::tracer {
 
@@ -31,18 +33,40 @@ std::size_t Tracer::state_at(Time t) const {
   return lo;
 }
 
+namespace {
+
+std::string label_or(std::string_view label, std::string_view name) {
+  return std::string(label.empty() ? name : label);
+}
+
+/// Every net-level name an expression reads, once each, in first-read order
+/// (locals are frame slots the parser already bound).
+void collect_names(const expr::Node& node, std::vector<std::string>& out) {
+  const auto* ident = dynamic_cast<const expr::IdentifierNode*>(&node);
+  if (ident != nullptr && ident->local_slot() < 0 &&
+      std::find(out.begin(), out.end(), ident->name()) == out.end()) {
+    out.push_back(ident->name());
+  }
+  expr::for_each_child(node, [&](const expr::Node& child) { collect_names(child, out); });
+}
+
+}  // namespace
+
+template <class ValueOf>
+void Tracer::add_signal(std::string label, ValueOf value_of) {
+  Signal s{std::move(label), {}};
+  s.values.reserve(states_.num_states());
+  for (std::size_t i = 0; i < states_.num_states(); ++i) s.values.push_back(value_of(i));
+  signals_.push_back(std::move(s));
+}
+
 void Tracer::add_place_signal(std::string_view place_name, std::string_view label) {
   const auto p = states_.find_place(place_name);
   if (!p) {
     throw std::invalid_argument("Tracer: no place named '" + std::string(place_name) + "'");
   }
-  Signal s;
-  s.label = label.empty() ? std::string(place_name) : std::string(label);
-  s.values.reserve(states_.num_states());
-  for (std::size_t i = 0; i < states_.num_states(); ++i) {
-    s.values.push_back(states_.place_tokens(i, *p));
-  }
-  signals_.push_back(std::move(s));
+  add_signal(label_or(label, place_name),
+             [&](std::size_t i) { return states_.place_tokens(i, *p); });
 }
 
 void Tracer::add_transition_signal(std::string_view transition_name, std::string_view label) {
@@ -51,46 +75,75 @@ void Tracer::add_transition_signal(std::string_view transition_name, std::string
     throw std::invalid_argument("Tracer: no transition named '" +
                                 std::string(transition_name) + "'");
   }
-  Signal s;
-  s.label = label.empty() ? std::string(transition_name) : std::string(label);
-  s.values.reserve(states_.num_states());
-  for (std::size_t i = 0; i < states_.num_states(); ++i) {
-    s.values.push_back(states_.transition_activity(i, *t));
-  }
-  signals_.push_back(std::move(s));
+  add_signal(label_or(label, transition_name),
+             [&](std::size_t i) { return states_.transition_activity(i, *t); });
 }
 
 void Tracer::add_variable_signal(std::string_view variable, std::string_view label) {
-  Signal s;
-  s.label = label.empty() ? std::string(variable) : std::string(label);
-  s.values.reserve(states_.num_states());
-  for (std::size_t i = 0; i < states_.num_states(); ++i) {
+  add_signal(label_or(label, variable), [&](std::size_t i) {
     const auto v = states_.variable(i, variable);
     if (!v) {
       throw std::invalid_argument("Tracer: no data variable named '" +
                                   std::string(variable) + "'");
     }
-    s.values.push_back(*v);
-  }
-  signals_.push_back(std::move(s));
+    return *v;
+  });
 }
 
 void Tracer::add_function_signal(std::string_view label, std::string_view expression) {
   const expr::NodePtr ast = expr::parse_expression(expression);
 
-  Signal s;
-  s.label = std::string(label);
-  s.values.reserve(states_.num_states());
-  for (std::size_t i = 0; i < states_.num_states(); ++i) {
-    expr::EvalContext ctx;
-    ctx.resolve_identifier = [&](std::string_view name) -> std::optional<std::int64_t> {
-      if (auto p = states_.find_place(name)) return states_.place_tokens(i, *p);
-      if (auto t = states_.find_transition(name)) return states_.transition_activity(i, *t);
-      return states_.variable(i, name);
-    };
-    s.values.push_back(ast->eval(ctx));
+  // Resolve each name once: a place, else a transition, else a variable of
+  // some state. A name that is none of these gets no slot and compiles to
+  // the unknown-identifier throw; a variable absent from a state reads as
+  // an absent slot, which raises the same error if evaluation reaches it.
+  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
+  struct Input {
+    std::string name;
+    Kind kind;
+    std::uint32_t id = 0;    ///< place or transition index
+    std::uint32_t slot = 0;  ///< scalar slot in the frame
+  };
+  std::vector<std::string> names;
+  collect_names(*ast, names);
+  std::vector<Input> inputs;
+  std::vector<std::string> resolved;
+  for (std::string& name : names) {
+    if (const auto p = states_.find_place(name)) {
+      inputs.push_back({name, Kind::kPlace, p->value});
+    } else if (const auto t = states_.find_transition(name)) {
+      inputs.push_back({name, Kind::kTransition, t->value});
+    } else {
+      bool ever = false;
+      for (std::size_t i = 0; i < states_.num_states() && !ever; ++i) {
+        ever = states_.variable(i, name).has_value();
+      }
+      if (!ever) continue;
+      inputs.push_back({name, Kind::kVariable});
+    }
+    resolved.push_back(std::move(name));
   }
-  signals_.push_back(std::move(s));
+  const DataSchema schema = DataSchema::build({}, resolved);
+  for (Input& in : inputs) in.slot = *schema.scalar_slot(in.name);
+  const expr::Code code = expr::compile_expression(*ast, schema);
+
+  DataFrame frame = schema.make_frame({});
+  expr::VmScratch scratch;
+  add_signal(std::string(label), [&](std::size_t i) {
+    for (const Input& in : inputs) {
+      std::optional<std::int64_t> value;
+      switch (in.kind) {
+        case Kind::kPlace: value = states_.place_tokens(i, PlaceId(in.id)); break;
+        case Kind::kTransition:
+          value = states_.transition_activity(i, TransitionId(in.id));
+          break;
+        case Kind::kVariable: value = states_.variable(i, in.name); break;
+      }
+      frame.present[in.slot] = value.has_value() ? 1 : 0;
+      frame.values[in.slot] = value.value_or(0);
+    }
+    return expr::vm_eval(code, frame, nullptr, scratch);
+  });
 }
 
 std::int64_t Tracer::value_at(std::size_t index, Time t) const {

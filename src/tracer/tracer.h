@@ -12,7 +12,10 @@
 //   * variable signals  — data-variable value over time,
 //   * function signals  — any expression over places/transitions/variables,
 //     e.g. "exec_type_1 + exec_type_2 + exec_type_3" (Figure 7's
-//     user-defined sum of execution activity).
+//     user-defined sum of execution activity). An expression compiles once
+//     to bytecode (expr/program.h) against one scalar slot per name it
+//     reads, and runs on the expression VM (expr/vm.h) once per state, so
+//     its values and error texts are the engines' own.
 //
 // render() draws the signals as ASCII waveforms against a time axis
 // (Figure 7's display); markers ('O' and 'X' in the figure) can be dropped
@@ -56,8 +59,11 @@ class Tracer {
   /// Probe a data variable.
   void add_variable_signal(std::string_view variable, std::string_view label = {});
   /// Probe an arbitrary expression over places, transitions and variables
-  /// (identifiers resolve in that order). Throws on bad syntax or unknown
-  /// names at definition time.
+  /// (each name resolves once, in that order). Evaluates it on every state
+  /// at definition time: throws expr::ParseError on bad syntax and
+  /// expr::EvalError when a state's evaluation fails (an unknown name, a
+  /// variable absent from that state, division by zero, irand, a table
+  /// call, ...). A failed signal is not added.
   void add_function_signal(std::string_view label, std::string_view expression);
 
   [[nodiscard]] std::size_t num_signals() const { return signals_.size(); }
@@ -111,6 +117,10 @@ class Tracer {
     std::string label;
     std::vector<std::int64_t> values;  ///< per state
   };
+
+  /// Append a signal whose value in state i is value_of(i).
+  template <class ValueOf>
+  void add_signal(std::string label, ValueOf value_of);
 
   /// State index of the last state with timestamp <= t.
   [[nodiscard]] std::size_t state_at(Time t) const;

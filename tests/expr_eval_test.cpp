@@ -1,19 +1,25 @@
 // Unit tests for expression evaluation, action execution and the compile_*
-// bridges into petri predicates/actions/delays.
+// bridges into petri predicates/actions/delays, run on the tree-walking
+// oracle (tests/support/ast_eval.h) that expr_vm_test pins the VM to.
 #include <gtest/gtest.h>
 
 #include "expr/ast.h"
 #include "expr/compile.h"
 #include "expr/parser.h"
+#include "support/ast_eval.h"
 
 namespace pnut::expr {
 namespace {
 
+using test_support::ast_eval;
+using test_support::ast_execute;
+using test_support::AstEnv;
+
 std::int64_t eval_with(std::string_view src, const DataContext& data, Rng* rng = nullptr) {
-  EvalContext ctx;
-  ctx.data = &data;
-  ctx.rng = rng;
-  return parse_expression(src)->eval(ctx);
+  AstEnv env;
+  env.data = &data;
+  env.rng = rng;
+  return ast_eval(*parse_expression(src), env);
 }
 
 std::int64_t eval(std::string_view src) {
@@ -110,36 +116,14 @@ TEST(Eval, IrandArityAndRangeChecked) {
   EXPECT_THROW(eval_with("irand[5, 1]", d, &rng), EvalError);
 }
 
-TEST(Eval, IdentifierResolverHookWins) {
-  DataContext d;
-  d.set("x", 1);
-  EvalContext ctx;
-  ctx.data = &d;
-  ctx.resolve_identifier = [](std::string_view name) -> std::optional<std::int64_t> {
-    if (name == "x") return 99;
-    return std::nullopt;
-  };
-  EXPECT_EQ(parse_expression("x")->eval(ctx), 99);
-}
-
-TEST(Eval, CallResolverHook) {
-  EvalContext ctx;
-  ctx.resolve_call = [](std::string_view name,
-                        std::span<const std::int64_t> args) -> std::optional<std::int64_t> {
-    if (name == "twice" && args.size() == 1) return args[0] * 2;
-    return std::nullopt;
-  };
-  EXPECT_EQ(parse_expression("twice(21)")->eval(ctx), 42);
-}
-
 TEST(Program, ExecutesStatementsInOrder) {
   DataContext d;
   d.set("x", 0);
   const Program p = parse_program("x = 3; x = x * x");
-  EvalContext ctx;
-  ctx.data = &d;
-  ctx.mutable_data = &d;
-  p.execute(ctx);
+  AstEnv env;
+  env.data = &d;
+  env.mutable_data = &d;
+  ast_execute(p, env);
   EXPECT_EQ(d.get("x"), 9);
 }
 
@@ -148,42 +132,42 @@ TEST(Program, TableAssignment) {
   d.set_table("t", {0, 0, 0});
   d.set("i", 1);
   const Program p = parse_program("t[i + 1] = 7");
-  EvalContext ctx;
-  ctx.data = &d;
-  ctx.mutable_data = &d;
-  p.execute(ctx);
+  AstEnv env;
+  env.data = &d;
+  env.mutable_data = &d;
+  ast_execute(p, env);
   EXPECT_EQ(d.get_table("t", 2), 7);
 }
 
 TEST(Program, RequiresMutableContext) {
   const Program p = parse_program("x = 1");
   DataContext d;
-  EvalContext ctx;
-  ctx.data = &d;
-  EXPECT_THROW(p.execute(ctx), EvalError);
+  AstEnv env;
+  env.data = &d;
+  EXPECT_THROW(ast_execute(p, env), EvalError);
 }
 
 // The hooks compile_* returns carry the parsed AST; these helpers evaluate
-// it with the tree-walking evaluator (the engines run the same ASTs as
+// it with the tree-walking oracle (the engines run the same ASTs as
 // bytecode, pinned equivalent by expr_vm_test).
 bool holds(const Predicate& predicate, const DataContext& d) {
-  EvalContext ctx;
-  ctx.data = &d;
-  return predicate.ast->eval(ctx) != 0;
+  AstEnv env;
+  env.data = &d;
+  return ast_eval(*predicate.ast, env) != 0;
 }
 
 void run(const Action& action, DataContext& d, Rng& rng) {
-  EvalContext ctx;
-  ctx.data = &d;
-  ctx.mutable_data = &d;
-  ctx.rng = &rng;
-  action.program->execute(ctx);
+  AstEnv env;
+  env.data = &d;
+  env.mutable_data = &d;
+  env.rng = &rng;
+  ast_execute(*action.program, env);
 }
 
 std::int64_t delay_value(const DelaySpec& delay, const DataContext& d) {
-  EvalContext ctx;
-  ctx.data = &d;
-  return delay.computed_delay().ast->eval(ctx);
+  AstEnv env;
+  env.data = &d;
+  return ast_eval(*delay.computed_delay().ast, env);
 }
 
 TEST(Compile, PredicateEvaluatesAgainstData) {

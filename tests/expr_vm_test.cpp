@@ -1,5 +1,5 @@
 // The expression bytecode VM (expr/vm.h + expr/program.h) against its
-// oracle, the AST tree-walking evaluator: unit pins for the opcode set,
+// oracle, the tree-walking evaluator in tests/support/ast_eval.h: unit pins for the opcode set,
 // boundary pins for the integer-overflow error cases (both evaluators),
 // builtin arity errors (raised at evaluation time by both, after the
 // arguments), and the randomized differential fuzzers pinning values,
@@ -22,6 +22,7 @@
 #include "petri/data_frame.h"
 #include "pipeline/interpreted.h"
 #include "sim/simulator.h"
+#include "support/ast_eval.h"
 #include "support/expr_fuzz.h"
 #include "support/golden_hash.h"
 #include "trace/trace.h"
@@ -46,9 +47,9 @@ struct Outcome {
 Outcome eval_ast(const std::string& source, const DataContext& data) {
   try {
     const expr::NodePtr ast = expr::parse_expression(source);
-    expr::EvalContext ctx;
-    ctx.data = &data;
-    return {ast->eval(ctx), ""};
+    test_support::AstEnv env;
+    env.data = &data;
+    return {test_support::ast_eval(*ast, env), ""};
   } catch (const EvalError& e) {
     return {std::nullopt, e.what()};
   }
@@ -155,11 +156,11 @@ TEST(ExprVm, IrandDrawsTheAstRngStream) {
   const expr::Program program = expr::parse_program(source);
 
   Rng ast_rng(42);
-  expr::EvalContext ctx;
-  ctx.data = &ast_data;
-  ctx.mutable_data = &ast_data;
-  ctx.rng = &ast_rng;
-  program.execute(ctx);
+  test_support::AstEnv env;
+  env.data = &ast_data;
+  env.mutable_data = &ast_data;
+  env.rng = &ast_rng;
+  test_support::ast_execute(program, env);
 
   const DataContext initial = base_data();
   const DataSchema schema = DataSchema::build(initial, std::vector<std::string>{"w"});
@@ -261,11 +262,11 @@ void expect_program_equivalence(const std::string& source, const DataContext& in
   Rng ast_rng(seed);
   std::string ast_error;
   try {
-    expr::EvalContext ctx;
-    ctx.data = &ast_data;
-    ctx.mutable_data = &ast_data;
-    ctx.rng = &ast_rng;
-    program.execute(ctx);
+    test_support::AstEnv env;
+    env.data = &ast_data;
+    env.mutable_data = &ast_data;
+    env.rng = &ast_rng;
+    test_support::ast_execute(program, env);
   } catch (const EvalError& e) {
     ast_error = e.what();
   }

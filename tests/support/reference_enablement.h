@@ -1,13 +1,13 @@
 // Reference enablement over a Net description: the paper's firing rule
-// with predicates evaluated by the tree-walking AST evaluator against a
-// DataContext. The engines run predicates as bytecode (expr/program.h);
+// with predicates evaluated by the tree-walking oracle (support/ast_eval.h)
+// against a DataContext. The engines run predicates as bytecode (expr/program.h);
 // this test-only form spells the rule out for unit tests and serves as the
 // oracle the bytecode path is checked against.
 #pragma once
 
 #include <vector>
 
-#include "expr/ast.h"
+#include "ast_eval.h"
 #include "petri/data_context.h"
 #include "petri/marking.h"
 #include "petri/net.h"
@@ -20,9 +20,9 @@ inline bool is_enabled(const Net& net, const Marking& m, TransitionId t,
   if (!tokens_available(net, m, t)) return false;
   const Predicate& predicate = net.transition(t).predicate;
   if (!predicate) return true;
-  expr::EvalContext ctx;
-  ctx.data = &data;
-  return predicate.ast->eval(ctx) != 0;
+  AstEnv env;
+  env.data = &data;
+  return ast_eval(*predicate.ast, env) != 0;
 }
 
 /// All transitions enabled in `m`, ascending.
