@@ -36,8 +36,8 @@
 // nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -202,9 +202,11 @@ class StateStore {
   static constexpr std::uint32_t kEmpty = UINT32_MAX;
 
   void grow_table(std::size_t capacity);
+  /// std::equal, not memcmp: a zero-width store's states have no storage,
+  /// and memcmp must not be passed its null pointer even for 0 bytes.
   [[nodiscard]] bool equals(std::size_t index, const std::uint32_t* words) const {
-    return std::memcmp(arena_[index].data(), words,
-                       arena_.width() * sizeof(std::uint32_t)) == 0;
+    const auto state = arena_[index];
+    return std::equal(state.begin(), state.end(), words);
   }
 
   StateArena arena_;

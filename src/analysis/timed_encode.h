@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -158,7 +157,9 @@ struct TimedLayout {
   /// Derive the layout, validating the net for timed analysis. Throws
   /// std::invalid_argument if any delay is not a non-negative integer
   /// constant, or if the net is interpreted (predicates/actions) — timed
-  /// analysis is defined on the uninterpreted timing skeleton.
+  /// analysis is defined on the uninterpreted timing skeleton — and
+  /// TimedLimitError if a delay does not fit a word or the state would be
+  /// wider than kMaxTimedStateWords.
   static TimedLayout build(const CompiledNet& net) {
     const auto integer_delay = [](const DelaySpec& spec, const std::string& transition,
                                   const char* kind) {
@@ -171,6 +172,13 @@ struct TimedLayout {
       if (value < 0 || value != std::floor(value)) {
         throw std::invalid_argument("TimedReachabilityGraph: transition '" + transition +
                                     "' has a non-integer " + kind + " time");
+      }
+      // Range-check before the cast: converting a value past the word's
+      // range (1e20, infinity) is undefined behaviour.
+      if (value > static_cast<Time>(UINT32_MAX)) {
+        throw TimedLimitError(std::string("TimedReachabilityGraph: the ") + kind +
+                              " time of transition '" + transition +
+                              "' is past 4294967295 cycles");
       }
       return static_cast<std::uint32_t>(value);
     };
@@ -194,10 +202,27 @@ struct TimedLayout {
       layout.firing_delay[i] =
           integer_delay(net.firing_time(t), net.transition_name(t), "firing");
     }
+    // The width in 64 bits, checked against the budget before any offset
+    // is narrowed to a word.
+    std::uint64_t width = layout.num_places + nt;
+    if (width > kMaxTimedStateWords) {
+      throw TimedLimitError("TimedReachabilityGraph: " + std::to_string(layout.num_places) +
+                            " places and " + std::to_string(nt) +
+                            " transitions make a timed state wider than " +
+                            std::to_string(kMaxTimedStateWords) + " words");
+    }
     layout.inflight_off.resize(nt + 1);
-    layout.inflight_off[0] = static_cast<std::uint32_t>(layout.num_places + nt);
-    for (std::size_t i = 0; i < nt; ++i) {
-      layout.inflight_off[i + 1] = layout.inflight_off[i] + layout.firing_delay[i];
+    layout.inflight_off[0] = static_cast<std::uint32_t>(width);
+    for (std::uint32_t i = 0; i < nt; ++i) {
+      width += layout.firing_delay[i];
+      if (width > kMaxTimedStateWords) {
+        throw TimedLimitError("TimedReachabilityGraph: transition '" +
+                              net.transition_name(TransitionId(i)) + "' (firing " +
+                              std::to_string(layout.firing_delay[i]) +
+                              ") makes a timed state wider than " +
+                              std::to_string(kMaxTimedStateWords) + " words");
+      }
+      layout.inflight_off[i + 1] = static_cast<std::uint32_t>(width);
     }
     return layout;
   }
@@ -211,11 +236,15 @@ struct TimedLayout {
 /// ineligible transition's timer word holds its full enabling delay. The
 /// initial state sets every timer to its delay, and each successor resets
 /// the timers of the transitions that are ineligible in it. An eligible
-/// transition's timer is its remaining delay. Two consequences keep the
+/// transition's timer is its remaining delay. Three consequences keep the
 /// successors cheap:
-///   * a step only has to find the transitions it *disables*: a timer that
-///     stays eligible keeps running, and one that becomes eligible already
-///     holds its full delay;
+///   * a firing only has to find the transitions it *disables*: a timer
+///     that stays eligible keeps running, and one that becomes eligible
+///     already holds its full delay;
+///   * a tick only adds tokens, so the only transitions it can disable are
+///     the inhibitor testers of the places its completions deposit into,
+///     and of those only the ones eligible in the parent can hold a
+///     running timer;
 ///   * a single server with a firing of its own in flight was ineligible
 ///     in the parent and stays so until a tick completes that firing, and
 ///     nothing in between touches its timer: it already holds its full
@@ -230,35 +259,47 @@ class TimedKernel {
         width_(layout.width()),
         parent_(width_),
         next_(width_),
-        eligible_(nt_) {
+        eligible_(nt_),
+        waits_on_slots_(nt_) {
     // disabled_by(t): the transitions other than t that firing t can
     // disable — the consumers of the places it takes from and, when its
     // firing delay is 0, the inhibitor testers of the places it deposits
     // into. (t's own timer restarts at its full delay whether or not t
-    // stays eligible.) No duplicates.
+    // stays eligible.) completion_testers(t): the inhibitor testers of
+    // the places t's completion deposits into, when its firing delay is
+    // not 0. No duplicates in either list.
     std::vector<std::uint8_t> listed(nt_, 0);
+    const auto collect = [&](std::span<const TransitionId> transitions,
+                             std::vector<std::uint32_t>& list) {
+      for (const TransitionId u : transitions) {
+        if (listed[u.value] == 0) {
+          listed[u.value] = 1;
+          list.push_back(u.value);
+        }
+      }
+    };
+    const auto unlist = [&](const std::vector<std::uint32_t>& list, std::size_t from) {
+      for (std::size_t i = from; i < list.size(); ++i) listed[list[i]] = 0;
+    };
     disabled_off_.push_back(0);
+    testers_off_.push_back(0);
     for (std::uint32_t t = 0; t < nt_; ++t) {
+      const TransitionId tid(t);
+      const bool delayed = layout.firing_delay[t] != 0;
       listed[t] = 1;
-      const auto collect = [&](std::span<const TransitionId> transitions) {
-        for (const TransitionId u : transitions) {
-          if (listed[u.value] == 0) {
-            listed[u.value] = 1;
-            disabled_.push_back(u.value);
-          }
-        }
-      };
-      for (const Arc& a : net.inputs(TransitionId(t))) collect(net.consumers(a.place));
-      if (layout.firing_delay[t] == 0) {
-        for (const Arc& a : net.outputs(TransitionId(t))) {
-          collect(net.inhibitor_testers(a.place));
-        }
+      for (const Arc& a : net.inputs(tid)) collect(net.consumers(a.place), disabled_);
+      if (!delayed) {
+        for (const Arc& a : net.outputs(tid)) collect(net.inhibitor_testers(a.place), disabled_);
       }
-      for (std::size_t i = disabled_off_.back(); i < disabled_.size(); ++i) {
-        listed[disabled_[i]] = 0;
-      }
+      unlist(disabled_, disabled_off_.back());
       listed[t] = 0;
       disabled_off_.push_back(static_cast<std::uint32_t>(disabled_.size()));
+      if (delayed) {
+        for (const Arc& a : net.outputs(tid)) collect(net.inhibitor_testers(a.place), testers_);
+        unlist(testers_, testers_off_.back());
+      }
+      testers_off_.push_back(static_cast<std::uint32_t>(testers_.size()));
+      waits_on_slots_[t] = delayed && net.is_single_server(tid) ? 1 : 0;
     }
   }
 
@@ -289,20 +330,26 @@ class TimedKernel {
   /// emitted.
   template <typename EmitFn>
   bool expand(std::span<const std::uint32_t> words, EmitFn&& emit) {
-    std::memcpy(parent_.data(), words.data(), width_ * sizeof(std::uint32_t));
+    std::copy_n(words.data(), width_, parent_.data());
     const std::uint32_t* parent = parent_.data();
+    const std::size_t region = np_ + nt_;  // marking and timers
+    // Anything in flight? One OR over the in-flight region, instead of a
+    // scan of every transition's slots.
+    std::uint32_t in_flight = 0;
+    for (std::size_t i = region; i < width_; ++i) in_flight |= parent[i];
+
     // Eligibility under timed semantics: token-enabled, and a single server
     // must not have a firing of its own in flight.
-    bool anything_waiting = false;  // an in-flight firing or an armed timer
+    bool anything_waiting = in_flight != 0;  // an in-flight firing or an armed timer
     for (std::uint32_t t = 0; t < nt_; ++t) {
-      bool occupied = false;
-      for (std::uint32_t i = layout_.inflight_off[t]; i < layout_.inflight_off[t + 1]; ++i) {
-        occupied |= parent[i] != 0;
+      bool eligible = tokens_available(parent, t);
+      if (eligible && in_flight != 0 && waits_on_slots_[t] != 0) {
+        for (std::uint32_t i = layout_.inflight_off[t]; i < layout_.inflight_off[t + 1]; ++i) {
+          eligible = eligible && parent[i] == 0;
+        }
       }
-      const bool eligible = !(occupied && net_.is_single_server(TransitionId(t))) &&
-                            tokens_available(parent, t);
       eligible_[t] = eligible ? 1 : 0;
-      anything_waiting |= occupied || eligible;
+      anything_waiting |= eligible;
     }
 
     // Ready transitions fire before time may pass (maximal progress).
@@ -312,7 +359,7 @@ class TimedKernel {
       if (eligible_[t] == 0 || parent[np_ + t] != 0) continue;
       any_ready = true;
       const TransitionId tid(t);
-      std::memcpy(next, parent, width_ * sizeof(std::uint32_t));
+      std::copy_n(parent, width_, next);
       for (const Arc& a : net_.inputs(tid)) next[a.place.value] -= a.weight;
       const std::uint32_t delay = layout_.firing_delay[t];
       if (delay == 0) {
@@ -336,15 +383,16 @@ class TimedKernel {
     // Tick: armed timers count down, every in-flight count moves one slot
     // closer to completion (one shifted copy of the whole region, each
     // transition's last slot cleared), and completions deposit their
-    // outputs in transition order.
-    const std::size_t region = np_ + nt_;  // marking and timers
-    std::memcpy(next, parent, region * sizeof(std::uint32_t));
+    // outputs in transition order. Then the inhibitor testers of the
+    // places the completions filled are re-tested, once every deposit is
+    // in (a deposit only ever disables, so testing once at the end sees
+    // the same result as testing after each).
+    std::copy_n(parent, region, next);
     for (std::uint32_t t = 0; t < nt_; ++t) {
       if (eligible_[t] != 0 && next[np_ + t] > 0) --next[np_ + t];
     }
     if (width_ > region) {
-      std::memcpy(next + region, parent + region + 1,
-                  (width_ - region - 1) * sizeof(std::uint32_t));
+      std::copy_n(parent + region + 1, width_ - region - 1, next + region);
       for (std::uint32_t t = 0; t < nt_; ++t) {
         if (layout_.firing_delay[t] == 0) continue;
         next[layout_.inflight_off[t + 1] - 1] = 0;
@@ -352,8 +400,13 @@ class TimedKernel {
           for (const Arc& a : net_.outputs(TransitionId(t))) deposit(next, a);
         }
       }
+      for (std::uint32_t t = 0; t < nt_; ++t) {
+        if (layout_.firing_delay[t] == 0 || parent[layout_.inflight_off[t]] == 0) continue;
+        for (std::uint32_t i = testers_off_[t]; i < testers_off_[t + 1]; ++i) {
+          if (eligible_[testers_[i]] != 0) reset_if_disabled(next, testers_[i]);
+        }
+      }
     }
-    for (std::uint32_t t = 0; t < nt_; ++t) reset_if_disabled(next, t);
     return emit(std::optional<TransitionId>(), std::span<const std::uint32_t>(next_),
                 std::uint64_t{1});
   }
@@ -377,8 +430,12 @@ class TimedKernel {
   const TimedLayout& layout_;
   std::size_t np_, nt_, width_;
   std::vector<std::uint32_t> disabled_off_, disabled_;  ///< CSR: disabled_by(t)
+  std::vector<std::uint32_t> testers_off_, testers_;    ///< CSR: completion_testers(t)
   std::vector<std::uint32_t> parent_, next_;            ///< word scratch
   std::vector<std::uint8_t> eligible_;                  ///< per transition, of parent_
+  /// Per transition: single server with a firing delay, so a firing of
+  /// its own in flight makes it ineligible.
+  std::vector<std::uint8_t> waits_on_slots_;
 };
 
 }  // namespace pnut::analysis::detail

@@ -713,6 +713,8 @@ struct Session::Impl {
       out << "timed reachability: " << timed->num_states() << " states"
           << timed_status << ", timed deadlocks: " << timed->deadlock_states().size()
           << '\n';
+    } catch (const analysis::TimedLimitError& e) {
+      out << "timed reachability: skipped (" << e.what() << ")\n";
     } catch (const std::invalid_argument&) {
       out << "timed reachability: skipped (non-integer delays or interpreted net)\n";
     }

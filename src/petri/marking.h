@@ -8,6 +8,7 @@
 // it as bytecode.)
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -73,18 +74,49 @@ class Marking {
   std::vector<TokenCount> tokens_;
 };
 
-/// FNV-1a over 32-bit words with a final avalanche; the one hash shared by
-/// MarkingHash and the analysis-layer StateStore, so a marking hashes the
-/// same whether it lives in a Marking or in a flat arena word slice.
+/// The one word hash: MarkingHash, every StateStore's intern table and the
+/// level engines' shard choice use it, so a marking hashes the same whether
+/// it lives in a Marking or in a flat arena word slice.
+///
+/// Word pairs form 64-bit lanes, built with shifts so the value does not
+/// depend on byte order. Four independent multiply lanes take eight words
+/// per round: a 111-word timed state is 14 dependent rounds, not 111
+/// dependent multiplies. Widths that are not a multiple of eight finish
+/// with up to three pairs on the first three lanes and a last odd word on
+/// the fourth. A splitmix64 finalizer mixes the lanes into every bit,
+/// because the intern table probes the low bits and the level engines pick
+/// a shard from the top ones. Only speed depends on the value: state ids
+/// are discovery order.
 [[nodiscard]] constexpr std::uint64_t hash_words(const std::uint32_t* words,
                                                  std::size_t count) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < count; ++i) {
-    h ^= words[i];
-    h *= 1099511628211ULL;
+  constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+  const auto pair = [words](std::size_t i) {
+    return static_cast<std::uint64_t>(words[i]) |
+           static_cast<std::uint64_t>(words[i + 1]) << 32;
+  };
+  const auto round = [](std::uint64_t lane, std::uint64_t input) {
+    return std::rotl(lane + input * kPrime2, 31) * kPrime1;
+  };
+  std::uint64_t a = kPrime1 + kPrime2;
+  std::uint64_t b = kPrime2;
+  std::uint64_t c = kPrime1;
+  std::uint64_t d = 0 - kPrime1;
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    a = round(a, pair(i));
+    b = round(b, pair(i + 2));
+    c = round(c, pair(i + 4));
+    d = round(d, pair(i + 6));
   }
-  // Finalization (splitmix64 tail): FNV alone leaves the low bits weak for
-  // power-of-two open-addressed tables.
+  const std::size_t rest = count - i;  // 0-7 words
+  if (rest >= 2) a = round(a, pair(i));
+  if (rest >= 4) b = round(b, pair(i + 2));
+  if (rest >= 6) c = round(c, pair(i + 4));
+  if (rest % 2 != 0) d = round(d, words[count - 1]);
+  std::uint64_t h =
+      std::rotl(a, 1) + std::rotl(b, 7) + std::rotl(c, 12) + std::rotl(d, 18) + count;
+  // splitmix64 finalizer.
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;

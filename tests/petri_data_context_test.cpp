@@ -18,7 +18,7 @@ TEST(DataContext, ScalarRoundTrip) {
 TEST(DataContext, UnknownScalarThrows) {
   DataContext d;
   EXPECT_FALSE(d.has("missing"));
-  EXPECT_THROW(d.get("missing"), std::out_of_range);
+  EXPECT_THROW((void)d.get("missing"), std::out_of_range);
 }
 
 TEST(DataContext, TableRoundTrip) {
@@ -40,16 +40,16 @@ TEST(DataContext, TableEntryWrite) {
 TEST(DataContext, TableBoundsChecked) {
   DataContext d;
   d.set_table("t", {1, 2, 3});
-  EXPECT_THROW(d.get_table("t", 3), std::out_of_range);
-  EXPECT_THROW(d.get_table("t", -1), std::out_of_range);
+  EXPECT_THROW((void)d.get_table("t", 3), std::out_of_range);
+  EXPECT_THROW((void)d.get_table("t", -1), std::out_of_range);
   EXPECT_THROW(d.set_table_entry("t", 3, 0), std::out_of_range);
   EXPECT_THROW(d.set_table_entry("missing", 0, 0), std::out_of_range);
 }
 
 TEST(DataContext, UnknownTableThrows) {
   DataContext d;
-  EXPECT_THROW(d.get_table("missing", 0), std::out_of_range);
-  EXPECT_THROW(d.table_size("missing"), std::out_of_range);
+  EXPECT_THROW((void)d.get_table("missing", 0), std::out_of_range);
+  EXPECT_THROW((void)d.table_size("missing"), std::out_of_range);
 }
 
 TEST(DataContext, ScalarsAndTablesAreSeparateNamespaces) {

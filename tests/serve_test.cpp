@@ -571,6 +571,39 @@ TEST_F(ServeTest, QueryDivisionOverflowIsAnErrorAndConnectionSurvives) {
   server.stop();
 }
 
+TEST_F(ServeTest, OverWideTimedStateIsSkippedAndConnectionSurvives) {
+  // Two firing delays of 2^31 cycles used to wrap the timed state's width:
+  // one analyze line crashed the server (SIGSEGV). Now the timed section
+  // is skipped with its reason in a framed reply, and the next request on
+  // the same connection is served.
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  Server server(session, 0);
+  ASSERT_GT(server.port(), 0);
+  server.start();
+
+  const std::string wide = write_model("wide.pn",
+                                       "net wide\nplace P init 1\nplace Q\n"
+                                       "trans a in P out Q firing 2147483648\n"
+                                       "trans b in Q out P firing 2147483648\n");
+  const auto responses = parse_responses(tcp_transcript(
+      server.port(), to_line({"analyze", wide}) + to_line({"analyze", model_path_})));
+  ASSERT_EQ(responses.size(), 2U);
+  EXPECT_EQ(responses[0].code, 0);
+  EXPECT_EQ(responses[0].out, run_direct({"analyze", wide}).out);
+  EXPECT_NE(responses[0].out.find("timed reachability: skipped (TimedReachabilityGraph: "
+                                  "transition 'a' (firing 2147483648) makes a timed state "
+                                  "wider than 65536 words)\n"),
+            std::string::npos);
+  EXPECT_EQ(responses[1].code, 0);
+  EXPECT_EQ(responses[1].out, run_direct({"analyze", model_path_}).out);
+
+  tcp_transcript(server.port(), ".shutdown\n");
+  server.wait_for_shutdown();
+  server.stop();
+}
+
 TEST_F(ServeTest, ParseServeOptionsLimits) {
   const ServeOptions opts = parse_serve_options(
       {"serve", "--port", "0", "--max-clients", "2", "--request-timeout", "1.5"});

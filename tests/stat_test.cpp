@@ -222,8 +222,8 @@ TEST(Stat, TblReportIsTroffMarkup) {
 
 TEST(Stat, UnknownNamesThrow) {
   RunStats r;
-  EXPECT_THROW(r.place("nope"), std::invalid_argument);
-  EXPECT_THROW(r.transition("nope"), std::invalid_argument);
+  EXPECT_THROW((void)r.place("nope"), std::invalid_argument);
+  EXPECT_THROW((void)r.transition("nope"), std::invalid_argument);
 }
 
 TEST(Replication, AggregatesAcrossSeeds) {
