@@ -196,30 +196,6 @@ SpillRun measure_spill(const Net& net) {
   return run;
 }
 
-/// One timed-graph scaling point: build the timed race ring's graph once
-/// at `threads` workers (threads == 1 runs the sequential two-bucket
-/// builder) and check the frozen golden counts.
-GraphRun measure_timed_parallel(const Net& net, unsigned threads, const Golden& golden) {
-  analysis::TimedReachOptions options;
-  options.max_states = 1'000'000;
-  options.max_time = 1'000'000;
-  options.threads = threads;
-  GraphRun run;
-  const auto t0 = std::chrono::steady_clock::now();
-  const analysis::TimedReachabilityGraph graph(net, options);
-  const auto t1 = std::chrono::steady_clock::now();
-  run.states_per_second = static_cast<double>(graph.num_states()) /
-                          std::chrono::duration<double>(t1 - t0).count();
-  run.bytes_per_state =
-      static_cast<double>(graph.memory_bytes()) / static_cast<double>(graph.num_states());
-  std::size_t edges = 0;
-  for (std::size_t s = 0; s < graph.num_states(); ++s) edges += graph.edges(s).size();
-  run.counts_ok = graph.status() == analysis::TimedReachStatus::kComplete &&
-                  graph.num_states() == golden.states && edges == golden.edges &&
-                  graph.deadlock_states().size() == golden.deadlocks;
-  return run;
-}
-
 /// Layer evidence for the timed graph: threads = 1 builds of the timed and
 /// the untimed graph of the same models, at the options `pnut analyze` uses.
 /// Each repetition times `builds` back-to-back builds (enough to fill ~50 ms,
@@ -362,21 +338,6 @@ void print_artifact() {
   }
   std::printf("\n");
 
-  // Timed-graph scaling on the race ring (~420k timed states: same-instant
-  // races + in-flight desync; see reach_models.h). threads == 1 is the
-  // sequential two-bucket builder; the graphs are byte-identical across
-  // thread counts (the timed differential tests pin that).
-  const Net timed_net = reach_models::timed_race_ring(12, 3);
-  std::vector<ScalingPoint> timed_scaling;
-  for (const unsigned threads : kScalingThreads) {
-    const ScalingPoint point = measure_scaling([&] {
-      return measure_timed_parallel(timed_net, threads, reach_models::kTimedRaceRing12x3);
-    });
-    timed_scaling.push_back(point);
-    print_scaling_point("timed race ring", threads, point, timed_scaling.front());
-  }
-  std::printf("\n");
-
   // Layer evidence: timed vs untimed graph throughput on the same models.
   const std::vector<LayerModel> layer_models = make_layer_models();
   std::vector<LayerPair> layers;
@@ -447,21 +408,6 @@ void print_artifact() {
                  "    \"host_hardware_threads\": %u,\n",
                  kScalingReps, std::thread::hardware_concurrency());
     print_scaling_json(json, scaling);
-    std::fprintf(json,
-                 "  \"timed_parallel_scaling\": {\n"
-                 "    \"model\": \"timed_race_ring_12x3\",\n"
-                 "    \"note\": \"TimedReachOptions::threads sweep; threads_1 is the "
-                 "sequential two-bucket builder; each point is built repetitions times, "
-                 "states/s median, min, max, speedup of the medians; graphs "
-                 "byte-identical across thread counts\",\n"
-                 "    \"states\": %zu,\n"
-                 "    \"edges\": %zu,\n"
-                 "    \"repetitions\": %d,\n"
-                 "    \"host_hardware_threads\": %u,\n",
-                 reach_models::kTimedRaceRing12x3.states,
-                 reach_models::kTimedRaceRing12x3.edges, kScalingReps,
-                 std::thread::hardware_concurrency());
-    print_scaling_json(json, timed_scaling);
     std::fprintf(json,
                  "  \"timed_models\": {\n"
                  "    \"note\": \"threads=1 timed vs untimed graph construction on the "
@@ -597,14 +543,12 @@ void BM_TimedReachFullModel(benchmark::State& state) {
 }
 BENCHMARK(BM_TimedReachFullModel);
 
-void BM_TimedReachRaceRingParallel(benchmark::State& state) {
-  // Thread sweep at fixed model size: the 12x4 race ring (31,928 timed
-  // states — smaller than the artifact pass's 12x3 to keep iterations sane).
+void BM_TimedReachRaceRing(benchmark::State& state) {
+  // The 12x4 race ring: 31,928 timed states.
   const Net net = reach_models::timed_race_ring(12, 4);
   analysis::TimedReachOptions options;
   options.max_states = 1'000'000;
   options.max_time = 1'000'000;
-  options.threads = static_cast<unsigned>(state.range(0));
   std::size_t states = 0;
   for (auto _ : state) {
     const analysis::TimedReachabilityGraph graph(net, options);
@@ -615,7 +559,7 @@ void BM_TimedReachRaceRingParallel(benchmark::State& state) {
       static_cast<double>(states) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TimedReachRaceRingParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_TimedReachRaceRing);
 
 void BM_StateStoreIntern(benchmark::State& state) {
   // Raw interning throughput at the bench's word width: first insertion of

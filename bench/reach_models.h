@@ -47,22 +47,17 @@ inline Net stress_ring(std::size_t places, TokenCount tokens) {
   return net;
 }
 
-/// Golden counts for timed_race_ring(12, 3), frozen from the sequential
-/// two-bucket builder the day the timed parallel engine landed: the
-/// builders are deterministic, so these are hard pins, not estimates.
-inline constexpr Golden kTimedRaceRing12x3{418'593, 817'242, 0};
-
-/// Timed stress net for the timed-graph scaling sweep and differential
-/// harness. A plain delayed ring is useless for this — maximal progress
-/// makes lockstep tokens march deterministically and the graph collapses
-/// to a few hundred states — so every place instead feeds TWO competitors
+/// Timed stress net for the timed-graph benches and goldens. A plain
+/// delayed ring is useless for this — maximal progress makes lockstep
+/// tokens march deterministically and the graph collapses to a few hundred
+/// states — so every place instead feeds TWO competitors
 /// with the *same* enabling delay (a same-instant race: both are ready on
 /// the same tick, and the timed graph must branch on who takes the token)
 /// whose firings travel different distances for different durations (hop 1
 /// in 1 cycle, hop 2 in 2): the in-flight completions desynchronize the
 /// tokens, so markings, enabling timers and in-flight counts all vary
-/// independently. A token every 3rd place of a 12-ring yields ~420k timed
-/// states — the million-state-class workload for the parallel engine.
+/// independently. A token every 3rd place of a 12-ring yields 418,593
+/// timed states and 817,242 edges.
 inline Net timed_race_ring(std::size_t places, std::size_t token_spread) {
   Net net("timed_race_ring");
   std::vector<PlaceId> ps;

@@ -23,9 +23,8 @@
 // resident set exceeds the budget; nothing is ever rewritten.
 //
 // The frontier is plain FIFO BFS. The untimed reachability builder and the
-// trace state space run on it; the timed graph's 0-1 BFS uses the shared
-// two-bucket scheduler instead (detail::TimedSchedule in timed_encode.h),
-// which the parallel level engine can mirror round for round.
+// trace state space run on it; the timed graph's 0-1 BFS uses a
+// two-bucket scheduler instead (detail::TimedSchedule in timed_encode.h).
 #pragma once
 
 #include <cstdint>
@@ -282,9 +281,9 @@ std::size_t drive_frontier_bfs(Frontier& frontier, EdgeCsr<EdgeT>& edges,
 }
 
 /// Spill setup for the one-thread builders: one shared SpillDir, 2/3 of the
-/// budget to the state arena and 1/3 to the edge pool. (The parallel level
-/// engine splits its budget three ways; see level_engine.h.) No-op when
-/// spilling is disabled.
+/// budget to the state arena and 1/3 to the edge pool. (The parallel
+/// untimed engine splits its budget three ways; see level_engine.h.)
+/// No-op when spilling is disabled.
 template <typename EdgeT>
 void enable_sequential_spill(const SpillOptions& spill, StateStore& store,
                              EdgeCsr<EdgeT>& edges) {

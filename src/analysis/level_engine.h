@@ -1,15 +1,13 @@
-// The level-engine core shared by the parallel reachability builders.
-//
-// Both parallel engines — untimed (parallel_exploration.cpp) and timed
-// (timed_parallel_exploration.cpp) — turn a deterministic sequential
-// exploration into rounds of two phases:
+// The level-engine core of the parallel reachability builder
+// (parallel_exploration.cpp), which turns the deterministic sequential
+// untimed exploration into rounds of two phases:
 //
 //   EXPAND (parallel) — the round's parents (a contiguous range of the
 //   engine's pending list) are chopped into batches handed to worker
 //   threads by an atomic cursor. Each worker runs its own copy of the
-//   graph kind's successor kernel on the parent's canonical arena words
-//   and interns each successor into one of S hash-sharded provisional
-//   StateStores under striped locks. The shard slot a successor lands in
+//   successor kernel on the parent's canonical arena words and interns
+//   each successor into one of S hash-sharded provisional StateStores
+//   under striped locks. The shard slot a successor lands in
 //   is interleaving-dependent — a provisional identity, stable for the rest
 //   of the run and never visible outside the engine. Edges are recorded per
 //   batch as flat (label, shard, slot) items in expansion order; the first
@@ -23,14 +21,14 @@
 //   exactly the id the sequential builder assigns, because sequential
 //   discovery order is "parents in pending order, edges in firing order".
 //
-// LevelEngine owns everything both engines share: the shards and the
-// shard-count rule, the batches and their items, the worker pool and the
-// inline path for a single batch, the per-parent rollback that parks a
-// failure on its batch for the seal, candidate capture, the canonical
-// arena with state 0's provisional twin, the spill budget split and the
-// shards' spill accounting. What a round is, how the seal walks it, and
-// where the stop and truncation rules fire stay in each engine, because
-// those rules fire at different canonical positions per graph kind.
+// LevelEngine owns the machinery: the shards and the shard-count rule, the
+// batches and their items, the worker pool and the inline path for a
+// single batch, the per-parent rollback that parks a failure on its batch
+// for the seal, candidate capture, the canonical arena with state 0's
+// provisional twin, the spill budget split and the shards' spill
+// accounting. What a round is, how the seal walks it, and where the stop
+// and truncation rules fire stay in the engine. The timed graph has no
+// parallel builder (see timed_reachability.h).
 #pragma once
 
 #include <algorithm>
@@ -181,8 +179,8 @@ class alignas(64) SlotSet {
 inline constexpr std::uint32_t kUnassigned = UINT32_MAX;
 
 /// One provisional-edge record produced by a worker: the edge label (a
-/// transition, or the timed graph's tick) and the successor's provisional
-/// identity (shard, slot). The seal translates slots to canonical ids.
+/// transition) and the successor's provisional identity (shard, slot).
+/// The seal translates slots to canonical ids.
 struct Item {
   std::uint32_t label;
   std::uint32_t shard;
@@ -191,7 +189,7 @@ struct Item {
 
 /// First batch-local sighting of a slot minted this round, at batch-local
 /// item index `item`. Only a candidate can be a globally fresh state, so
-/// the untimed seal walks these alone. Its words are captured next to it
+/// the seal walks these alone. Its words are captured next to it
 /// (Batch::fresh_words) while they are hot in the worker's scratch, so
 /// sealing copies linearly.
 struct Candidate {
@@ -234,9 +232,9 @@ struct Batch {
   }
 };
 
-/// The core both parallel engines run (see the file comment); `Edge` is
-/// the graph kind's edge record. Not thread-safe itself: the engine calls
-/// it from one thread, and it runs the workers.
+/// The engine's core (see the file comment); `Edge` is the graph's edge
+/// record. Not thread-safe itself: the engine calls it from one thread,
+/// and it runs the workers.
 template <typename Edge>
 class LevelEngine {
  public:

@@ -11,7 +11,7 @@
 //
 // This engine runs the rounds of detail::LevelEngine (level_engine.h: the
 // sharded provisional interning, batches, worker pool, failure parking and
-// candidate capture both parallel engines share). Here a round is one BFS
+// candidate capture). Here a round is one BFS
 // level — a contiguous canonical id range, because canonical ids *are* BFS
 // discovery order — and every worker expands its parents with its own copy
 // of the one untimed successor rule, detail::ReachKernel (reach_encode.h),

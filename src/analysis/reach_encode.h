@@ -4,8 +4,8 @@
 // level engine (parallel_exploration.cpp) must agree *exactly* on which
 // successors a state has and in which order — the differential tests pin
 // the two paths bit-identical — so the rule is written once, as
-// detail::ReachKernel, the way timed_encode.h's TimedKernel serves both
-// timed builders.
+// detail::ReachKernel, as timed_encode.h's TimedKernel is the timed
+// builder's one successor rule.
 //
 // A state is its full word vector, [ marking tokens | data words ], where
 // the data words are DataSchema's encoding of the state's frame

@@ -1,12 +1,7 @@
-// Shared state encoding and successor kernel for the timed reachability
-// explorers.
-//
-// The sequential builder (timed_reachability.cpp) and the parallel engine
-// (timed_parallel_exploration.cpp) must agree *exactly* on how a timed
-// state is laid out in arena words and which successors leave it in which
-// order, so the word layout, the two-bucket scheduler and the one
-// successor kernel live here, the way reach_encode.h serves the untimed
-// builders.
+// State encoding, scheduler and successor kernel of the timed reachability
+// builder (timed_reachability.cpp): the word layout, the two-bucket
+// scheduler and the one successor kernel, the way reach_encode.h serves the
+// untimed builders.
 //
 // Word layout of an interned timed state (see timed_reachability.h):
 //   [ marking tokens | per-transition remaining enabling delay |
@@ -31,11 +26,8 @@
 
 namespace pnut::analysis::detail {
 
-/// The two-bucket 0-1 BFS scheduler state shared by the sequential builder
-/// and the parallel seal — the piece of the timed exploration that MUST be
-/// byte-for-byte identical between them (canonical ids are its discovery
-/// order, earliest times its arrival bookkeeping, truncation its stop
-/// rules), so it lives here once instead of being maintained in two copies.
+/// The two-bucket 0-1 BFS scheduler state: canonical ids are its discovery
+/// order, earliest times its arrival bookkeeping, truncation its stop rules.
 ///
 /// `current` is the cost-0 (firing) closure of the instant `now`, expanded
 /// FIFO to a fixed point; `next` stages the tick targets of the following
@@ -54,11 +46,10 @@ struct TimedSchedule {
   std::vector<std::uint8_t> expanded;  ///< per state: edge row is complete
   std::uint64_t now = 0;
   TimedReachStatus status = TimedReachStatus::kComplete;
-  /// Stop-poll accounting, shared so both engines poll at identical
-  /// canonical positions: exactly one stopped_by() call per expanded state
-  /// (the sequential pop and the parallel seal walk visit states in the
-  /// same order), polling every kStopCheckStride states plus the first
-  /// state after each tick (instant boundaries).
+  /// Stop-poll accounting, so the builder polls at fixed canonical
+  /// positions: exactly one stopped_by() call per expanded state, polling
+  /// every kStopCheckStride states plus the first state after each tick
+  /// (instant boundaries).
   std::uint64_t expand_count = 0;
   bool poll_pending = false;
 
@@ -91,9 +82,8 @@ struct TimedSchedule {
   /// applies the stop rules, and schedules the target (current-closure
   /// promotion, next-bucket staging, or horizon-gated nothing). The caller
   /// adds the edge itself *before* calling (the max_states stop keeps the
-  /// edge that hit the cap, exactly like the sequential builder always
-  /// did). Returns false when max_states hit: stop everything, the
-  /// expanding parent's row stays partial and unmarked.
+  /// edge that hit the cap). Returns false when max_states hit: stop
+  /// everything, the expanding parent's row stays partial and unmarked.
   bool record(std::uint32_t target, bool fresh, std::uint64_t cost,
               std::size_t num_states, const TimedReachOptions& options) {
     const std::uint64_t arrival = now + cost;
@@ -229,8 +219,8 @@ struct TimedLayout {
 };
 
 /// The timed successor rule, run directly on arena words; expanding a state
-/// allocates nothing. One kernel per thread (the scratch words are its
-/// own); both builders expand every state through it.
+/// allocates nothing. The builder expands every state through it (the
+/// scratch words are the kernel's own).
 ///
 /// Canonical-timer invariant: in every state the kernel produces, an
 /// ineligible transition's timer word holds its full enabling delay. The
@@ -315,8 +305,8 @@ class TimedKernel {
     return next_;
   }
 
-  /// Enumerate the successors of the state `words` in the canonical order
-  /// both builders share: ready firings in ascending transition order
+  /// Enumerate the successors of the state `words` in canonical order:
+  /// ready firings in ascending transition order
   /// (maximal progress: time may not pass while something is ready), else
   /// the single one-cycle tick, else nothing (timed deadlock).
   /// `emit(label, successor_words, cost)` (label nullopt for the tick,

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "analysis/timed_encode.h"
-#include "analysis/timed_parallel_exploration.h"
 
 namespace pnut::analysis {
 
@@ -20,31 +18,12 @@ TimedReachabilityGraph::TimedReachabilityGraph(std::shared_ptr<const CompiledNet
 }
 
 // The timed graph is a 0-1 BFS: firing edges cost 0 ticks, the tick edge
-// costs 1. It runs on the two-bucket FIFO scheduler both builders share
-// (detail::TimedSchedule — not a deque with push_front): the parallel
-// engine reproduces this exact expansion order round for round, so
-// canonical state ids are its discovery order for both builders.
+// costs 1. It runs on a two-bucket FIFO scheduler (detail::TimedSchedule —
+// not a deque with push_front), so canonical state ids are its discovery
+// order.
 void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
   const CompiledNet& net = *net_;
   const detail::TimedLayout layout = detail::TimedLayout::build(net);
-
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  if (threads > 1) {
-    TimedParallelResult result = explore_timed_parallel(net, layout, options, threads);
-    store_ = std::move(result.store);
-    edges_ = std::move(result.edges);
-    earliest_time_ = std::move(result.earliest_time);
-    expanded_ = std::move(result.expanded);
-    status_ = result.status;
-    aux_peak_bytes_ = result.aux_peak_bytes;
-    aux_spill_engaged_ = result.aux_spill_engaged;
-    for (const std::uint8_t e : expanded_) num_expanded_ += e;
-    return;
-  }
 
   store_ = StateStore(layout.width());
   enable_sequential_spill(options.spill, store_, edges_);
@@ -63,14 +42,13 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
     const std::uint32_t si = schedule.current[head++];
     // Everything before the expanding state is sealed. The pending list is
     // not monotone (promotions re-enter states from the previous instant),
-    // so a later pop may fault a just-spilled segment back in — harmless
-    // here: the sequential builder reads single-threaded and tolerates
-    // fault-in everywhere.
+    // so a later pop may fault a just-spilled segment back in — harmless:
+    // the builder reads single-threaded and tolerates fault-in everywhere.
     store_.set_spill_floor(si);
     edges_.begin_source(si);
-    // Canonical-position stop poll, via the shared schedule's counter so
-    // the parallel seal polls at identical positions. The stopping state's
-    // row is opened and left empty, and it stays unmarked in expanded_.
+    // Canonical-position stop poll, via the schedule's counter. The
+    // stopping state's row is opened and left empty, and it stays unmarked
+    // in expanded_.
     if (schedule.stopped_by(options.stop)) {
       stopped = true;
       continue;

@@ -28,20 +28,21 @@
 // cannot both exist. Edges are one flat CSR pool.
 //
 // Successors come from one word-level kernel (analysis/timed_encode.h,
-// detail::TimedKernel) that both builders run: it expands a state on its
-// arena words without decoding it, builds each firing successor with one
-// copy plus the arc deltas and re-tests only the transitions the firing
-// can disable, and builds the tick with one shifted copy of the in-flight
-// region, re-testing only the inhibitor testers of the places its
-// completions fill. Width grows with the sum of firing delays, capped at
+// detail::TimedKernel): it expands a state on its arena words without
+// decoding it, builds each firing successor with one copy plus the arc
+// deltas and re-tests only the transitions the firing can disable, and
+// builds the tick with one shifted copy of the in-flight region,
+// re-testing only the inhibitor testers of the places its completions
+// fill. Width grows with the sum of firing delays, capped at
 // kMaxTimedStateWords; together with the timer words this keeps the
 // analyzer's practical envelope at controller-sized nets (tens of places,
 // delays up to ~10) — the paper's [RP84] tool had the same envelope.
 // Exploration is bounded by max_states and max_time, and runs the 0-1 BFS
-// on a two-bucket scheduler (sequentially in this file's .cpp, or
-// level-parallel behind TimedReachOptions::threads — see
-// analysis/timed_parallel_exploration.h; graphs are byte-identical either
-// way).
+// on a two-bucket scheduler in one sequential builder. There is no parallel
+// timed builder: a level-parallel one on analysis/level_engine.h was slower
+// than this one at every thread count measured (0.54x-0.68x of the
+// one-thread rate at 2-8 threads on a 418k-state race ring), so --threads
+// parallelizes untimed exploration only.
 #pragma once
 
 #include <cstdint>
@@ -66,23 +67,20 @@ struct TimedReachOptions {
   std::size_t max_states = 100'000;
   /// Time horizon: paths are cut (status kTruncated) beyond this many ticks.
   std::uint64_t max_time = 10'000;
-  /// Worker threads for graph construction. 1 (the default) keeps the
-  /// sequential builder; 0 means hardware_concurrency. Any value produces
-  /// byte-identical graphs — state ids, edge order, earliest times,
-  /// statuses and truncated prefixes are thread-count-independent (see
-  /// analysis/timed_parallel_exploration.h).
+  /// Ignored: the timed graph has one sequential builder. Kept only because
+  /// the frozen benchmark harness (pnbench/src/layers.cpp) still assigns it.
   unsigned threads = 1;
-  /// Out-of-core exploration (spill.h): sealed instants and edge rows spill
+  /// Out-of-core exploration (spill.h): sealed states and edge rows spill
   /// to mmap'd segment files once the resident set exceeds the budget. The
-  /// graph is byte-identical to the all-in-RAM build at every thread count
-  /// — spilling is floored at the previous instant's start, behind every
-  /// state the 0-1 BFS can still expand or promote.
+  /// graph is byte-identical to the all-in-RAM build — spilling is floored
+  /// at the expanding state, and a promotion that re-reads an older state
+  /// faults its segment back in.
   SpillOptions spill;
-  /// Cooperative deadline/cancellation (util/stop.h). Polled via the shared
-  /// schedule's counter — once per expanded state plus instant boundaries —
-  /// so both timed engines stop at the same canonical position and the
-  /// truncated prefix (status kTimeout/kCancelled) is byte-identical across
-  /// thread counts, exactly like max_states/max_time truncation.
+  /// Cooperative deadline/cancellation (util/stop.h). Polled via the
+  /// schedule's counter — every kStopCheckStride expanded states plus the
+  /// first state of each instant — so a stopped graph (status
+  /// kTimeout/kCancelled) is a truncated prefix fixed by the poll at which
+  /// the stop fired, exactly like max_states/max_time truncation.
   StopToken stop;
 };
 
@@ -199,17 +197,15 @@ class TimedReachabilityGraph {
 
   /// True if the build (or a query since) actually wrote segments to disk.
   [[nodiscard]] bool spill_engaged() const {
-    return store_.spill_engaged() || edges_.spill_engaged() || aux_spill_engaged_;
+    return store_.spill_engaged() || edges_.spill_engaged();
   }
   /// Bytes currently held in spill segment files (states + edges).
   [[nodiscard]] std::size_t spilled_bytes() const {
     return store_.spilled_bytes() + edges_.spilled_bytes();
   }
-  /// High-water resident footprint across the build and all queries,
-  /// including the parallel builder's (since destroyed) shard stores.
+  /// High-water resident footprint across the build and all queries.
   [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return store_.peak_resident_bytes() + edges_.peak_resident_bytes() +
-           aux_peak_bytes_;
+    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
   }
 
  private:
@@ -222,10 +218,6 @@ class TimedReachabilityGraph {
   std::vector<std::uint64_t> earliest_time_;
   std::vector<std::uint8_t> expanded_;  ///< per state: edge row is complete
   std::size_t num_expanded_ = 0;        ///< cached popcount of expanded_
-  /// Parallel-build extras folded into the spill accounting: the shard
-  /// stores' peak resident bytes and whether any shard spilled.
-  std::size_t aux_peak_bytes_ = 0;
-  bool aux_spill_engaged_ = false;
 };
 
 }  // namespace pnut::analysis

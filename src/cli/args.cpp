@@ -1,10 +1,11 @@
 #include "cli/args.h"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "util/parse_number.h"
 
 namespace pnut::cli {
 
@@ -54,17 +55,6 @@ Args::Args(const std::vector<std::string>& argv, std::size_t start,
   }
 }
 
-std::optional<double> parse_finite_number(std::string_view raw) {
-  double value = 0;
-  const char* const first = raw.data();
-  const char* const last = first + raw.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value, std::chars_format::general);
-  if (raw.empty() || ec != std::errc() || ptr != last || !std::isfinite(value)) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 double Args::get_number(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
@@ -79,17 +69,13 @@ double Args::get_number(const std::string& name, double fallback) const {
 std::uint64_t Args::get_uint64(const std::string& name, std::uint64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  const std::string& raw = it->second;
-  std::uint64_t value = 0;
-  const char* const first = raw.data();
-  const char* const last = first + raw.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value, 10);
-  if (raw.empty() || ec != std::errc() || ptr != last) {
+  const std::optional<std::uint64_t> value = parse_int<std::uint64_t>(it->second);
+  if (!value) {
     throw std::invalid_argument("flag --" + name +
                                 " expects a non-negative integer (64-bit), got '" +
-                                raw + "'");
+                                it->second + "'");
   }
-  return value;
+  return *value;
 }
 
 unsigned parse_threads(const Args& args) {

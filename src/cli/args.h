@@ -18,7 +18,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/spill.h"
@@ -67,12 +66,6 @@ class Args {
   std::vector<std::string> positional_;
   std::vector<std::string> markers_;
 };
-
-/// The whole of `raw` as one finite number in std::from_chars' general
-/// format (decimal, optional '-', fraction and exponent). nullopt for
-/// anything else: empty, trailing text, hex, a leading '+' or space,
-/// out-of-range, inf or nan.
-std::optional<double> parse_finite_number(std::string_view raw);
 
 /// One `--threads` rule for every command that explores or replicates:
 /// a non-negative integer, 0 meaning all hardware threads (the engines

@@ -33,6 +33,8 @@ std::string usage() {
          " reporting line:col diagnostics with caret snippets; the modeling\n"
          " language — fn/let/array/for — is documented in docs/LANG.md.\n"
 
+         " --threads N runs replications or untimed exploration on N threads\n"
+         " (0 = all hardware threads); analyze builds the timed graph on one.\n"
          " --max-resident-bytes caps the exploration's resident footprint by\n"
          " spilling sealed levels to segment files — in --spill-dir when given,\n"
          " else the system temp dir — removed again when the graph is freed.\n"

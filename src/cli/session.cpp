@@ -30,6 +30,7 @@
 #include "trace/filter.h"
 #include "trace/trace_text.h"
 #include "tracer/tracer.h"
+#include "util/parse_number.h"
 #include "util/stop.h"
 
 namespace pnut::cli {
@@ -84,11 +85,17 @@ RecordedTrace load_trace(const std::string& path) {
 /// Widest waveform render accepted (the tracer widens anything below 8).
 constexpr std::uint64_t kMaxRenderColumns = 100000;
 
+/// Split a `--signals` / `--keep` list at its top-level commas: a comma
+/// inside parentheses or brackets belongs to an expression such as
+/// `x=min(a,b)`. Empty items are dropped.
 std::vector<std::string> split_commas(const std::string& list) {
   std::vector<std::string> out;
   std::string current;
+  int depth = 0;
   for (char c : list) {
-    if (c == ',') {
+    if (c == '(' || c == '[') ++depth;
+    if ((c == ')' || c == ']') && depth > 0) --depth;
+    if (c == ',' && depth == 0) {
       if (!current.empty()) out.push_back(current);
       current.clear();
     } else {
@@ -121,11 +128,11 @@ std::string reach_key(const std::string& source, const analysis::ReachOptions& o
   return key.str();
 }
 
+/// The TimedReachOptions fields that shape a timed graph. It has one
+/// builder, so unlike reach_key there is no thread count in the key.
 std::string timed_key(const std::string& source, const analysis::TimedReachOptions& o) {
   std::ostringstream key;
-  key << "timed;ms=" << o.max_states << ";mt=" << o.max_time << ";th=" << o.threads
-      << '\n'
-      << source;
+  key << "timed;ms=" << o.max_states << ";mt=" << o.max_time << '\n' << source;
   return key.str();
 }
 
@@ -625,8 +632,7 @@ struct Session::Impl {
     // threads); the graph is byte-identical for every thread count.
     analysis::ReachOptions options;
     options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
-    const unsigned threads = parse_threads(args);
-    options.threads = threads;
+    options.threads = parse_threads(args);
     options.spill = parse_spill(args);
     const StopToken stop = make_stop(args);
     options.stop = stop;
@@ -687,13 +693,11 @@ struct Session::Impl {
     }
 
     // Timed reachability when delays permit (integer constants, no
-    // predicates/actions): timed state count and timed deadlocks. Rides on
-    // the same --threads flag; the timed graph too is byte-identical for
-    // every thread count.
+    // predicates/actions): timed state count and timed deadlocks. The timed
+    // graph has one sequential builder, so --threads does not reach it.
     try {
       analysis::TimedReachOptions topts;
       topts.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
-      topts.threads = threads;
       topts.spill = options.spill;
       topts.stop = stop;
       const auto timed = timed_graph(*m, topts);

@@ -1,6 +1,7 @@
 #include "textio/pn_format.h"
 
 #include <cctype>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "expr/compile.h"
 #include "expr/lexer.h"
 #include "expr/parser.h"
+#include "util/parse_number.h"
 
 namespace pnut::textio {
 
@@ -123,26 +125,27 @@ class PnParser {
 
   std::int64_t take_int(const char* what) {
     const Word& w = take_word(what);
-    try {
-      std::size_t used = 0;
-      const std::int64_t v = std::stoll(w.text, &used);
-      if (used != w.text.size()) throw std::invalid_argument(w.text);
-      return v;
-    } catch (const std::exception&) {
-      fail(w.line, std::string("expected integer ") + what + ", got '" + w.text + "'");
-    }
+    const auto v = parse_int<std::int64_t>(w.text);
+    if (!v) fail(w.line, std::string("expected integer ") + what + ", got '" + w.text + "'");
+    return *v;
   }
 
-  double take_double(const char* what) {
+  TokenCount take_count(const char* what) {
     const Word& w = take_word(what);
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(w.text, &used);
-      if (used != w.text.size()) throw std::invalid_argument(w.text);
-      return v;
-    } catch (const std::exception&) {
-      fail(w.line, std::string("expected number ") + what + ", got '" + w.text + "'");
+    const auto v = parse_int<TokenCount>(w.text);
+    if (!v) {
+      fail(w.line, std::string("expected integer ") + what + " in [0, " +
+                       std::to_string(std::numeric_limits<TokenCount>::max()) + "], got '" +
+                       w.text + "'");
     }
+    return *v;
+  }
+
+  double take_frequency() {
+    const Word& w = take_word("frequency");
+    const auto v = parse_finite_number(w.text);
+    if (!v || *v <= 0) fail(w.line, "expected a finite positive frequency, got '" + w.text + "'");
+    return *v;
   }
 
   void parse_net_name() {
@@ -234,9 +237,9 @@ class PnParser {
     while (!at_end() && !is_declaration(peek()) && !is_clause(peek())) {
       const Word& option = take();
       if (option.text == "init") {
-        init = static_cast<TokenCount>(take_int("initial token count"));
+        init = take_count("initial token count");
       } else if (option.text == "capacity") {
-        capacity = static_cast<TokenCount>(take_int("capacity"));
+        capacity = take_count("capacity");
       } else {
         fail(option.line, "unknown place option '" + option.text + "'");
       }
@@ -249,11 +252,12 @@ class PnParser {
     const auto star = w.text.find('*');
     if (star == std::string::npos) return {w.text, 1};
     const std::string name = w.text.substr(0, star);
-    try {
-      return {name, static_cast<TokenCount>(std::stoul(w.text.substr(star + 1)))};
-    } catch (const std::exception&) {
-      fail(w.line, "bad arc weight in '" + w.text + "'");
+    const auto weight = parse_int<TokenCount>(std::string_view(w.text).substr(star + 1));
+    if (!weight) {
+      fail(w.line, "bad arc weight in '" + w.text + "' (expected an integer in [0, " +
+                       std::to_string(std::numeric_limits<TokenCount>::max()) + "])");
     }
+    return {name, *weight};
   }
 
   PlaceId place_ref(const Word& w, const std::string& name) {
@@ -331,7 +335,7 @@ class PnParser {
       } else if (clause.text == "enabling") {
         doc_.net.set_enabling_time(t, parse_delay(clause.line));
       } else if (clause.text == "freq") {
-        doc_.net.set_frequency(t, take_double("frequency"));
+        doc_.net.set_frequency(t, take_frequency());
       } else if (clause.text == "policy") {
         const Word& w = take_word("policy (single|infinite)");
         if (w.text == "single") doc_.net.set_policy(t, FiringPolicy::kSingleServer);

@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse_number.h"
 
 namespace pnut {
 
@@ -114,11 +119,13 @@ RecordedTrace read_trace_text(std::istream& in) {
     } else if (keyword == "place") {
       std::size_t index = 0;
       std::string name;
-      TokenCount tokens = 0;
+      std::string tokens;
       if (!(ls >> index >> name >> tokens)) fail(line_no, "malformed place line");
+      const auto count = parse_int<TokenCount>(tokens);
+      if (!count) fail(line_no, "malformed place line");
       if (index != header.place_names.size()) fail(line_no, "place indices must be dense");
       header.place_names.push_back(name);
-      initial_tokens.push_back(tokens);
+      initial_tokens.push_back(*count);
     } else if (keyword == "transition") {
       std::size_t index = 0;
       std::string name;
@@ -191,33 +198,40 @@ RecordedTrace read_trace_text(std::istream& in) {
 
     std::string field;
     while (ls >> field) {
+      const std::string_view view = field;
       if (field.size() >= 2 && (field[0] == 'p' || field[0] == 'q') &&
           field.find(':') != std::string::npos && field[1] != ':') {
         const auto colon = field.find(':');
-        const std::uint32_t place_index =
-            static_cast<std::uint32_t>(std::stoul(field.substr(1, colon - 1)));
-        if (place_index >= header.place_names.size()) {
+        const auto place_index = parse_int<std::uint32_t>(view.substr(1, colon - 1));
+        if (!place_index) fail(line_no, "bad place index in '" + field + "'");
+        if (*place_index >= header.place_names.size()) {
           fail(line_no, "token delta references unknown place index " +
-                            std::to_string(place_index));
+                            std::to_string(*place_index));
         }
-        const TokenCount count = static_cast<TokenCount>(std::stoul(field.substr(colon + 1)));
-        TokenDelta d{PlaceId(place_index), count};
+        const auto count = parse_int<TokenCount>(view.substr(colon + 1));
+        if (!count) {
+          fail(line_no, "bad token count in '" + field + "' (expected an integer in [0, " +
+                            std::to_string(std::numeric_limits<TokenCount>::max()) + "])");
+        }
+        TokenDelta d{PlaceId(*place_index), *count};
         (field[0] == 'p' ? ev.consumed : ev.produced).push_back(d);
       } else if (field.rfind("v:", 0) == 0) {
         const auto eq = field.find('=');
-        if (eq == std::string::npos) fail(line_no, "malformed var update '" + field + "'");
-        ev.scalar_updates.push_back(
-            ScalarUpdate{field.substr(2, eq - 2), std::stoll(field.substr(eq + 1))});
+        const auto value = eq == std::string::npos
+                               ? std::nullopt
+                               : parse_int<std::int64_t>(view.substr(eq + 1));
+        if (!value) fail(line_no, "malformed var update '" + field + "'");
+        ev.scalar_updates.push_back(ScalarUpdate{field.substr(2, eq - 2), *value});
       } else if (field.rfind("t:", 0) == 0) {
         const auto lb = field.find('[');
         const auto rb = field.find("]=");
-        if (lb == std::string::npos || rb == std::string::npos || rb < lb) {
-          fail(line_no, "malformed table update '" + field + "'");
-        }
-        ev.table_updates.push_back(
-            TableUpdate{field.substr(2, lb - 2),
-                        std::stoll(field.substr(lb + 1, rb - lb - 1)),
-                        std::stoll(field.substr(rb + 2))});
+        const auto index = lb == std::string::npos || rb == std::string::npos || rb < lb
+                               ? std::nullopt
+                               : parse_int<std::int64_t>(view.substr(lb + 1, rb - lb - 1));
+        const auto value =
+            index ? parse_int<std::int64_t>(view.substr(rb + 2)) : std::nullopt;
+        if (!value) fail(line_no, "malformed table update '" + field + "'");
+        ev.table_updates.push_back(TableUpdate{field.substr(2, lb - 2), *index, *value});
       } else {
         fail(line_no, "unknown event field '" + field + "'");
       }

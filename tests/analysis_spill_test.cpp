@@ -253,15 +253,11 @@ void expect_identical_timed(const TimedReachabilityGraph& ram,
 
 void expect_timed_spill_matches(const Net& net, const std::string& label,
                                 TimedReachOptions options = {}) {
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    options.spill = SpillOptions{};
-    const TimedReachabilityGraph ram(net, options);
-    options.spill = tiny_spill();
-    const TimedReachabilityGraph spilled(net, options);
-    expect_identical_timed(ram, spilled,
-                           label + " @" + std::to_string(threads) + " threads");
-  }
+  options.spill = SpillOptions{};
+  const TimedReachabilityGraph ram(net, options);
+  options.spill = tiny_spill();
+  const TimedReachabilityGraph spilled(net, options);
+  expect_identical_timed(ram, spilled, label);
 }
 
 TEST(SpillEquivalence, TimedGoldenModels) {

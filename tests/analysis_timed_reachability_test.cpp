@@ -299,8 +299,8 @@ TEST(TimedReach, RejectsNonIntegerAndInterpretedNets) {
 
 TEST(TimedReach, RejectsDelaysThatDoNotFitAState) {
   // A firing delay adds one word per cycle to every timed state; the
-  // budget is kMaxTimedStateWords in all (places, timers, slots). Both
-  // builders check before allocating anything.
+  // budget is kMaxTimedStateWords in all (places, timers, slots). The
+  // builder checks before allocating anything.
   const auto build = [](Time firing, Time enabling) {
     Net net;
     const PlaceId p = net.add_place("P", 1);
@@ -311,9 +311,8 @@ TEST(TimedReach, RejectsDelaysThatDoNotFitAState) {
     net.set_enabling_time(t, DelaySpec::constant(enabling));
     return net;
   };
-  const auto limit_text = [](const Net& net, unsigned threads) {
+  const auto limit_text = [](const Net& net) {
     TimedReachOptions options;
-    options.threads = threads;
     options.max_states = 4;
     try {
       const TimedReachabilityGraph graph(net, options);
@@ -323,38 +322,31 @@ TEST(TimedReach, RejectsDelaysThatDoNotFitAState) {
     return std::string("no TimedLimitError");
   };
   const Time widest = static_cast<Time>(kMaxTimedStateWords - 2);  // + P + T's timer
-  for (const unsigned threads : {1u, 4u}) {
-    EXPECT_EQ(limit_text(build(widest, 0), threads), "no TimedLimitError");
-    EXPECT_EQ(limit_text(build(widest + 1, 0), threads),
-              "TimedReachabilityGraph: transition 'T' (firing 65535) makes a timed state "
-              "wider than 65536 words");
-    EXPECT_EQ(limit_text(build(1e20, 0), threads),
-              "TimedReachabilityGraph: the firing time of transition 'T' is past "
-              "4294967295 cycles");
-    EXPECT_EQ(limit_text(build(0, 4294967295.0), threads), "no TimedLimitError");
-    EXPECT_EQ(limit_text(build(0, 4294967296.0), threads),
-              "TimedReachabilityGraph: the enabling time of transition 'T' is past "
-              "4294967295 cycles");
-    EXPECT_EQ(limit_text(build(std::numeric_limits<Time>::infinity(), 0), threads),
-              "TimedReachabilityGraph: the firing time of transition 'T' is past "
-              "4294967295 cycles");
-  }
+  EXPECT_EQ(limit_text(build(widest, 0)), "no TimedLimitError");
+  EXPECT_EQ(limit_text(build(widest + 1, 0)),
+            "TimedReachabilityGraph: transition 'T' (firing 65535) makes a timed state "
+            "wider than 65536 words");
+  EXPECT_EQ(limit_text(build(1e20, 0)),
+            "TimedReachabilityGraph: the firing time of transition 'T' is past "
+            "4294967295 cycles");
+  EXPECT_EQ(limit_text(build(0, 4294967295.0)), "no TimedLimitError");
+  EXPECT_EQ(limit_text(build(0, 4294967296.0)),
+            "TimedReachabilityGraph: the enabling time of transition 'T' is past "
+            "4294967295 cycles");
+  EXPECT_EQ(limit_text(build(std::numeric_limits<Time>::infinity(), 0)),
+            "TimedReachabilityGraph: the firing time of transition 'T' is past "
+            "4294967295 cycles");
 }
 
 TEST(TimedReach, EmptyNetIsOneDeadlockedState) {
   // A net with no places and no transitions has zero-width timed states:
   // one state, no edges, a timed deadlock, and no word copy through a
   // null pointer on the way (UBSan's nonnull check on memcpy).
-  const Net net;
-  for (const unsigned threads : {1u, 4u}) {
-    TimedReachOptions options;
-    options.threads = threads;
-    const TimedReachabilityGraph graph(net, options);
-    EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
-    EXPECT_EQ(graph.num_states(), 1u);
-    EXPECT_TRUE(graph.edges(0).empty());
-    EXPECT_EQ(graph.deadlock_states().size(), 1u);
-  }
+  const TimedReachabilityGraph graph{Net{}};
+  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.num_states(), 1u);
+  EXPECT_TRUE(graph.edges(0).empty());
+  EXPECT_EQ(graph.deadlock_states().size(), 1u);
 }
 
 TEST(TimedReach, TruncationAtHorizon) {
@@ -460,25 +452,14 @@ std::string fingerprint(const TimedReachabilityGraph& graph) {
   return hex_literal(test_support::hash_timed_graph(graph));
 }
 
-/// The overflow text the graph throws, identical at 1 and 4 threads.
+/// The overflow text the graph throws.
 std::string overflow_text(const Net& net) {
-  std::string first;
-  for (const unsigned threads : {1u, 4u}) {
-    TimedReachOptions options;
-    options.threads = threads;
-    std::string text = "no exception";
-    try {
-      const TimedReachabilityGraph graph(net, options);
-    } catch (const std::overflow_error& e) {
-      text = e.what();
-    }
-    if (threads == 1) {
-      first = text;
-    } else {
-      EXPECT_EQ(text, first) << "@" << threads << " threads";
-    }
+  try {
+    const TimedReachabilityGraph graph(net);
+  } catch (const std::overflow_error& e) {
+    return e.what();
   }
-  return first;
+  return "no exception";
 }
 
 TEST(TimedReachKernel, FiringDepositOverflowNamesTheFirstArcInOrder) {
@@ -662,22 +643,11 @@ TEST(TimedReachKernel, ZeroFiringDelayDepositsAtOnce) {
 // inhibitor testers of the places its completions deposit into. Pinned on
 // the rule that re-tested every transition after every tick.
 
-/// The graph's fingerprint, identical at 1 and 4 threads.
-std::string threaded_fingerprint(const Net& net) {
-  std::string first;
-  for (const unsigned threads : {1u, 4u}) {
-    TimedReachOptions options;
-    options.threads = threads;
-    const TimedReachabilityGraph graph(net, options);
-    EXPECT_EQ(graph.status(), TimedReachStatus::kComplete) << "@" << threads << " threads";
-    const std::string print = fingerprint(graph);
-    if (threads == 1) {
-      first = print;
-    } else {
-      EXPECT_EQ(print, first) << "@" << threads << " threads";
-    }
-  }
-  return first;
+/// The fingerprint of the net's complete graph.
+std::string complete_fingerprint(const Net& net) {
+  const TimedReachabilityGraph graph(net);
+  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  return fingerprint(graph);
 }
 
 TEST(TimedReachKernel, TwoCompletionsInOneTickFillOneInhibitorPlace) {
@@ -722,7 +692,7 @@ TEST(TimedReachKernel, TwoCompletionsInOneTickFillOneInhibitorPlace) {
     ASSERT_TRUE(bounds.has_value());
     EXPECT_EQ(bounds->earliest, 7u) << "one transition " << one_transition;
     EXPECT_EQ(bounds->latest, 7u) << "one transition " << one_transition;
-    EXPECT_EQ(threaded_fingerprint(net), hex_literal(pinned))
+    EXPECT_EQ(complete_fingerprint(net), hex_literal(pinned))
         << "one transition " << one_transition;
   }
 }
@@ -763,7 +733,7 @@ TEST(TimedReachKernel, TesterThatLackedTokensArmsWithItsFullDelay) {
     ASSERT_TRUE(bounds.has_value());
     EXPECT_EQ(bounds->earliest, fires_at) << "B weight " << b_weight;
     EXPECT_EQ(bounds->latest, fires_at) << "B weight " << b_weight;
-    EXPECT_EQ(threaded_fingerprint(net), hex_literal(pinned)) << "B weight " << b_weight;
+    EXPECT_EQ(complete_fingerprint(net), hex_literal(pinned)) << "B weight " << b_weight;
   }
 }
 
@@ -804,7 +774,7 @@ TEST(TimedReachKernel, SingleServerTesterWithItsFiringInFlight) {
     ASSERT_TRUE(bounds.has_value());
     EXPECT_EQ(bounds->earliest, done_at) << "mover firing " << mover_firing;
     EXPECT_EQ(bounds->latest, done_at) << "mover firing " << mover_firing;
-    EXPECT_EQ(threaded_fingerprint(net), hex_literal(pinned))
+    EXPECT_EQ(complete_fingerprint(net), hex_literal(pinned))
         << "mover firing " << mover_firing;
   }
 }

@@ -138,12 +138,13 @@ TEST_F(ChaosTest, BadAllocAtArenaGrowthFailsCleanly) {
   EXPECT_EQ(retry.status(), analysis::ReachStatus::kComplete);
 }
 
-// --- the level engines: threaded untimed builds and the timed graph ---
+// --- graph builds: the threaded untimed engine and the timed graph ---
 //
 // A fault raised on a worker parks on its batch and surfaces at the seal;
-// one raised while sealing unwinds the engine. Either way the build fails
-// with the injected exception, the spill directory goes with it, and a
-// retry is byte-identical to a never-faulted build.
+// one raised while sealing, or anywhere in the one-thread timed builder,
+// unwinds the build. Either way the build fails with the injected
+// exception, the spill directory goes with it, and a retry is
+// byte-identical to a never-faulted build.
 
 /// How often a clean build checks `site`: the countdown that lands an
 /// injected fault mid-build is half of it.
@@ -198,21 +199,17 @@ TEST_F(ChaosLevelEngineTest, TimedBuildFailsCleanlyAndRetriesIdentically) {
   const Net net = reach_models::timed_race_ring(9, 3);
   const std::uint64_t reference =
       test_support::hash_timed_graph(analysis::TimedReachabilityGraph(net, {}));
-  for (const unsigned threads : {1u, 4u}) {
-    analysis::TimedReachOptions options;
-    options.threads = threads;
-    options.spill = tiny_spill(dir_.string());
-    const auto build = [&] {
-      const analysis::TimedReachabilityGraph graph(net, options);
-      EXPECT_TRUE(graph.spill_engaged());
-      return test_support::hash_timed_graph(graph);
-    };
-    const std::string at = ", " + std::to_string(threads) + " thread(s)";
-    expect_clean_failure<std::bad_alloc>(Site::kArenaGrow, Failure::kBadAlloc, build,
-                                         reference, "arena growth" + at);
-    expect_clean_failure<std::system_error>(Site::kSpillWrite, Failure::kDiskFull, build,
-                                            reference, "spill write" + at);
-  }
+  analysis::TimedReachOptions options;
+  options.spill = tiny_spill(dir_.string());
+  const auto build = [&] {
+    const analysis::TimedReachabilityGraph graph(net, options);
+    EXPECT_TRUE(graph.spill_engaged());
+    return test_support::hash_timed_graph(graph);
+  };
+  expect_clean_failure<std::bad_alloc>(Site::kArenaGrow, Failure::kBadAlloc, build,
+                                       reference, "arena growth");
+  expect_clean_failure<std::system_error>(Site::kSpillWrite, Failure::kDiskFull, build,
+                                          reference, "spill write");
 }
 
 // --- the Session surface: structured failure, live server, identical retry ---

@@ -1033,10 +1033,11 @@ TEST_F(CliTest, RenderSignalErrorsArePinned) {
       {"f=nope+1", 2, "pnut render: unknown identifier 'nope'\n"},
       {"f=x[0]", 2, "pnut render: unknown function or table 'x' with 1 argument(s)\n"},
       {"f=min(1)", 2, "pnut render: min expects 2 arguments, got 1\n"},
-      // --signals splits at every comma, so a two-argument call never
-      // reaches the evaluator (tracer_test pins irand's own error).
+      // --signals splits only at top-level commas, so a two-argument call
+      // reaches the VM, which rejects irand as it does in a predicate.
       {"f=irand(1,2)", 2,
-       "pnut render: expected ')' to close argument list, got end of input\n"},
+       "pnut render: irand is not allowed here (no random source; predicates must be "
+       "deterministic)\n"},
       {"f=1/0", 2, "pnut render: division by zero\n"},
       {"f=(0-9223372036854775807-1)/(0-1)", 2, "pnut render: division overflow\n"},
       {"f=(0-9223372036854775807-1)%(0-1)", 2, "pnut render: modulo overflow\n"},
@@ -1069,6 +1070,135 @@ TEST_F(CliTest, RenderSignalErrorsArePinned) {
   const Result guarded = run_cli({"render", late_trace, "--signals", "f=(p<0)&&late"});
   EXPECT_EQ(guarded.code, 0) << guarded.err;
   EXPECT_EQ(hash_text(guarded.out), 526673238108124967u) << guarded.out;
+}
+
+
+// --- strict numbers in .pn documents and traces -----------------------------
+//
+// Every integer field is read whole and range-checked against the type it
+// lands in: a token count or arc weight past UINT32_MAX (or negative) and a
+// frequency that is not a finite positive number are line diagnostics with
+// exit code 2, never a silently wrapped value.
+
+TEST_F(CliTest, PnNumbersOutOfRangeAreLineDiagnostics) {
+  struct Case {
+    const char* body;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"place a init -1\n",
+       "pnut validate: .pn format, line 2: expected integer initial token count in "
+       "[0, 4294967295], got '-1'\n"},
+      {"place a init 5000000000\n",
+       "pnut validate: .pn format, line 2: expected integer initial token count in "
+       "[0, 4294967295], got '5000000000'\n"},
+      {"place a capacity 4294967296\n",
+       "pnut validate: .pn format, line 2: expected integer capacity in "
+       "[0, 4294967295], got '4294967296'\n"},
+      {"place a init 1\ntrans t in a*4294967297 out a\n",
+       "pnut validate: .pn format, line 3: bad arc weight in 'a*4294967297' (expected an "
+       "integer in [0, 4294967295])\n"},
+      {"place a init 1\ntrans t in a*-1 out a\n",
+       "pnut validate: .pn format, line 3: bad arc weight in 'a*-1' (expected an integer "
+       "in [0, 4294967295])\n"},
+      {"place a init 1\ntrans t in a out a freq nan\n",
+       "pnut validate: .pn format, line 3: expected a finite positive frequency, got "
+       "'nan'\n"},
+      {"place a init 1\ntrans t in a out a freq inf\n",
+       "pnut validate: .pn format, line 3: expected a finite positive frequency, got "
+       "'inf'\n"},
+      {"place a init 1\ntrans t in a out a freq 0\n",
+       "pnut validate: .pn format, line 3: expected a finite positive frequency, got "
+       "'0'\n"},
+  };
+  const std::string path = (dir_ / "numbers.pn").string();
+  for (const Case& c : kCases) {
+    std::ofstream(path) << "net numbers\n" << c.body;
+    const Result r = run_cli({"validate", path});
+    EXPECT_EQ(r.code, 2) << c.body;
+    EXPECT_EQ(r.out, "") << c.body;
+    EXPECT_EQ(r.err, c.err) << c.body;
+  }
+}
+
+TEST_F(CliTest, PnNumbersAtTheTokenCountEdgeAreAccepted) {
+  const std::string path = (dir_ / "edge.pn").string();
+  std::ofstream(path) << "net edge\n"
+                         "place a init 4294967295\n"
+                         "place b capacity 4294967295\n"
+                         "trans t in a*4294967295 out b*4294967295 freq 0.5\n";
+  const Result valid = run_cli({"validate", path});
+  EXPECT_EQ(valid.code, 0) << valid.err;
+  EXPECT_EQ(valid.out, "ok: 2 places, 1 transitions\n");
+  const Result printed = run_cli({"print", path});
+  EXPECT_EQ(printed.code, 0) << printed.err;
+  EXPECT_NE(printed.out.find("place a init 4294967295"), std::string::npos) << printed.out;
+  EXPECT_NE(printed.out.find("capacity 4294967295"), std::string::npos) << printed.out;
+  EXPECT_NE(printed.out.find("in a*4294967295"), std::string::npos) << printed.out;
+  EXPECT_NE(printed.out.find("out b*4294967295"), std::string::npos) << printed.out;
+}
+
+TEST_F(CliTest, TraceNumbersOutOfRangeAreLineDiagnostics) {
+  const std::string trace_path = make_trace_file();
+  std::string text;
+  {
+    std::ifstream in(trace_path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  // Line 11 is the trace's first event line, "A 0 0 0 p0:1 p2:1 q1:1".
+  const std::string first_event = "A 0 0 0 p0:1 p2:1 q1:1\n";
+  ASSERT_NE(text.find("start 0\n" + first_event), std::string::npos) << text;
+  struct Case {
+    const char* field;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"p0:5000000000",
+       "pnut stat: trace text, line 11: bad token count in 'p0:5000000000' (expected an "
+       "integer in [0, 4294967295])\n"},
+      {"q1:-1",
+       "pnut stat: trace text, line 11: bad token count in 'q1:-1' (expected an integer "
+       "in [0, 4294967295])\n"},
+      {"p99999999999:1",
+       "pnut stat: trace text, line 11: bad place index in 'p99999999999:1'\n"},
+      {"p4:1", "pnut stat: trace text, line 11: token delta references unknown place index 4\n"},
+      {"v:x=9223372036854775808",
+       "pnut stat: trace text, line 11: malformed var update 'v:x=9223372036854775808'\n"},
+      {"t:x[1x]=2", "pnut stat: trace text, line 11: malformed table update 't:x[1x]=2'\n"},
+  };
+  const std::string bad_path = (dir_ / "bad.trace").string();
+  for (const Case& c : kCases) {
+    std::string broken = text;
+    broken.replace(broken.find(first_event), first_event.size(),
+                   std::string("A 0 0 0 ") + c.field + " p2:1 q1:1\n");
+    std::ofstream(bad_path) << broken;
+    const Result r = run_cli({"stat", bad_path});
+    EXPECT_EQ(r.code, 2) << c.field;
+    EXPECT_EQ(r.out, "") << c.field;
+    EXPECT_EQ(r.err, c.err) << c.field;
+  }
+}
+
+TEST_F(CliTest, RenderSignalsSplitOnlyAtTopLevelCommas) {
+  // A function signal may call a two-argument builtin: the comma inside
+  // min(...) belongs to the expression, not to the signal list.
+  const std::string trace_path = make_trace_file();
+  const auto render = [&](const char* signals) {
+    const Result r = run_cli(
+        {"render", trace_path, "--signals", signals, "--columns", "40", "--to", "40"});
+    EXPECT_EQ(r.code, 0) << signals << ": " << r.err;
+    EXPECT_EQ(r.err, "") << signals;
+    return r.out;
+  };
+  const std::string out =
+      render("Jobs,x=min(Bus_busy,Jobs),y=max(Jobs,Done)+min(Jobs,Bus_busy)");
+  // The same waveforms as the comma-free spellings of min and max.
+  EXPECT_EQ(out, render("Jobs,x=(Bus_busy<Jobs)*Bus_busy+(Bus_busy>=Jobs)*Jobs,"
+                        "y=(Jobs>=Done)*Jobs+(Jobs<Done)*Done+(Jobs<Bus_busy)*Jobs+"
+                        "(Jobs>=Bus_busy)*Bus_busy"));
+  EXPECT_EQ(hash_text(out), 3330900515685161878u) << out;
 }
 
 }  // namespace

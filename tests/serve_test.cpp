@@ -351,6 +351,34 @@ TEST_F(ServeTest, CacheHitMissAccounting) {
   EXPECT_EQ(stats.graph_hits, 3U);
 }
 
+TEST_F(ServeTest, TimedGraphIsCachedAcrossThreadCounts) {
+  // The timed graph has one builder, so --threads does not key it: an
+  // analyze at 4 threads rebuilds only the untimed graph (whose storage
+  // report differs by build path) and serves the timed graph from cache.
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  const cli::Result first = session.execute({"analyze", {model_path_}});
+  ASSERT_EQ(first.code, 0) << first.err;
+  auto stats = session.stats();
+  EXPECT_EQ(stats.graph_misses, 2U);
+  EXPECT_EQ(stats.graph_hits, 0U);
+
+  const cli::Result threaded = session.execute({"analyze", {model_path_, "--threads", "4"}});
+  ASSERT_EQ(threaded.code, 0) << threaded.err;
+  stats = session.stats();
+  EXPECT_EQ(stats.graph_misses, 3U);
+  EXPECT_EQ(stats.graph_hits, 1U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+  const auto timed_line = [](const std::string& report) {
+    const std::size_t at = report.find("timed reachability:");
+    return at == std::string::npos ? std::string()
+                                   : report.substr(at, report.find('\n', at) - at);
+  };
+  EXPECT_NE(timed_line(first.out), "");
+  EXPECT_EQ(timed_line(threaded.out), timed_line(first.out));
+}
+
 TEST_F(ServeTest, EvictionIsByteBudgetedAndLeastRecentlyUsedFirst) {
   // Learn one ring graph's exact footprint, then budget for two.
   const std::string ring_a = write_ring("ring_a", 6, 4);

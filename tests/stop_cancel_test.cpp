@@ -34,6 +34,7 @@
 #include "sim/batch_sim.h"
 #include "sim/sweep.h"
 #include "stat/replication.h"
+#include "support/golden_hash.h"
 #include "support/net_fuzz.h"
 #include "util/stop.h"
 
@@ -288,94 +289,97 @@ TEST(StopReach, RealDeadlinePrefixProperty) {
 }
 
 // --- timed exploration -----------------------------------------------------------
+//
+// The timed graph has one builder. It polls at fixed canonical positions —
+// once per kStopCheckStride expanded states plus the first state of each
+// instant — so a stopped graph is a pure function of where the stop fired:
+// each one is pinned by fingerprint and checked against the build it
+// interrupted.
 
-analysis::TimedReachOptions timed_options(unsigned threads, StopToken stop = {}) {
+analysis::TimedReachOptions timed_options(StopToken stop = {}) {
   analysis::TimedReachOptions o;
-  o.threads = threads;
   o.max_states = 50'000;
   o.stop = stop;
   return o;
 }
 
-void expect_same_timed(const analysis::TimedReachabilityGraph& a,
-                       const analysis::TimedReachabilityGraph& b,
-                       const std::string& label) {
+/// `stopped` is a prefix of `full`, the same build run without a stop: the
+/// same states in the same discovery order, every row `stopped` expanded
+/// complete and identical, and earliest times no earlier than the full
+/// graph's (a later promotion can only lower them).
+void expect_timed_prefix(const analysis::TimedReachabilityGraph& stopped,
+                         const analysis::TimedReachabilityGraph& full,
+                         const std::string& label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(b.status(), a.status());
-  ASSERT_EQ(b.num_states(), a.num_states());
-  ASSERT_EQ(b.num_expanded(), a.num_expanded());
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    const auto aw = a.state_words(s);
-    const auto bw = b.state_words(s);
-    ASSERT_TRUE(std::equal(aw.begin(), aw.end(), bw.begin(), bw.end()))
+  ASSERT_LE(stopped.num_states(), full.num_states());
+  ASSERT_LT(stopped.num_expanded(), full.num_expanded());
+  for (std::size_t s = 0; s < stopped.num_states(); ++s) {
+    const auto sw = stopped.state_words(s);
+    const auto fw = full.state_words(s);
+    ASSERT_TRUE(std::equal(sw.begin(), sw.end(), fw.begin(), fw.end()))
         << "state " << s << " words differ";
-    ASSERT_EQ(b.earliest_time(s), a.earliest_time(s)) << "state " << s;
-    ASSERT_EQ(b.state_expanded(s), a.state_expanded(s)) << "state " << s;
-    const auto ae = a.edges(s);
-    const auto be = b.edges(s);
-    ASSERT_EQ(be.size(), ae.size()) << "state " << s;
-    for (std::size_t e = 0; e < ae.size(); ++e) {
-      ASSERT_EQ(be[e].transition, ae[e].transition) << "state " << s << " edge " << e;
-      ASSERT_EQ(be[e].target, ae[e].target) << "state " << s << " edge " << e;
+    ASSERT_GE(stopped.earliest_time(s), full.earliest_time(s)) << "state " << s;
+    if (!stopped.state_expanded(s)) continue;
+    ASSERT_TRUE(full.state_expanded(s)) << "state " << s;
+    const auto se = stopped.edges(s);
+    const auto fe = full.edges(s);
+    ASSERT_EQ(se.size(), fe.size()) << "state " << s;
+    for (std::size_t e = 0; e < se.size(); ++e) {
+      ASSERT_EQ(se[e].transition, fe[e].transition) << "state " << s << " edge " << e;
+      ASSERT_EQ(se[e].target, fe[e].target) << "state " << s << " edge " << e;
     }
   }
 }
 
-TEST(StopTimed, PreExpiredDeadlineByteIdenticalAcrossThreadCounts) {
-  const Net net = reach_models::timed_race_ring(12, 3);
-  std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-  for (const unsigned threads : kThreadCounts) {
-    StopSource source;
-    source.set_timeout_seconds(0);
-    stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-        net, timed_options(threads, source.token())));
-    EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kTimeout);
-  }
-  for (std::size_t i = 1; i < stopped.size(); ++i) {
-    expect_same_timed(*stopped[0], *stopped[i],
-                      "timed timeout0 threads=" + std::to_string(kThreadCounts[i]));
-  }
+std::string timed_fingerprint(const analysis::TimedReachabilityGraph& graph) {
+  return test_support::hex_literal(test_support::hash_timed_graph(graph));
 }
 
-TEST(StopTimed, CancelAfterPollsByteIdenticalAcrossThreadCounts) {
-  // 418k timed states uncapped (kTimedRaceRing12x3): the build can never
+TEST(StopTimed, PreExpiredDeadlineStopsAtTheInitialState) {
+  const Net net = reach_models::timed_race_ring(12, 3);
+  StopSource source;
+  source.set_timeout_seconds(0);
+  const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
+  EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kTimeout);
+  EXPECT_EQ(stopped.num_states(), 1u);
+  EXPECT_EQ(stopped.num_expanded(), 0u);
+  EXPECT_TRUE(stopped.edges(0).empty());
+  EXPECT_EQ(timed_fingerprint(stopped), test_support::hex_literal(0x5ab04f557e09db0eULL));
+}
+
+TEST(StopTimed, CancelAfterPollsStopsAtAFixedPosition) {
+  // 418k timed states uncapped (timed_race_ring(12, 3)): the build can never
   // complete before the cancel trips, at any polls value used here.
   const Net net = reach_models::timed_race_ring(12, 3);
-  for (const std::uint64_t polls : {std::uint64_t{2}, std::uint64_t{5}}) {
-    std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(polls);
-      stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-          net, timed_options(threads, source.token())));
-      EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kCancelled);
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_timed(*stopped[0], *stopped[i],
-                        "timed polls=" + std::to_string(polls) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+  const analysis::TimedReachabilityGraph full(net, timed_options());
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {2, 0x5affa5184402df6dULL}, {5, 0x755dff9cbb58d050ULL}};
+  for (const auto& [polls, pinned] : pins) {
+    StopSource source;
+    source.cancel_after_polls(polls);
+    const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
+    EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kCancelled);
+    expect_timed_prefix(stopped, full, "timed polls=" + std::to_string(polls));
+    EXPECT_EQ(timed_fingerprint(stopped), test_support::hex_literal(pinned))
+        << "polls=" << polls;
   }
 }
 
 TEST(StopTimed, CancelAfterPollsOnFuzzedTimedNets) {
   test_support::FuzzOptions fuzz;
   fuzz.timed_integer = true;
-  for (const std::uint64_t seed : {5u, 19u, 41u}) {
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {5, 0xa2eecaf7284f1d19ULL}, {19, 0x1c43ecda6b297a7cULL}, {41, 0xf60f123895146b8bULL}};
+  for (const auto& [seed, pinned] : pins) {
     const Net net = test_support::fuzz_net(seed, fuzz);
-    std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(1);
-      stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-          net, timed_options(threads, source.token())));
-      EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kCancelled);
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_timed(*stopped[0], *stopped[i],
-                        "timed fuzz seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    StopSource source;
+    source.cancel_after_polls(1);
+    const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
+    EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kCancelled);
+    expect_timed_prefix(stopped, analysis::TimedReachabilityGraph(net, timed_options()),
+                        "timed fuzz seed=" + std::to_string(seed));
+    EXPECT_EQ(timed_fingerprint(stopped), test_support::hex_literal(pinned))
+        << "seed=" << seed;
   }
 }
 
