@@ -110,50 +110,6 @@ std::vector<Model> make_models() {
 constexpr double kFig4PreVmStatesPerSecond = 97'316;
 constexpr double kFig4PreVmBytesPerState = 1688.4;
 
-/// One parallel-scaling point: build the graph once at `threads` workers.
-GraphRun measure_parallel(const Net& net, unsigned threads, const Golden& golden) {
-  analysis::ReachOptions options;
-  options.max_states = 1'000'000;
-  options.threads = threads;
-  GraphRun run;
-  const auto t0 = std::chrono::steady_clock::now();
-  const analysis::ReachabilityGraph graph(net, options);
-  const auto t1 = std::chrono::steady_clock::now();
-  run.states_per_second = static_cast<double>(graph.num_states()) /
-                          std::chrono::duration<double>(t1 - t0).count();
-  run.bytes_per_state =
-      static_cast<double>(graph.memory_bytes()) / static_cast<double>(graph.num_states());
-  run.counts_ok = graph.status() == analysis::ReachStatus::kComplete &&
-                  graph.num_states() == golden.states &&
-                  graph.num_edges() == golden.edges &&
-                  graph.deadlock_states().size() == golden.deadlocks;
-  return run;
-}
-
-constexpr unsigned kScalingThreads[] = {1, 2, 4, 8};
-/// Builds per thread-sweep point; the JSON records median, min and max.
-constexpr int kScalingReps = 5;
-
-struct ScalingPoint {
-  Spread states_per_second;
-  bool counts_ok = true;  ///< every repetition matched the golden counts
-};
-
-/// Repeat one thread-sweep point kScalingReps times; `build()` returns one
-/// build's GraphRun.
-template <typename BuildFn>
-ScalingPoint measure_scaling(BuildFn&& build) {
-  ScalingPoint point;
-  std::vector<double> samples;
-  for (int rep = 0; rep < kScalingReps; ++rep) {
-    const GraphRun run = build();
-    samples.push_back(run.states_per_second);
-    point.counts_ok = point.counts_ok && run.counts_ok;
-  }
-  point.states_per_second = spread_of(std::move(samples));
-  return point;
-}
-
 /// Out-of-core sweep: one ring family at growing sizes, built all-in-RAM
 /// and again under a fixed residency budget the larger sizes cannot fit.
 /// Reports the throughput cost of going out-of-core and the spilled /
@@ -196,7 +152,7 @@ SpillRun measure_spill(const Net& net) {
   return run;
 }
 
-/// Layer evidence for the timed graph: threads = 1 builds of the timed and
+/// Layer evidence for the timed graph: builds of the timed and
 /// the untimed graph of the same models, at the options `pnut analyze` uses.
 /// Each repetition times `builds` back-to-back builds (enough to fill ~50 ms,
 /// so sub-millisecond graphs are not timer noise) and yields one states/s
@@ -279,30 +235,6 @@ void print_spread_json(FILE* json, const char* name, const Spread& s, const char
                s.median, s.min, s.max, tail);
 }
 
-void print_scaling_point(const char* label, unsigned threads, const ScalingPoint& point,
-                         const ScalingPoint& one_thread) {
-  std::printf("%s @%u thread%s %10.3g states/s [%.3g, %.3g]  (%.2fx vs 1 thread)  "
-              "counts %s\n",
-              label, threads, threads == 1 ? " " : "s", point.states_per_second.median,
-              point.states_per_second.min, point.states_per_second.max,
-              point.states_per_second.median / one_thread.states_per_second.median,
-              point.counts_ok ? "match golden" : "MISMATCH");
-}
-
-/// One thread-sweep section's points: "threads_N": {median, min, max,
-/// speedup of the medians}, then the golden-count verdict.
-void print_scaling_json(FILE* json, const std::vector<ScalingPoint>& points) {
-  bool counts_ok = true;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    counts_ok = counts_ok && points[i].counts_ok;
-    std::fprintf(json, "    \"threads_%u\": {", kScalingThreads[i]);
-    print_spread_json(json, "states_per_second", points[i].states_per_second, ", ");
-    std::fprintf(json, "\"speedup_vs_1_thread\": %.2f},\n",
-                 points[i].states_per_second.median / points[0].states_per_second.median);
-  }
-  std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n", counts_ok ? "true" : "false");
-}
-
 void print_artifact() {
   print_header("bench_reach", "exploration-core throughput (not a paper artifact)");
   const std::vector<Model> models = make_models();
@@ -322,19 +254,6 @@ void print_artifact() {
                   "  expr-VM effect", run.states_per_second / kFig4PreVmStatesPerSecond,
                   kFig4PreVmBytesPerState / run.bytes_per_state);
     }
-  }
-  std::printf("\n");
-
-  // Parallel exploration scaling on the million-state-class ring. The
-  // graphs are byte-identical across thread counts (the differential tests
-  // pin that); here we also re-check the frozen golden counts per point.
-  const Net scaling_net = stress_ring(38, 5);
-  std::vector<ScalingPoint> scaling;
-  for (const unsigned threads : kScalingThreads) {
-    const ScalingPoint point = measure_scaling(
-        [&] { return measure_parallel(scaling_net, threads, reach_models::kStressRing38x5); });
-    scaling.push_back(point);
-    print_scaling_point("stress ring", threads, point, scaling.front());
   }
   std::printf("\n");
 
@@ -397,20 +316,10 @@ void print_artifact() {
                    run.states_per_second, run.bytes_per_state,
                    i + 1 < models.size() ? "," : "");
     }
-    std::fprintf(json,
-                 "  },\n"
-                 "  \"parallel_scaling\": {\n"
-                 "    \"model\": \"stress_ring_38x5\",\n"
-                 "    \"note\": \"ReachOptions::threads sweep; each point is built "
-                 "repetitions times, states/s median, min, max, speedup of the medians; "
-                 "graphs are byte-identical across thread counts\",\n"
-                 "    \"repetitions\": %d,\n"
-                 "    \"host_hardware_threads\": %u,\n",
-                 kScalingReps, std::thread::hardware_concurrency());
-    print_scaling_json(json, scaling);
+    std::fprintf(json, "  },\n");
     std::fprintf(json,
                  "  \"timed_models\": {\n"
-                 "    \"note\": \"threads=1 timed vs untimed graph construction on the "
+                 "    \"note\": \"timed vs untimed graph construction on the "
                  "same models at pnut analyze's options; each of the %d repetitions "
                  "times builds_per_repetition back-to-back builds; states/s median, "
                  "min, max over the repetitions. pre_change_*_median: the same medians "
@@ -515,24 +424,6 @@ void BM_ReachStressRing(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReachStressRing)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
-
-void BM_ReachStressRingParallel(benchmark::State& state) {
-  // Thread sweep at fixed model size (24 places x 4 tokens, 17,550 states).
-  const Net net = stress_ring(24, 4);
-  analysis::ReachOptions options;
-  options.max_states = 1'000'000;
-  options.threads = static_cast<unsigned>(state.range(0));
-  std::size_t states = 0;
-  for (auto _ : state) {
-    const analysis::ReachabilityGraph graph(net, options);
-    states = graph.num_states();
-    benchmark::DoNotOptimize(states);
-  }
-  state.counters["states_per_s"] = benchmark::Counter(
-      static_cast<double>(states) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ReachStressRingParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_TimedReachFullModel(benchmark::State& state) {
   const Net net = pipeline::build_full_model();

@@ -19,8 +19,8 @@
 // relocated to a fresh segment instead, leaving a zero-filled hole at the
 // old segment's tail — so out(s) is always one contiguous span whether the
 // row is heap-resident or faulted in from the spill file. Sealed segments
-// (everything before the open row / the current level) spill once the
-// resident set exceeds the budget; nothing is ever rewritten.
+// (everything before the open row) spill once the resident set exceeds the
+// budget; nothing is ever rewritten.
 //
 // The frontier is plain FIFO BFS. The untimed reachability builder and the
 // trace state space run on it; the timed graph's 0-1 BFS uses a
@@ -94,66 +94,11 @@ class EdgeCsr {
     count_.resize(num_states, 0);
   }
 
-  /// Bulk row appending for stitched parallel segments: open rows for
-  /// states [first_state, first_state + counts.size()) where row r holds
-  /// counts[r] edges and grow the pool by the total (plus any segment-
-  /// boundary padding in spill mode). The caller fills the rows through
-  /// mutable_row() — from several threads if it likes; the row bookkeeping
-  /// is already done. Throws std::length_error — before touching any
-  /// table, so the CSR stays valid — if the pool would outgrow the 32-bit
-  /// (virtual) offset space or a row cannot fit in one segment.
-  void append_rows(std::uint32_t first_state, std::span<const std::uint32_t> counts) {
-    // Plan the final virtual tail, padding included, before any mutation.
-    const std::size_t eps = pool_.segmented() ? pool_.items_per_segment() : 0;
-    std::size_t vtail = virtual_tail();
-    for (const std::uint32_t c : counts) {
-      if (eps != 0) {
-        if (c > eps) {
-          throw std::length_error("EdgeCsr: row exceeds spill segment capacity");
-        }
-        const std::size_t space = eps - (vtail & emask_);
-        if (c > space) vtail += space;  // boundary padding
-      }
-      vtail += c;
-    }
-    if (vtail > UINT32_MAX) {
-      throw std::length_error("EdgeCsr: edge offset space exhausted");
-    }
-
-    if (first_.size() < first_state) {
-      first_.resize(first_state, 0);
-      count_.resize(first_state, 0);
-    }
-    // This level's rows must stay heap-resident until the caller has
-    // filled them; only segments before the pre-append tail may spill.
-    if (eps != 0) pool_.set_floor_seg(pool_.tail_seg());
-    std::size_t total = 0;
-    for (const std::uint32_t c : counts) {
-      if (eps != 0 && c > pool_.room()) pool_.pad_to_boundary();
-      first_.push_back(static_cast<std::uint32_t>(virtual_tail()));
-      count_.push_back(c);
-      pool_.extend(c);
-      total += c;
-    }
-    num_edges_ += total;
-  }
-
   [[nodiscard]] std::span<const EdgeT> out(std::size_t s) const {
     const std::uint32_t n = count_[s];
     if (n == 0) return {};  // never fault a segment in for an empty row
     if (!pool_.segmented()) return {pool_.flat_at(first_[s]), n};
     return {pool_.at(first_[s] >> eshift_, first_[s] & emask_), n};
-  }
-
-  /// Mutable view of a row appended by append_rows, for the caller's fill
-  /// pass. The row's segment is still heap-resident (append_rows keeps the
-  /// current level above the spill floor), so concurrent fills of distinct
-  /// rows are safe.
-  [[nodiscard]] std::span<EdgeT> mutable_row(std::size_t s) {
-    const std::uint32_t n = count_[s];
-    if (n == 0) return {};
-    if (!pool_.segmented()) return {pool_.flat_mutable_at(first_[s]), n};
-    return {pool_.mutable_at(first_[s] >> eshift_, first_[s] & emask_), n};
   }
 
   [[nodiscard]] std::size_t out_degree(std::size_t s) const { return count_[s]; }
@@ -177,18 +122,6 @@ class EdgeCsr {
            (first_.capacity() + count_.capacity()) * sizeof(std::uint32_t);
   }
   [[nodiscard]] bool spill_engaged() const { return pool_.engaged(); }
-
-  /// Pre-size the pool and row tables (the parallel seal pass knows each
-  /// level's edge and state counts before stitching it in). Grows
-  /// geometrically: repeated slightly-larger reserves must not degrade
-  /// into a full realloc+copy per call.
-  void reserve(std::size_t edges, std::size_t states) {
-    pool_.reserve(edges);
-    if (states > first_.capacity()) {
-      first_.reserve(std::max(states, first_.capacity() * 2));
-      count_.reserve(std::max(states, count_.capacity() * 2));
-    }
-  }
 
  private:
   /// Next append position in the 32-bit (virtual, in spill mode) offset
@@ -280,13 +213,11 @@ std::size_t drive_frontier_bfs(Frontier& frontier, EdgeCsr<EdgeT>& edges,
   return completed;
 }
 
-/// Spill setup for the one-thread builders: one shared SpillDir, 2/3 of the
-/// budget to the state arena and 1/3 to the edge pool. (The parallel
-/// untimed engine splits its budget three ways; see level_engine.h.)
-/// No-op when spilling is disabled.
+/// Spill setup for the graph builders: one shared SpillDir, 2/3 of the
+/// budget to the state arena and 1/3 to the edge pool. No-op when spilling
+/// is disabled.
 template <typename EdgeT>
-void enable_sequential_spill(const SpillOptions& spill, StateStore& store,
-                             EdgeCsr<EdgeT>& edges) {
+void enable_graph_spill(const SpillOptions& spill, StateStore& store, EdgeCsr<EdgeT>& edges) {
   if (spill.max_resident_bytes == 0) return;
   auto dir = std::make_shared<detail::SpillDir>(spill.dir);
   const std::size_t budget = spill.max_resident_bytes;

@@ -1,11 +1,8 @@
-// The untimed successor rule, shared by every untimed reachability builder.
-//
-// The sequential builder (reachability.cpp) and each worker of the parallel
-// level engine (parallel_exploration.cpp) must agree *exactly* on which
-// successors a state has and in which order — the differential tests pin
-// the two paths bit-identical — so the rule is written once, as
-// detail::ReachKernel, as timed_encode.h's TimedKernel is the timed
-// builder's one successor rule.
+// The untimed successor rule of the reachability builder (reachability.cpp),
+// written as detail::ReachKernel, as timed_encode.h's TimedKernel is the
+// timed builder's one successor rule. It fixes which successors a state has
+// and in which order, so it fixes the state numbering every graph query and
+// pinned fingerprint reads.
 //
 // A state is its full word vector, [ marking tokens | data words ], where
 // the data words are DataSchema's encoding of the state's frame
@@ -28,10 +25,10 @@
 
 namespace pnut::analysis::detail {
 
-/// The untimed builders' stop poll, before expanding canonical state
-/// `state`: the token is read at every kStopCheckStride-th state, and
-/// expansion order is canonical id order in every engine, so a stop lands
-/// on the same state at any thread count. Returns the status to stop with.
+/// The untimed builder's stop poll, before expanding state `state`: the
+/// token is read at every kStopCheckStride-th state, and expansion order is
+/// id order, so a stop lands on a fixed state. Returns the status to stop
+/// with.
 [[nodiscard]] inline std::optional<ReachStatus> poll_stop(const StopToken& stop,
                                                           std::uint32_t state) {
   if (state % kStopCheckStride != 0) return std::nullopt;
@@ -42,8 +39,7 @@ namespace pnut::analysis::detail {
 }
 
 /// The untimed successor rule, run on a state's words; expanding a state
-/// allocates nothing once the kernel's buffers are warm. One kernel per
-/// thread (the scratch is its own).
+/// allocates nothing once the kernel's buffers are warm.
 class ReachKernel {
  public:
   /// How an expansion ended.
@@ -85,9 +81,9 @@ class ReachKernel {
     return words_;
   }
 
-  /// Enumerate the successors of canonical state `state` (whose id seeds
-  /// the action samples), given its `words`, in the order every builder
-  /// shares: enabled transitions ascending, and for an action the distinct
+  /// Enumerate the successors of state `state` (whose id seeds the action
+  /// samples), given its `words`, in a fixed order: enabled transitions
+  /// ascending, and for an action the distinct
   /// sampled outcomes in order of first occurrence.
   /// `emit(transition, successor_words)` returns false to stop.
   ///

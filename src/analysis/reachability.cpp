@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
-#include "analysis/parallel_exploration.h"
 #include "analysis/reach_encode.h"
 
 namespace pnut::analysis {
@@ -19,41 +17,20 @@ ReachabilityGraph::ReachabilityGraph(std::shared_ptr<const CompiledNet> net,
   explore(options);
 }
 
-void ReachabilityGraph::explore(ReachOptions options) {
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
+void ReachabilityGraph::explore(const ReachOptions& options) {
   // Data words join the intern key only when an action can change them.
   track_data_ = net_->net_has_actions();
   if (net_->net_is_interpreted()) program_ = expr::NetProgram::compile(net_->net());
 
-  if (threads > 1) {
-    ParallelReachResult result =
-        explore_reachability_parallel(*net_, options, threads, program_.get());
-    store_ = std::move(result.store);
-    edges_ = std::move(result.edges);
-    status_ = result.status;
-    num_expanded_ = result.num_expanded;
-    aux_peak_bytes_ = result.aux_peak_bytes;
-    aux_spill_engaged_ = result.aux_spill_engaged;
-    return;
-  }
-  explore_sequential(options);
-}
-
-void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
   detail::ReachKernel kernel(*net_, options, program_.get());
   store_ = StateStore(kernel.width());
-  enable_sequential_spill(options.spill, store_, edges_);
+  enable_graph_spill(options.spill, store_, edges_);
   store_.intern(kernel.initial_state());
 
   Frontier frontier;
   frontier.push_back(0);
   num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
-    // Canonical-position stop poll (the parallel seal replays parents in
-    // this exact order).
+    // Stop poll at a fixed expansion position.
     if (const auto stop = detail::poll_stop(options.stop, state)) {
       status_ = *stop;
       return false;

@@ -61,27 +61,23 @@ struct ReachOptions {
   /// Samples drawn per stochastic action firing (distinct outcomes each
   /// become a successor).
   std::size_t irand_fanout_limit = 64;
-  /// Worker threads for graph construction. 1 (the default) keeps the
-  /// sequential builder; 0 means hardware_concurrency. Any value produces
-  /// byte-identical graphs — states are renumbered into canonical BFS
-  /// discovery order after every parallel level, so state ids, edge order,
-  /// deadlock sets and place bounds are thread-count-independent (see
-  /// analysis/parallel_exploration.h).
+  /// Ignored: the untimed graph has one sequential builder. Kept only
+  /// because the frozen benchmark harness (pnbench/src/layers.cpp) assigns it.
   unsigned threads = 1;
   /// Out-of-core exploration (spill.h): when max_resident_bytes is set,
   /// sealed BFS levels and edge rows spill to mmap'd segment files once the
   /// exact resident accounting (memory_bytes()) exceeds the budget. The
   /// graph — state ids, edge order, statuses — is byte-identical to the
-  /// all-in-RAM build at every thread count, because spilling happens
-  /// strictly after a level seals. Interpreted nets spill like plain ones:
-  /// their encoded width is frozen before the first state is interned.
+  /// all-in-RAM build, because only states behind the BFS cursor and
+  /// closed edge rows spill. Interpreted nets spill like plain ones: their
+  /// encoded width is frozen before the first state is interned.
   SpillOptions spill;
-  /// Cooperative deadline/cancellation (util/stop.h). Polled at canonical
-  /// event positions (every kStopCheckStride-th expanded parent), so a
-  /// stopped build terminates at a position deterministic across engines
-  /// and thread counts: the truncated prefix (status kTimeout/kCancelled)
-  /// is byte-identical to the same-options unstopped run's prefix, exactly
-  /// like max_states truncation. The default token never stops anything.
+  /// Cooperative deadline/cancellation (util/stop.h). Polled before every
+  /// kStopCheckStride-th expanded state, so a stopped build terminates at a
+  /// deterministic position: the truncated prefix (status
+  /// kTimeout/kCancelled) is byte-identical to the same-options unstopped
+  /// run's prefix, exactly like max_states truncation. The default token
+  /// never stops anything.
   StopToken stop;
 };
 
@@ -191,23 +187,20 @@ class ReachabilityGraph final : public StateSpace {
 
   /// True if the build (or a query since) actually wrote segments to disk.
   [[nodiscard]] bool spill_engaged() const {
-    return store_.spill_engaged() || edges_.spill_engaged() || aux_spill_engaged_;
+    return store_.spill_engaged() || edges_.spill_engaged();
   }
   /// Bytes currently held in spill segment files (states + edges).
   [[nodiscard]] std::size_t spilled_bytes() const {
     return store_.spilled_bytes() + edges_.spilled_bytes();
   }
-  /// High-water resident footprint across the build and all queries,
-  /// including the parallel builder's (since destroyed) shard stores.
+  /// High-water resident footprint across the build and all queries.
   [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return store_.peak_resident_bytes() + edges_.peak_resident_bytes() +
-           aux_peak_bytes_;
+    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
   }
 
  private:
-  void explore(ReachOptions options);
-  /// The sequential builder (threads == 1).
-  void explore_sequential(const ReachOptions& options);
+  /// The builder: breadth-first expansion from the initial state.
+  void explore(const ReachOptions& options);
 
   std::shared_ptr<const CompiledNet> net_;
   ReachStatus status_ = ReachStatus::kComplete;
@@ -217,10 +210,6 @@ class ReachabilityGraph final : public StateSpace {
   /// action-free nets read the initial data.
   bool track_data_ = false;
   std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
-  /// Parallel-build extras folded into the spill accounting: the shard
-  /// stores' peak resident bytes and whether any shard spilled.
-  std::size_t aux_peak_bytes_ = 0;
-  bool aux_spill_engaged_ = false;
 
   /// Bytecode runtime (null for nets without predicates or actions);
   /// query-time scratch for decoding per-state frames out of the arena. The scratch is the one

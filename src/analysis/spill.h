@@ -2,8 +2,8 @@
 //
 // The substrate invariant that makes spilling possible is append-only
 // growth: states are fixed-width words appended back-to-back, edge rows are
-// appended and never rewritten, and the EXPAND/SEAL level engine only ever
-// *reads* the frontier and *appends* at the seal. SegmentedStore<T> turns
+// appended and never rewritten, and a builder only ever *reads* states at
+// or past its BFS cursor and *appends* new ones. SegmentedStore<T> turns
 // that invariant into an out-of-core layout: items live in fixed-capacity
 // segments; once a segment is full and the owner's *floor* has moved past
 // it, its bytes are written once to a per-structure file inside a shared
@@ -13,14 +13,11 @@
 // configured budget — bounding *address space*, not just RSS, so a build
 // under `ulimit -v` behaves.
 //
-// Threading contract: segment-table mutation (append, spill, fault-in,
-// eviction) is single-threaded — it happens in the sequential seal phase or
-// under the owning shard's mutex. The parallel EXPAND phase reads frontier
-// states lock-free; the engines guarantee those reads never fault by
-// keeping the floor at or below the frontier, so every frontier segment is
-// still heap-resident. The WorkerPool dispatch barrier provides the
-// happens-before edge between a seal's mutations and the next expand's
-// reads.
+// Threading contract: mutation (append, spill, fault-in, eviction) is
+// single-threaded. Flat-mode reads are plain loads, so a finished in-RAM
+// graph takes concurrent readers; a segmented read may fault a segment in
+// or evict one, so a spilled graph must not be read from two threads at
+// once (the serve cache never holds one).
 #pragma once
 
 #include <algorithm>
@@ -223,7 +220,6 @@ class SegmentedStore {
     std::swap(tail_pos_, other.tail_pos_);
     std::swap(spill_cursor_, other.spill_cursor_);
     std::swap(floor_seg_, other.floor_seg_);
-    std::swap(spill_sealed_tail_, other.spill_sealed_tail_);
     std::swap(budget_bytes_, other.budget_bytes_);
     std::swap(resident_bytes_, other.resident_bytes_);
     std::swap(spilled_bytes_, other.spilled_bytes_);
@@ -235,12 +231,8 @@ class SegmentedStore {
   }
 
   /// Switches to segmented mode. Must be called while empty.
-  /// `spill_sealed_tail` makes every full segment spill-eligible without an
-  /// explicit floor (for stores whose every read tolerates a fault-in,
-  /// e.g. the mutex-guarded provisional shards).
   void configure_spill(std::shared_ptr<SpillDir> dir, const std::string& name,
-                       std::size_t items_per_segment, std::size_t budget_bytes,
-                       bool spill_sealed_tail = false) {
+                       std::size_t items_per_segment, std::size_t budget_bytes) {
     if (!flat_.empty() || tail_seg_ != 0 || tail_pos_ != 0) {
       throw std::logic_error("SegmentedStore: configure_spill on non-empty store");
     }
@@ -252,7 +244,6 @@ class SegmentedStore {
     const std::size_t page = SpillFile::page_size();
     file_slot_bytes_ = (payload_bytes() + page - 1) / page * page;
     budget_bytes_ = budget_bytes;
-    spill_sealed_tail_ = spill_sealed_tail;
   }
 
   [[nodiscard]] bool segmented() const { return items_per_segment_ != 0; }
@@ -315,7 +306,6 @@ class SegmentedStore {
 
   /// Flat mode read: raw pointer arithmetic, the hot pre-spill path.
   [[nodiscard]] const T* flat_at(std::size_t i) const { return flat_.data() + i; }
-  [[nodiscard]] T* flat_mutable_at(std::size_t i) { return flat_.data() + i; }
 
   /// Segmented read; faults the segment in from disk if needed. Any read
   /// may evict a previously mapped segment — pointers from earlier reads
@@ -330,14 +320,6 @@ class SegmentedStore {
     return const_cast<SegmentedStore*>(this)->fault_in(seg) + pos;
   }
 
-  /// Segmented write access; the segment must still be heap-resident
-  /// (guaranteed for segments at or above the floor).
-  [[nodiscard]] T* mutable_at(std::size_t seg, std::size_t pos) {
-    Segment& s = segments_[seg];
-    if (!s.heap) throw std::logic_error("SegmentedStore: write to spilled segment");
-    return s.heap.get() + pos;
-  }
-
   /// Segments strictly below `seg` are sealed and may spill.
   void set_floor_seg(std::size_t seg) {
     if (seg > floor_seg_) floor_seg_ = seg;
@@ -348,16 +330,7 @@ class SegmentedStore {
   /// every append; cheap when under budget.
   void maybe_spill() {
     if (!segmented() || resident_bytes_ <= budget_bytes_) return;
-    // Sealed-tail mode: the pointer handed out by the most recent extend()
-    // may still be unwritten by the caller. When the tail sits on a segment
-    // boundary that pointer lives in segment tail_seg_ - 1, so stop one
-    // short — the segment spills on the next append instead.
-    std::size_t limit = floor_seg_;
-    if (spill_sealed_tail_) {
-      limit = tail_seg_;
-      if (tail_pos_ == 0 && limit > 0) --limit;
-    }
-    while (resident_bytes_ > budget_bytes_ && spill_cursor_ < limit &&
+    while (resident_bytes_ > budget_bytes_ && spill_cursor_ < floor_seg_ &&
            spill_cursor_ < segments_.size()) {
       Segment& s = segments_[spill_cursor_];
       file_.write(spill_cursor_ * file_slot_bytes_, s.heap.get(), payload_bytes());
@@ -471,7 +444,6 @@ class SegmentedStore {
   std::size_t tail_pos_ = 0;
   std::size_t spill_cursor_ = 0;  // first segment not yet written out
   std::size_t floor_seg_ = 0;
-  bool spill_sealed_tail_ = false;
   std::size_t budget_bytes_ = 0;
   std::size_t resident_bytes_ = 0;
   std::size_t spilled_bytes_ = 0;

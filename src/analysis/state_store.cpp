@@ -15,11 +15,7 @@ StateStore::StateStore(std::size_t width) : arena_(width) {
 }
 
 StateStore::Interned StateStore::intern(std::span<const std::uint32_t> words) {
-  return intern(words, hash_words(words.data(), words.size()));
-}
-
-StateStore::Interned StateStore::intern(std::span<const std::uint32_t> words,
-                                        std::uint64_t h) {
+  const std::uint64_t h = hash_words(words.data(), words.size());
   // Grow at 70% load so probe chains stay short.
   if ((arena_.size() + 1) * 10 > (mask_ + 1) * 7) {
     grow_table((mask_ + 1) * 2);
@@ -33,14 +29,13 @@ StateStore::Interned StateStore::intern(std::span<const std::uint32_t> words,
         throw std::length_error("StateStore: state index space exhausted");
       }
       const std::uint32_t index = arena_.push(words);
-      if (hashes_.size() == index) hashes_.push_back(h);
+      hashes_.push_back(h);
       table_[slot] = index;
       return Interned{index, true};
     }
     // Cached-hash filter: a mismatching hash can skip the word compare —
     // which in spill mode would fault the occupant's segment in from disk.
-    if ((occupant >= hashes_.size() || hashes_[occupant] == h) &&
-        equals(occupant, words.data())) {
+    if (hashes_[occupant] == h && equals(occupant, words.data())) {
       return Interned{occupant, false};
     }
     slot = (slot + 1) & mask_;
@@ -59,15 +54,9 @@ void StateStore::grow_table(std::size_t capacity) {
   testing::FaultInjector::check(testing::FaultInjector::Site::kArenaGrow);
   table_.assign(capacity, kEmpty);
   mask_ = capacity - 1;
-  for (std::size_t i = 0; i < arena_.size(); ++i) {
-    std::uint64_t h;
-    if (i < hashes_.size()) {
-      h = hashes_[i];  // never touches the (possibly spilled) arena
-    } else {
-      const auto words = arena_[i];
-      h = hash_words(words.data(), words.size());
-    }
-    std::size_t slot = h & mask_;
+  // The cached hashes never touch the (possibly spilled) arena.
+  for (std::size_t i = 0; i < hashes_.size(); ++i) {
+    std::size_t slot = hashes_[i] & mask_;
     while (table_[slot] != kEmpty) slot = (slot + 1) & mask_;
     table_[slot] = static_cast<std::uint32_t>(i);
   }

@@ -58,8 +58,7 @@ class StateArena {
 
   /// Switch to the segmented spillable layout. Must be called while empty.
   void enable_spill(std::shared_ptr<detail::SpillDir> dir, const std::string& name,
-                    std::size_t segment_bytes, std::size_t budget_bytes,
-                    bool spill_sealed_tail = false) {
+                    std::size_t segment_bytes, std::size_t budget_bytes) {
     if (width_ == 0) return;  // placeholder store; nothing to segment
     // Largest power-of-two states-per-segment whose payload fits.
     std::size_t sps = 1;
@@ -70,8 +69,7 @@ class StateArena {
     }
     seg_shift_ = shift;
     seg_mask_ = sps - 1;
-    pool_.configure_spill(std::move(dir), name, sps * width_, budget_bytes,
-                          spill_sealed_tail);
+    pool_.configure_spill(std::move(dir), name, sps * width_, budget_bytes);
   }
 
   /// Append one state; returns its index. `words.size()` must equal width().
@@ -127,42 +125,19 @@ class StateStore {
   /// CONTRACT: `words` must not alias this store's own arena. Interning can
   /// grow the arena, which reallocates it and invalidates every span
   /// state() has ever returned — so a caller holding a state slice (e.g. an
-  /// expansion loop holding its parent state, or a parallel expander
-  /// reading a previously sealed state) must copy the slice into its own
-  /// buffer before interning anything. In spill mode the contract tightens:
+  /// expansion loop holding its parent state) must copy the slice into its
+  /// own buffer before interning anything. In spill mode the contract tightens:
   /// ANY arena access (state(), intern() probes) may evict the mapped
   /// segment a previously returned span points into. Pinned by
   /// StateStore.InternInvalidatesPriorSpans in tests/.
   Interned intern(std::span<const std::uint32_t> words);
 
-  /// intern() with the pnut::hash_words hash of `words` already computed —
-  /// for callers (the sharded parallel explorer) that also use the hash to
-  /// pick a shard and must not pay for hashing twice. Same contract.
-  Interned intern(std::span<const std::uint32_t> words, std::uint64_t hash);
-
-  /// Append a state the caller GUARANTEES is not already present, without
-  /// touching the intern table: returns the new index. After any call to
-  /// this, intern() on this store may duplicate appended states — the
-  /// store becomes arena-plus-queries only. This is the adoption path for
-  /// states whose deduplication happened elsewhere (the parallel
-  /// explorer's shards dedup provisionally; the canonical store only needs
-  /// the arena in discovery order, and skipping the table probe + growth
-  /// rehashes is a large fraction of the serial seal cost).
-  std::uint32_t append_unchecked(std::span<const std::uint32_t> words) {
-    if (arena_.size() >= kEmpty) {
-      throw std::length_error("StateStore: state index space exhausted");
-    }
-    return arena_.push(words);
-  }
-
   /// Switch the arena to the segmented spillable layout (spill.h). Must be
   /// called while empty. The intern table and hash cache always stay
   /// resident — only state words spill.
   void enable_spill(std::shared_ptr<detail::SpillDir> dir, const std::string& name,
-                    std::size_t segment_bytes, std::size_t budget_bytes,
-                    bool spill_sealed_tail = false) {
-    arena_.enable_spill(std::move(dir), name, segment_bytes, budget_bytes,
-                        spill_sealed_tail);
+                    std::size_t segment_bytes, std::size_t budget_bytes) {
+    arena_.enable_spill(std::move(dir), name, segment_bytes, budget_bytes);
   }
 
   /// Forwarded to StateArena::set_spill_floor.
@@ -211,10 +186,8 @@ class StateStore {
 
   StateArena arena_;
   std::vector<std::uint32_t> table_;  ///< state index per slot, kEmpty if free
-  /// hash_words per *interned* state (append_unchecked skips it; the lookup
-  /// paths fall back to rehashing such states from the arena). Lets probe
-  /// chains reject mismatches and table growth rehash everything without
-  /// touching spilled segments.
+  /// hash_words per state. Lets probe chains reject mismatches and table
+  /// growth rehash everything without touching spilled segments.
   std::vector<std::uint64_t> hashes_;
   std::size_t mask_ = 0;              ///< table size - 1 (power of two)
 };

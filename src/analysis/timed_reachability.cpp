@@ -26,7 +26,7 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
   const detail::TimedLayout layout = detail::TimedLayout::build(net);
 
   store_ = StateStore(layout.width());
-  enable_sequential_spill(options.spill, store_, edges_);
+  enable_graph_spill(options.spill, store_, edges_);
   detail::TimedKernel kernel(net, layout);
   store_.intern(kernel.initial_state());
 

@@ -39,10 +39,9 @@
 // delays up to ~10) — the paper's [RP84] tool had the same envelope.
 // Exploration is bounded by max_states and max_time, and runs the 0-1 BFS
 // on a two-bucket scheduler in one sequential builder. There is no parallel
-// timed builder: a level-parallel one on analysis/level_engine.h was slower
-// than this one at every thread count measured (0.54x-0.68x of the
-// one-thread rate at 2-8 threads on a 418k-state race ring), so --threads
-// parallelizes untimed exploration only.
+// timed builder: a level-parallel one was slower than this one at every
+// thread count measured (0.54x-0.68x of the one-thread rate at 2-8 threads
+// on a 418k-state race ring).
 #pragma once
 
 #include <cstdint>

@@ -67,9 +67,10 @@ class Args {
   std::vector<std::string> markers_;
 };
 
-/// One `--threads` rule for every command that explores or replicates:
-/// a non-negative integer, 0 meaning all hardware threads (the engines
-/// resolve 0 themselves). Negative, fractional and absurd values are
+/// One `--threads` rule for every command that takes the flag: a
+/// non-negative integer, 0 meaning all hardware threads (the replication
+/// engine resolves 0 itself; analyze and query --reach validate the flag
+/// but explore on one thread). Negative, fractional and absurd values are
 /// rejected up front — a four-billion-thread request should be a usage
 /// error, not std::thread resource exhaustion.
 unsigned parse_threads(const Args& args);

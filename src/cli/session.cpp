@@ -115,21 +115,18 @@ const std::string& require_positional(const Args& args, std::size_t index,
 }
 
 /// Canonical, order-fixed rendering of every ReachOptions field that shapes
-/// a command's output. threads is included although the graph words are
-/// pinned identical across thread counts: the storage report
-/// (memory_bytes) genuinely differs by build path, and a cache hit must
-/// never print a line the direct invocation would not have.
+/// a command's output. The untimed graph has one builder, so no thread
+/// count: `--threads` changes no byte of what analyze or query prints.
 std::string reach_key(const std::string& source, const analysis::ReachOptions& o) {
   std::ostringstream key;
   key << "reach;ms=" << o.max_states << ";pb=" << o.place_bound
-      << ";rc=" << (o.respect_capacities ? 1 : 0) << ";if=" << o.irand_fanout_limit
-      << ";th=" << o.threads << '\n'
+      << ";rc=" << (o.respect_capacities ? 1 : 0) << ";if=" << o.irand_fanout_limit << '\n'
       << source;
   return key.str();
 }
 
-/// The TimedReachOptions fields that shape a timed graph. It has one
-/// builder, so unlike reach_key there is no thread count in the key.
+/// The TimedReachOptions fields that shape a timed graph (one builder, so
+/// no thread count either).
 std::string timed_key(const std::string& source, const analysis::TimedReachOptions& o) {
   std::ostringstream key;
   key << "timed;ms=" << o.max_states << ";mt=" << o.max_time << '\n' << source;
@@ -512,7 +509,7 @@ struct Session::Impl {
       const ModelPtr m = model(args.get("reach"));
       analysis::ReachOptions options;
       options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 200000));
-      options.threads = parse_threads(args);
+      parse_threads(args);  // validated only: the graph has one builder
       options.spill = parse_spill(args);
       options.stop = stop;
       const auto graph = reach_graph(*m, options);
@@ -628,11 +625,10 @@ struct Session::Impl {
       out << "  " << analysis::format_transition_invariant(net, inv) << '\n';
     }
 
-    // Reachability. --threads N explores in parallel (0 = all hardware
-    // threads); the graph is byte-identical for every thread count.
+    // Reachability. --threads is validated only: the graph has one builder.
     analysis::ReachOptions options;
     options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
-    options.threads = parse_threads(args);
+    parse_threads(args);
     options.spill = parse_spill(args);
     const StopToken stop = make_stop(args);
     options.stop = stop;
@@ -659,7 +655,7 @@ struct Session::Impl {
     // The invariant engine's reachability pass: check the structural
     // P-invariants exactly over every discovered marking (sound even on a
     // truncated graph — every discovered marking is reachable). Shares the
-    // graph built above, so it rides on --threads too.
+    // graph built above.
     if (!p_invs.empty() && graph->num_states() > 0) {
       const auto violations = analysis::check_place_invariants_on_graph(*graph, p_invs);
       if (violations.empty()) {
@@ -693,8 +689,7 @@ struct Session::Impl {
     }
 
     // Timed reachability when delays permit (integer constants, no
-    // predicates/actions): timed state count and timed deadlocks. The timed
-    // graph has one sequential builder, so --threads does not reach it.
+    // predicates/actions): timed state count and timed deadlocks.
     try {
       analysis::TimedReachOptions topts;
       topts.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));

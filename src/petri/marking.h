@@ -74,9 +74,9 @@ class Marking {
   std::vector<TokenCount> tokens_;
 };
 
-/// The one word hash: MarkingHash, every StateStore's intern table and the
-/// level engines' shard choice use it, so a marking hashes the same whether
-/// it lives in a Marking or in a flat arena word slice.
+/// The one word hash: MarkingHash and every StateStore's intern table use
+/// it, so a marking hashes the same whether it lives in a Marking or in a
+/// flat arena word slice.
 ///
 /// Word pairs form 64-bit lanes, built with shifts so the value does not
 /// depend on byte order. Four independent multiply lanes take eight words
@@ -84,9 +84,8 @@ class Marking {
 /// dependent multiplies. Widths that are not a multiple of eight finish
 /// with up to three pairs on the first three lanes and a last odd word on
 /// the fourth. A splitmix64 finalizer mixes the lanes into every bit,
-/// because the intern table probes the low bits and the level engines pick
-/// a shard from the top ones. Only speed depends on the value: state ids
-/// are discovery order.
+/// because the intern table probes the low bits. Only speed depends on the
+/// value: state ids are discovery order.
 [[nodiscard]] constexpr std::uint64_t hash_words(const std::uint32_t* words,
                                                  std::size_t count) noexcept {
   constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;

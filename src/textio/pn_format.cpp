@@ -271,24 +271,33 @@ class PnParser {
     if (first.text == "uniform") {
       const std::int64_t lo = take_int("uniform lower bound");
       const std::int64_t hi = take_int("uniform upper bound");
+      if (lo < 0 || hi < lo) {
+        fail(first.line, "uniform delay bounds must satisfy 0 <= lo <= hi, got " +
+                             std::to_string(lo) + " " + std::to_string(hi));
+      }
       return DelaySpec::uniform_int(lo, hi);
     }
     if (first.text == "discrete") {
       std::vector<std::pair<Time, double>> choices;
+      double total = 0;
       while (!at_end() && !is_declaration(peek()) && !is_clause(peek())) {
         const Word& w = take();
         const auto colon = w.text.find(':');
         if (colon == std::string::npos) {
           fail(w.line, "discrete delay entries are value:weight, got '" + w.text + "'");
         }
-        try {
-          choices.emplace_back(std::stod(w.text.substr(0, colon)),
-                               std::stod(w.text.substr(colon + 1)));
-        } catch (const std::exception&) {
-          fail(w.line, "bad discrete delay entry '" + w.text + "'");
+        const std::string_view entry(w.text);
+        const auto value = parse_finite_number(entry.substr(0, colon));
+        const auto weight = parse_finite_number(entry.substr(colon + 1));
+        if (!value || !weight || *value < 0 || *weight < 0) {
+          fail(w.line, "bad discrete delay entry '" + w.text +
+                           "' (expected value:weight, both finite and non-negative)");
         }
+        choices.emplace_back(*value, *weight);
+        total += *weight;
       }
       if (choices.empty()) fail(line, "discrete delay needs at least one value:weight");
+      if (total <= 0) fail(line, "discrete delay weights sum to zero");
       return DelaySpec::discrete(std::move(choices));
     }
     if (first.text == "expr") {
@@ -300,14 +309,9 @@ class PnParser {
         fail_expr(src, "delay expression", e);
       }
     }
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(first.text, &used);
-      if (used != first.text.size()) throw std::invalid_argument(first.text);
-      return DelaySpec::constant(v);
-    } catch (const std::exception&) {
-      fail(first.line, "bad delay '" + first.text + "'");
-    }
+    const auto v = parse_finite_number(first.text);
+    if (!v || *v < 0) fail(first.line, "bad delay '" + first.text + "'");
+    return DelaySpec::constant(*v);
   }
 
   void parse_transition() {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "util/parse_number.h"
 
@@ -24,6 +25,23 @@ std::string format_time(Time t) {
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& message) {
   throw std::runtime_error("trace text, line " + std::to_string(line_no) + ": " + message);
+}
+
+/// The next field of `ls` read whole as a T: an integer in T's range
+/// (parse_int) or, for a floating-point T, a finite number. A missing field
+/// makes a malformed `kind` line; a field that is no T is named as `what`.
+template <typename T>
+T read_field(std::istream& ls, std::size_t line_no, const char* kind, const char* what) {
+  std::string field;
+  if (!(ls >> field)) fail(line_no, std::string("malformed ") + kind + " line");
+  std::optional<T> value;
+  if constexpr (std::is_floating_point_v<T>) {
+    value = parse_finite_number(field);
+  } else {
+    value = parse_int<T>(field);
+  }
+  if (!value) fail(line_no, std::string("bad ") + what + " '" + field + "'");
+  return *value;
 }
 
 }  // namespace
@@ -117,39 +135,42 @@ RecordedTrace read_trace_text(std::istream& in) {
       ls >> header.net_name;
       if (header.net_name == "-") header.net_name.clear();
     } else if (keyword == "place") {
-      std::size_t index = 0;
+      const auto index = read_field<std::size_t>(ls, line_no, "place", "place index");
       std::string name;
-      std::string tokens;
-      if (!(ls >> index >> name >> tokens)) fail(line_no, "malformed place line");
-      const auto count = parse_int<TokenCount>(tokens);
-      if (!count) fail(line_no, "malformed place line");
+      if (!(ls >> name)) fail(line_no, "malformed place line");
+      const auto count = read_field<TokenCount>(ls, line_no, "place", "initial token count");
       if (index != header.place_names.size()) fail(line_no, "place indices must be dense");
       header.place_names.push_back(name);
-      initial_tokens.push_back(*count);
+      initial_tokens.push_back(count);
     } else if (keyword == "transition") {
-      std::size_t index = 0;
+      const auto index =
+          read_field<std::size_t>(ls, line_no, "transition", "transition index");
       std::string name;
-      if (!(ls >> index >> name)) fail(line_no, "malformed transition line");
+      if (!(ls >> name)) fail(line_no, "malformed transition line");
       if (index != header.transition_names.size()) {
         fail(line_no, "transition indices must be dense");
       }
       header.transition_names.push_back(name);
     } else if (keyword == "var") {
       std::string name;
-      std::int64_t value = 0;
-      if (!(ls >> name >> value)) fail(line_no, "malformed var line");
-      header.initial_data.set(name, value);
+      if (!(ls >> name)) fail(line_no, "malformed var line");
+      header.initial_data.set(name, read_field<std::int64_t>(ls, line_no, "var", "var value"));
     } else if (keyword == "table") {
       std::string name;
-      std::size_t n = 0;
-      if (!(ls >> name >> n)) fail(line_no, "malformed table line");
-      std::vector<std::int64_t> values(n, 0);
+      if (!(ls >> name)) fail(line_no, "malformed table line");
+      const auto n = read_field<std::size_t>(ls, line_no, "table", "table size");
+      // Grown entry by entry: the size is only as large as the line it is on.
+      std::vector<std::int64_t> values;
+      std::string entry;
       for (std::size_t i = 0; i < n; ++i) {
-        if (!(ls >> values[i])) fail(line_no, "table shorter than declared size");
+        if (!(ls >> entry)) fail(line_no, "table shorter than declared size");
+        const auto value = parse_int<std::int64_t>(entry);
+        if (!value) fail(line_no, "bad table value '" + entry + "'");
+        values.push_back(*value);
       }
       header.initial_data.set_table(name, std::move(values));
     } else if (keyword == "start") {
-      if (!(ls >> header.start_time)) fail(line_no, "malformed start line");
+      header.start_time = read_field<Time>(ls, line_no, "start", "start time");
       header.initial_marking = Marking(header.place_names.size());
       for (std::size_t i = 0; i < initial_tokens.size(); ++i) {
         header.initial_marking[PlaceId(static_cast<std::uint32_t>(i))] = initial_tokens[i];
@@ -172,9 +193,7 @@ RecordedTrace read_trace_text(std::istream& in) {
     ls >> keyword;
 
     if (keyword == "end") {
-      Time t = 0;
-      if (!(ls >> t)) fail(line_no, "malformed end line");
-      trace.end(t);
+      trace.end(read_field<Time>(ls, line_no, "end", "end time"));
       ended = true;
       break;
     }
@@ -186,10 +205,10 @@ RecordedTrace read_trace_text(std::istream& in) {
     ev.kind = (keyword == "S")   ? TraceEvent::Kind::kStart
               : (keyword == "E") ? TraceEvent::Kind::kEnd
                                  : TraceEvent::Kind::kAtomic;
-    std::uint32_t transition_index = 0;
-    if (!(ls >> ev.time >> transition_index >> ev.firing_id)) {
-      fail(line_no, "malformed event line");
-    }
+    ev.time = read_field<Time>(ls, line_no, "event", "event time");
+    const auto transition_index =
+        read_field<std::uint32_t>(ls, line_no, "event", "transition index");
+    ev.firing_id = read_field<std::uint64_t>(ls, line_no, "event", "firing id");
     if (transition_index >= header.transition_names.size()) {
       fail(line_no, "event references unknown transition index " +
                         std::to_string(transition_index));

@@ -3,11 +3,11 @@
 // A StopSource owns the stop state; StopTokens are cheap shared-state handles
 // threaded through long-running engines (exploration builders, the batch
 // simulator's lanes, replication/sweep drivers, query fixpoints). Engines
-// poll at *canonical event positions* — e.g. when expanding the parent with
-// canonical id p where p % kStopCheckStride == 0 — so a stopped build
-// terminates at a position that is deterministic across engines and thread
-// counts, and the truncated prefix is byte-identical to the same-options
-// untruncated run's prefix (exactly like max_states truncation).
+// poll at *fixed event positions* — e.g. when expanding the state with id p
+// where p % kStopCheckStride == 0 — so a stopped build terminates at a
+// deterministic position, and the truncated prefix is byte-identical to the
+// same-options untruncated run's prefix (exactly like max_states
+// truncation).
 //
 // A default-constructed StopToken is null: poll() is a single branch and the
 // token never stops anything.

@@ -149,17 +149,14 @@ TEST(Reachability, TruncationReportsNoPhantomDeadlocks) {
   const TransitionId t2 = net.add_transition("t2");
   net.add_input(t2, b);
   net.add_output(t2, a);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ReachOptions options;
-    options.max_states = 5;
-    options.threads = threads;
-    const ReachabilityGraph graph(net, options);
-    ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
-    ASSERT_LT(graph.num_expanded(), graph.num_states()) << threads;
-    EXPECT_TRUE(graph.deadlock_states().empty()) << threads;
-    EXPECT_TRUE(graph.state_expanded(0)) << threads;
-    EXPECT_FALSE(graph.state_expanded(graph.num_states() - 1)) << threads;
-  }
+  ReachOptions options;
+  options.max_states = 5;
+  const ReachabilityGraph graph(net, options);
+  ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
+  ASSERT_LT(graph.num_expanded(), graph.num_states());
+  EXPECT_TRUE(graph.deadlock_states().empty());
+  EXPECT_TRUE(graph.state_expanded(0));
+  EXPECT_FALSE(graph.state_expanded(graph.num_states() - 1));
 }
 
 TEST(Reachability, TruncatedReversibilityIgnoresUnexpandedLeftovers) {
@@ -312,15 +309,7 @@ TEST(Reachability, ActionWritingAnUndeclaredTableRaises) {
   EXPECT_THROW(ReachabilityGraph{net}, expr::EvalError);
 }
 
-// --- ReachKernel: the untimed successor rule, pinned at threads 1 and 4 ---
-
-constexpr unsigned kKernelThreads[] = {1, 4};
-
-ReachOptions kernel_options(unsigned threads) {
-  ReachOptions options;
-  options.threads = threads;
-  return options;
-}
+// --- ReachKernel: the untimed successor rule's edge cases ---
 
 /// Per state, the x value of each out-edge target in edge order.
 std::vector<std::vector<std::int64_t>> x_rows(const ReachabilityGraph& graph) {
@@ -340,16 +329,14 @@ TEST(ReachKernel, InitialMarkingOverBoundOffTheFiringIsUnboundedAtStateZero) {
   // build there, before any edge.
   Net net = ring_net();
   net.add_place("A", 5);
-  for (const unsigned threads : kKernelThreads) {
-    ReachOptions options = kernel_options(threads);
-    options.place_bound = 3;
-    const ReachabilityGraph graph(net, options);
-    EXPECT_EQ(graph.status(), ReachStatus::kUnbounded) << threads;
-    EXPECT_EQ(graph.num_states(), 1u) << threads;
-    EXPECT_EQ(graph.num_edges(), 0u) << threads;
-    EXPECT_EQ(graph.num_expanded(), 0u) << threads;
-    EXPECT_TRUE(graph.deadlock_states().empty()) << threads;
-  }
+  ReachOptions options;
+  options.place_bound = 3;
+  const ReachabilityGraph graph(net, options);
+  EXPECT_EQ(graph.status(), ReachStatus::kUnbounded);
+  EXPECT_EQ(graph.num_states(), 1u);
+  EXPECT_EQ(graph.num_edges(), 0u);
+  EXPECT_EQ(graph.num_expanded(), 0u);
+  EXPECT_TRUE(graph.deadlock_states().empty());
 }
 
 TEST(ReachKernel, InitialStateOverBoundWithNothingEnabledIsComplete) {
@@ -360,15 +347,13 @@ TEST(ReachKernel, InitialStateOverBoundWithNothingEnabledIsComplete) {
   const PlaceId b = net.add_place("B");
   const TransitionId t = net.add_transition("t");
   net.add_input(t, b);
-  for (const unsigned threads : kKernelThreads) {
-    ReachOptions options = kernel_options(threads);
-    options.place_bound = 3;
-    const ReachabilityGraph graph(net, options);
-    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
-    EXPECT_EQ(graph.num_states(), 1u) << threads;
-    EXPECT_EQ(graph.num_edges(), 0u) << threads;
-    EXPECT_EQ(graph.deadlock_states(), std::vector<std::size_t>{0}) << threads;
-  }
+  ReachOptions options;
+  options.place_bound = 3;
+  const ReachabilityGraph graph(net, options);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  EXPECT_EQ(graph.num_states(), 1u);
+  EXPECT_EQ(graph.num_edges(), 0u);
+  EXPECT_EQ(graph.deadlock_states(), std::vector<std::size_t>{0});
 }
 
 Net irand_collision_net() {
@@ -386,28 +371,24 @@ TEST(ReachKernel, IrandCollisionsKeepFirstOccurrencesInOrder) {
   // 64 samples over two values collide constantly; the distinct outcomes
   // become successors in order of first occurrence.
   const Net net = irand_collision_net();
-  for (const unsigned threads : kKernelThreads) {
-    const ReachabilityGraph graph(net, kernel_options(threads));
-    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
-    ASSERT_EQ(graph.num_states(), 3u) << threads;
-    EXPECT_EQ(graph.variable(1, "x"), 1) << threads;
-    EXPECT_EQ(graph.variable(2, "x"), 2) << threads;
-    const std::vector<std::vector<std::int64_t>> expected = {{1, 2}, {1, 2}, {2, 1}};
-    EXPECT_EQ(x_rows(graph), expected) << threads;
-  }
+  const ReachabilityGraph graph(net);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  ASSERT_EQ(graph.num_states(), 3u);
+  EXPECT_EQ(graph.variable(1, "x"), 1);
+  EXPECT_EQ(graph.variable(2, "x"), 2);
+  const std::vector<std::vector<std::int64_t>> expected = {{1, 2}, {1, 2}, {2, 1}};
+  EXPECT_EQ(x_rows(graph), expected);
 }
 
 TEST(ReachKernel, IrandFanoutLimitOneKeepsTheFirstSample) {
   const Net net = irand_collision_net();
-  for (const unsigned threads : kKernelThreads) {
-    ReachOptions options = kernel_options(threads);
-    options.irand_fanout_limit = 1;
-    const ReachabilityGraph graph(net, options);
-    EXPECT_EQ(graph.status(), ReachStatus::kComplete) << threads;
-    EXPECT_EQ(graph.num_states(), 2u) << threads;
-    const std::vector<std::vector<std::int64_t>> expected = {{1}, {1}};
-    EXPECT_EQ(x_rows(graph), expected) << threads;
-  }
+  ReachOptions options;
+  options.irand_fanout_limit = 1;
+  const ReachabilityGraph graph(net, options);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  EXPECT_EQ(graph.num_states(), 2u);
+  const std::vector<std::vector<std::int64_t>> expected = {{1}, {1}};
+  EXPECT_EQ(x_rows(graph), expected);
 }
 
 /// P0 -> P1 -> P2 chain; `bad` loops on P2 behind a predicate that always
@@ -440,21 +421,19 @@ TEST(ReachKernel, ThrowingPredicateRaisesAtItsFirstEnabledTest) {
   // token-enabled (state 2 for `bad`, never for `never`), and its error
   // surfaces there with the evaluator's text.
   const Net net = throwing_predicate_net();
-  for (const unsigned threads : kKernelThreads) {
-    try {
-      const ReachabilityGraph graph(net, kernel_options(threads));
-      ADD_FAILURE() << "expected the predicate's EvalError at threads " << threads;
-    } catch (const expr::EvalError& e) {
-      EXPECT_STREQ(e.what(), "division by zero") << threads;
-    }
-    // Truncated before state 2 is expanded: the predicate never runs.
-    ReachOptions options = kernel_options(threads);
-    options.max_states = 2;
-    const ReachabilityGraph prefix(net, options);
-    EXPECT_EQ(prefix.status(), ReachStatus::kTruncated) << threads;
-    EXPECT_EQ(prefix.num_states(), 3u) << threads;
-    EXPECT_EQ(prefix.num_expanded(), 1u) << threads;
+  try {
+    const ReachabilityGraph graph(net);
+    ADD_FAILURE() << "expected the predicate's EvalError";
+  } catch (const expr::EvalError& e) {
+    EXPECT_STREQ(e.what(), "division by zero");
   }
+  // Truncated before state 2 is expanded: the predicate never runs.
+  ReachOptions options;
+  options.max_states = 2;
+  const ReachabilityGraph prefix(net, options);
+  EXPECT_EQ(prefix.status(), ReachStatus::kTruncated);
+  EXPECT_EQ(prefix.num_states(), 3u);
+  EXPECT_EQ(prefix.num_expanded(), 1u);
 }
 
 TEST(Reachability, InvalidNetRejected) {

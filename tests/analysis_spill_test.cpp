@@ -1,10 +1,10 @@
 // Differential harness for out-of-core exploration (analysis/spill.h).
 //
 // The spill contract is not "a similar graph under memory pressure" but
-// *the same graph*: for any thread count, a build whose sealed levels and
-// edge rows spill to mmap'd segment files must be byte-identical to the
-// all-in-RAM build — state ids, full arena words, edge lists (order
-// included), deadlock sets, place bounds, statuses and truncated prefixes.
+// *the same graph*: a build whose sealed states and edge rows spill to
+// mmap'd segment files must be byte-identical to the all-in-RAM build —
+// state ids, full arena words, edge lists (order included), deadlock sets,
+// place bounds, statuses and truncated prefixes.
 // This file pins that on the paper's golden models, on rings with real
 // multi-level frontiers, on limit-hitting explorations and on randomized
 // nets (plain + interpreted + timed integer skeletons), with
@@ -27,8 +27,6 @@
 
 namespace pnut::analysis {
 namespace {
-
-constexpr unsigned kThreadCounts[] = {1, 4};
 
 /// A residency window small enough that every model in this file spills:
 /// a few KB of arena + edges against graphs tens of KB and up.
@@ -80,15 +78,10 @@ void expect_identical(const ReachabilityGraph& ram, const ReachabilityGraph& spi
 
 void expect_spill_matches(const Net& net, const std::string& label,
                           ReachOptions options = {}) {
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    options.spill = SpillOptions{};
-    const ReachabilityGraph ram(net, options);
-    options.spill = tiny_spill();
-    const ReachabilityGraph spilled(net, options);
-    expect_identical(ram, spilled, net,
-                     label + " @" + std::to_string(threads) + " threads");
-  }
+  const ReachabilityGraph ram(net, options);
+  options.spill = tiny_spill();
+  const ReachabilityGraph spilled(net, options);
+  expect_identical(ram, spilled, net, label);
 }
 
 // --- golden models -----------------------------------------------------------
@@ -111,16 +104,13 @@ TEST(SpillEquivalence, GoldenCountsWhileSpilled) {
   ReachOptions options;
   options.max_states = 1'000'000;
   options.spill = tiny_spill();
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    const ReachabilityGraph graph(pipeline::build_full_model(), options);
-    EXPECT_EQ(graph.status(), ReachStatus::kComplete);
-    EXPECT_EQ(graph.num_states(), reach_models::kFullModel.states);
-    EXPECT_EQ(graph.num_edges(), reach_models::kFullModel.edges);
-    EXPECT_EQ(graph.deadlock_states().size(), reach_models::kFullModel.deadlocks);
-    EXPECT_TRUE(graph.spill_engaged()) << threads << " threads";
-    EXPECT_GT(graph.spilled_bytes(), 0u) << threads << " threads";
-  }
+  const ReachabilityGraph graph(pipeline::build_full_model(), options);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  EXPECT_EQ(graph.num_states(), reach_models::kFullModel.states);
+  EXPECT_EQ(graph.num_edges(), reach_models::kFullModel.edges);
+  EXPECT_EQ(graph.deadlock_states().size(), reach_models::kFullModel.deadlocks);
+  EXPECT_TRUE(graph.spill_engaged());
+  EXPECT_GT(graph.spilled_bytes(), 0u);
 }
 
 // --- multi-level frontiers ---------------------------------------------------
@@ -197,24 +187,21 @@ TEST(SpillEquivalence, FuzzedTruncatedNets) {
 TEST(SpillEquivalence, ActionCreatingAVariableSpills) {
   // An action that creates a variable at runtime: the schema holds its
   // slot from the start, so the encoded width never changes mid-build and
-  // spilling works at every thread count.
+  // the graph spills like any other.
   Net net("creates_x");
   const PlaceId p = net.add_place("p", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
   net.set_action(t, expr::compile_action("x = 1"));
-  for (const unsigned threads : kThreadCounts) {
-    ReachOptions options;
-    options.threads = threads;
-    const ReachabilityGraph flat(net, options);
-    options.spill = tiny_spill();
-    const ReachabilityGraph spilled(net, options);
-    ASSERT_EQ(spilled.num_states(), flat.num_states()) << threads << " threads";
-    EXPECT_EQ(spilled.num_states(), 2u);
-    for (std::size_t s = 0; s < flat.num_states(); ++s) {
-      EXPECT_EQ(spilled.variable(s, "x"), flat.variable(s, "x")) << threads << " threads";
-    }
+  ReachOptions options;
+  const ReachabilityGraph flat(net, options);
+  options.spill = tiny_spill();
+  const ReachabilityGraph spilled(net, options);
+  ASSERT_EQ(spilled.num_states(), flat.num_states());
+  EXPECT_EQ(spilled.num_states(), 2u);
+  for (std::size_t s = 0; s < flat.num_states(); ++s) {
+    EXPECT_EQ(spilled.variable(s, "x"), flat.variable(s, "x"));
   }
 }
 

@@ -5,8 +5,7 @@
 // per-state variables, transition activity, edge pool, deadlocks, status
 // and expanded prefix (tests/support/golden_hash.h) — on the paper's
 // interpreted models and on randomized expression-backed nets, including
-// truncated prefixes, and stay identical across every --threads value (the
-// parallel engine seals through a different code path).
+// truncated prefixes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,23 +25,18 @@ using test_support::fuzz_net;
 using test_support::FuzzOptions;
 using test_support::hash_graph;
 
-ReachabilityGraph build(const Net& net, unsigned threads,
-                        std::size_t max_states = 1'000'000) {
+ReachabilityGraph build(const Net& net, std::size_t max_states = 1'000'000) {
   ReachOptions options;
   options.max_states = max_states;
-  options.threads = threads;
   return ReachabilityGraph(net, options);
 }
 
-/// The frozen fingerprint, checked at one thread and at each of `threads`.
+/// The graph matches its frozen fingerprint.
 void expect_golden(const Net& net, std::uint64_t golden,
                    const std::vector<std::string>& scalars, const std::string& label,
-                   std::vector<unsigned> threads, std::size_t max_states = 1'000'000) {
-  threads.insert(threads.begin(), 1u);
-  for (const unsigned n : threads) {
-    EXPECT_EQ(hash_graph(build(net, n, max_states), scalars, net.num_transitions()), golden)
-        << label << " threads=" << n;
-  }
+                   std::size_t max_states = 1'000'000) {
+  EXPECT_EQ(hash_graph(build(net, max_states), scalars, net.num_transitions()), golden)
+      << label;
 }
 
 const std::vector<std::string> kPipelineScalars = {
@@ -51,18 +45,17 @@ const std::vector<std::string> kPipelineScalars = {
 
 TEST(VmGraphGolden, InterpretedModels) {
   expect_golden(pipeline::build_interpreted_operand_fetch(), 0x725f66f0013338beULL,
-                kPipelineScalars, "operand_fetch", {});
+                kPipelineScalars, "operand_fetch");
   expect_golden(pipeline::build_interpreted_pipeline(), 0x29a6f12272533ac7ULL,
-                kPipelineScalars, "pipeline", {2u, 4u, 8u});
-  EXPECT_EQ(build(pipeline::build_interpreted_pipeline(), 1).status(),
-            ReachStatus::kComplete);
+                kPipelineScalars, "pipeline");
+  EXPECT_EQ(build(pipeline::build_interpreted_pipeline()).status(), ReachStatus::kComplete);
 }
 
 TEST(VmGraphGolden, TruncatedPrefixes) {
   const Net net = pipeline::build_interpreted_pipeline();
-  EXPECT_EQ(build(net, 1, 100).status(), ReachStatus::kTruncated);
-  expect_golden(net, 0xe9864ccaa267030eULL, kPipelineScalars, "truncated@100", {2u, 4u}, 100);
-  expect_golden(net, 0xb4c1d9952ddd1a91ULL, kPipelineScalars, "truncated@1000", {2u, 4u}, 1000);
+  EXPECT_EQ(build(net, 100).status(), ReachStatus::kTruncated);
+  expect_golden(net, 0xe9864ccaa267030eULL, kPipelineScalars, "truncated@100", 100);
+  expect_golden(net, 0xb4c1d9952ddd1a91ULL, kPipelineScalars, "truncated@1000", 1000);
 }
 
 // A .pn-sourced model exercising the scripting layer end to end inside the
@@ -87,10 +80,10 @@ trans reset in idle out idle when "total >= 6"
 
 TEST(VmGraphGolden, ScriptedPnModel) {
   const Net net = textio::parse_net(kScriptedModel).net;
-  const ReachabilityGraph graph = build(net, 1);
+  const ReachabilityGraph graph = build(net);
   EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_GE(graph.num_states(), 10u);
-  expect_golden(net, 0x212cc0b20bbc94ebULL, {"total", "step"}, "scripted-pn", {2u, 4u});
+  expect_golden(net, 0x212cc0b20bbc94ebULL, {"total", "step"}, "scripted-pn");
 }
 
 // One fingerprint per fuzz seed, 1..45 (complete graphs).
@@ -117,7 +110,7 @@ TEST(VmGraphGolden, FuzzedExpressionNets) {
   options.interpreted = true;
   for (std::uint64_t seed = 1; seed <= 45; ++seed) {
     expect_golden(fuzz_net(seed, options), kFuzzedGolden[seed - 1], {"x", "late"},
-                  "seed " + std::to_string(seed), {2u, 4u, 8u});
+                  "seed " + std::to_string(seed));
   }
 }
 
@@ -136,7 +129,7 @@ TEST(VmGraphGolden, FuzzedTruncations) {
   options.interpreted = true;
   for (std::uint64_t seed = 50; seed <= 65; ++seed) {
     expect_golden(fuzz_net(seed, options), kFuzzedTruncatedGolden[seed - 50],
-                  {"x", "late"}, "seed " + std::to_string(seed), {2u, 4u}, 40);
+                  {"x", "late"}, "seed " + std::to_string(seed), 40);
   }
 }
 
@@ -144,7 +137,7 @@ TEST(VmGraphGolden, MemoryFootprintHasNoPerStateSnapshots) {
   // Per-state data is arena words, not a DataContext snapshot: the graph
   // stays >= 3x below the 8657607 bytes the AST path's per-state snapshots
   // took on the paper's flagship interpreted model.
-  const ReachabilityGraph graph = build(pipeline::build_interpreted_pipeline(), 1);
+  const ReachabilityGraph graph = build(pipeline::build_interpreted_pipeline());
   EXPECT_LT(graph.memory_bytes() * 3, 8657607u);
 }
 

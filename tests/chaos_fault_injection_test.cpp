@@ -138,12 +138,10 @@ TEST_F(ChaosTest, BadAllocAtArenaGrowthFailsCleanly) {
   EXPECT_EQ(retry.status(), analysis::ReachStatus::kComplete);
 }
 
-// --- graph builds: the threaded untimed engine and the timed graph ---
+// --- graph builds: a fault midway through the timed build ---
 //
-// A fault raised on a worker parks on its batch and surfaces at the seal;
-// one raised while sealing, or anywhere in the one-thread timed builder,
-// unwinds the build. Either way the build fails with the injected
-// exception, the spill directory goes with it, and a retry is
+// A fault anywhere in the builder unwinds the build: it fails with the
+// injected exception, the spill directory goes with it, and a retry is
 // byte-identical to a never-faulted build.
 
 /// How often a clean build checks `site`: the countdown that lands an
@@ -157,7 +155,7 @@ std::uint64_t clean_checks(Site site, const Build& build) {
   return checks;
 }
 
-class ChaosLevelEngineTest : public ChaosTest {
+class ChaosMidBuildTest : public ChaosTest {
  protected:
   /// Fault `site` halfway through `build` (which returns a fingerprint of
   /// the graph it built), expect `Error`, then a clean retry equal to
@@ -177,12 +175,11 @@ class ChaosLevelEngineTest : public ChaosTest {
   }
 };
 
-TEST_F(ChaosLevelEngineTest, ThreadedUntimedBuildFailsCleanlyAndRetriesIdentically) {
+TEST_F(ChaosMidBuildTest, UntimedBuildFailsCleanlyAndRetriesIdentically) {
   const Net net = reach_models::stress_ring(20, 4);
   const std::uint64_t reference =
       test_support::hash_graph(analysis::ReachabilityGraph(net, {}), {}, 0);
   analysis::ReachOptions options;
-  options.threads = 4;
   options.spill = tiny_spill(dir_.string());
   const auto build = [&] {
     const analysis::ReachabilityGraph graph(net, options);
@@ -190,12 +187,12 @@ TEST_F(ChaosLevelEngineTest, ThreadedUntimedBuildFailsCleanlyAndRetriesIdentical
     return test_support::hash_graph(graph, {}, 0);
   };
   expect_clean_failure<std::bad_alloc>(Site::kArenaGrow, Failure::kBadAlloc, build,
-                                       reference, "arena growth, 4 threads");
+                                       reference, "arena growth");
   expect_clean_failure<std::system_error>(Site::kSpillWrite, Failure::kDiskFull, build,
-                                          reference, "spill write, 4 threads");
+                                          reference, "spill write");
 }
 
-TEST_F(ChaosLevelEngineTest, TimedBuildFailsCleanlyAndRetriesIdentically) {
+TEST_F(ChaosMidBuildTest, TimedBuildFailsCleanlyAndRetriesIdentically) {
   const Net net = reach_models::timed_race_ring(9, 3);
   const std::uint64_t reference =
       test_support::hash_timed_graph(analysis::TimedReachabilityGraph(net, {}));

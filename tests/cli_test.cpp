@@ -1,6 +1,7 @@
 // Tests for the pnut command-line utility tools (src/cli).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -378,9 +379,8 @@ TEST_F(CliTest, QueryOnReachabilityGraph) {
 }
 
 TEST_F(CliTest, QueryReachTakesThreads) {
-  // The reachability graph behind --reach is byte-identical for every
-  // --threads value, so the query answer (and the whole report line) is
-  // too. 0 means "all hardware threads".
+  // --threads is accepted and validated, and the graph behind --reach has
+  // one builder, so the answer is byte-identical for every value.
   const Result sequential = run_cli({"query", "--reach", model_path_,
                                      "forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]"});
   ASSERT_EQ(sequential.code, 0) << sequential.err;
@@ -394,7 +394,7 @@ TEST_F(CliTest, QueryReachTakesThreads) {
 }
 
 TEST_F(CliTest, ThreadsFlagRejectsNegativeAndFractional) {
-  // One rule across every command that explores: integers in [0, 4096]
+  // One rule across every command that takes the flag: integers in [0, 4096]
   // only, rejected up front with a usage error (a four-billion-thread
   // request must not reach std::thread).
   for (const char* bad : {"-1", "-3", "1.5", "nope", "999999999", "4294967296"}) {
@@ -460,31 +460,15 @@ TEST_F(CliTest, AnalyzeReportsInvariantsAndReachability) {
 }
 
 TEST_F(CliTest, AnalyzeThreadsFlagIsOutputInvariant) {
-  // Parallel exploration is canonically renumbered, so the whole analyze
-  // report — state ids, deadlock counts, place bounds, reversibility —
-  // must be character-identical for any --threads value. The one line
-  // exempted is the "state storage:" memory estimate: memory_bytes() is a
-  // capacity-based footprint, and the parallel builder's canonical store
-  // genuinely retains less (its intern table never grows past bootstrap).
-  const auto strip_storage_line = [](const std::string& report) {
-    std::string out;
-    std::size_t pos = 0;
-    while (pos < report.size()) {
-      const std::size_t eol = report.find('\n', pos);
-      const std::string line = report.substr(pos, eol - pos);
-      if (line.find("state storage:") == std::string::npos) out += line + '\n';
-      if (eol == std::string::npos) break;
-      pos = eol + 1;
-    }
-    return out;
-  };
+  // The untimed graph has one builder, so the whole analyze report — the
+  // "state storage:" line included — is character-identical for any
+  // --threads value.
   const Result sequential = run_cli({"analyze", model_path_});
   ASSERT_EQ(sequential.code, 0) << sequential.err;
   for (const char* threads : {"2", "4", "8"}) {
     const Result parallel = run_cli({"analyze", model_path_, "--threads", threads});
     ASSERT_EQ(parallel.code, 0) << parallel.err;
-    EXPECT_EQ(strip_storage_line(parallel.out), strip_storage_line(sequential.out))
-        << "--threads " << threads;
+    EXPECT_EQ(parallel.out, sequential.out) << "--threads " << threads;
   }
   EXPECT_EQ(run_cli({"analyze", model_path_, "--threads", "-1"}).code, 2);
 }
@@ -1138,6 +1122,55 @@ TEST_F(CliTest, PnNumbersAtTheTokenCountEdgeAreAccepted) {
   EXPECT_NE(printed.out.find("out b*4294967295"), std::string::npos) << printed.out;
 }
 
+TEST_F(CliTest, PnDelaysAreReadStrictly) {
+  // A constant delay and both halves of a discrete value:weight are read
+  // whole as finite non-negative numbers, and uniform bounds are checked
+  // where they are written: each bad one is a line diagnostic, exit code 2.
+  struct Case {
+    const char* delay;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"firing nan", "pnut validate: .pn format, line 3: bad delay 'nan'\n"},
+      {"firing inf", "pnut validate: .pn format, line 3: bad delay 'inf'\n"},
+      {"firing +5", "pnut validate: .pn format, line 3: bad delay '+5'\n"},
+      {"firing discrete 1x:2 3:1",
+       "pnut validate: .pn format, line 3: bad discrete delay entry '1x:2' (expected "
+       "value:weight, both finite and non-negative)\n"},
+      {"firing discrete 1:nan 3:1",
+       "pnut validate: .pn format, line 3: bad discrete delay entry '1:nan' (expected "
+       "value:weight, both finite and non-negative)\n"},
+      {"firing discrete 1:-1 3:1",
+       "pnut validate: .pn format, line 3: bad discrete delay entry '1:-1' (expected "
+       "value:weight, both finite and non-negative)\n"},
+      {"firing discrete 1:0 3:0",
+       "pnut validate: .pn format, line 3: discrete delay weights sum to zero\n"},
+      {"enabling uniform 5 2",
+       "pnut validate: .pn format, line 3: uniform delay bounds must satisfy 0 <= lo <= hi, "
+       "got 5 2\n"},
+      {"enabling uniform -1 2",
+       "pnut validate: .pn format, line 3: uniform delay bounds must satisfy 0 <= lo <= hi, "
+       "got -1 2\n"},
+  };
+  const std::string path = (dir_ / "delays.pn").string();
+  for (const Case& c : kCases) {
+    std::ofstream(path) << "net delays\nplace a init 1\ntrans t in a out a " << c.delay
+                        << '\n';
+    const Result r = run_cli({"validate", path});
+    EXPECT_EQ(r.code, 2) << c.delay;
+    EXPECT_EQ(r.out, "") << c.delay;
+    EXPECT_EQ(r.err, c.err) << c.delay;
+  }
+  // Well-formed delays in every spelling still load and print back.
+  std::ofstream(path) << "net delays\nplace a init 1\n"
+                         "trans t in a out a firing discrete 1.5:2 3e0:1 enabling uniform 2 2\n"
+                         "trans u in a out a firing 2.5e1\n";
+  const Result valid = run_cli({"print", path});
+  EXPECT_EQ(valid.code, 0) << valid.err;
+  EXPECT_NE(valid.out.find("discrete 1.5:2 3:1"), std::string::npos) << valid.out;
+  EXPECT_NE(valid.out.find("firing 25"), std::string::npos) << valid.out;
+}
+
 TEST_F(CliTest, TraceNumbersOutOfRangeAreLineDiagnostics) {
   const std::string trace_path = make_trace_file();
   std::string text;
@@ -1179,6 +1212,63 @@ TEST_F(CliTest, TraceNumbersOutOfRangeAreLineDiagnostics) {
     EXPECT_EQ(r.out, "") << c.field;
     EXPECT_EQ(r.err, c.err) << c.field;
   }
+}
+
+TEST_F(CliTest, TraceHeaderAndEventNumbersAreReadStrictly) {
+  // Indices, times, ids, var and table values are read whole and
+  // range-checked: a negative index is no longer wrapped to a huge one.
+  const std::string trace_path = make_trace_file();
+  std::string text;
+  {
+    std::ifstream in(trace_path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"A 0 0 0 p0:1", "A 0 -1 0 p0:1",
+       "pnut stat: trace text, line 11: bad transition index '-1'\n"},
+      {"A 0 0 0 p0:1", "A 0 4294967296 0 p0:1",
+       "pnut stat: trace text, line 11: bad transition index '4294967296'\n"},
+      {"A 0 0 0 p0:1", "A nan 0 0 p0:1", "pnut stat: trace text, line 11: bad event time 'nan'\n"},
+      {"A 0 0 0 p0:1", "A 0 0 -1 p0:1", "pnut stat: trace text, line 11: bad firing id '-1'\n"},
+      {"place 0 Bus_free 1\n", "place -1 Bus_free 1\n",
+       "pnut stat: trace text, line 3: bad place index '-1'\n"},
+      {"transition 0 start\n", "transition -1 start\n",
+       "pnut stat: trace text, line 7: bad transition index '-1'\n"},
+      {"start 0\n", "var x 9223372036854775808\nstart 0\n",
+       "pnut stat: trace text, line 10: bad var value '9223372036854775808'\n"},
+      {"start 0\n", "table T 99999999999999999999 1\nstart 0\n",
+       "pnut stat: trace text, line 10: bad table size '99999999999999999999'\n"},
+      {"start 0\n", "table T 2 1 -9223372036854775809\nstart 0\n",
+       "pnut stat: trace text, line 10: bad table value '-9223372036854775809'\n"},
+      {"start 0\n", "start nan\n", "pnut stat: trace text, line 10: bad start time 'nan'\n"},
+  };
+  const std::string bad_path = (dir_ / "bad.trace").string();
+  for (const Case& c : kCases) {
+    std::string broken = text;
+    const auto at = broken.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    broken.replace(at, std::string(c.from).size(), c.to);
+    std::ofstream(bad_path) << broken;
+    const Result r = run_cli({"stat", bad_path});
+    EXPECT_EQ(r.code, 2) << c.to;
+    EXPECT_EQ(r.out, "") << c.to;
+    EXPECT_EQ(r.err, c.err) << c.to;
+  }
+  // The end line is the file's last.
+  const auto end_at = text.rfind("\nend ") + 1;
+  const auto end_line = std::count(text.begin(), text.begin() + end_at, '\n') + 1;
+  std::ofstream(bad_path) << text.substr(0, end_at) << "end -inf\n";
+  const Result r = run_cli({"stat", bad_path});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.err, "pnut stat: trace text, line " + std::to_string(end_line) +
+                       ": bad end time '-inf'\n");
 }
 
 TEST_F(CliTest, RenderSignalsSplitOnlyAtTopLevelCommas) {

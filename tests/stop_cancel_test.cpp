@@ -1,19 +1,19 @@
 // Cooperative cancellation and deadlines (util/stop.h) across the stack.
 //
 // The contract under test is *deterministic truncation*: a build stopped by
-// its StopToken terminates at a canonical event position, so the truncated
-// prefix is byte-identical across thread counts and engines — exactly like
+// its StopToken terminates at a fixed event position, so the truncated
+// prefix is a pure function of where the stop fired — exactly like
 // max_states truncation, but driven by wall-clock or an explicit cancel.
 // Two deterministic stop shapes pin this exactly:
-//   * a pre-expired deadline (timeout 0) stops every engine at its first
-//     poll — the same position for every thread count;
-//   * cancel_after_polls(n) trips on the n-th poll, and because engines
-//     poll at canonical positions, the n-th poll is the same expansion
-//     point sequentially and in every parallel seal.
-// Real (nonzero) deadlines cannot pin an exact stop position, so for those
-// the test asserts the prefix property against the full graph instead.
-// Engines with no truncation-honest result (simulation lanes, replication,
-// sweeps, query fixpoints) must instead fail atomically with StopError.
+//   * a pre-expired deadline (timeout 0) stops a build at its first poll;
+//   * cancel_after_polls(n) trips on the n-th poll, and because the
+//     builders poll at fixed positions, the n-th poll is always the same
+//     expansion point.
+// Each such prefix is pinned by fingerprint. Real (nonzero) deadlines
+// cannot pin an exact stop position, so for those the test asserts the
+// prefix property against the full graph instead. Engines with no
+// truncation-honest result (simulation lanes, replication, sweeps, query
+// fixpoints) must instead fail atomically with StopError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,37 +127,22 @@ TEST(StopToken, CancelAfterPollsTripsExactlyAndStays) {
 }
 
 // --- untimed exploration: deterministic stop positions ----------------------------
+//
+// The untimed builder polls before expanding every kStopCheckStride-th
+// state, so a stopped graph is a pure function of where the stop fired.
+// Each stopped prefix is checked against the build it interrupted and
+// pinned by a fingerprint recorded when a level-parallel builder still ran
+// beside the sequential one and stopped at the same positions.
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-
-analysis::ReachOptions reach_options(unsigned threads, StopToken stop = {}) {
+analysis::ReachOptions reach_options(StopToken stop = {}) {
   analysis::ReachOptions o;
-  o.threads = threads;
   o.stop = stop;
   return o;
 }
 
-/// Byte-level equality of two (possibly truncated) untimed graphs.
-void expect_same_graph(const analysis::ReachabilityGraph& a,
-                       const analysis::ReachabilityGraph& b, const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(b.status(), a.status());
-  ASSERT_EQ(b.num_states(), a.num_states());
-  ASSERT_EQ(b.num_expanded(), a.num_expanded());
-  ASSERT_EQ(b.num_edges(), a.num_edges());
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    const auto at = a.tokens(s);
-    const auto bt = b.tokens(s);
-    ASSERT_TRUE(std::equal(at.begin(), at.end(), bt.begin(), bt.end()))
-        << "state " << s << " tokens differ";
-    const auto ae = a.edges(s);
-    const auto be = b.edges(s);
-    ASSERT_EQ(be.size(), ae.size()) << "state " << s;
-    for (std::size_t e = 0; e < ae.size(); ++e) {
-      ASSERT_EQ(be[e].transition, ae[e].transition) << "state " << s << " edge " << e;
-      ASSERT_EQ(be[e].target, ae[e].target) << "state " << s << " edge " << e;
-    }
-  }
+std::string graph_fingerprint(const analysis::ReachabilityGraph& graph, const Net& net) {
+  return test_support::hex_literal(
+      test_support::hash_graph(graph, {}, net.num_transitions()));
 }
 
 /// `stopped` must be an exact prefix of `full`: same state ids, same edge
@@ -190,82 +175,59 @@ void expect_prefix_of(const analysis::ReachabilityGraph& full,
   }
 }
 
-TEST(StopReach, PreExpiredDeadlineStopsAtFirstPollEveryThreadCount) {
+TEST(StopReach, PreExpiredDeadlineStopsAtFirstPoll) {
   const Net net = reach_models::stress_ring(10, 4);  // C(13,4) = 715 states
-  const analysis::ReachabilityGraph full(net, reach_options(1));
+  const analysis::ReachabilityGraph full(net, reach_options());
   ASSERT_EQ(full.status(), analysis::ReachStatus::kComplete);
 
-  std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-  for (const unsigned threads : kThreadCounts) {
-    StopSource source;
-    source.set_timeout_seconds(0);
-    stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(
-        net, reach_options(threads, source.token())));
-    EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kTimeout);
-    EXPECT_EQ(stopped.back()->num_expanded(), 0u);  // first poll is parent 0
-    expect_prefix_of(full, *stopped.back(),
-                     "timeout0 threads=" + std::to_string(threads));
-  }
-  for (std::size_t i = 1; i < stopped.size(); ++i) {
-    expect_same_graph(*stopped[0], *stopped[i],
-                      "timeout0 threads=" + std::to_string(kThreadCounts[i]));
-  }
+  StopSource source;
+  source.set_timeout_seconds(0);
+  const analysis::ReachabilityGraph stopped(net, reach_options(source.token()));
+  EXPECT_EQ(stopped.status(), analysis::ReachStatus::kTimeout);
+  EXPECT_EQ(stopped.num_expanded(), 0u);  // first poll is parent 0
+  expect_prefix_of(full, stopped, "timeout0");
+  EXPECT_EQ(graph_fingerprint(stopped, net), "0xea995c78025a6d22ULL");
 }
 
-TEST(StopReach, CancelAfterPollsIsByteIdenticalAcrossThreadCounts) {
-  // C(23,4) = 8855 states: enough expanded parents for several canonical
-  // poll positions (parents 0, 1024, 2048, ...).
+TEST(StopReach, CancelAfterPollsStopsAtAFixedPosition) {
+  // C(23,4) = 8855 states: enough expanded parents for several poll
+  // positions (parents 0, 1024, 2048, ...).
   const Net net = reach_models::stress_ring(20, 4);
-  analysis::ReachOptions full_options = reach_options(1);
+  analysis::ReachOptions full_options = reach_options();
   full_options.max_states = 20'000;
   const analysis::ReachabilityGraph full(net, full_options);
   ASSERT_EQ(full.status(), analysis::ReachStatus::kComplete);
 
-  for (const std::uint64_t polls : {std::uint64_t{2}, std::uint64_t{4}}) {
-    std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(polls);
-      analysis::ReachOptions o = reach_options(threads, source.token());
-      o.max_states = 20'000;
-      stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(net, o));
-      EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kCancelled);
-      // The n-th poll sits at canonical parent (n-1) * kStopCheckStride.
-      EXPECT_EQ(stopped.back()->num_expanded(), (polls - 1) * kStopCheckStride);
-      expect_prefix_of(full, *stopped.back(),
-                       "polls=" + std::to_string(polls) +
-                           " threads=" + std::to_string(threads));
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_graph(*stopped[0], *stopped[i],
-                        "polls=" + std::to_string(polls) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+  const std::pair<std::uint64_t, const char*> pins[] = {{2, "0x65ac69d71ec7523dULL"},
+                                                        {4, "0x96da44b7e1120d8bULL"}};
+  for (const auto& [polls, pinned] : pins) {
+    StopSource source;
+    source.cancel_after_polls(polls);
+    analysis::ReachOptions o = reach_options(source.token());
+    o.max_states = 20'000;
+    const analysis::ReachabilityGraph stopped(net, o);
+    EXPECT_EQ(stopped.status(), analysis::ReachStatus::kCancelled);
+    // The n-th poll sits at parent (n-1) * kStopCheckStride.
+    EXPECT_EQ(stopped.num_expanded(), (polls - 1) * kStopCheckStride);
+    expect_prefix_of(full, stopped, "polls=" + std::to_string(polls));
+    EXPECT_EQ(graph_fingerprint(stopped, net), pinned) << "polls=" << polls;
   }
 }
 
 TEST(StopReach, CancelAfterPollsOnFuzzedNets) {
-  for (const std::uint64_t seed : {11u, 23u, 57u}) {
+  const std::pair<std::uint64_t, const char*> pins[] = {
+      {11, "0x1542c828be178de6ULL"}, {23, "0x08c2d69d0c8b0086ULL"}, {57, "0x5e31dcce7f803da0ULL"}};
+  for (const auto& [seed, pinned] : pins) {
     const Net net = test_support::fuzz_net(seed);
-    const analysis::ReachabilityGraph full(net, reach_options(1));
+    const analysis::ReachabilityGraph full(net, reach_options());
     // Trip on the very first poll: fuzzed graphs are usually smaller than
     // one stride, so later polls may never happen.
-    std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(1);
-      stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(
-          net, reach_options(threads, source.token())));
-      EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kCancelled);
-      expect_prefix_of(full, *stopped.back(),
-                       "fuzz seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_graph(*stopped[0], *stopped[i],
-                        "fuzz seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    StopSource source;
+    source.cancel_after_polls(1);
+    const analysis::ReachabilityGraph stopped(net, reach_options(source.token()));
+    EXPECT_EQ(stopped.status(), analysis::ReachStatus::kCancelled);
+    expect_prefix_of(full, stopped, "fuzz seed=" + std::to_string(seed));
+    EXPECT_EQ(graph_fingerprint(stopped, net), pinned) << "fuzz seed=" << seed;
   }
 }
 
@@ -273,12 +235,12 @@ TEST(StopReach, RealDeadlinePrefixProperty) {
   // A wall-clock deadline cannot pin an exact stop position; it must still
   // produce a valid prefix (or complete if the build beat the clock).
   const Net net = reach_models::stress_ring(20, 4);
-  analysis::ReachOptions full_options = reach_options(1);
+  analysis::ReachOptions full_options = reach_options();
   full_options.max_states = 20'000;
   const analysis::ReachabilityGraph full(net, full_options);
   StopSource source;
   source.set_timeout_seconds(1e-4);
-  analysis::ReachOptions o = reach_options(1, source.token());
+  analysis::ReachOptions o = reach_options(source.token());
   o.max_states = 20'000;
   const analysis::ReachabilityGraph g(net, o);
   if (g.status() == analysis::ReachStatus::kTimeout) {
@@ -430,7 +392,7 @@ TEST(StopSim, SweepCancelThrowsStopError) {
 
 TEST(StopQuery, CancelledTokenThrowsStopError) {
   const Net net = reach_models::stress_ring(8, 3);
-  const analysis::ReachabilityGraph graph(net, reach_options(1));
+  const analysis::ReachabilityGraph graph(net, reach_options());
   ASSERT_EQ(graph.status(), analysis::ReachStatus::kComplete);
   StopSource source;
   source.request_cancel();
@@ -506,24 +468,18 @@ TEST_F(StopCliTest, AnalyzeTimeoutZeroReportsStoppedPrefix) {
   EXPECT_NE(r.out.find("STOPPED at deadline"), std::string::npos) << r.out;
 }
 
-TEST_F(StopCliTest, AnalyzeTimeoutZeroPrefixIdenticalAcrossThreadCounts) {
+TEST_F(StopCliTest, AnalyzeTimeoutZeroPrefixIsPinned) {
+  // The stopped prefix's reachability lines, recorded when --threads 1, 2,
+  // 4 and 8 still ran two builders and printed the same lines.
   cli::Session session;
-  std::string first;
-  for (const char* threads : {"1", "2", "4", "8"}) {
-    const cli::Result r = session.execute(
-        {"analyze", {model_path(), "--timeout", "0", "--threads", threads}});
-    EXPECT_EQ(r.code, 0) << r.err;
-    // The state/edge counts and status line of the stopped prefix must not
-    // depend on the thread count. (The storage report can differ by build
-    // path, so compare only through the reachability line.)
-    const auto cut = r.out.find("state storage");
-    const std::string head = cut == std::string::npos ? r.out : r.out.substr(0, cut);
-    if (first.empty()) {
-      first = head;
-    } else {
-      EXPECT_EQ(head, first) << "threads=" << threads;
-    }
-  }
+  const cli::Result r = session.execute({"analyze", {model_path(), "--timeout", "0"}});
+  EXPECT_EQ(r.code, 0) << r.err;
+  const auto begin = r.out.find("\nreachability:");
+  const auto end = r.out.find("state storage");
+  ASSERT_NE(begin, std::string::npos) << r.out;
+  ASSERT_NE(end, std::string::npos) << r.out;
+  EXPECT_EQ(r.out.substr(begin, end - begin),
+            "\nreachability: 1 states, 0 edges (STOPPED at deadline)\n  ");
 }
 
 TEST_F(StopCliTest, QueryTimeoutZeroFails) {
