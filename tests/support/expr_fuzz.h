@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -48,6 +49,13 @@ struct ExprFuzzOptions {
   /// Emit fn definitions, let bindings, local arrays and for loops in
   /// program().
   bool script_constructs = false;
+  /// Emit `tbl[...]` reads in expressions.
+  bool table_reads = true;
+  /// When set, every leaf comes from this callback instead of the data
+  /// environment's names and constants: another language (the query
+  /// language, tests/analysis_query_golden_test.cpp) reuses the operator
+  /// shapes over leaves of its own.
+  std::function<std::string()> leaf;
 };
 
 class ExprFuzzer {
@@ -215,7 +223,9 @@ class ExprFuzzer {
         const char* f = chance(50) ? "min" : "max";
         return std::string(f) + "[" + gen(depth - 1) + ", " + gen(depth - 1) + "]";
       }
-      case 3: return "tbl[" + gen(depth - 1) + "]";
+      case 3:
+        if (!options_.table_reads) return leaf();
+        return "tbl[" + gen(depth - 1) + "]";
       case 4: {
         if (options_.allow_irand && chance(50)) {
           // Mostly valid ranges; occasionally reversed (an error case).
@@ -253,6 +263,7 @@ class ExprFuzzer {
   }
 
   [[nodiscard]] std::string leaf() {
+    if (options_.leaf) return options_.leaf();
     if (!readable_.empty() && chance(30)) {
       return readable_[pick(0, readable_.size() - 1)];
     }
