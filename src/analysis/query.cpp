@@ -1,9 +1,12 @@
 #include "analysis/query.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,27 +28,112 @@ using expr::TokenKind;
 using expr::UnaryOp;
 
 // --- evaluation environment -----------------------------------------------------
+//
+// Formulas evaluate a block of lanes at a time. A loop (quantifier, set
+// builder, temporal cond/guard table) binds its variable to one state per
+// lane and runs its body once per block; each node then works through
+// tight per-lane loops. A lane that raises keeps its first error and is
+// dead for every node after; the loop rethrows it only when it reaches that
+// lane before a deciding one.
+
+/// Lanes per block. A loop's blocks start at width 1 and double up to this,
+/// so a query decided at its first state evaluates a few lanes.
+constexpr std::size_t kMaxLanes = 256;
+// Every block start k is 0, a power of two below kMaxLanes or a multiple of
+// it, so each stop-poll position (k % kStopCheckStride == 0) opens a block.
+static_assert(kStopCheckStride % kMaxLanes == 0);
+
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
 struct Env {
   const StateSpace* space = nullptr;
   std::size_t num_states = 0;  ///< space->num_states(), read once
   /// Bound state variables: one slot per binder, assigned by the parser.
   std::vector<std::int64_t> vars;
+  /// The innermost running loop's slot and its block's states, one per
+  /// lane. Every enclosing loop runs one lane at a time (a body holding a
+  /// loop does), so its variable is the single value in `vars`.
+  std::size_t lane_slot = kNoSlot;
+  const std::int64_t* lane_states = nullptr;
   /// Cooperative deadline/cancellation, polled in the quantifier and
   /// fixpoint loops; a trip throws StopError out of eval_query.
   StopToken stop;
 };
 
-[[noreturn]] void eval_fail(const std::string& message) {
-  throw std::runtime_error("query evaluation: " + message);
+[[nodiscard]] std::exception_ptr eval_error(const std::string& message) {
+  return std::make_exception_ptr(std::runtime_error("query evaluation: " + message));
 }
 
-std::size_t to_state(const Env& env, std::int64_t value, const std::string& where) {
-  if (value < 0 || static_cast<std::size_t>(value) >= env.num_states) {
-    eval_fail("state index " + std::to_string(value) + " out of range in " + where +
-              " (space has " + std::to_string(env.num_states) + " states)");
+[[nodiscard]] std::exception_ptr range_error(std::int64_t value, const std::string& where,
+                                             std::size_t num_states) {
+  return eval_error("state index " + std::to_string(value) + " out of range in " + where +
+                    " (space has " + std::to_string(num_states) + " states)");
+}
+
+[[nodiscard]] bool in_range(std::int64_t value, std::size_t num_states) {
+  return value >= 0 && static_cast<std::size_t>(value) < num_states;
+}
+
+/// One block's lanes: which are dead, and the error of the first dead lane
+/// (the only one its loop can reach: it rethrows there).
+struct Block {
+  std::size_t n = 0;
+  std::size_t first_dead = kMaxLanes;
+  std::exception_ptr first_error;
+  std::array<bool, kMaxLanes> dead{};
+
+  void reset(std::size_t lanes) {
+    if (first_dead != kMaxLanes) {
+      std::fill_n(dead.begin(), n, false);
+      first_dead = kMaxLanes;
+      first_error = nullptr;
+    }
+    n = lanes;
   }
-  return static_cast<std::size_t>(value);
+  [[nodiscard]] bool any_dead() const { return first_dead != kMaxLanes; }
+};
+
+/// The lanes a node evaluates: its block's lanes that are open (all, when
+/// `open` is null; else those the enclosing && or || left undecided) and
+/// not dead. A node writes out[l] for every lane of the block; the values
+/// mean something only on the lanes still live after it.
+struct Lanes {
+  Block* block;
+  const std::uint8_t* open = nullptr;
+
+  [[nodiscard]] std::size_t size() const { return block->n; }
+  [[nodiscard]] bool live(std::size_t l) const {
+    return !block->dead[l] && (open == nullptr || open[l] != 0);
+  }
+  [[nodiscard]] bool all_live() const { return open == nullptr && !block->any_dead(); }
+  /// Kills lane l; `make_error()` builds its error, and runs only when l is
+  /// the block's first dead lane so far.
+  template <typename MakeError>
+  void fail(std::size_t l, MakeError&& make_error) const {
+    block->dead[l] = true;
+    if (l < block->first_dead) {
+      block->first_dead = l;
+      block->first_error = make_error();
+    }
+  }
+  /// Calls fn(l) for each live lane, in lane order.
+  template <typename Fn>
+  void for_live(Fn&& fn) const {
+    if (all_live()) {
+      for (std::size_t l = 0; l < block->n; ++l) fn(l);
+      return;
+    }
+    for (std::size_t l = 0; l < block->n; ++l) {
+      if (live(l)) fn(l);
+    }
+  }
+};
+
+/// A node's scratch column of at least `n` lanes.
+template <typename T>
+T* lanes_of(std::vector<T>& column, std::size_t n) {
+  if (column.size() < n) column.resize(n);
+  return column.data();
 }
 
 // --- AST -------------------------------------------------------------------------
@@ -53,7 +141,19 @@ std::size_t to_state(const Env& env, std::int64_t value, const std::string& wher
 class QNode {
  public:
   virtual ~QNode() = default;
-  [[nodiscard]] virtual std::int64_t eval(Env& env) const = 0;
+  /// Evaluates the node on `lanes` (see Lanes). Raises nothing: an error
+  /// kills its lane instead.
+  virtual void eval(Env& env, const Lanes& lanes, std::int64_t* out) = 0;
+  /// True if the subtree holds a quantifier or temporal operator. A loop
+  /// whose body holds one runs one lane per block, so the inner loop's
+  /// polls and errors come in exactly the per-state order.
+  [[nodiscard]] bool has_loop() const { return has_loop_; }
+
+ protected:
+  explicit QNode(bool has_loop) : has_loop_(has_loop) {}
+
+ private:
+  bool has_loop_;
 };
 using QNodePtr = std::unique_ptr<QNode>;
 
@@ -71,14 +171,70 @@ struct StateSet {
 class SetNode {
  public:
   virtual ~SetNode() = default;
-  [[nodiscard]] virtual StateSet members(Env& env) const = 0;
+  [[nodiscard]] virtual StateSet members(Env& env) = 0;
 };
 using SetNodePtr = std::unique_ptr<SetNode>;
 
+/// The loop of a quantifier, set builder or temporal table: binds a slot
+/// to each member of a state set in order, a block of lanes at a time.
+class Loop {
+ public:
+  /// For each block: `eval(lanes)` evaluates the body, then `take(k, l)`
+  /// visits lane l (member k) in order until it returns true (a deciding
+  /// lane). A dead lane reached first is rethrown. With `poll`, the stop
+  /// token is polled before member k whenever k % kStopCheckStride == 0.
+  template <typename Eval, typename Take>
+  void run(Env& env, const StateSet& states, std::size_t slot, bool one_lane, bool poll,
+           Eval&& eval, Take&& take) {
+    const std::size_t outer_slot = env.lane_slot;
+    const std::int64_t* outer_states = env.lane_states;
+    struct Restore {
+      Env& env;
+      std::size_t slot;
+      const std::int64_t* states;
+      ~Restore() {
+        env.lane_slot = slot;
+        env.lane_states = states;
+      }
+    } restore{env, outer_slot, outer_states};
+
+    for (std::size_t k = 0; k < states.size();) {
+      if (poll && k % kStopCheckStride == 0) env.stop.throw_if_stopped();
+      const std::size_t width =
+          one_lane ? 1 : std::min({std::max<std::size_t>(k, 1), kMaxLanes, states.size() - k});
+      std::int64_t* column = lanes_of(column_, width);
+      if (states.all) {
+        for (std::size_t l = 0; l < width; ++l) column[l] = static_cast<std::int64_t>(k + l);
+      } else {
+        for (std::size_t l = 0; l < width; ++l) {
+          column[l] = static_cast<std::int64_t>(states.list[k + l]);
+        }
+      }
+      env.vars[slot] = column[0];
+      env.lane_slot = slot;
+      env.lane_states = column;
+      block_.reset(width);
+      eval(Lanes{&block_});
+      const std::size_t reached = std::min(width, block_.first_dead);
+      for (std::size_t l = 0; l < reached; ++l) {
+        if (take(k + l, l)) return;
+      }
+      if (reached < width) std::rethrow_exception(block_.first_error);
+      k += width;
+    }
+  }
+
+ private:
+  Block block_;
+  std::vector<std::int64_t> column_;
+};
+
 class NumNode final : public QNode {
  public:
-  explicit NumNode(std::int64_t v) : value_(v) {}
-  std::int64_t eval(Env&) const override { return value_; }
+  explicit NumNode(std::int64_t v) : QNode(false), value_(v) {}
+  void eval(Env&, const Lanes& lanes, std::int64_t* out) override {
+    std::fill_n(out, lanes.size(), value_);
+  }
 
  private:
   std::int64_t value_;
@@ -87,8 +243,15 @@ class NumNode final : public QNode {
 /// A bound state variable: its binder's frame slot.
 class VarNode final : public QNode {
  public:
-  explicit VarNode(std::size_t slot) : slot_(slot) {}
-  std::int64_t eval(Env& env) const override { return env.vars[slot_]; }
+  explicit VarNode(std::size_t slot) : QNode(false), slot_(slot) {}
+  [[nodiscard]] std::size_t slot() const { return slot_; }
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    if (env.lane_slot == slot_) {
+      std::copy_n(env.lane_states, lanes.size(), out);
+    } else {
+      std::fill_n(out, lanes.size(), env.vars[slot_]);
+    }
+  }
 
  private:
   std::size_t slot_;
@@ -98,62 +261,144 @@ class VarNode final : public QNode {
 /// node is evaluated, so `false and x = 1` still holds.
 class UnboundNode final : public QNode {
  public:
-  explicit UnboundNode(std::string name) : name_(std::move(name)) {}
-  std::int64_t eval(Env&) const override {
-    eval_fail("unbound variable '" + name_ + "' (state variables must be "
-              "introduced by a quantifier or temporal operator)");
+  explicit UnboundNode(std::string name) : QNode(false), name_(std::move(name)) {}
+  void eval(Env&, const Lanes& lanes, std::int64_t* out) override {
+    std::fill_n(out, lanes.size(), 0);
+    lanes.for_live([&](std::size_t l) {
+      lanes.fail(l, [&] {
+        return eval_error("unbound variable '" + name_ +
+                          "' (state variables must be introduced by a quantifier or "
+                          "temporal operator)");
+      });
+    });
   }
 
  private:
   std::string name_;
 };
 
+[[nodiscard]] bool any_has_loop(const std::vector<QNodePtr>& nodes) {
+  return std::any_of(nodes.begin(), nodes.end(),
+                     [](const QNodePtr& n) { return n->has_loop(); });
+}
+
 /// The arithmetic builtins min(a, b), max(a, b) and abs(a).
 class BuiltinNode final : public QNode {
  public:
   enum class Fn : std::uint8_t { kMin, kMax, kAbs };
-  BuiltinNode(Fn fn, std::vector<QNodePtr> args) : fn_(fn), args_(std::move(args)) {}
+  BuiltinNode(Fn fn, std::vector<QNodePtr> args)
+      : QNode(any_has_loop(args)), fn_(fn), args_(std::move(args)) {}
 
-  std::int64_t eval(Env& env) const override {
-    const std::int64_t a = args_[0]->eval(env);
-    if (fn_ == Fn::kAbs) return a < 0 ? expr::wrap_neg(a) : a;
-    const std::int64_t b = args_[1]->eval(env);
-    return fn_ == Fn::kMin ? std::min(a, b) : std::max(a, b);
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    const std::size_t n = lanes.size();
+    args_[0]->eval(env, lanes, out);
+    if (fn_ == Fn::kAbs) {
+      for (std::size_t l = 0; l < n; ++l) out[l] = out[l] < 0 ? expr::wrap_neg(out[l]) : out[l];
+      return;
+    }
+    std::int64_t* b = lanes_of(second_, n);
+    args_[1]->eval(env, lanes, b);
+    if (fn_ == Fn::kMin) {
+      for (std::size_t l = 0; l < n; ++l) out[l] = std::min(out[l], b[l]);
+    } else {
+      for (std::size_t l = 0; l < n; ++l) out[l] = std::max(out[l], b[l]);
+    }
   }
 
  private:
   Fn fn_;
   std::vector<QNodePtr> args_;
+  std::vector<std::int64_t> second_;
 };
 
 /// Name(s): place tokens, transition activity, or data variable in state s.
 /// The name is resolved against a space once (place first, then
-/// transition), not per state.
+/// transition), not per state. A place reads the whole block in one bulk
+/// read; transition activity and data variables are read state by state.
 class StateFnNode final : public QNode {
  public:
   StateFnNode(std::string name, std::vector<QNodePtr> args)
-      : name_(std::move(name)), where_("'" + name_ + "(...)'"), args_(std::move(args)) {}
+      : QNode(any_has_loop(args)), name_(std::move(name)), where_("'" + name_ + "(...)'"),
+        args_(std::move(args)) {
+    if (args_.size() == 1) {
+      if (const auto* var = dynamic_cast<const VarNode*>(args_[0].get())) arg_slot_ = var->slot();
+    }
+  }
 
-  std::int64_t eval(Env& env) const override {
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    const std::size_t n = lanes.size();
     if (args_.size() != 1) {
-      eval_fail("'" + name_ + "' expects one state argument");
+      std::fill_n(out, n, 0);
+      lanes.for_live([&](std::size_t l) {
+        lanes.fail(l, [&] { return eval_error("'" + name_ + "' expects one state argument"); });
+      });
+      return;
     }
-    const std::size_t state = to_state(env, args_[0]->eval(env), where_);
+    const std::int64_t* states = nullptr;
+    bool any = false;
+    if (arg_slot_ != kNoSlot && arg_slot_ == env.lane_slot) {
+      // The running loop's own variable: its members are states of the
+      // space, so every lane is in range.
+      states = env.lane_states;
+      for (std::size_t l = 0; l < n && !any; ++l) any = lanes.live(l);
+    } else {
+      std::int64_t* checked = lanes_of(states_, n);
+      args_[0]->eval(env, lanes, checked);
+      // Lanes that read nothing read state 0, which exists whenever a lane
+      // survives the range check.
+      for (std::size_t l = 0; l < n; ++l) {
+        if (lanes.live(l)) {
+          if (in_range(checked[l], env.num_states)) {
+            any = true;
+            continue;
+          }
+          lanes.fail(l, [&] { return range_error(checked[l], where_, env.num_states); });
+        }
+        checked[l] = 0;
+      }
+      states = checked;
+    }
+    if (!any) {
+      std::fill_n(out, n, 0);
+      return;
+    }
     if (resolved_for_ != env.space) resolve(*env.space);
+    const StateSpace& space = *env.space;
     switch (kind_) {
-      case Kind::kPlace: return env.space->place_tokens(state, PlaceId(id_));
+      case Kind::kPlace:
+        space.gather_place_tokens({states, n}, PlaceId(id_), out);
+        return;
       case Kind::kTransition:
-        return env.space->transition_activity(state, TransitionId(id_));
-      case Kind::kVariable: break;
+        std::fill_n(out, n, 0);
+        lanes.for_live([&](std::size_t l) {
+          try {
+            out[l] = space.transition_activity(static_cast<std::size_t>(states[l]),
+                                               TransitionId(id_));
+          } catch (...) {
+            lanes.fail(l, [] { return std::current_exception(); });
+          }
+        });
+        return;
+      case Kind::kVariable:
+        std::fill_n(out, n, 0);
+        lanes.for_live([&](std::size_t l) {
+          if (auto v = space.variable(static_cast<std::size_t>(states[l]), name_)) {
+            out[l] = *v;
+            return;
+          }
+          lanes.fail(l, [&] {
+            return eval_error("'" + name_ + "' is not a place, transition or data variable");
+          });
+        });
+        return;
     }
-    if (auto v = env.space->variable(state, name_)) return *v;
-    eval_fail("'" + name_ + "' is not a place, transition or data variable");
   }
 
  private:
   enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
 
-  void resolve(const StateSpace& space) const {
+
+  void resolve(const StateSpace& space) {
     if (auto p = space.find_place(name_)) {
       kind_ = Kind::kPlace;
       id_ = p->value;
@@ -167,29 +412,76 @@ class StateFnNode final : public QNode {
   }
 
   std::string name_;
-  std::string where_;  ///< error-message label, built once (eval runs per state)
+  std::string where_;  ///< error-message label, built once
   std::vector<QNodePtr> args_;
-  mutable const StateSpace* resolved_for_ = nullptr;
-  mutable Kind kind_ = Kind::kVariable;
-  mutable std::uint32_t id_ = 0;
+  std::size_t arg_slot_ = kNoSlot;  ///< the slot, when the argument is a bound variable
+  std::vector<std::int64_t> states_;
+  const StateSpace* resolved_for_ = nullptr;
+  Kind kind_ = Kind::kVariable;
+  std::uint32_t id_ = 0;
 };
 
+/// out[l] = a[l] OP b[l] over every lane, for an operator that cannot raise.
+template <BinaryOp Op>
+void apply_lanes(std::int64_t* a, const std::int64_t* b, std::size_t n) {
+  for (std::size_t l = 0; l < n; ++l) a[l] = expr::apply_binary(Op, a[l], b[l]);
+}
+
 /// An operator of the expression language, on expr::apply_binary: && and
-/// || short-circuit here, and evaluation errors take this engine's prefix.
+/// || evaluate their right side only on the lanes the left side left open,
+/// and evaluation errors take this engine's prefix.
 class QBinNode final : public QNode {
  public:
   QBinNode(BinaryOp op, QNodePtr lhs, QNodePtr rhs)
-      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+      : QNode(lhs->has_loop() || rhs->has_loop()), op_(op), lhs_(std::move(lhs)),
+        rhs_(std::move(rhs)) {}
 
-  std::int64_t eval(Env& env) const override {
-    if (op_ == BinaryOp::kAnd) return (lhs_->eval(env) != 0 && rhs_->eval(env) != 0) ? 1 : 0;
-    if (op_ == BinaryOp::kOr) return (lhs_->eval(env) != 0 || rhs_->eval(env) != 0) ? 1 : 0;
-    const std::int64_t a = lhs_->eval(env);
-    const std::int64_t b = rhs_->eval(env);
-    try {
-      return expr::apply_binary(op_, a, b);
-    } catch (const expr::EvalError& e) {
-      eval_fail(e.what());
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    const std::size_t n = lanes.size();
+    lhs_->eval(env, lanes, out);
+    std::int64_t* b = lanes_of(rhs_values_, n);
+    if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
+      const bool and_op = op_ == BinaryOp::kAnd;
+      std::uint8_t* open = lanes_of(open_, n);
+      bool any = false;
+      for (std::size_t l = 0; l < n; ++l) {
+        open[l] = lanes.live(l) && (out[l] != 0) == and_op ? 1 : 0;
+        any |= open[l] != 0;
+      }
+      if (any) rhs_->eval(env, Lanes{lanes.block, open}, b);
+      for (std::size_t l = 0; l < n; ++l) {
+        out[l] = (open[l] != 0 ? b[l] : out[l]) != 0 ? 1 : 0;
+      }
+      return;
+    }
+    rhs_->eval(env, lanes, b);
+    switch (op_) {
+      case BinaryOp::kAdd: apply_lanes<BinaryOp::kAdd>(out, b, n); return;
+      case BinaryOp::kSub: apply_lanes<BinaryOp::kSub>(out, b, n); return;
+      case BinaryOp::kMul: apply_lanes<BinaryOp::kMul>(out, b, n); return;
+      case BinaryOp::kEq: apply_lanes<BinaryOp::kEq>(out, b, n); return;
+      case BinaryOp::kNe: apply_lanes<BinaryOp::kNe>(out, b, n); return;
+      case BinaryOp::kLt: apply_lanes<BinaryOp::kLt>(out, b, n); return;
+      case BinaryOp::kLe: apply_lanes<BinaryOp::kLe>(out, b, n); return;
+      case BinaryOp::kGt: apply_lanes<BinaryOp::kGt>(out, b, n); return;
+      case BinaryOp::kGe: apply_lanes<BinaryOp::kGe>(out, b, n); return;
+      case BinaryOp::kDiv:
+      case BinaryOp::kMod:
+      case BinaryOp::kAnd:
+      case BinaryOp::kOr: break;
+    }
+    // / and % raise: only on live lanes, each lane on its own.
+    for (std::size_t l = 0; l < n; ++l) {
+      if (!lanes.live(l)) {
+        out[l] = 0;
+        continue;
+      }
+      try {
+        out[l] = expr::apply_binary(op_, out[l], b[l]);
+      } catch (const expr::EvalError& e) {
+        lanes.fail(l, [&] { return eval_error(e.what()); });
+        out[l] = 0;
+      }
     }
   }
 
@@ -197,13 +489,17 @@ class QBinNode final : public QNode {
   BinaryOp op_;
   QNodePtr lhs_;
   QNodePtr rhs_;
+  std::vector<std::int64_t> rhs_values_;
+  std::vector<std::uint8_t> open_;
 };
 
 class QUnaryNode final : public QNode {
  public:
-  QUnaryNode(UnaryOp op, QNodePtr inner) : op_(op), inner_(std::move(inner)) {}
-  std::int64_t eval(Env& env) const override {
-    return expr::apply_unary(op_, inner_->eval(env));
+  QUnaryNode(UnaryOp op, QNodePtr inner)
+      : QNode(inner->has_loop()), op_(op), inner_(std::move(inner)) {}
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    inner_->eval(env, lanes, out);
+    for (std::size_t l = 0; l < lanes.size(); ++l) out[l] = expr::apply_unary(op_, out[l]);
   }
 
  private:
@@ -217,35 +513,53 @@ class QUnaryNode final : public QNode {
 class QuantifierNode final : public QNode {
  public:
   QuantifierNode(bool universal, std::size_t slot, SetNodePtr set, QNodePtr body)
-      : universal_(universal), slot_(slot), set_(std::move(set)), body_(std::move(body)) {}
+      : QNode(true), universal_(universal), slot_(slot), set_(std::move(set)),
+        body_(std::move(body)) {}
 
-  std::int64_t eval(Env& env) const override {
-    witness_.reset();
-    const StateSet states = set_->members(env);
-    bool result = universal_;
-    for (std::size_t k = 0; k < states.size(); ++k) {
-      if (k % kStopCheckStride == 0) env.stop.throw_if_stopped();
-      const std::size_t s = states[k];
-      env.vars[slot_] = static_cast<std::int64_t>(s);
-      const bool holds = body_->eval(env) != 0;
-      if (holds != universal_) {
-        result = holds;
-        witness_ = s;
-        break;
+  /// A loop node runs one lane at a time (see QNode::has_loop): each live
+  /// lane runs the whole loop, and what the loop throws is the lane's error.
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    std::fill_n(out, lanes.size(), 0);
+    lanes.for_live([&](std::size_t l) {
+      try {
+        out[l] = run(env) ? 1 : 0;
+      } catch (...) {
+        lanes.fail(l, [] { return std::current_exception(); });
       }
-    }
-    return result ? 1 : 0;
+    });
   }
 
   [[nodiscard]] bool universal() const { return universal_; }
   [[nodiscard]] std::optional<std::size_t> witness() const { return witness_; }
 
  private:
+  bool run(Env& env) {
+    witness_.reset();
+    const StateSet states = set_->members(env);
+    bool result = universal_;
+    std::int64_t* holds = nullptr;
+    loop_.run(
+        env, states, slot_, body_->has_loop(), /*poll=*/true,
+        [&](const Lanes& lanes) {
+          holds = lanes_of(holds_, lanes.size());
+          body_->eval(env, lanes, holds);
+        },
+        [&](std::size_t k, std::size_t l) {
+          if ((holds[l] != 0) == universal_) return false;
+          result = !universal_;
+          witness_ = states[k];
+          return true;
+        });
+    return result;
+  }
+
   bool universal_;
   std::size_t slot_;  ///< the bound variable (a slot of its own: shadowing is free)
   SetNodePtr set_;
   QNodePtr body_;
-  mutable std::optional<std::size_t> witness_;
+  Loop loop_;
+  std::vector<std::int64_t> holds_;
+  std::optional<std::size_t> witness_;
 };
 
 /// inev(s, f, g) = A[g U f]; poss(s, f, g) = E[g U f]. The per-state truth
@@ -256,30 +570,54 @@ class TemporalNode final : public QNode {
  public:
   TemporalNode(bool universal_paths, QNodePtr state, std::size_t c_slot, QNodePtr cond,
                QNodePtr guard)
-      : universal_paths_(universal_paths), state_(std::move(state)), c_slot_(c_slot),
-        cond_(std::move(cond)), guard_(std::move(guard)) {}
+      : QNode(true), universal_paths_(universal_paths), state_(std::move(state)),
+        c_slot_(c_slot), cond_(std::move(cond)), guard_(std::move(guard)) {}
 
-  std::int64_t eval(Env& env) const override {
-    const std::size_t s = to_state(env, state_->eval(env),
-                                   universal_paths_ ? "inev" : "poss");
-    ensure_table(env);
-    return (*table_)[s] ? 1 : 0;
+  void eval(Env& env, const Lanes& lanes, std::int64_t* out) override {
+    std::int64_t* states = lanes_of(states_, lanes.size());
+    state_->eval(env, lanes, states);
+    std::fill_n(out, lanes.size(), 0);
+    lanes.for_live([&](std::size_t l) {
+      if (!in_range(states[l], env.num_states)) {
+        lanes.fail(l, [&] {
+          return range_error(states[l], universal_paths_ ? "inev" : "poss", env.num_states);
+        });
+        return;
+      }
+      try {
+        ensure_table(env);
+      } catch (...) {
+        lanes.fail(l, [] { return std::current_exception(); });
+        return;
+      }
+      out[l] = (*table_)[static_cast<std::size_t>(states[l])] ? 1 : 0;
+    });
   }
 
  private:
-  void ensure_table(Env& env) const {
+  void ensure_table(Env& env) {
     if (table_ && table_space_ == env.space) return;
     const StateSpace& space = *env.space;
     const std::size_t n = env.num_states;
 
     // Evaluate cond/guard once per state with C bound.
     std::vector<char> cond_v(n), guard_v(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i % kStopCheckStride == 0) env.stop.throw_if_stopped();
-      env.vars[c_slot_] = static_cast<std::int64_t>(i);
-      cond_v[i] = cond_->eval(env) != 0;
-      guard_v[i] = guard_->eval(env) != 0;
-    }
+    std::int64_t* cond = nullptr;
+    std::int64_t* guard = nullptr;
+    loop_.run(
+        env, StateSet{.all = true, .n = n, .list = {}}, c_slot_,
+        cond_->has_loop() || guard_->has_loop(), /*poll=*/true,
+        [&](const Lanes& lanes) {
+          cond = lanes_of(cond_values_, lanes.size());
+          guard = lanes_of(guard_values_, lanes.size());
+          cond_->eval(env, lanes, cond);
+          guard_->eval(env, lanes, guard);
+        },
+        [&](std::size_t i, std::size_t l) {
+          cond_v[i] = cond[l] != 0;
+          guard_v[i] = guard[l] != 0;
+          return false;
+        });
 
     // The successor relation as flat CSR rows, so each fixpoint sweep
     // below is a scan of two flat arrays.
@@ -336,15 +674,19 @@ class TemporalNode final : public QNode {
   std::size_t c_slot_;  ///< C, bound for cond and guard
   QNodePtr cond_;
   QNodePtr guard_;
-  mutable std::optional<std::vector<char>> table_;
-  mutable const StateSpace* table_space_ = nullptr;
+  Loop loop_;
+  std::vector<std::int64_t> states_;
+  std::vector<std::int64_t> cond_values_;
+  std::vector<std::int64_t> guard_values_;
+  std::optional<std::vector<char>> table_;
+  const StateSpace* table_space_ = nullptr;
 };
 
 // --- set nodes -----------------------------------------------------------------
 
 class AllStatesNode final : public SetNode {
  public:
-  StateSet members(Env& env) const override {
+  StateSet members(Env& env) override {
     return {.all = true, .n = env.num_states, .list = {}};
   }
 };
@@ -353,7 +695,7 @@ class SetDiffNode final : public SetNode {
  public:
   SetDiffNode(SetNodePtr base, std::vector<std::size_t> removed)
       : base_(std::move(base)), removed_(std::move(removed)) {}
-  StateSet members(Env& env) const override {
+  StateSet members(Env& env) override {
     const StateSet base = base_->members(env);
     StateSet out;
     for (std::size_t k = 0; k < base.size(); ++k) {
@@ -374,14 +716,20 @@ class SetBuilderNode final : public SetNode {
  public:
   SetBuilderNode(std::size_t slot, SetNodePtr base, QNodePtr filter)
       : slot_(slot), base_(std::move(base)), filter_(std::move(filter)) {}
-  StateSet members(Env& env) const override {
+  StateSet members(Env& env) override {
     const StateSet base = base_->members(env);
     StateSet out;
-    for (std::size_t k = 0; k < base.size(); ++k) {
-      const std::size_t s = base[k];
-      env.vars[slot_] = static_cast<std::int64_t>(s);
-      if (filter_->eval(env) != 0) out.list.push_back(s);
-    }
+    std::int64_t* keep = nullptr;
+    loop_.run(
+        env, base, slot_, filter_->has_loop(), /*poll=*/false,
+        [&](const Lanes& lanes) {
+          keep = lanes_of(keep_, lanes.size());
+          filter_->eval(env, lanes, keep);
+        },
+        [&](std::size_t k, std::size_t l) {
+          if (keep[l] != 0) out.list.push_back(base[k]);
+          return false;
+        });
     return out;
   }
 
@@ -389,6 +737,8 @@ class SetBuilderNode final : public SetNode {
   std::size_t slot_;
   SetNodePtr base_;
   QNodePtr filter_;
+  Loop loop_;
+  std::vector<std::int64_t> keep_;
 };
 
 // --- parser ---------------------------------------------------------------------
@@ -749,7 +1099,12 @@ QueryResult eval_query(const StateSpace& space, std::string_view query,
   env.num_states = space.num_states();
   env.vars.assign(parser.num_slots(), 0);
   env.stop = std::move(stop);
-  const bool holds = root->eval(env) != 0;
+  Block block;
+  block.reset(1);
+  std::int64_t value = 0;
+  root->eval(env, Lanes{&block}, &value);
+  if (block.any_dead()) std::rethrow_exception(block.first_error);
+  const bool holds = value != 0;
 
   QueryResult result;
   result.holds = holds;

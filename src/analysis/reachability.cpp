@@ -92,14 +92,6 @@ std::optional<std::int64_t> ReachabilityGraph::variable(std::size_t state,
   return std::nullopt;
 }
 
-std::vector<std::size_t> ReachabilityGraph::successors(std::size_t state) const {
-  const auto out = edges_.out(state);
-  std::vector<std::size_t> result;
-  result.reserve(out.size());
-  for (const Edge& e : out) result.push_back(e.target);
-  return result;
-}
-
 void ReachabilityGraph::successor_rows(std::vector<std::size_t>& offsets,
                                        std::vector<std::uint32_t>& targets) const {
   const std::size_t n = num_states();

@@ -115,12 +115,15 @@ class ReachabilityGraph final : public StateSpace {
   [[nodiscard]] std::int64_t place_tokens(std::size_t state, PlaceId p) const override {
     return store_.state(state)[p.value];
   }
+  void gather_place_tokens(std::span<const std::int64_t> states, PlaceId p,
+                           std::int64_t* out) const override {
+    store_.arena().gather_word(states, p.value, out);
+  }
   /// 1 if `t` is enabled in the state, else 0.
   [[nodiscard]] std::int64_t transition_activity(std::size_t state,
                                                  TransitionId t) const override;
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
                                                      std::string_view name) const override;
-  [[nodiscard]] std::vector<std::size_t> successors(std::size_t state) const override;
   /// Copies the edge pool's targets row by row.
   void successor_rows(std::vector<std::size_t>& offsets,
                       std::vector<std::uint32_t>& targets) const override;

@@ -4,17 +4,6 @@
 
 namespace pnut::analysis {
 
-void StateSpace::successor_rows(std::vector<std::size_t>& offsets,
-                                std::vector<std::uint32_t>& targets) const {
-  const std::size_t n = num_states();
-  offsets.assign(n + 1, 0);
-  targets.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::size_t j : successors(i)) targets.push_back(static_cast<std::uint32_t>(j));
-    offsets[i + 1] = targets.size();
-  }
-}
-
 TraceStateSpace::TraceStateSpace(const RecordedTrace& trace)
     : trace_(&trace),
       num_places_(trace.header().place_names.size()),
@@ -57,11 +46,6 @@ std::optional<std::int64_t> TraceStateSpace::variable(std::size_t state,
   const DataContext& d = data_.at(state);
   if (d.has(name)) return d.get(name);
   return std::nullopt;
-}
-
-std::vector<std::size_t> TraceStateSpace::successors(std::size_t state) const {
-  if (state + 1 < arena_.size()) return {state + 1};
-  return {};
 }
 
 void TraceStateSpace::successor_rows(std::vector<std::size_t>& offsets,

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -31,6 +32,12 @@ class StateSpace {
   /// Tokens on `p` in state `s`.
   [[nodiscard]] virtual std::int64_t place_tokens(std::size_t state, PlaceId p) const = 0;
 
+  /// Tokens on `p` in each of `states` (every one < num_states()):
+  /// out[i] = place_tokens(states[i], p). The query engine reads a place
+  /// for a block of states at once through this.
+  virtual void gather_place_tokens(std::span<const std::int64_t> states, PlaceId p,
+                                   std::int64_t* out) const = 0;
+
   /// Activity of transition `t` in state `s`: firings in flight for a trace
   /// state; 1/0 enabledness for a reachability-graph state.
   [[nodiscard]] virtual std::int64_t transition_activity(std::size_t state,
@@ -40,16 +47,12 @@ class StateSpace {
   [[nodiscard]] virtual std::optional<std::int64_t> variable(std::size_t state,
                                                              std::string_view name) const = 0;
 
-  /// Successor state indices (a trace has at most one; a graph, many).
-  [[nodiscard]] virtual std::vector<std::size_t> successors(std::size_t state) const = 0;
-
-  /// The whole successor relation as CSR rows, for bulk consumers (the
-  /// query engine's temporal fixpoints): `offsets` gets num_states() + 1
-  /// entries and row i is targets[offsets[i], offsets[i + 1]). The default
-  /// walks successors() state by state; concrete spaces override it with
-  /// direct copies of their flat rows.
+  /// The successor relation as CSR rows (a trace state has at most one
+  /// successor; a graph state, many), for the query engine's temporal
+  /// fixpoints: `offsets` gets num_states() + 1 entries and row i is
+  /// targets[offsets[i], offsets[i + 1]).
   virtual void successor_rows(std::vector<std::size_t>& offsets,
-                              std::vector<std::uint32_t>& targets) const;
+                              std::vector<std::uint32_t>& targets) const = 0;
 
   /// True if `state`'s successor list is complete. A truncated
   /// reachability graph leaves frontier states with empty successor rows
@@ -83,11 +86,14 @@ class TraceStateSpace final : public StateSpace {
 
   [[nodiscard]] std::size_t num_states() const override { return arena_.size(); }
   [[nodiscard]] std::int64_t place_tokens(std::size_t state, PlaceId p) const override;
+  void gather_place_tokens(std::span<const std::int64_t> states, PlaceId p,
+                           std::int64_t* out) const override {
+    arena_.gather_word(states, p.value, out);
+  }
   [[nodiscard]] std::int64_t transition_activity(std::size_t state,
                                                  TransitionId t) const override;
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
                                                      std::string_view name) const override;
-  [[nodiscard]] std::vector<std::size_t> successors(std::size_t state) const override;
   /// State i's one successor is i + 1 (the last state has none).
   void successor_rows(std::vector<std::size_t>& offsets,
                       std::vector<std::uint32_t>& targets) const override;

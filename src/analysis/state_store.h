@@ -83,6 +83,23 @@ class StateArena {
     return {pool_.at(i >> seg_shift_, (i & seg_mask_) * width_), width_};
   }
 
+  /// Word `word` of each of `states` (every one < size()), widened:
+  /// out[i] = (*this)[states[i]][word]. A strided read of the flat arena;
+  /// state by state when segmented.
+  void gather_word(std::span<const std::int64_t> states, std::size_t word,
+                   std::int64_t* out) const {
+    if (!pool_.segmented()) {
+      const std::uint32_t* column = pool_.flat_at(word);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        out[i] = column[static_cast<std::size_t>(states[i]) * width_];
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      out[i] = (*this)[static_cast<std::size_t>(states[i])][word];
+    }
+  }
+
   /// States below `state` are sealed: their segments may spill once the
   /// resident set exceeds the budget.
   void set_spill_floor(std::size_t state) {
@@ -146,6 +163,7 @@ class StateStore {
   [[nodiscard]] std::span<const std::uint32_t> state(std::size_t i) const {
     return arena_[i];
   }
+  [[nodiscard]] const StateArena& arena() const { return arena_; }
   [[nodiscard]] std::size_t size() const { return arena_.size(); }
   [[nodiscard]] std::size_t width() const { return arena_.width(); }
 

@@ -12,6 +12,7 @@
 #include "analysis/timed_reachability.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
+#include "support/successor_rows.h"
 
 namespace pnut::analysis {
 namespace {
@@ -80,8 +81,9 @@ TEST(ExplorationEquivalence, GraphQueriesAgreeWithPerStateScans) {
   }
 
   std::size_t deadlocks = 0;
+  const test_support::SuccessorRows successors(graph);
   for (std::size_t s = 0; s < graph.num_states(); ++s) {
-    if (graph.successors(s).empty()) ++deadlocks;
+    if (successors.of(s).empty()) ++deadlocks;
   }
   EXPECT_EQ(graph.deadlock_states().size(), deadlocks);
 
