@@ -1,6 +1,7 @@
 #include "textio/pn_format.h"
 
 #include <cctype>
+#include <charconv>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -370,10 +371,17 @@ class PnParser {
   NetDocument doc_;
 };
 
+/// A delay, weight or frequency as text that reads back as the same
+/// double: the default six-digit form when it does (so existing documents
+/// print unchanged), else the shortest form that round-trips.
 std::string format_number(double v) {
   std::ostringstream out;
   out << v;
-  return out.str();
+  std::string text = out.str();
+  if (parse_finite_number(text) == v) return text;
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
 }
 
 /// Render a delay clause, or return false if it is the zero constant.

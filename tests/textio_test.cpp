@@ -70,6 +70,36 @@ TEST(PnFormat, RoundTripPlainNet) {
   EXPECT_EQ(again.net.num_transitions(), doc.net.num_transitions());
 }
 
+TEST(PnFormat, NumbersRoundTripExactly) {
+  // Values past six significant digits print in their shortest exact form;
+  // the rest keep their default text.
+  const NetDocument doc = parse_net(R"(
+place P init 1
+trans a in P out P firing 1.2345678 freq 0.123456789
+trans b in P out P firing discrete 1.0000001:0.3333333 2.5:0.6666667
+trans c in P out P enabling 0.1 firing 1e-07 freq 70
+)");
+  const std::string printed = print_net(doc);
+  EXPECT_NE(printed.find("firing 1.2345678 freq 0.123456789"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("discrete 1.0000001:0.3333333 2.5:0.6666667"), std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("firing 1e-07 enabling 0.1 freq 70"), std::string::npos) << printed;
+  const NetDocument again = parse_net(printed);
+  EXPECT_EQ(print_net(again), printed);
+  for (const char* name : {"a", "b", "c"}) {
+    const Transition& t = doc.net.transition(doc.net.transition_named(name));
+    const Transition& u = again.net.transition(again.net.transition_named(name));
+    EXPECT_EQ(u.frequency, t.frequency) << name;
+    EXPECT_EQ(u.enabling_time.kind(), t.enabling_time.kind()) << name;
+    EXPECT_EQ(u.firing_time.kind(), t.firing_time.kind()) << name;
+    if (t.firing_time.kind() == DelaySpec::Kind::kConstant) {
+      EXPECT_EQ(u.firing_time.constant_value(), t.firing_time.constant_value()) << name;
+    } else {
+      EXPECT_EQ(u.firing_time.choices(), t.firing_time.choices()) << name;
+    }
+  }
+}
+
 TEST(PnFormat, FrequenciesAndPolicies) {
   const NetDocument doc = parse_net(R"(
 place P init 1
