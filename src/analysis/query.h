@@ -37,6 +37,20 @@
 // is evaluated). min/max/abs are fixed at parse time, and a Name(s) node
 // looks its name up in the space on its first evaluation (place, then
 // transition; else the per-state data variable).
+//
+// Evaluation order. A loop — a quantifier, a set-builder filter, a
+// temporal operator's cond/guard table — evaluates its body for a block of
+// member states at once (blocks start one state wide and double up to
+// 256), yet every outcome is the one a state-by-state walk gives:
+//   * a query raises the error of the first member, in set order, whose
+//     evaluation raises, and within one state the first error in
+//     left-to-right order (`&&`/`||` evaluate their right side only where
+//     the left side leaves the answer open);
+//   * an error at a member after the one that decides a quantifier is
+//     never raised;
+//   * stop polls fall before the same members (every kStopCheckStride-th);
+//   * a body holding a quantifier or temporal operator runs one state at
+//     a time, so its inner loops poll and raise in exactly that order.
 #pragma once
 
 #include <optional>

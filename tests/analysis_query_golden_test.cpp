@@ -16,9 +16,8 @@
 // never raised, and where a stop lands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <random>
