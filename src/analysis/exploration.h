@@ -1,11 +1,13 @@
-// The frontier-BFS exploration driver shared by the graph analyzers.
+// The exploration core shared by the two reachability graphs: the CSR edge
+// pool, the frontier-BFS driver, the spill setup, and ExploredGraph, the
+// storage and queries both graph classes carry.
 //
-// Both reachability builders follow the same outline: intern the initial
-// state into a StateStore, then repeatedly pop an unexpanded state from a
-// frontier deque, enumerate its successor states (interning each), and
-// record the edges. What differs is only the successor rule — untimed
-// firing vs. timed firing-or-tick — so that rule is the one callback
-// (`expand`) the driver takes.
+// The untimed builder (reachability.cpp) runs drive_frontier_bfs: intern the
+// initial state into a StateStore, then repeatedly pop an unexpanded state
+// from a FIFO Frontier, enumerate its successor states (interning each), and
+// record the edges. The timed builder (timed_reachability.cpp) runs its 0-1
+// BFS on a two-bucket scheduler instead (detail::TimedSchedule in
+// timed_encode.h), over the same StateStore and EdgeCsr.
 //
 // Edges are stored in CSR form as they are produced: each state is expanded
 // exactly once, so all of its out-edges land contiguously in one pool and
@@ -21,10 +23,6 @@
 // row is heap-resident or faulted in from the spill file. Sealed segments
 // (everything before the open row) spill once the resident set exceeds the
 // budget; nothing is ever rewritten.
-//
-// The frontier is plain FIFO BFS. The untimed reachability builder and the
-// trace state space run on it; the timed graph's 0-1 BFS uses a
-// two-bucket scheduler instead (detail::TimedSchedule in timed_encode.h).
 #pragma once
 
 #include <cstdint>
@@ -32,12 +30,38 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/spill.h"
 #include "analysis/state_store.h"
+#include "petri/compiled_net.h"
+#include "petri/marking.h"
+#include "util/stop.h"
 
 namespace pnut::analysis {
+
+/// How a graph build ended. Only the untimed graph reports kUnbounded.
+enum class ReachStatus : std::uint8_t {
+  kComplete,
+  kTruncated,
+  kUnbounded,
+  kTimeout,    ///< stopped by the options' StopToken deadline
+  kCancelled,  ///< stopped by an explicit cancel on the options' StopToken
+};
+
+namespace detail {
+
+/// Poll `stop` once: the status a build stops with, or nullopt to go on.
+/// Each builder decides itself when a poll is due.
+[[nodiscard]] inline std::optional<ReachStatus> stop_status(const StopToken& stop) {
+  const StopToken::Reason reason = stop.poll();
+  if (reason == StopToken::Reason::kNone) return std::nullopt;
+  return reason == StopToken::Reason::kDeadline ? ReachStatus::kTimeout
+                                                : ReachStatus::kCancelled;
+}
+
+}  // namespace detail
 
 /// CSR out-edge storage, filled one source row at a time.
 template <typename EdgeT>
@@ -227,5 +251,82 @@ void enable_graph_spill(const SpillOptions& spill, StateStore& store, EdgeCsr<Ed
   edges.enable_spill(std::move(dir), "edges.seg",
                      detail::segment_bytes_for(spill.segment_bytes, budget / 3), budget / 3);
 }
+
+/// What both reachability graphs hold — the compiled net, the build
+/// status, the interned states, the edge pool and the expanded count — and
+/// the queries they answer alike. `Graph` (the derived class) supplies
+/// state_expanded(), the one rule that differs: the untimed graph expands
+/// in id order, the timed graph does not.
+template <typename Graph, typename EdgeT>
+class ExploredGraph {
+ public:
+  [[nodiscard]] ReachStatus status() const { return status_; }
+  /// True when the build was stopped by its StopToken (deadline or cancel);
+  /// such a graph is a valid truncated prefix but must never be cached.
+  [[nodiscard]] bool stopped() const {
+    return status_ == ReachStatus::kTimeout || status_ == ReachStatus::kCancelled;
+  }
+
+  [[nodiscard]] std::size_t num_states() const { return store_.size(); }
+  /// Token counts of `state` as an arena slice (the first num_places words).
+  [[nodiscard]] std::span<const TokenCount> tokens(std::size_t state) const {
+    return store_.state(state).first(net_->num_places());
+  }
+  /// Materialized copy of the state's marking (decoded from the arena).
+  [[nodiscard]] Marking marking(std::size_t state) const {
+    return Marking::from_tokens(tokens(state));
+  }
+  [[nodiscard]] std::span<const EdgeT> edges(std::size_t state) const {
+    return edges_.out(state);
+  }
+  [[nodiscard]] std::size_t num_edges() const { return edges_.num_edges(); }
+  /// Number of fully expanded states (== num_states() iff kComplete).
+  [[nodiscard]] std::size_t num_expanded() const { return num_expanded_; }
+
+  /// Fully-expanded states with no outgoing edges. Never-expanded
+  /// truncation leftovers are excluded — their empty (or, for the stopping
+  /// state, partial) edge rows mean "unexplored", not "stuck".
+  [[nodiscard]] std::vector<std::size_t> deadlock_states() const {
+    const Graph& graph = static_cast<const Graph&>(*this);
+    std::vector<std::size_t> out;
+    for (std::size_t s = 0; s < store_.size(); ++s) {
+      if (edges_.out_degree(s) == 0 && graph.state_expanded(s)) out.push_back(s);
+    }
+    return out;
+  }
+
+  /// Heap footprint of the graph: arena + intern table + edge pool. In
+  /// spill mode this is the exact *resident* footprint — spilled segments
+  /// are counted by spilled_bytes() instead. The bench reports this as
+  /// bytes/state, and the serve graph cache budgets by it.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return store_.memory_bytes() + edges_.memory_bytes();
+  }
+  /// True if the build (or a query since) actually wrote segments to disk.
+  [[nodiscard]] bool spill_engaged() const {
+    return store_.spill_engaged() || edges_.spill_engaged();
+  }
+  /// Bytes currently held in spill segment files (states + edges).
+  [[nodiscard]] std::size_t spilled_bytes() const {
+    return store_.spilled_bytes() + edges_.spilled_bytes();
+  }
+  /// High-water resident footprint across the build and all queries.
+  [[nodiscard]] std::size_t peak_resident_bytes() const {
+    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
+  }
+
+ protected:
+  /// `owner` names the graph class in the null-net error.
+  ExploredGraph(std::shared_ptr<const CompiledNet> net, const char* owner)
+      : net_(std::move(net)) {
+    if (!net_) throw std::invalid_argument(std::string(owner) + ": null CompiledNet");
+  }
+
+  std::shared_ptr<const CompiledNet> net_;
+  ReachStatus status_ = ReachStatus::kComplete;
+  StateStore store_;
+  EdgeCsr<EdgeT> edges_;
+  std::size_t num_expanded_ = 0;  ///< fully expanded states
+};
 
 }  // namespace pnut::analysis

@@ -32,10 +32,7 @@ namespace pnut::analysis::detail {
 [[nodiscard]] inline std::optional<ReachStatus> poll_stop(const StopToken& stop,
                                                           std::uint32_t state) {
   if (state % kStopCheckStride != 0) return std::nullopt;
-  const StopToken::Reason reason = stop.poll();
-  if (reason == StopToken::Reason::kNone) return std::nullopt;
-  return reason == StopToken::Reason::kDeadline ? ReachStatus::kTimeout
-                                                : ReachStatus::kCancelled;
+  return stop_status(stop);
 }
 
 /// The untimed successor rule, run on a state's words; expanding a state

@@ -1,7 +1,6 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "analysis/reach_encode.h"
 
@@ -12,8 +11,7 @@ ReachabilityGraph::ReachabilityGraph(const Net& net, ReachOptions options)
 
 ReachabilityGraph::ReachabilityGraph(std::shared_ptr<const CompiledNet> net,
                                      ReachOptions options)
-    : net_(std::move(net)) {
-  if (!net_) throw std::invalid_argument("ReachabilityGraph: null CompiledNet");
+    : ExploredGraph(std::move(net), "ReachabilityGraph") {
   explore(options);
 }
 
@@ -103,20 +101,6 @@ void ReachabilityGraph::successor_rows(std::vector<std::size_t>& offsets,
     for (const Edge& e : edges_.out(i)) targets.push_back(e.target);
   }
   offsets[n] = targets.size();
-}
-
-std::size_t ReachabilityGraph::memory_bytes() const {
-  return store_.memory_bytes() + edges_.memory_bytes();
-}
-
-std::vector<std::size_t> ReachabilityGraph::deadlock_states() const {
-  std::vector<std::size_t> out;
-  // Only the expanded prefix: a frontier leftover's empty row says
-  // "unexplored", not "stuck".
-  for (std::size_t s = 0; s < num_expanded_; ++s) {
-    if (edges_.out_degree(s) == 0) out.push_back(s);
-  }
-  return out;
 }
 
 TokenCount ReachabilityGraph::place_bound(PlaceId p) const {

@@ -81,20 +81,16 @@ struct ReachOptions {
   StopToken stop;
 };
 
-enum class ReachStatus : std::uint8_t {
-  kComplete,
-  kTruncated,
-  kUnbounded,
-  kTimeout,    ///< stopped by ReachOptions::stop's deadline
-  kCancelled,  ///< stopped by an explicit cancel on ReachOptions::stop
+/// One untimed edge: the fired transition and the target state.
+struct ReachEdge {
+  TransitionId transition;
+  std::uint32_t target;
 };
 
-class ReachabilityGraph final : public StateSpace {
+class ReachabilityGraph final : public StateSpace,
+                                public ExploredGraph<ReachabilityGraph, ReachEdge> {
  public:
-  struct Edge {
-    TransitionId transition;
-    std::uint32_t target;
-  };
+  using Edge = ReachEdge;
 
   /// Build the graph by breadth-first exploration from the initial state.
   /// Compiles the net internally; see the CompiledNet overload to share an
@@ -103,15 +99,10 @@ class ReachabilityGraph final : public StateSpace {
   explicit ReachabilityGraph(std::shared_ptr<const CompiledNet> net,
                              ReachOptions options = {});
 
-  [[nodiscard]] ReachStatus status() const { return status_; }
-  /// True when the build was stopped by its StopToken (deadline or cancel);
-  /// such a graph is a valid truncated prefix but must never be cached.
-  [[nodiscard]] bool stopped() const {
-    return status_ == ReachStatus::kTimeout || status_ == ReachStatus::kCancelled;
-  }
-
   // --- StateSpace interface ----------------------------------------------------
-  [[nodiscard]] std::size_t num_states() const override { return store_.size(); }
+  [[nodiscard]] std::size_t num_states() const override {
+    return ExploredGraph::num_states();
+  }
   [[nodiscard]] std::int64_t place_tokens(std::size_t state, PlaceId p) const override {
     return store_.state(state)[p.value];
   }
@@ -137,19 +128,6 @@ class ReachabilityGraph final : public StateSpace {
 
   // --- graph-specific queries ---------------------------------------------------
 
-  /// Token counts of `state` as an arena slice (the first num_places words).
-  [[nodiscard]] std::span<const TokenCount> tokens(std::size_t state) const {
-    return store_.state(state).first(net_->num_places());
-  }
-  /// Materialized copy of the state's marking (decoded from the arena).
-  [[nodiscard]] Marking marking(std::size_t state) const {
-    return Marking::from_tokens(tokens(state));
-  }
-  [[nodiscard]] std::span<const Edge> edges(std::size_t state) const {
-    return edges_.out(state);
-  }
-  [[nodiscard]] std::size_t num_edges() const { return edges_.num_edges(); }
-
   /// True if `state` was fully expanded (its edge row is complete). BFS
   /// expansion order is canonical id order, so the expanded states are the
   /// prefix [0, num_expanded()). On a truncated or unbounded graph the
@@ -158,12 +136,6 @@ class ReachabilityGraph final : public StateSpace {
   [[nodiscard]] bool state_expanded(std::size_t state) const override {
     return state < num_expanded_;
   }
-  /// Number of fully expanded states (== num_states() iff kComplete).
-  [[nodiscard]] std::size_t num_expanded() const { return num_expanded_; }
-
-  /// Fully-expanded states with no enabled transition. Never-expanded
-  /// truncation leftovers are excluded — they are not known deadlocks.
-  [[nodiscard]] std::vector<std::size_t> deadlock_states() const;
 
   /// Max tokens observed on `p` across all reachable states (the place's
   /// bound, exact when status() == kComplete). A flat strided arena scan.
@@ -182,37 +154,13 @@ class ReachabilityGraph final : public StateSpace {
   /// over a counting-sorted reverse CSR.
   [[nodiscard]] bool is_reversible() const;
 
-  /// Heap footprint of the graph: arena + intern table + edge pool
-  /// (per-state data lives in the arena words). In spill mode this is the
-  /// exact *resident* footprint — spilled segments are counted by
-  /// spilled_bytes() instead. The bench reports this as bytes/state.
-  [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// True if the build (or a query since) actually wrote segments to disk.
-  [[nodiscard]] bool spill_engaged() const {
-    return store_.spill_engaged() || edges_.spill_engaged();
-  }
-  /// Bytes currently held in spill segment files (states + edges).
-  [[nodiscard]] std::size_t spilled_bytes() const {
-    return store_.spilled_bytes() + edges_.spilled_bytes();
-  }
-  /// High-water resident footprint across the build and all queries.
-  [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
-  }
-
  private:
   /// The builder: breadth-first expansion from the initial state.
   void explore(const ReachOptions& options);
 
-  std::shared_ptr<const CompiledNet> net_;
-  ReachStatus status_ = ReachStatus::kComplete;
-  StateStore store_;
-  EdgeCsr<Edge> edges_;
   /// Data words join each state only when an action can change them;
   /// action-free nets read the initial data.
   bool track_data_ = false;
-  std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
 
   /// Bytecode runtime (null for nets without predicates or actions);
   /// query-time scratch for decoding per-state frames out of the arena. The scratch is the one

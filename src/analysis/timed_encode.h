@@ -45,7 +45,7 @@ struct TimedSchedule {
   std::vector<std::uint8_t> in_current, in_next;
   std::vector<std::uint8_t> expanded;  ///< per state: edge row is complete
   std::uint64_t now = 0;
-  TimedReachStatus status = TimedReachStatus::kComplete;
+  ReachStatus status = ReachStatus::kComplete;
   /// Stop-poll accounting, so the builder polls at fixed canonical
   /// positions: exactly one stopped_by() call per expanded state, polling
   /// every kStopCheckStride states plus the first state after each tick
@@ -60,11 +60,9 @@ struct TimedSchedule {
     poll_pending = false;
     ++expand_count;
     if (!due) return false;
-    const StopToken::Reason reason = stop.poll();
-    if (reason == StopToken::Reason::kNone) return false;
-    status = reason == StopToken::Reason::kDeadline ? TimedReachStatus::kTimeout
-                                                    : TimedReachStatus::kCancelled;
-    return true;
+    const std::optional<ReachStatus> stopped = stop_status(stop);
+    if (stopped) status = *stopped;
+    return stopped.has_value();
   }
 
   /// Seed with the initial state (index 0, time 0, pending expansion).
@@ -93,10 +91,10 @@ struct TimedSchedule {
       in_next.push_back(0);
       expanded.push_back(0);
       if (num_states > options.max_states) {
-        status = TimedReachStatus::kTruncated;
+        status = ReachStatus::kTruncated;
         return false;
       }
-      if (arrival > options.max_time) status = TimedReachStatus::kTruncated;
+      if (arrival > options.max_time) status = ReachStatus::kTruncated;
     } else if (arrival < earliest_time[target]) {
       earliest_time[target] = arrival;  // promotion: found at cost 0
     }

@@ -1,7 +1,6 @@
 #include "analysis/timed_reachability.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "analysis/timed_encode.h"
 
@@ -12,8 +11,7 @@ TimedReachabilityGraph::TimedReachabilityGraph(const Net& net, TimedReachOptions
 
 TimedReachabilityGraph::TimedReachabilityGraph(std::shared_ptr<const CompiledNet> net,
                                                TimedReachOptions options)
-    : net_(std::move(net)) {
-  if (!net_) throw std::invalid_argument("TimedReachabilityGraph: null CompiledNet");
+    : ExploredGraph(std::move(net), "TimedReachabilityGraph") {
   explore(options);
 }
 
@@ -159,14 +157,6 @@ std::optional<TimedReachabilityGraph::TimeBounds> TimedReachabilityGraph::time_b
   }
   bounds.latest = unbounded ? UINT64_MAX : worst[0];
   return bounds;
-}
-
-std::vector<std::size_t> TimedReachabilityGraph::deadlock_states() const {
-  std::vector<std::size_t> out;
-  for (std::size_t s = 0; s < store_.size(); ++s) {
-    if (expanded_[s] != 0 && edges_.out_degree(s) == 0) out.push_back(s);
-  }
-  return out;
 }
 
 }  // namespace pnut::analysis

@@ -100,21 +100,18 @@ class TimedLimitError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-enum class TimedReachStatus : std::uint8_t {
-  kComplete,
-  kTruncated,
-  kTimeout,    ///< stopped by TimedReachOptions::stop's deadline
-  kCancelled,  ///< stopped by an explicit cancel on TimedReachOptions::stop
+/// One timed edge: the fired transition, or a one-cycle tick, and the
+/// target state.
+struct TimedEdge {
+  /// Fired transition, or nullopt for a one-cycle tick.
+  std::optional<TransitionId> transition;
+  std::uint32_t target = 0;
 };
 
 /// Discrete-time reachability graph of a net with integer constant delays.
-class TimedReachabilityGraph {
+class TimedReachabilityGraph : public ExploredGraph<TimedReachabilityGraph, TimedEdge> {
  public:
-  struct Edge {
-    /// Fired transition, or nullopt for a one-cycle tick.
-    std::optional<TransitionId> transition;
-    std::uint32_t target = 0;
-  };
+  using Edge = TimedEdge;
 
   /// Throws std::invalid_argument if any delay is not a non-negative
   /// integer constant, or if the net is interpreted (predicates/actions) —
@@ -124,29 +121,10 @@ class TimedReachabilityGraph {
   explicit TimedReachabilityGraph(std::shared_ptr<const CompiledNet> net,
                                   TimedReachOptions options = {});
 
-  [[nodiscard]] TimedReachStatus status() const { return status_; }
-  /// True when the build was stopped by its StopToken (deadline or cancel);
-  /// such a graph is a valid truncated prefix but must never be cached.
-  [[nodiscard]] bool stopped() const {
-    return status_ == TimedReachStatus::kTimeout ||
-           status_ == TimedReachStatus::kCancelled;
-  }
-  [[nodiscard]] std::size_t num_states() const { return store_.size(); }
-  /// Token counts of `state` as an arena slice (the first num_places words).
-  [[nodiscard]] std::span<const TokenCount> tokens(std::size_t state) const {
-    return store_.state(state).first(net_->num_places());
-  }
-  /// Materialized copy of the state's marking (decoded from the arena).
-  [[nodiscard]] Marking marking(std::size_t state) const {
-    return Marking::from_tokens(tokens(state));
-  }
   /// Time elapsed from the initial state (shortest path in ticks; exact
   /// when status() == kComplete, an upper bound on truncated graphs).
   [[nodiscard]] std::uint64_t earliest_time(std::size_t state) const {
     return earliest_time_.at(state);
-  }
-  [[nodiscard]] std::span<const Edge> edges(std::size_t state) const {
-    return edges_.out(state);
   }
   /// The state's full interned word vector (marking | enabling timers |
   /// in-flight counts) — the differential tests compare graphs byte for
@@ -162,8 +140,6 @@ class TimedReachabilityGraph {
   [[nodiscard]] bool state_expanded(std::size_t state) const {
     return expanded_.at(state) != 0;
   }
-  /// Number of fully expanded states (== num_states() iff kComplete).
-  [[nodiscard]] std::size_t num_expanded() const { return num_expanded_; }
 
   /// Earliest and latest (over timing-feasible paths, up to the horizon)
   /// times at which `predicate` over the marking first becomes true.
@@ -181,42 +157,11 @@ class TimedReachabilityGraph {
   [[nodiscard]] std::optional<TimeBounds> time_bounds(
       const std::function<bool(const Marking&)>& predicate) const;
 
-  /// Fully-expanded states with no outgoing edges (true timed deadlocks:
-  /// nothing fireable now or ever, not even after ticks). Never-expanded
-  /// truncation leftovers are excluded — their empty edge rows mean
-  /// "unexplored", not "stuck".
-  [[nodiscard]] std::vector<std::size_t> deadlock_states() const;
-
-  /// Approximate heap footprint (arena + intern table + edge pool). In
-  /// spill mode this is the exact *resident* footprint — spilled segments
-  /// are counted by spilled_bytes() instead.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return store_.memory_bytes() + edges_.memory_bytes();
-  }
-
-  /// True if the build (or a query since) actually wrote segments to disk.
-  [[nodiscard]] bool spill_engaged() const {
-    return store_.spill_engaged() || edges_.spill_engaged();
-  }
-  /// Bytes currently held in spill segment files (states + edges).
-  [[nodiscard]] std::size_t spilled_bytes() const {
-    return store_.spilled_bytes() + edges_.spilled_bytes();
-  }
-  /// High-water resident footprint across the build and all queries.
-  [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
-  }
-
  private:
   void explore(const TimedReachOptions& options);
 
-  std::shared_ptr<const CompiledNet> net_;
-  TimedReachStatus status_ = TimedReachStatus::kComplete;
-  StateStore store_;
-  EdgeCsr<Edge> edges_;
   std::vector<std::uint64_t> earliest_time_;
   std::vector<std::uint8_t> expanded_;  ///< per state: edge row is complete
-  std::size_t num_expanded_ = 0;        ///< cached popcount of expanded_
 };
 
 }  // namespace pnut::analysis

@@ -53,8 +53,13 @@ class FdBuf : public std::streambuf {
     return traits_type::to_int_type(*gptr());
   }
 
+  /// Send the buffered bytes, then buffer `ch` unless it is eof. Every
+  /// flush comes through here.
   int_type overflow(int_type ch) override {
-    if (flush_out() != 0) return traits_type::eof();
+    if (send_all(pbase(), static_cast<std::size_t>(pptr() - pbase())) != 0) {
+      return traits_type::eof();
+    }
+    setp(out_, out_ + sizeof(out_));
     if (!traits_type::eq_int_type(ch, traits_type::eof())) {
       *pptr() = traits_type::to_char_type(ch);
       pbump(1);
@@ -68,19 +73,16 @@ class FdBuf : public std::streambuf {
       pbump(static_cast<int>(n));
       return n;
     }
-    if (flush_out() != 0 || send_all(s, static_cast<std::size_t>(n)) != 0) return 0;
+    if (sync() != 0 || send_all(s, static_cast<std::size_t>(n)) != 0) return 0;
     return n;
   }
 
-  int sync() override { return flush_out(); }
-
- private:
-  int flush_out() {
-    if (send_all(pbase(), static_cast<std::size_t>(pptr() - pbase())) != 0) return -1;
-    setp(out_, out_ + sizeof(out_));
-    return 0;
+  int sync() override {
+    return traits_type::eq_int_type(overflow(traits_type::eof()), traits_type::eof()) ? -1
+                                                                                       : 0;
   }
 
+ private:
   /// Send all `size` bytes, resuming after partial writes and EINTR.
   int send_all(const char* p, std::size_t size) {
     const char* const end = p + size;

@@ -51,7 +51,6 @@ struct LaneRun {
   // Effective parameter rows: the shared base arrays, or this lane's
   // override row when the field has been patched.
   const Time* enab_const;
-  const Time* fire_const;
   const std::int64_t* enab_lo;
   const std::int64_t* enab_hi;
   const std::int64_t* fire_lo;
@@ -79,8 +78,6 @@ struct LaneRun {
     const std::size_t t_row = k * b.num_transitions_;
     enab_const = b.enab_const_m_.empty() ? b.enab_const_base_.data()
                                          : b.enab_const_m_.data() + t_row;
-    fire_const = b.fire_const_m_.empty() ? b.fire_const_base_.data()
-                                         : b.fire_const_m_.data() + t_row;
     enab_lo = b.enab_lo_m_.empty() ? b.enab_lo_base_.data() : b.enab_lo_m_.data() + t_row;
     enab_hi = b.enab_hi_m_.empty() ? b.enab_hi_base_.data() : b.enab_hi_m_.data() + t_row;
     fire_lo = b.fire_lo_m_.empty() ? b.fire_lo_base_.data() : b.fire_lo_m_.data() + t_row;
@@ -137,7 +134,7 @@ struct LaneRun {
     const std::size_t i = t.value;
     switch (enabling ? b.enab_kind_[i] : b.fire_kind_[i]) {
       case DelaySpec::Kind::kConstant:
-        return enabling ? enab_const[i] : fire_const[i];
+        return enabling ? enab_const[i] : b.fire_const_base_[i];
       case DelaySpec::Kind::kUniform:
         return static_cast<Time>(enabling ? rng.next_int(enab_lo[i], enab_hi[i])
                                           : rng.next_int(fire_lo[i], fire_hi[i]));
@@ -663,18 +660,6 @@ void BatchSimulator::patch_enabling_constant(std::size_t lane, TransitionId t,
       value;
 }
 
-void BatchSimulator::patch_firing_constant(std::size_t lane, TransitionId t, Time value) {
-  check_lane(lane);
-  check_transition(*net_, t);
-  if (fire_kind_[t.value] != DelaySpec::Kind::kConstant) {
-    throw std::invalid_argument("BatchSimulator: firing time of '" +
-                                net_->transition_name(t) + "' is not a constant delay");
-  }
-  if (value < 0) throw std::invalid_argument("DelaySpec::constant: negative delay");
-  ensure_matrix(fire_const_m_, fire_const_base_.data(), num_transitions_)[lt(lane, t)] =
-      value;
-}
-
 void BatchSimulator::patch_enabling_uniform(std::size_t lane, TransitionId t,
                                             std::int64_t lo, std::int64_t hi) {
   check_lane(lane);
@@ -886,17 +871,6 @@ const RunStats& BatchSimulator::stats(std::size_t lane) const {
 Time BatchSimulator::now(std::size_t lane) const {
   check_ran(lane);
   return now_[lane];
-}
-
-std::span<const TokenCount> BatchSimulator::marking(std::size_t lane) const {
-  check_ran(lane);
-  return {marking_m_.data() + lane * num_places_, num_places_};
-}
-
-std::uint64_t BatchSimulator::completed_firings(std::size_t lane, TransitionId t) const {
-  check_ran(lane);
-  check_transition(*net_, t);
-  return completions_m_[lt(lane, t)];
 }
 
 std::uint64_t BatchSimulator::total_firing_starts(std::size_t lane) const {

@@ -72,7 +72,7 @@
 // BatchOptions::threads value.
 //
 // Parameter patches: a lane can deviate from the compiled net without
-// recompiling — initial tokens, constant delays, uniform delay bounds,
+// recompiling — initial tokens, constant enabling delays, uniform delay bounds,
 // conflict frequencies, initial scalar values, and the literal bounds of
 // `irand` calls inside compiled actions. Each patch is equivalent to
 // rebuilding the Net with the changed value (the sweep API, sim/sweep.h,
@@ -194,9 +194,8 @@ class BatchSimulator {
   // a patched lane is always equivalent to a legally rebuilt net.
 
   void patch_initial_tokens(std::size_t lane, PlaceId place, TokenCount tokens);
-  /// Patch a DelaySpec::constant enabling / firing delay.
+  /// Patch a DelaySpec::constant enabling delay.
   void patch_enabling_constant(std::size_t lane, TransitionId t, Time value);
-  void patch_firing_constant(std::size_t lane, TransitionId t, Time value);
   /// Patch the [lo, hi] bounds of a DelaySpec::uniform_int delay.
   void patch_enabling_uniform(std::size_t lane, TransitionId t, std::int64_t lo,
                               std::int64_t hi);
@@ -228,8 +227,6 @@ class BatchSimulator {
   /// attached to the lane's trace.
   [[nodiscard]] const RunStats& stats(std::size_t lane) const;
   [[nodiscard]] Time now(std::size_t lane) const;
-  [[nodiscard]] std::span<const TokenCount> marking(std::size_t lane) const;
-  [[nodiscard]] std::uint64_t completed_firings(std::size_t lane, TransitionId t) const;
   [[nodiscard]] std::uint64_t total_firing_starts(std::size_t lane) const;
 
  private:
@@ -283,7 +280,7 @@ class BatchSimulator {
 
   // Lazily-allocated per-lane override matrices (lane-major, broadcast from
   // the base row on first patch of the field).
-  std::vector<Time> enab_const_m_, fire_const_m_;
+  std::vector<Time> enab_const_m_;
   std::vector<std::int64_t> enab_lo_m_, enab_hi_m_, fire_lo_m_, fire_hi_m_;
   std::vector<double> freq_m_;
   std::vector<TokenCount> init_tokens_m_;

@@ -32,21 +32,6 @@ SweepAxis SweepAxis::enabling_constant(std::string name,
   return axis;
 }
 
-SweepAxis SweepAxis::firing_constant(std::string name,
-                                     std::vector<std::string> transitions,
-                                     std::vector<double> values) {
-  SweepAxis axis;
-  axis.name = std::move(name);
-  axis.values = std::move(values);
-  axis.apply = [transitions = std::move(transitions)](BatchSimulator& batch,
-                                                      std::size_t lane, double value) {
-    for (const TransitionId t : resolve_transitions(batch.compiled(), transitions)) {
-      batch.patch_firing_constant(lane, t, value);
-    }
-  };
-  return axis;
-}
-
 SweepAxis SweepAxis::initial_tokens(std::string name, std::string place,
                                     std::vector<double> values) {
   SweepAxis axis;
@@ -85,16 +70,6 @@ SweepAxis SweepAxis::frequency_split(
       batch.patch_frequency(lane, net.transition_named(not_taken), 1 - ratio);
     }
   };
-  return axis;
-}
-
-SweepAxis SweepAxis::custom(
-    std::string name, std::vector<double> values,
-    std::function<void(BatchSimulator&, std::size_t, double)> apply) {
-  SweepAxis axis;
-  axis.name = std::move(name);
-  axis.values = std::move(values);
-  axis.apply = std::move(apply);
   return axis;
 }
 

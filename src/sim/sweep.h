@@ -6,9 +6,10 @@
 // which the historical tooling produced by rebuilding and revalidating the
 // whole Net, recompiling it, and running one scalar Simulator. A SweepAxis
 // describes one swept parameter as a *patch* against a single CompiledNet
-// (sim/batch_sim.h): integer delay constants, conflict frequencies (the
-// cache hit/miss split), initial markings, uniform delay bounds, irand
-// bounds. A grid of axes then becomes one BatchSimulator with
+// (sim/batch_sim.h): enabling delay constants, conflict frequencies (the
+// cache hit/miss split) and initial markings have factories; uniform delay
+// bounds and irand bounds take an explicit `apply` over the BatchSimulator
+// patches. A grid of axes then becomes one BatchSimulator with
 // cells x replications lanes — compiled once, patched per lane, run in one
 // batch — returning a per-cell MetricSummary (mean/stddev/CI95) for each
 // requested metric.
@@ -50,10 +51,6 @@ struct SweepAxis {
   static SweepAxis enabling_constant(std::string name,
                                      std::vector<std::string> transitions,
                                      std::vector<double> values);
-  /// Sweep a DelaySpec::constant firing delay shared by `transitions`.
-  static SweepAxis firing_constant(std::string name,
-                                   std::vector<std::string> transitions,
-                                   std::vector<double> values);
   /// Sweep the initial token count of `place` (values must be non-negative
   /// integers).
   static SweepAxis initial_tokens(std::string name, std::string place,
@@ -66,10 +63,6 @@ struct SweepAxis {
       std::string name,
       std::vector<std::pair<std::string, std::string>> pairs,
       std::vector<double> ratios);
-  /// Anything else (uniform bounds, irand bounds, multi-parameter
-  /// couplings): an explicit per-lane patch function.
-  static SweepAxis custom(std::string name, std::vector<double> values,
-                          std::function<void(BatchSimulator&, std::size_t, double)> apply);
 };
 
 struct SweepOptions {

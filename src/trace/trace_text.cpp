@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "util/parse_number.h"
 
@@ -184,6 +185,12 @@ RecordedTrace read_trace_text(std::istream& in) {
   }
   if (!began) fail(line_no, "missing 'start' line");
 
+  // Token counts and in-flight firings are replayed as the events are read,
+  // by TraceCursor::step's rules, so every consumer of a loaded trace sees
+  // the same consistent trace and an inconsistent one fails here, once.
+  Marking marking = header.initial_marking;
+  std::vector<std::uint64_t> in_flight(header.transition_names.size(), 0);
+
   // --- events ---------------------------------------------------------------
   while (std::getline(in, line)) {
     ++line_no;
@@ -254,6 +261,25 @@ RecordedTrace read_trace_text(std::istream& in) {
       } else {
         fail(line_no, "unknown event field '" + field + "'");
       }
+    }
+    try {
+      if (ev.kind != TraceEvent::Kind::kEnd) {
+        for (const TokenDelta& d : ev.consumed) marking.remove(d.place, d.count);
+      }
+      if (ev.kind != TraceEvent::Kind::kStart) {
+        for (const TokenDelta& d : ev.produced) marking.add(d.place, d.count);
+      }
+    } catch (const std::exception& e) {
+      fail(line_no, e.what());
+    }
+    if (ev.kind == TraceEvent::Kind::kStart) ++in_flight[transition_index];
+    if (ev.kind == TraceEvent::Kind::kEnd) {
+      if (in_flight[transition_index] == 0) {
+        fail(line_no, "End event for transition '" +
+                          header.transition_names[transition_index] +
+                          "' with no firing in flight");
+      }
+      --in_flight[transition_index];
     }
     trace.event(ev);
   }

@@ -42,7 +42,7 @@ TEST(ExplorationEquivalence, ReachFullModel) {
 
 TEST(ExplorationEquivalence, TimedFig1Prefetch) {
   const TimedReachabilityGraph graph(pipeline::build_prefetch_model());
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.num_states(), 15u);
   std::size_t edges = 0;
   for (std::size_t s = 0; s < graph.num_states(); ++s) edges += graph.edges(s).size();
@@ -52,7 +52,7 @@ TEST(ExplorationEquivalence, TimedFig1Prefetch) {
 
 TEST(ExplorationEquivalence, TimedFullModel) {
   const TimedReachabilityGraph graph(pipeline::build_full_model());
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.num_states(), 4894u);
   std::size_t edges = 0;
   for (std::size_t s = 0; s < graph.num_states(); ++s) edges += graph.edges(s).size();

@@ -62,7 +62,7 @@ void expect_earliest_times_are_shortest_distances(const TimedReachabilityGraph& 
 std::uint64_t fingerprint(const Net& net, const std::string& label,
                           const TimedReachOptions& options = {}) {
   const TimedReachabilityGraph graph(net, options);
-  if (graph.status() == TimedReachStatus::kComplete) {
+  if (graph.status() == ReachStatus::kComplete) {
     SCOPED_TRACE(label);
     expect_earliest_times_are_shortest_distances(graph);
   }
@@ -98,7 +98,7 @@ TEST(TimedGolden, FullPipelineModel) {
   // The fingerprint and the frozen count pins from
   // analysis_exploration_equivalence_test, on one build.
   const TimedReachabilityGraph graph(pipeline::build_full_model());
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.num_states(), 4894u);
   std::size_t edges = 0;
   for (std::size_t s = 0; s < graph.num_states(); ++s) edges += graph.edges(s).size();

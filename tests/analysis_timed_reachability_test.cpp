@@ -39,7 +39,7 @@ TEST(TimedReach, EnablingDelayCountsTicks) {
   net.set_enabling_time(t, DelaySpec::constant(3));
 
   const TimedReachabilityGraph graph(net);
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   // Timer states 3,2,1,0-fires plus the final marking: 5 timed states
   // versus 2 untimed ones.
   EXPECT_EQ(graph.num_states(), 5u);
@@ -260,7 +260,7 @@ TEST(TimedReach, PipelineFirstIssueLatency) {
   options.max_states = 200000;
   options.max_time = 200;
   const TimedReachabilityGraph graph(net, options);
-  ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+  ASSERT_EQ(graph.status(), ReachStatus::kComplete);
 
   const auto bounds =
       graph.time_bounds(marked(net, pipeline::names::kIssuedInstruction));
@@ -343,7 +343,7 @@ TEST(TimedReach, EmptyNetIsOneDeadlockedState) {
   // one state, no edges, a timed deadlock, and no word copy through a
   // null pointer on the way (UBSan's nonnull check on memcpy).
   const TimedReachabilityGraph graph{Net{}};
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.num_states(), 1u);
   EXPECT_TRUE(graph.edges(0).empty());
   EXPECT_EQ(graph.deadlock_states().size(), 1u);
@@ -363,7 +363,7 @@ TEST(TimedReach, TruncationAtHorizon) {
   TimedReachOptions options;
   options.max_time = 5;
   const TimedReachabilityGraph graph(net, options);
-  EXPECT_EQ(graph.status(), TimedReachStatus::kTruncated);
+  EXPECT_EQ(graph.status(), ReachStatus::kTruncated);
 }
 
 TEST(TimedReach, HorizonTruncationReportsNoPhantomDeadlocks) {
@@ -382,7 +382,7 @@ TEST(TimedReach, HorizonTruncationReportsNoPhantomDeadlocks) {
   TimedReachOptions options;
   options.max_time = 4;
   const TimedReachabilityGraph graph(net, options);
-  ASSERT_EQ(graph.status(), TimedReachStatus::kTruncated);
+  ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
   ASSERT_LT(graph.num_expanded(), graph.num_states());
   EXPECT_TRUE(graph.deadlock_states().empty());
   for (const std::size_t s : graph.deadlock_states()) {
@@ -417,7 +417,7 @@ TEST(TimedReach, StateCapTruncationReportsNoPhantomDeadlocks) {
   TimedReachOptions options;
   options.max_states = 6;
   const TimedReachabilityGraph graph(net, options);
-  ASSERT_EQ(graph.status(), TimedReachStatus::kTruncated);
+  ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
   ASSERT_LT(graph.num_expanded(), graph.num_states());
   EXPECT_TRUE(graph.deadlock_states().empty());
 }
@@ -433,7 +433,7 @@ TEST(TimedReach, CompleteGraphStillReportsTrueDeadlocks) {
   net.set_enabling_time(t, DelaySpec::constant(1));
 
   const TimedReachabilityGraph graph(net);
-  ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+  ASSERT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.num_expanded(), graph.num_states());
   const auto deadlocks = graph.deadlock_states();
   ASSERT_EQ(deadlocks.size(), 1u);
@@ -544,7 +544,7 @@ TEST(TimedReachKernel, SingleServerWaitsForItsOwnFiring) {
   };
   const Net single = build(FiringPolicy::kSingleServer);
   const TimedReachabilityGraph single_graph(single);
-  ASSERT_EQ(single_graph.status(), TimedReachStatus::kComplete);
+  ASSERT_EQ(single_graph.status(), ReachStatus::kComplete);
   const auto single_bounds = single_graph.time_bounds(marked(single, "Q", 2));
   ASSERT_TRUE(single_bounds.has_value());
   EXPECT_EQ(single_bounds->earliest, 10u);
@@ -592,7 +592,7 @@ TEST(TimedReachKernel, DepositOnAnInhibitorPlaceResetsARunningTimer) {
   for (const auto& [mover_firing, pinned] : cases) {
     const Net net = build(mover_firing);
     const TimedReachabilityGraph graph(net);
-    ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+    ASSERT_EQ(graph.status(), ReachStatus::kComplete);
     const auto bounds = graph.time_bounds(marked(net, "Y"));
     ASSERT_TRUE(bounds.has_value());
     EXPECT_EQ(bounds->earliest, 6u) << "mover firing " << mover_firing;
@@ -628,7 +628,7 @@ TEST(TimedReachKernel, ZeroFiringDelayDepositsAtOnce) {
   net.set_enabling_time(side, DelaySpec::constant(1));
 
   const TimedReachabilityGraph graph(net);
-  ASSERT_EQ(graph.status(), TimedReachStatus::kComplete);
+  ASSERT_EQ(graph.status(), ReachStatus::kComplete);
   EXPECT_EQ(graph.state_words(0).size(), 8u);
   const auto bounds = graph.time_bounds(marked(net, "C"));
   ASSERT_TRUE(bounds.has_value());
@@ -646,7 +646,7 @@ TEST(TimedReachKernel, ZeroFiringDelayDepositsAtOnce) {
 /// The fingerprint of the net's complete graph.
 std::string complete_fingerprint(const Net& net) {
   const TimedReachabilityGraph graph(net);
-  EXPECT_EQ(graph.status(), TimedReachStatus::kComplete);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   return fingerprint(graph);
 }
 

@@ -15,7 +15,10 @@
 // Every test disarms in TearDown so a failing assertion cannot leak an
 // armed fault into later tests. Runs under the `chaos` ctest label.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cerrno>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -104,6 +107,34 @@ TEST_F(ChaosTest, DiskFullAtSpillWriteFailsCleanlyAndRemovesSpillDir) {
     ASSERT_TRUE(std::equal(rt.begin(), rt.end(), tt.begin(), tt.end()))
         << "state " << s;
   }
+}
+
+TEST_F(ChaosTest, RealSpillWriteFailureFailsCleanlyAndRemovesSpillDir) {
+  // Not injected: a file-size limit on this process makes the kernel
+  // refuse the spill write itself (EFBIG, with SIGXFSZ ignored), the errno
+  // path the injected faults do not take.
+  const Net net = reach_models::stress_ring(20, 4);
+  analysis::ReachOptions options;
+  options.spill = tiny_spill(dir_.string());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = 1024;  // half of one spill segment
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  int code = 0;
+  std::string what;
+  try {
+    const analysis::ReachabilityGraph graph(net, options);
+  } catch (const std::system_error& e) {
+    code = e.code().value();
+    what = e.what();
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(code, EFBIG);
+  EXPECT_EQ(what.rfind("write spill segment", 0), 0u) << what;
+  EXPECT_EQ(dir_entries(), 0u);
 }
 
 TEST_F(ChaosTest, DiskFullAtSegmentMapFailsQueryThenRecovers) {

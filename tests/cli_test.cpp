@@ -1271,6 +1271,66 @@ TEST_F(CliTest, TraceHeaderAndEventNumbersAreReadStrictly) {
                        ": bad end time '-inf'\n");
 }
 
+TEST_F(CliTest, InconsistentTracesAreRejectedByEveryTraceCommand) {
+  // The loader replays token counts and in-flight firings, so stat, which
+  // never steps a cursor, rejects the same traces as animate, render and
+  // query, with the same line-numbered text and exit code 2.
+  const std::string trace_path = make_trace_file();
+  std::string text;
+  {
+    std::ifstream in(trace_path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  // Line 11, the first event, fires `start` (transition 0) on Bus_free
+  // (place 0), which holds 1 token.
+  const std::string first_event = "A 0 0 0 p0:1 p2:1 q1:1\n";
+  ASSERT_NE(text.find("start 0\n" + first_event), std::string::npos) << text;
+  struct Case {
+    const char* event;
+    const char* err;
+  };
+  const Case kCases[] = {
+      {"A 0 0 0 p0:7 p2:1 q1:1\n",
+       "trace text, line 11: Marking::remove: removing 7 tokens from place 0 which holds "
+       "only 1\n"},
+      {"E 0 1 0 q0:1\n",
+       "trace text, line 11: End event for transition 'finish' with no firing in flight\n"},
+      {"A 0 0 0 q0:4294967295\n",
+       "trace text, line 11: Marking::add: token count overflow on place 0\n"},
+      // A Start's consumption counts too, and an End may close it.
+      {"S 0 0 0 p0:2\n",
+       "trace text, line 11: Marking::remove: removing 2 tokens from place 0 which holds "
+       "only 1\n"},
+  };
+  const std::string bad_path = (dir_ / "bad.trace").string();
+  for (const Case& c : kCases) {
+    std::string broken = text;
+    broken.replace(broken.find(first_event), first_event.size(), c.event);
+    std::ofstream(bad_path) << broken;
+    const std::vector<std::vector<std::string>> commands = {
+        {"stat", bad_path},
+        {"animate", bad_path},
+        {"render", bad_path, "--signals", "Bus_busy"},
+        {"query", bad_path, "forall s in S [ Bus_busy(s) <= 1 ]"},
+    };
+    for (const auto& argv : commands) {
+      const Result r = run_cli(argv);
+      EXPECT_EQ(r.code, 2) << argv[0] << ' ' << c.event;
+      EXPECT_EQ(r.out, "") << argv[0] << ' ' << c.event;
+      EXPECT_EQ(r.err, "pnut " + argv[0] + ": " + c.err) << c.event;
+    }
+  }
+  // A Start then its End replays cleanly.
+  std::string paired = text;
+  paired.replace(paired.find(first_event), first_event.size(),
+                 "S 0 0 0 p0:1 p2:1\nE 0 0 0 q1:1\n");
+  std::ofstream(bad_path) << paired;
+  const Result ok = run_cli({"stat", bad_path});
+  EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
 TEST_F(CliTest, RenderSignalsSplitOnlyAtTopLevelCommas) {
   // A function signal may call a two-argument builtin: the comma inside
   // min(...) belongs to the expression, not to the signal list.

@@ -301,6 +301,34 @@ TEST(PipelineModel, ConfigValidation) {
   EXPECT_THROW(build_full_model(bad5), std::invalid_argument);
 }
 
+TEST(PipelineMetrics, ToStringPrintsEveryMappingAndExecClass) {
+  // A class time without a count prints count 0.
+  PipelineMetrics m;
+  m.instructions_per_cycle = 0.25;
+  m.bus_utilization = 0.5;
+  m.bus_prefetch_fraction = 0.125;
+  m.bus_operand_fetch_fraction = 0.0625;
+  m.bus_store_fraction = 0.3125;
+  m.decoder_busy = 0.75;
+  m.exec_unit_busy = 1;
+  m.avg_full_ibuffer_words = 1.5;
+  m.avg_empty_ibuffer_words = 0.5;
+  m.exec_class_time = {0.375, 0};
+  m.exec_class_counts = {12};
+  EXPECT_EQ(m.to_string(),
+            "  instructions / cycle           0.2500\n"
+            "  bus utilization                0.5000\n"
+            "    prefetch fraction            0.1250\n"
+            "    operand-fetch fraction       0.0625\n"
+            "    result-store fraction        0.3125\n"
+            "  decoder busy                   0.7500\n"
+            "  execution unit busy            1.0000\n"
+            "  avg full I-buffer words        1.5000\n"
+            "  avg empty I-buffer words       0.5000\n"
+            "  exec class 1: time  0.3750, count 12\n"
+            "  exec class 2: time  0.0000, count 0\n");
+}
+
 TEST(PipelineModel, PrefetchStandaloneModelRuns) {
   const Net net = build_prefetch_model();
   EXPECT_TRUE(net.validate().empty());

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -431,6 +432,101 @@ TEST_F(ServeTest, EvictionIsByteBudgetedAndLeastRecentlyUsedFirst) {
   EXPECT_EQ(stats.graph_evictions, 1U);
 }
 
+TEST_F(ServeTest, UntimedAndTimedGraphsShareOneLeastRecentlyUsedOrder) {
+  // One analyze caches an untimed and a timed graph; two query --reach
+  // requests cache one untimed graph each. All four compete for one budget
+  // and are evicted oldest first, whatever their kind.
+  const std::string ring_a = write_ring("ring_a", 6, 4);
+  const std::string ring_y = write_ring("ring_y", 6, 4);
+  const std::string ring_z = write_ring("ring_z", 6, 4);
+  const std::string ring_query = "exists s in S [ P0(s) = 0 ]";
+  const auto query_of = [&](const std::string& model) {
+    return cli::Request{"query", {"--reach", model, ring_query}};
+  };
+  // analyze explores at --max-states 100000, so this query shares its
+  // untimed graph.
+  const cli::Request query_a{"query", {"--reach", ring_a, ring_query, "--max-states", "100000"}};
+  const cli::Request analyze_a{"analyze", {ring_a}};
+
+  cli::SessionOptions options;
+  options.cache = true;
+  std::size_t reach_a = 0;
+  std::size_t timed_a = 0;
+  std::size_t reach_y = 0;
+  std::size_t reach_z = 0;
+  {
+    cli::Session probe(options);
+    ASSERT_EQ(probe.execute(query_a).code, 0);
+    reach_a = probe.stats().graph_cache_bytes;
+    ASSERT_EQ(probe.execute(analyze_a).code, 0);
+    timed_a = probe.stats().graph_cache_bytes - reach_a;
+    ASSERT_EQ(probe.execute(query_of(ring_y)).code, 0);
+    reach_y = probe.stats().graph_cache_bytes - reach_a - timed_a;
+    ASSERT_EQ(probe.execute(query_of(ring_z)).code, 0);
+    reach_z = probe.stats().graph_cache_bytes - reach_a - timed_a - reach_y;
+    ASSERT_EQ(probe.stats().graph_cache_entries, 4U);
+  }
+  ASSERT_GT(reach_a, 0U);
+  ASSERT_GT(timed_a, 0U);
+  ASSERT_GT(reach_y, 0U);
+  ASSERT_GT(reach_z, 0U);
+
+  // All four need one byte more than the budget: each miss evicts exactly
+  // the least recently used entry.
+  options.graph_cache_budget_bytes = reach_a + timed_a + reach_y + reach_z - 1;
+  cli::Session session(options);
+  const cli::Result first = session.execute(analyze_a);  // reach A, timed A
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(session.execute(query_of(ring_y)).code, 0);  // reach Y
+  ASSERT_EQ(session.execute(query_a).code, 0);           // reach A hit
+  auto stats = session.stats();
+  EXPECT_EQ(stats.graph_misses, 3U);
+  EXPECT_EQ(stats.graph_hits, 1U);
+  EXPECT_EQ(stats.graph_evictions, 0U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+
+  // Oldest is timed A (reach A was touched after it): the timed graph goes.
+  ASSERT_EQ(session.execute(query_of(ring_z)).code, 0);
+  stats = session.stats();
+  EXPECT_EQ(stats.graph_misses, 4U);
+  EXPECT_EQ(stats.graph_evictions, 1U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+  EXPECT_EQ(stats.graph_cache_bytes, reach_a + reach_y + reach_z);
+
+  // analyze A again: reach A hits, timed A is rebuilt, and the oldest
+  // entry left, reach Y, goes to make room for it.
+  const cli::Result again = session.execute(analyze_a);
+  ASSERT_EQ(again.code, 0) << again.err;
+  EXPECT_EQ(again.out, first.out);
+  stats = session.stats();
+  EXPECT_EQ(stats.graph_hits, 2U);
+  EXPECT_EQ(stats.graph_misses, 5U);
+  EXPECT_EQ(stats.graph_evictions, 2U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+  EXPECT_EQ(stats.graph_cache_bytes, reach_a + timed_a + reach_z);
+
+  // Y was the victim (a miss that evicts Z, now the oldest); A's untimed
+  // graph goes before its timed graph, which analyze touched last.
+  ASSERT_EQ(session.execute(query_of(ring_y)).code, 0);
+  ASSERT_EQ(session.execute(query_of(ring_z)).code, 0);
+  stats = session.stats();
+  EXPECT_EQ(stats.graph_hits, 2U);
+  EXPECT_EQ(stats.graph_misses, 7U);
+  EXPECT_EQ(stats.graph_evictions, 4U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+  EXPECT_EQ(stats.graph_cache_bytes, timed_a + reach_y + reach_z);
+
+  // analyze A misses both: rebuilding reach A evicts timed A, now the
+  // oldest, before analyze looks it up; rebuilding timed A then evicts Y.
+  ASSERT_EQ(session.execute(analyze_a).code, 0);
+  stats = session.stats();
+  EXPECT_EQ(stats.graph_hits, 2U);
+  EXPECT_EQ(stats.graph_misses, 9U);
+  EXPECT_EQ(stats.graph_evictions, 6U);
+  EXPECT_EQ(stats.graph_cache_entries, 3U);
+  EXPECT_EQ(stats.graph_cache_bytes, reach_a + timed_a + reach_z);
+}
+
 TEST_F(ServeTest, ConcurrentClientsShareOneCachedGraph) {
   // The TSan target: many client sessions hammering one Session, every
   // query answered off one shared sealed graph. Exactly one exploration
@@ -520,6 +616,66 @@ TEST_F(ServeTest, TcpServerServesScriptedSessionEndToEnd) {
   server.wait_for_shutdown();
   server.stop();
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST_F(ServeTest, RunServeAnswersOneCachedSessionOverStdin) {
+  // `pnut serve` without --port: one caching session over stdin/stdout,
+  // ending at end of input with exit code 0.
+  const std::vector<std::string> query = {"query", "--reach", model_path_, kQuery};
+  std::istringstream in(to_line(query) + to_line(query) + ".stats\n");
+  std::ostringstream out;
+  std::ostringstream err;
+  std::streambuf* const saved = std::cin.rdbuf(in.rdbuf());
+  const int code = run_serve({"serve", "--cache-bytes", "64M"}, out, err);
+  std::cin.rdbuf(saved);
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(err.str(), "");
+  const auto responses = parse_responses(out.str());
+  ASSERT_EQ(responses.size(), 3U);
+  const Framed direct = run_direct(query);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(responses[i].code, direct.code);
+    EXPECT_EQ(responses[i].out, direct.out);
+    EXPECT_EQ(responses[i].err, direct.err);
+  }
+  EXPECT_NE(responses[2].out.find("graph cache: 1 hits, 1 misses, 0 evictions, 1 entries"),
+            std::string::npos)
+      << responses[2].out;
+}
+
+TEST_F(ServeTest, RunServeReportsUsageErrorsAndBindFailures) {
+  const auto run = [](const std::vector<std::string>& args) {
+    std::ostringstream out;
+    std::ostringstream err;
+    const int code = run_serve(args, out, err);
+    return Framed{code, out.str(), err.str()};
+  };
+  const Framed positional = run({"serve", "extra"});
+  EXPECT_EQ(positional.code, 2);
+  EXPECT_EQ(positional.out, "");
+  EXPECT_EQ(positional.err, "pnut serve: serve takes no positional arguments\n");
+  const Framed bad_port = run({"serve", "--port", "65536"});
+  EXPECT_EQ(bad_port.code, 2);
+  EXPECT_EQ(bad_port.err, "pnut serve: --port must be an integer in [0, 65535]\n");
+
+  // A port another socket is listening on cannot be bound: code 1, before
+  // anything is announced.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::string port = std::to_string(ntohs(addr.sin_port));
+  const Framed taken = run({"serve", "--port", port});
+  ::close(fd);
+  EXPECT_EQ(taken.code, 1);
+  EXPECT_EQ(taken.out, "");
+  EXPECT_EQ(taken.err, "pnut serve: cannot bind 127.0.0.1:" + port + "\n");
 }
 
 TEST_F(ServeTest, OversizedRequestLineIsRejectedAndSessionSurvives) {

@@ -67,6 +67,7 @@ std::uint64_t expect_batch_matches_simulator(const Net& net, std::size_t lanes,
     expect_stats_equal(batch.stats(k), run.stats, at);
     EXPECT_EQ(batch.stop_reason(k), run.stop) << at;
     EXPECT_EQ(batch.now(k), run.now) << at;
+    EXPECT_EQ(batch.total_firing_starts(k), run.firing_starts) << at;
     fingerprint.u64(test_support::hash_trace(traces[k]));
     fingerprint.u64(test_support::hash_stats(batch.stats(k)));
     fingerprint.u64(static_cast<std::uint64_t>(batch.stop_reason(k)));

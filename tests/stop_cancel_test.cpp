@@ -302,7 +302,7 @@ TEST(StopTimed, PreExpiredDeadlineStopsAtTheInitialState) {
   StopSource source;
   source.set_timeout_seconds(0);
   const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
-  EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kTimeout);
+  EXPECT_EQ(stopped.status(), analysis::ReachStatus::kTimeout);
   EXPECT_EQ(stopped.num_states(), 1u);
   EXPECT_EQ(stopped.num_expanded(), 0u);
   EXPECT_TRUE(stopped.edges(0).empty());
@@ -320,7 +320,7 @@ TEST(StopTimed, CancelAfterPollsStopsAtAFixedPosition) {
     StopSource source;
     source.cancel_after_polls(polls);
     const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
-    EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kCancelled);
+    EXPECT_EQ(stopped.status(), analysis::ReachStatus::kCancelled);
     expect_timed_prefix(stopped, full, "timed polls=" + std::to_string(polls));
     EXPECT_EQ(timed_fingerprint(stopped), test_support::hex_literal(pinned))
         << "polls=" << polls;
@@ -337,7 +337,7 @@ TEST(StopTimed, CancelAfterPollsOnFuzzedTimedNets) {
     StopSource source;
     source.cancel_after_polls(1);
     const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
-    EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kCancelled);
+    EXPECT_EQ(stopped.status(), analysis::ReachStatus::kCancelled);
     expect_timed_prefix(stopped, analysis::TimedReachabilityGraph(net, timed_options()),
                         "timed fuzz seed=" + std::to_string(seed));
     EXPECT_EQ(timed_fingerprint(stopped), test_support::hex_literal(pinned))

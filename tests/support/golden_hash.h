@@ -176,11 +176,16 @@ inline void add_data(Fingerprint& f, const DataContext& d) {
 
 /// Status, sizes, and per state: the full interned words (marking |
 /// enabling timers | in-flight counts), earliest time, expanded flag and
-/// edge row (label, the tick as UINT64_MAX, and target).
+/// edge row (label, the tick as UINT64_MAX, and target). The timed pins
+/// were recorded while the timed graph had a status enum of its own,
+/// without kUnbounded (which it never reports), so the status is hashed in
+/// that numbering: complete 0, truncated 1, timeout 2, cancelled 3.
 [[nodiscard]] inline std::uint64_t hash_timed_graph(
     const analysis::TimedReachabilityGraph& g) {
   Fingerprint f;
-  f.u64(static_cast<std::uint64_t>(g.status()));
+  const auto status = static_cast<std::uint64_t>(g.status());
+  f.u64(status > static_cast<std::uint64_t>(analysis::ReachStatus::kUnbounded) ? status - 1
+                                                                                : status);
   f.u64(g.num_states());
   f.u64(g.num_expanded());
   for (std::size_t s = 0; s < g.num_states(); ++s) {
