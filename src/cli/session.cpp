@@ -3,6 +3,7 @@
 #include <atomic>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <new>
@@ -153,11 +154,9 @@ struct Session::Impl {
     std::uint64_t last_used = 0;
   };
 
-  /// One cached graph. The key's prefix fixes its kind: a
-  /// ReachabilityGraph under "reach;", a TimedReachabilityGraph under
-  /// "timed;".
+  template <typename GraphT>
   struct GraphSlot {
-    std::shared_future<std::shared_ptr<const void>> future;
+    std::shared_future<std::shared_ptr<const GraphT>> future;
     std::size_t bytes = 0;  ///< exact arena accounting, set once built
     std::uint64_t last_used = 0;
     bool ready = false;  ///< false while the build is in flight
@@ -171,7 +170,8 @@ struct Session::Impl {
   std::uint64_t tick = 0;
   std::size_t cached_bytes = 0;
   std::map<std::string, ModelSlot> models;  // keyed by source content
-  std::map<std::string, GraphSlot> graphs;  // both kinds, one LRU order
+  std::map<std::string, GraphSlot<analysis::ReachabilityGraph>> reach_cache;
+  std::map<std::string, GraphSlot<analysis::TimedReachabilityGraph>> timed_cache;
 
   /// The request's stop token: always watches the session drain flag;
   /// `--timeout S` (or, absent that, the session default) adds a deadline.
@@ -234,85 +234,101 @@ struct Session::Impl {
   /// served to its requesters but not retained.
   void evict_over_budget(const std::string& keep_key) {
     while (cached_bytes > options.graph_cache_budget_bytes) {
-      auto victim = graphs.end();
-      for (auto it = graphs.begin(); it != graphs.end(); ++it) {
-        if (!it->second.ready || it->first == keep_key) continue;
-        if (victim == graphs.end() || it->second.last_used < victim->second.last_used) {
-          victim = it;
+      std::string victim;
+      std::uint64_t victim_tick = std::numeric_limits<std::uint64_t>::max();
+      int which = -1;
+      const auto consider = [&](const auto& cache, int id) {
+        for (const auto& [key, slot] : cache) {
+          if (!slot.ready || key == keep_key) continue;
+          if (slot.last_used < victim_tick) {
+            victim_tick = slot.last_used;
+            victim = key;
+            which = id;
+          }
         }
+      };
+      consider(reach_cache, 0);
+      consider(timed_cache, 1);
+      if (which < 0) break;
+      const auto erase_from = [&](auto& cache) {
+        const auto it = cache.find(victim);
+        cached_bytes -= it->second.bytes;
+        cache.erase(it);
+      };
+      if (which == 0) {
+        erase_from(reach_cache);
+      } else {
+        erase_from(timed_cache);
       }
-      if (victim == graphs.end()) break;
-      cached_bytes -= victim->second.bytes;
-      graphs.erase(victim);
       ++counters.graph_evictions;
     }
     if (cached_bytes > options.graph_cache_budget_bytes) {
-      const auto it = graphs.find(keep_key);
-      if (it != graphs.end() && it->second.ready) {
+      const auto drop = [&](auto& cache) {
+        const auto it = cache.find(keep_key);
+        if (it == cache.end() || !it->second.ready) return false;
         cached_bytes -= it->second.bytes;
-        graphs.erase(it);
+        cache.erase(it);
         ++counters.graph_evictions;
-      }
+        return true;
+      };
+      if (!drop(reach_cache)) drop(timed_cache);
     }
   }
 
-  /// The GraphT of `m` under `o`, from the graph cache under
-  /// key_of(m.source, o) when the session caches. Spill-mode graphs remap
-  /// segments on read — neither resident nor safe under concurrent readers
-  /// — so they bypass the cache; the cache budget is the serve-mode
-  /// residency control. Deadline-bearing builds bypass too: their
-  /// truncation point depends on wall-clock, so the graph is not a pure
-  /// function of the cache key.
+  /// The GraphT of `m` under `o`, from `cache` under key_of(m.source, o)
+  /// when the session caches. Spill-mode graphs remap segments on read —
+  /// neither resident nor safe under concurrent readers — so they bypass
+  /// the cache; the cache budget is the serve-mode residency control.
+  /// Deadline-bearing builds bypass too: their truncation point depends on
+  /// wall-clock, so the graph is not a pure function of the cache key.
   template <typename GraphT, typename OptionsT>
   std::shared_ptr<const GraphT> graph_of(
-      const Model& m, const OptionsT& o,
+      std::map<std::string, GraphSlot<GraphT>>& cache, const Model& m, const OptionsT& o,
       std::string (*key_of)(const std::string&, const OptionsT&)) {
     if (!options.cache || o.spill.max_resident_bytes != 0 || o.stop.may_expire()) {
       return std::make_shared<const GraphT>(m.compiled, o);
     }
     const std::string key = key_of(m.source, o);
-    std::promise<std::shared_ptr<const void>> promise;
-    std::shared_future<std::shared_ptr<const void>> wait_on;
+    std::promise<std::shared_ptr<const GraphT>> promise;
+    std::shared_future<std::shared_ptr<const GraphT>> wait_on;
     bool builder = false;
     {
       std::lock_guard<std::mutex> lock(mu);
-      const auto it = graphs.find(key);
-      if (it == graphs.end()) {
+      const auto it = cache.find(key);
+      if (it == cache.end()) {
         ++counters.graph_misses;
         builder = true;
-        GraphSlot slot;
+        GraphSlot<GraphT> slot;
         slot.future = promise.get_future().share();
         slot.last_used = ++tick;
-        graphs.emplace(key, std::move(slot));
+        cache.emplace(key, std::move(slot));
       } else {
         ++counters.graph_hits;
         it->second.last_used = ++tick;
         wait_on = it->second.future;
       }
     }
-    if (!builder) {  // get() rethrows a failed build
-      return std::static_pointer_cast<const GraphT>(wait_on.get());
-    }
+    if (!builder) return wait_on.get();  // rethrows a failed build
     std::shared_ptr<const GraphT> graph;
     try {
       graph = std::make_shared<const GraphT>(m.compiled, o);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(mu);
-        graphs.erase(key);  // failures are not cached; the next request retries
+        cache.erase(key);  // failures are not cached; the next request retries
       }
       promise.set_exception(std::current_exception());
       throw;
     }
     {
       std::lock_guard<std::mutex> lock(mu);
-      const auto it = graphs.find(key);
-      if (it != graphs.end()) {
+      const auto it = cache.find(key);
+      if (it != cache.end()) {
         if (graph->stopped()) {
           // A drain cancel tripped mid-build: the truncated prefix is a
           // valid answer for *this* request but must never satisfy a future
           // same-key request that expects the full graph.
-          graphs.erase(it);
+          cache.erase(it);
         } else {
           it->second.bytes = graph->memory_bytes();
           it->second.ready = true;
@@ -481,7 +497,7 @@ struct Session::Impl {
       parse_threads(args);  // validated only: the graph has one builder
       options.spill = parse_spill(args);
       options.stop = stop;
-      const auto graph = graph_of<analysis::ReachabilityGraph>(*m, options, reach_key);
+      const auto graph = graph_of(reach_cache, *m, options, reach_key);
       if (graph->status() != analysis::ReachStatus::kComplete) {
         const char* why = "unbounded";
         switch (graph->status()) {
@@ -601,7 +617,7 @@ struct Session::Impl {
     options.spill = parse_spill(args);
     const StopToken stop = make_stop(args);
     options.stop = stop;
-    const auto graph = graph_of<analysis::ReachabilityGraph>(*m, options, reach_key);
+    const auto graph = graph_of(reach_cache, *m, options, reach_key);
     out << "\nreachability: " << graph->num_states() << " states, "
         << graph->num_edges() << " edges";
     switch (graph->status()) {
@@ -664,7 +680,7 @@ struct Session::Impl {
       topts.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
       topts.spill = options.spill;
       topts.stop = stop;
-      const auto timed = graph_of<analysis::TimedReachabilityGraph>(*m, topts, timed_key);
+      const auto timed = graph_of(timed_cache, *m, topts, timed_key);
       const char* timed_status = " (complete)";
       switch (timed->status()) {
         case analysis::ReachStatus::kComplete: break;
@@ -767,7 +783,7 @@ SessionStats Session::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   SessionStats s = impl_->counters;
   s.graph_cache_bytes = impl_->cached_bytes;
-  s.graph_cache_entries = impl_->graphs.size();
+  s.graph_cache_entries = impl_->reach_cache.size() + impl_->timed_cache.size();
   s.compile_cache_entries = impl_->models.size();
   return s;
 }

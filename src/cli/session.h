@@ -14,10 +14,9 @@
 //     the same model reached through two paths is one entry, and an edited
 //     file misses). Holds the parsed NetDocument and the immutable
 //     shared_ptr<const CompiledNet> every consumer shares.
-//   * graph cache — keyed by (graph kind, canonical option string, net
-//     source). Holds sealed ReachabilityGraph / TimedReachabilityGraph
-//     objects behind shared_ptr<const ...> in one map, so both kinds share
-//     one least-recently-used order; repeated queries against a hot model
+//   * graph cache — keyed by (net source, canonical option string) per graph
+//     kind. Holds sealed ReachabilityGraph / TimedReachabilityGraph objects
+//     behind shared_ptr<const ...>; repeated queries against a hot model
 //     skip exploration entirely and scan the cached flat arrays. Eviction
 //     is byte-accurate LRU using the arenas' exact accounting
 //     (memory_bytes()), against SessionOptions::graph_cache_budget_bytes.

@@ -185,11 +185,11 @@ RecordedTrace read_trace_text(std::istream& in) {
   }
   if (!began) fail(line_no, "missing 'start' line");
 
-  // Token counts and in-flight firings are replayed as the events are read,
-  // by TraceCursor::step's rules, so every consumer of a loaded trace sees
-  // the same consistent trace and an inconsistent one fails here, once.
-  Marking marking = header.initial_marking;
-  std::vector<std::uint64_t> in_flight(header.transition_names.size(), 0);
+  // Every event is replayed as it is read, by the TraceCursor every trace
+  // command steps, so an event that removes more tokens than a place holds,
+  // overflows a count, updates an unknown table entry or ends a firing that
+  // is not in flight fails here, with its line number, for all of them.
+  TraceCursor replay(trace);
 
   // --- events ---------------------------------------------------------------
   while (std::getline(in, line)) {
@@ -200,7 +200,11 @@ RecordedTrace read_trace_text(std::istream& in) {
     ls >> keyword;
 
     if (keyword == "end") {
-      trace.end(read_field<Time>(ls, line_no, "end", "end time"));
+      const Time end_time = read_field<Time>(ls, line_no, "end", "end time");
+      if (end_time < replay.time()) {
+        fail(line_no, "end time is earlier than the last event or the start time");
+      }
+      trace.end(end_time);
       ended = true;
       break;
     }
@@ -263,25 +267,11 @@ RecordedTrace read_trace_text(std::istream& in) {
       }
     }
     try {
-      if (ev.kind != TraceEvent::Kind::kEnd) {
-        for (const TokenDelta& d : ev.consumed) marking.remove(d.place, d.count);
-      }
-      if (ev.kind != TraceEvent::Kind::kStart) {
-        for (const TokenDelta& d : ev.produced) marking.add(d.place, d.count);
-      }
+      trace.event(ev);
+      replay.step();
     } catch (const std::exception& e) {
       fail(line_no, e.what());
     }
-    if (ev.kind == TraceEvent::Kind::kStart) ++in_flight[transition_index];
-    if (ev.kind == TraceEvent::Kind::kEnd) {
-      if (in_flight[transition_index] == 0) {
-        fail(line_no, "End event for transition '" +
-                          header.transition_names[transition_index] +
-                          "' with no firing in flight");
-      }
-      --in_flight[transition_index];
-    }
-    trace.event(ev);
   }
   if (!ended) fail(line_no, "missing 'end' line");
   return trace;

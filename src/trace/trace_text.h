@@ -50,9 +50,11 @@ class TextTraceWriter final : public TraceSink {
 std::string write_trace_text(const RecordedTrace& trace);
 
 /// Parse a text trace; throws std::runtime_error with a line number on any
-/// syntax or consistency error. Consistency means the events replay: no
-/// event removes more tokens than a place holds or overflows a token count,
-/// and no End event comes without a firing of its transition in flight.
+/// syntax or consistency error. Consistency means the events are in time
+/// order and replay through TraceCursor::step (no event removes more tokens
+/// than a place holds, overflows a token count or updates an unknown table
+/// entry, and no End event comes without a firing of its transition in
+/// flight), and the end time is not earlier than the last event.
 RecordedTrace read_trace_text(std::istream& in);
 RecordedTrace read_trace_text(const std::string& text);
 

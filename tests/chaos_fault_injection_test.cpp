@@ -118,20 +118,29 @@ TEST_F(ChaosTest, RealSpillWriteFailureFailsCleanlyAndRemovesSpillDir) {
   options.spill = tiny_spill(dir_.string());
   rlimit saved{};
   ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  rlimit limited = saved;
-  limited.rlim_cur = 1024;  // half of one spill segment
-  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
   int code = 0;
   std::string what;
-  try {
-    const analysis::ReachabilityGraph graph(net, options);
-  } catch (const std::system_error& e) {
-    code = e.code().value();
-    what = e.what();
+  {
+    // Puts the limit and the signal handler back on every way out of this
+    // block, a failed assertion or an unexpected exception included.
+    struct Restore {
+      rlimit limit;
+      void (*handler)(int);
+      ~Restore() {
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        std::signal(SIGXFSZ, handler);
+      }
+    } const restore{saved, std::signal(SIGXFSZ, SIG_IGN)};
+    rlimit limited = saved;
+    limited.rlim_cur = 1024;  // half of one spill segment
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+    try {
+      const analysis::ReachabilityGraph graph(net, options);
+    } catch (const std::system_error& e) {
+      code = e.code().value();
+      what = e.what();
+    }
   }
-  ::setrlimit(RLIMIT_FSIZE, &saved);
-  std::signal(SIGXFSZ, old_handler);
   EXPECT_EQ(code, EFBIG);
   EXPECT_EQ(what.rfind("write spill segment", 0), 0u) << what;
   EXPECT_EQ(dir_entries(), 0u);

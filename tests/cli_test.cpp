@@ -1272,9 +1272,9 @@ TEST_F(CliTest, TraceHeaderAndEventNumbersAreReadStrictly) {
 }
 
 TEST_F(CliTest, InconsistentTracesAreRejectedByEveryTraceCommand) {
-  // The loader replays token counts and in-flight firings, so stat, which
-  // never steps a cursor, rejects the same traces as animate, render and
-  // query, with the same line-numbered text and exit code 2.
+  // The loader replays every event through a TraceCursor, so stat, which
+  // steps no cursor of its own, rejects the same traces as animate, render
+  // and query, with the same line-numbered text and exit code 2.
   const std::string trace_path = make_trace_file();
   std::string text;
   {
@@ -1296,13 +1296,20 @@ TEST_F(CliTest, InconsistentTracesAreRejectedByEveryTraceCommand) {
        "trace text, line 11: Marking::remove: removing 7 tokens from place 0 which holds "
        "only 1\n"},
       {"E 0 1 0 q0:1\n",
-       "trace text, line 11: End event for transition 'finish' with no firing in flight\n"},
+       "trace text, line 11: TraceCursor: End event for transition 'finish' with no firing "
+       "in flight\n"},
       {"A 0 0 0 q0:4294967295\n",
        "trace text, line 11: Marking::add: token count overflow on place 0\n"},
       // A Start's consumption counts too, and an End may close it.
       {"S 0 0 0 p0:2\n",
        "trace text, line 11: Marking::remove: removing 2 tokens from place 0 which holds "
        "only 1\n"},
+      // Data updates replay too: the net has no tables.
+      {"A 0 0 0 p0:1 p2:1 q1:1 t:nosuch[0]=1\n",
+       "trace text, line 11: DataContext: unknown table 'nosuch'\n"},
+      // Line 12's event is at t=5.
+      {"A 9 0 0 p0:1 p2:1 q1:1\n",
+       "trace text, line 12: RecordedTrace: events out of time order\n"},
   };
   const std::string bad_path = (dir_ / "bad.trace").string();
   for (const Case& c : kCases) {
@@ -1320,6 +1327,19 @@ TEST_F(CliTest, InconsistentTracesAreRejectedByEveryTraceCommand) {
       EXPECT_EQ(r.code, 2) << argv[0] << ' ' << c.event;
       EXPECT_EQ(r.out, "") << argv[0] << ' ' << c.event;
       EXPECT_EQ(r.err, "pnut " + argv[0] + ": " + c.err) << c.event;
+    }
+  }
+  // The end time may not precede the last event (t=200).
+  {
+    const auto end_at = text.rfind("\nend ") + 1;
+    const auto end_line = std::count(text.begin(), text.begin() + end_at, '\n') + 1;
+    std::ofstream(bad_path) << text.substr(0, end_at) << "end 3\n";
+    for (const char* command : {"stat", "animate"}) {
+      const Result r = run_cli({command, bad_path});
+      EXPECT_EQ(r.code, 2) << command;
+      EXPECT_EQ(r.err, std::string("pnut ") + command + ": trace text, line " +
+                           std::to_string(end_line) +
+                           ": end time is earlier than the last event or the start time\n");
     }
   }
   // A Start then its End replays cleanly.

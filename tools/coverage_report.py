@@ -3,14 +3,14 @@
 
 Configure a build with --coverage, run its tests, then:
 
-    python3 tools/coverage_report.py BUILD_DIR [--allowlist FILE]
+    python3 tools/coverage_report.py BUILD_DIR
 
 The script runs `gcov --json-format` over every .gcda file under BUILD_DIR
 and merges the records per src/ source location: a header function
 compiled into many objects, or the instantiations of one template, count
 once, and ran if any copy ran. It prints line coverage per src/ file and
 every function that never ran, and exits 1 if a never-run function is not
-named in the allowlist (default: tools/coverage_allowlist.txt).
+named in tools/coverage_allowlist.txt.
 
 Allowlist lines read `FILE | FUNCTION | REASON`: FILE is the path under the
 repository root, FUNCTION the qualified name without its parameter list (as
@@ -18,7 +18,6 @@ this report prints it), and REASON must not be empty. Lines starting with #
 are comments. An entry that matches no never-run function is reported but
 does not fail the run.
 """
-import argparse
 import json
 import os
 import subprocess
@@ -26,6 +25,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
+ALLOWLIST = os.path.join(ROOT, "tools", "coverage_allowlist.txt")
 
 
 OPERATOR_CHARS = set("<>=!+-*/%^&|~[],")
@@ -135,13 +135,9 @@ def read_allowlist(path):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("build_dir")
-    parser.add_argument("--allowlist",
-                        default=os.path.join(ROOT, "tools", "coverage_allowlist.txt"))
-    args = parser.parse_args()
-
-    lines, functions = collect(os.path.abspath(args.build_dir))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit("usage: coverage_report.py BUILD_DIR")
+    lines, functions = collect(os.path.abspath(sys.argv[1]))
     per_file = {}
     for (rel, _), ran in lines.items():
         counts = per_file.setdefault(rel, [0, 0])
@@ -158,7 +154,7 @@ def main():
     never = sorted((rel, line, name) for (rel, line, _), (name, ran) in functions.items()
                    if not ran)
     print("\n%d function locations, %d never ran" % (len(functions), len(never)))
-    allowed, bad = read_allowlist(args.allowlist)
+    allowed, bad = read_allowlist(ALLOWLIST)
     used = set()
     failures = list(bad)
     for rel, line, name in never:
