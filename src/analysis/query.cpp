@@ -312,9 +312,9 @@ class BuiltinNode final : public QNode {
 };
 
 /// Name(s): place tokens, transition activity, or data variable in state s.
-/// The name is resolved against a space once (place first, then
-/// transition), not per state. A place reads the whole block in one bulk
-/// read; transition activity and data variables are read state by state.
+/// The name is resolved against a space once (a place, else a transition,
+/// else a variable slot), not per state. A place reads the whole block in
+/// one bulk read; transition activity and variables, state by state.
 class StateFnNode final : public QNode {
  public:
   StateFnNode(std::string name, std::vector<QNodePtr> args)
@@ -380,9 +380,11 @@ class StateFnNode final : public QNode {
         });
         return;
       case Kind::kVariable:
+      case Kind::kUnknown:
         std::fill_n(out, n, 0);
         lanes.for_live([&](std::size_t l) {
-          if (auto v = space.variable(static_cast<std::size_t>(states[l]), name_)) {
+          const auto s = static_cast<std::size_t>(states[l]);
+          if (const auto v = kind_ == Kind::kVariable ? space.variable(s, id_) : std::nullopt) {
             out[l] = *v;
             return;
           }
@@ -395,8 +397,7 @@ class StateFnNode final : public QNode {
   }
 
  private:
-  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
-
+  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable, kUnknown };
 
   void resolve(const StateSpace& space) {
     if (auto p = space.find_place(name_)) {
@@ -405,8 +406,11 @@ class StateFnNode final : public QNode {
     } else if (auto t = space.find_transition(name_)) {
       kind_ = Kind::kTransition;
       id_ = t->value;
-    } else {
+    } else if (auto v = space.find_variable(name_)) {
       kind_ = Kind::kVariable;
+      id_ = *v;
+    } else {
+      kind_ = Kind::kUnknown;
     }
     resolved_for_ = &space;
   }
@@ -418,7 +422,7 @@ class StateFnNode final : public QNode {
   std::vector<std::int64_t> states_;
   const StateSpace* resolved_for_ = nullptr;
   Kind kind_ = Kind::kVariable;
-  std::uint32_t id_ = 0;
+  std::uint32_t id_ = 0;  ///< place or transition index, or variable slot
 };
 
 /// out[l] = a[l] OP b[l] over every lane, for an operator that cannot raise.

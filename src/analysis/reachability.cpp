@@ -1,6 +1,7 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "analysis/reach_encode.h"
 
@@ -66,28 +67,28 @@ std::int64_t ReachabilityGraph::transition_activity(std::size_t state, Transitio
   // The shared frame/scratch are the only mutable state on this const
   // path; serialize them so cached graphs take concurrent queries.
   std::lock_guard<std::mutex> lock(query_mutex_);
-  if (!track_data_) {
-    return expr::vm_eval(*predicate, program_->initial_frame(), nullptr, query_scratch_) != 0
-               ? 1
-               : 0;
+  if (track_data_) {
+    program_->schema().decode(store_.state(state).data() + net_->num_places(), query_frame_);
   }
-  program_->schema().decode(store_.state(state).data() + net_->num_places(), query_frame_);
-  return expr::vm_eval(*predicate, query_frame_, nullptr, query_scratch_) != 0 ? 1 : 0;
+  const DataFrame& frame = track_data_ ? query_frame_ : program_->initial_frame();
+  return expr::vm_eval(*predicate, frame, nullptr, query_scratch_) != 0 ? 1 : 0;
 }
 
 std::optional<std::int64_t> ReachabilityGraph::variable(std::size_t state,
-                                                        std::string_view name) const {
+                                                        std::uint32_t slot) const {
   if (track_data_) {
-    // Per-state data lives as encoded slot words in the arena; read the
-    // one scalar straight out of the state's word block.
-    const auto slot = program_->schema().scalar_slot(name);
-    if (!slot) return std::nullopt;
-    return program_->schema().decode_scalar(
-        store_.state(state).data() + net_->num_places(), *slot);
+    return program_->schema().decode_scalar(store_.state(state).data() + net_->num_places(),
+                                            slot);
   }
-  const DataContext& d = net_->net().initial_data();
-  if (d.has(name)) return d.get(name);
-  return std::nullopt;
+  return std::next(net_->net().initial_data().scalars().begin(), slot)->second;
+}
+
+std::optional<std::uint32_t> ReachabilityGraph::find_variable(std::string_view name) const {
+  if (track_data_) return program_->schema().scalar_slot(name);
+  const auto& scalars = net_->net().initial_data().scalars();
+  const auto it = scalars.find(name);
+  if (it == scalars.end()) return std::nullopt;
+  return static_cast<std::uint32_t>(std::distance(scalars.begin(), it));
 }
 
 void ReachabilityGraph::successor_rows(std::vector<std::size_t>& offsets,

@@ -114,7 +114,7 @@ class ReachabilityGraph final : public StateSpace,
   [[nodiscard]] std::int64_t transition_activity(std::size_t state,
                                                  TransitionId t) const override;
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
-                                                     std::string_view name) const override;
+                                                     std::uint32_t slot) const override;
   /// Copies the edge pool's targets row by row.
   void successor_rows(std::vector<std::size_t>& offsets,
                       std::vector<std::uint32_t>& targets) const override;
@@ -125,6 +125,10 @@ class ReachabilityGraph final : public StateSpace,
       std::string_view name) const override {
     return net_->find_transition(name);
   }
+  /// A slot of the program's schema; for an action-free net, whose data
+  /// never changes, an initial scalar's rank in name order.
+  [[nodiscard]] std::optional<std::uint32_t> find_variable(
+      std::string_view name) const override;
 
   // --- graph-specific queries ---------------------------------------------------
 

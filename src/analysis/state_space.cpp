@@ -1,5 +1,6 @@
 #include "analysis/state_space.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace pnut::analysis {
@@ -7,45 +8,56 @@ namespace pnut::analysis {
 TraceStateSpace::TraceStateSpace(const RecordedTrace& trace)
     : trace_(&trace),
       num_places_(trace.header().place_names.size()),
-      arena_(trace.header().place_names.size() + trace.header().transition_names.size()) {
+      data_offset_(num_places_ + trace.header().transition_names.size()),
+      arena_(0) {
+  // The header's scalars and every name the S and A events assign (a cursor ignores E's).
+  std::vector<std::string> names;
+  for (const auto& [name, value] : trace.header().initial_data.scalars()) names.push_back(name);
+  for (const TraceEvent& ev : trace.events()) {
+    for (const ScalarUpdate& u : ev.scalar_updates) {
+      if (ev.kind != TraceEvent::Kind::kEnd &&
+          std::find(names.begin(), names.end(), u.name) == names.end()) {
+        names.push_back(u.name);
+      }
+    }
+  }
+  schema_ = DataSchema::build({}, names);
+  arena_ = StateArena(data_offset_ + schema_.encoded_words());
+
   TraceCursor cursor(trace);
   const std::size_t n = trace.num_states();
   arena_.reserve(n);
-  data_.reserve(n);
   times_.reserve(n);
 
   std::vector<std::uint32_t> scratch(arena_.width());
+  DataFrame frame{std::vector<std::int64_t>(schema_.num_values()),
+                  std::vector<std::uint8_t>(schema_.num_scalars())};
+  const auto set_scalar = [&](const std::string& name, std::int64_t value) {
+    const std::uint32_t slot = *schema_.scalar_slot(name);
+    frame.values[slot] = value;
+    frame.present[slot] = 1;
+  };
+  for (const auto& [name, value] : trace.header().initial_data.scalars()) set_scalar(name, value);
   const auto snapshot = [&] {
     const auto& tokens = cursor.marking().tokens();
     std::copy(tokens.begin(), tokens.end(), scratch.begin());
-    const auto active = cursor.all_active_firings();
+    const auto& active = cursor.all_active_firings();
     std::copy(active.begin(), active.end(),
               scratch.begin() + static_cast<std::ptrdiff_t>(num_places_));
+    schema_.encode(frame, scratch.data() + data_offset_);
     arena_.push(scratch);
-    data_.push_back(cursor.data());
     times_.push_back(cursor.time());
   };
 
   snapshot();
   while (!cursor.at_end()) {
+    const TraceEvent& ev = cursor.pending_event();
     cursor.step();
+    if (ev.kind != TraceEvent::Kind::kEnd) {
+      for (const ScalarUpdate& u : ev.scalar_updates) set_scalar(u.name, u.value);
+    }
     snapshot();
   }
-}
-
-std::int64_t TraceStateSpace::place_tokens(std::size_t state, PlaceId p) const {
-  return arena_[state][p.value];
-}
-
-std::int64_t TraceStateSpace::transition_activity(std::size_t state, TransitionId t) const {
-  return arena_[state][num_places_ + t.value];
-}
-
-std::optional<std::int64_t> TraceStateSpace::variable(std::size_t state,
-                                                      std::string_view name) const {
-  const DataContext& d = data_.at(state);
-  if (d.has(name)) return d.get(name);
-  return std::nullopt;
 }
 
 void TraceStateSpace::successor_rows(std::vector<std::size_t>& offsets,

@@ -75,64 +75,44 @@ std::vector<std::string> Animator::single_step() {
   const TraceEvent ev = cursor_.pending_event();
   const std::string tname = transition_name(ev.transition);
 
-  std::vector<std::string> frames;
-
-  if (ev.kind == TraceEvent::Kind::kAtomic) {
-    // Zero-duration firing: tokens flow in and out in one step.
-    std::vector<std::string> arcs;
-    for (const TokenDelta& d : ev.consumed) {
-      arcs.push_back(place_name(d.place) + " ==(" + std::to_string(d.count) + ")==> [" +
-                     tname + ']');
-    }
-    for (const TokenDelta& d : ev.produced) {
-      arcs.push_back("[" + tname + "] ==(" + std::to_string(d.count) + ")==> " +
-                     place_name(d.place));
-    }
-    for (const ScalarUpdate& u : ev.scalar_updates) {
-      arcs.push_back(u.name + " := " + std::to_string(u.value));
-    }
-    for (const TableUpdate& u : ev.table_updates) {
-      arcs.push_back(u.name + "[" + std::to_string(u.index) +
-                     "] := " + std::to_string(u.value));
-    }
-    frames.push_back(frame(tname + " fires", arcs));
-    cursor_.step();
-    frames.push_back(frame("after " + tname, {}));
-    return frames;
+  // The event's arc and update lines; each kind of event shows its own.
+  std::vector<std::string> consumed;
+  for (const TokenDelta& d : ev.consumed) {
+    consumed.push_back(place_name(d.place) + " ==(" + std::to_string(d.count) + ")==> [" +
+                       tname + ']');
+  }
+  std::vector<std::string> produced;
+  for (const TokenDelta& d : ev.produced) {
+    produced.push_back("[" + tname + "] ==(" + std::to_string(d.count) + ")==> " +
+                       place_name(d.place));
+  }
+  std::vector<std::string> updates;
+  for (const ScalarUpdate& u : ev.scalar_updates) {
+    updates.push_back(u.name + " := " + std::to_string(u.value));
+  }
+  for (const TableUpdate& u : ev.table_updates) {
+    updates.push_back(u.name + "[" + std::to_string(u.index) + "] := " + std::to_string(u.value));
   }
 
-  if (ev.kind == TraceEvent::Kind::kStart) {
-    // Sub-frame 1: tokens in transit from input places to the transition.
-    std::vector<std::string> arcs;
-    for (const TokenDelta& d : ev.consumed) {
-      arcs.push_back(place_name(d.place) + " ==(" + std::to_string(d.count) + ")==> [" +
-                     tname + ']');
-    }
-    if (arcs.empty()) arcs.push_back("[" + tname + "] (no input tokens)");
-    frames.push_back(frame(tname + " begins firing", arcs));
-
+  std::vector<std::string> frames;
+  if (ev.kind == TraceEvent::Kind::kAtomic) {
+    // Zero-duration firing: tokens flow in and out in one step.
+    consumed.insert(consumed.end(), produced.begin(), produced.end());
+    consumed.insert(consumed.end(), updates.begin(), updates.end());
+    frames.push_back(frame(tname + " fires", consumed));
     cursor_.step();
-
+    frames.push_back(frame("after " + tname, {}));
+  } else if (ev.kind == TraceEvent::Kind::kStart) {
+    // Sub-frame 1: tokens in transit from input places to the transition.
+    if (consumed.empty()) consumed.push_back("[" + tname + "] (no input tokens)");
+    frames.push_back(frame(tname + " begins firing", consumed));
+    cursor_.step();
     // Sub-frame 2: the transition holds the tokens.
-    std::vector<std::string> updates;
-    for (const ScalarUpdate& u : ev.scalar_updates) {
-      updates.push_back(u.name + " := " + std::to_string(u.value));
-    }
-    for (const TableUpdate& u : ev.table_updates) {
-      updates.push_back(u.name + "[" + std::to_string(u.index) +
-                        "] := " + std::to_string(u.value));
-    }
     frames.push_back(frame(tname + " firing", updates));
   } else {
     // Sub-frame: tokens in transit from the transition to output places.
-    std::vector<std::string> arcs;
-    for (const TokenDelta& d : ev.produced) {
-      arcs.push_back("[" + tname + "] ==(" + std::to_string(d.count) + ")==> " +
-                     place_name(d.place));
-    }
-    if (arcs.empty()) arcs.push_back("[" + tname + "] (no output tokens)");
-    frames.push_back(frame(tname + " completes firing", arcs));
-
+    if (produced.empty()) produced.push_back("[" + tname + "] (no output tokens)");
+    frames.push_back(frame(tname + " completes firing", produced));
     cursor_.step();
     frames.push_back(frame("after " + tname, {}));
   }

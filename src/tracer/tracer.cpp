@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -80,8 +81,9 @@ void Tracer::add_transition_signal(std::string_view transition_name, std::string
 }
 
 void Tracer::add_variable_signal(std::string_view variable, std::string_view label) {
+  const auto slot = states_.find_variable(variable);
   add_signal(label_or(label, variable), [&](std::size_t i) {
-    const auto v = states_.variable(i, variable);
+    const auto v = slot ? states_.variable(i, *slot) : std::nullopt;
     if (!v) {
       throw std::invalid_argument("Tracer: no data variable named '" +
                                   std::string(variable) + "'");
@@ -93,52 +95,40 @@ void Tracer::add_variable_signal(std::string_view variable, std::string_view lab
 void Tracer::add_function_signal(std::string_view label, std::string_view expression) {
   const expr::NodePtr ast = expr::parse_expression(expression);
 
-  // Resolve each name once: a place, else a transition, else a variable of
-  // some state. A name that is none of these gets no slot and compiles to
-  // the unknown-identifier throw; a variable absent from a state reads as
-  // an absent slot, which raises the same error if evaluation reaches it.
-  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
-  struct Input {
-    std::string name;
-    Kind kind;
-    std::uint32_t id = 0;    ///< place or transition index
-    std::uint32_t slot = 0;  ///< scalar slot in the frame
-  };
+  // One frame slot per name the expression reads, each resolved once: a
+  // place, else a transition, else a variable of the trace. A name that is
+  // none of these stays an absent slot, as does a variable in a state that
+  // lacks it: reading one raises the VM's unknown-identifier error.
   std::vector<std::string> names;
   collect_names(*ast, names);
-  std::vector<Input> inputs;
-  std::vector<std::string> resolved;
-  for (std::string& name : names) {
-    if (const auto p = states_.find_place(name)) {
-      inputs.push_back({name, Kind::kPlace, p->value});
-    } else if (const auto t = states_.find_transition(name)) {
-      inputs.push_back({name, Kind::kTransition, t->value});
-    } else {
-      bool ever = false;
-      for (std::size_t i = 0; i < states_.num_states() && !ever; ++i) {
-        ever = states_.variable(i, name).has_value();
-      }
-      if (!ever) continue;
-      inputs.push_back({name, Kind::kVariable});
-    }
-    resolved.push_back(std::move(name));
-  }
-  const DataSchema schema = DataSchema::build({}, resolved);
-  for (Input& in : inputs) in.slot = *schema.scalar_slot(in.name);
+  const DataSchema schema = DataSchema::build({}, names);
   const expr::Code code = expr::compile_expression(*ast, schema);
+  enum class Kind : std::uint8_t { kPlace, kTransition, kVariable };
+  struct Input {
+    Kind kind;
+    std::uint32_t id;    ///< place or transition index, or variable slot
+    std::uint32_t slot;  ///< scalar slot in the frame
+  };
+  std::vector<Input> inputs;
+  for (const std::string& name : names) {
+    const std::uint32_t slot = *schema.scalar_slot(name);
+    if (const auto p = states_.find_place(name)) {
+      inputs.push_back({Kind::kPlace, p->value, slot});
+    } else if (const auto t = states_.find_transition(name)) {
+      inputs.push_back({Kind::kTransition, t->value, slot});
+    } else if (const auto v = states_.find_variable(name)) {
+      inputs.push_back({Kind::kVariable, *v, slot});
+    }
+  }
 
   DataFrame frame = schema.make_frame({});
   expr::VmScratch scratch;
   add_signal(std::string(label), [&](std::size_t i) {
     for (const Input& in : inputs) {
-      std::optional<std::int64_t> value;
-      switch (in.kind) {
-        case Kind::kPlace: value = states_.place_tokens(i, PlaceId(in.id)); break;
-        case Kind::kTransition:
-          value = states_.transition_activity(i, TransitionId(in.id));
-          break;
-        case Kind::kVariable: value = states_.variable(i, in.name); break;
-      }
+      const std::optional<std::int64_t> value =
+          in.kind == Kind::kPlace        ? states_.place_tokens(i, PlaceId(in.id))
+          : in.kind == Kind::kTransition ? states_.transition_activity(i, TransitionId(in.id))
+                                         : states_.variable(i, in.id);
       frame.present[in.slot] = value.has_value() ? 1 : 0;
       frame.values[in.slot] = value.value_or(0);
     }
@@ -227,25 +217,16 @@ std::string Tracer::render(Time t0, Time t1, RenderOptions options) const {
     for (std::size_t i = s.label.size(); i < label_w + 1; ++i) out << ' ';
     out << '|';
     for (std::size_t c = 0; c < cols; ++c) {
-      const std::int64_t v = samples[c];
-      if (options.unicode) {
-        if (v <= 0) {
-          out << ' ';
-        } else {
-          const std::size_t level =
-              std::min<std::size_t>(7, static_cast<std::size_t>((v * 8 - 1) / peak));
-          out << kUnicodeRamp[level];
-        }
+      // v * 8 in 128 bits: it overflows int64 once v passes INT64_MAX / 8.
+      const __int128 v8 = static_cast<__int128>(samples[c]) * 8;
+      if (v8 <= 0) {
+        out << (options.unicode ? ' ' : kAsciiRamp[0]);
+      } else if (options.unicode) {
+        out << kUnicodeRamp[std::min<__int128>(7, (v8 - 1) / peak)];
       } else {
-        if (v <= 0) {
-          out << kAsciiRamp[0];
-        } else {
-          // Map (0, peak] onto ramp indices 1..8 so that v == peak renders
-          // full height ('@') even when peak == 1.
-          const std::size_t level = std::max<std::size_t>(
-              1, std::min<std::size_t>(8, static_cast<std::size_t>((v * 8) / peak)));
-          out << kAsciiRamp[level];
-        }
+        // Map (0, peak] onto ramp indices 1..8 so that v == peak renders
+        // full height ('@') even when peak == 1.
+        out << kAsciiRamp[std::clamp<__int128>(v8 / peak, 1, 8)];
       }
     }
     out << "| max=" << peak << '\n';
@@ -260,13 +241,9 @@ std::string Tracer::render(Time t0, Time t1, RenderOptions options) const {
     for (std::size_t i = 0; i < label_w + 2; ++i) out << ' ';
     std::snprintf(buf, sizeof(buf), "%-.6g", t0);
     out << buf;
-    const std::string right = [&] {
-      char b2[32];
-      std::snprintf(b2, sizeof(b2), "%.6g", t1);
-      return std::string(b2);
-    }();
-    const std::size_t used = std::string(buf).size();
-    for (std::size_t i = used; i + right.size() < cols; ++i) out << ' ';
+    char right[32];
+    std::snprintf(right, sizeof(right), "%.6g", t1);
+    for (std::size_t i = std::strlen(buf); i + std::strlen(right) < cols; ++i) out << ' ';
     out << right << '\n';
 
     // Marker row + legend.

@@ -56,14 +56,15 @@ class Tracer {
   void add_place_signal(std::string_view place_name, std::string_view label = {});
   /// Probe a transition's in-flight firing count.
   void add_transition_signal(std::string_view transition_name, std::string_view label = {});
-  /// Probe a data variable.
+  /// Probe a data variable, resolved once to its slot in the trace states.
   void add_variable_signal(std::string_view variable, std::string_view label = {});
-  /// Probe an arbitrary expression over places, transitions and variables
-  /// (each name resolves once, in that order). Evaluates it on every state
-  /// at definition time: throws expr::ParseError on bad syntax and
-  /// expr::EvalError when a state's evaluation fails (an unknown name, a
-  /// variable absent from that state, division by zero, irand, a table
-  /// call, ...). A failed signal is not added.
+  /// Probe an expression over places, transitions and variables (each name
+  /// resolves once: a place, else a transition, else a variable slot, no
+  /// state scan). Evaluates it on every state at definition time: throws
+  /// expr::ParseError on bad syntax and expr::EvalError when a state's
+  /// evaluation fails (an unknown name, a variable absent from that state,
+  /// division by zero, irand, a table call, ...). A failed signal is not
+  /// added.
   void add_function_signal(std::string_view label, std::string_view expression);
 
   [[nodiscard]] std::size_t num_signals() const { return signals_.size(); }

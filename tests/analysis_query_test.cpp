@@ -577,8 +577,8 @@ class CountingSpace final : public StateSpace {
   std::int64_t transition_activity(std::size_t s, TransitionId t) const override {
     return inner_.transition_activity(s, t);
   }
-  std::optional<std::int64_t> variable(std::size_t s, std::string_view name) const override {
-    return inner_.variable(s, name);
+  std::optional<std::int64_t> variable(std::size_t s, std::uint32_t slot) const override {
+    return inner_.variable(s, slot);
   }
   void successor_rows(std::vector<std::size_t>& offsets,
                       std::vector<std::uint32_t>& targets) const override {
@@ -591,6 +591,10 @@ class CountingSpace final : public StateSpace {
   std::optional<TransitionId> find_transition(std::string_view name) const override {
     ++lookups;
     return inner_.find_transition(name);
+  }
+  std::optional<std::uint32_t> find_variable(std::string_view name) const override {
+    ++lookups;
+    return inner_.find_variable(name);
   }
   mutable std::size_t lookups = 0;
 
@@ -669,6 +673,35 @@ TEST(QuerySemanticsData, DataVariableLookupOnInterpretedGraphAndTrace) {
       EXPECT_STREQ(e.what(),
                    "query evaluation: 'y' is not a place, transition or data variable");
     }
+  }
+}
+
+TEST(QuerySemanticsData, VariablesResolveOncePerEvaluationNotPerState) {
+  Net net;
+  net.initial_data().set("x", 0);
+  const PlaceId p = net.add_place("P", 1);
+  const TransitionId t = net.add_transition("T");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  net.set_enabling_time(t, DelaySpec::constant(1));
+  net.set_action(t, expr::compile_action("x = x + 1"));
+  const RecordedTrace trace = record_trace(net, 40);
+  const TraceStateSpace trace_space(trace);
+  ReachOptions options;
+  options.max_states = 40;  // x counts up without bound
+  const ReachabilityGraph graph(net, options);
+  for (const StateSpace* inner : {static_cast<const StateSpace*>(&trace_space),
+                                  static_cast<const StateSpace*>(&graph)}) {
+    const CountingSpace space(*inner);
+    ASSERT_GT(space.num_states(), 30U);
+    // A variable costs a failed place and a failed transition lookup, then
+    // one variable lookup, however many states it reads.
+    EXPECT_TRUE(eval_query(space, "forall s in S [ x(s) >= 0 ]").holds);
+    EXPECT_EQ(space.lookups, 3U);
+    // An unknown name resolves as often, and fails on the first state.
+    space.lookups = 0;
+    EXPECT_THROW((void)eval_query(space, "forall s in S [ y(s) >= 0 ]"), std::runtime_error);
+    EXPECT_EQ(space.lookups, 3U);
   }
 }
 

@@ -3,9 +3,12 @@
 
 #include "analysis/reachability.h"
 #include "expr/compile.h"
+#include "support/variable_named.h"
 
 namespace pnut::analysis {
 namespace {
+
+using test_support::variable_named;
 
 /// Two-transition ring: P(1) <-> Q via t1, t2. Two states.
 Net ring_net() {
@@ -248,7 +251,7 @@ TEST(Reachability, InterpretedDeterministicActionTracked) {
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 3u);
   EXPECT_TRUE(graph.is_reversible());
-  EXPECT_EQ(graph.variable(0, "x"), 0);
+  EXPECT_EQ(variable_named(graph, 0, "x"), 0);
 }
 
 TEST(Reachability, StochasticActionFansOut) {
@@ -276,7 +279,7 @@ TEST(Reachability, PredicateLimitsStateSpace) {
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 6u);  // x = 0..5
   ASSERT_EQ(graph.deadlock_states().size(), 1u);
-  EXPECT_EQ(graph.variable(graph.deadlock_states()[0], "x"), 5);
+  EXPECT_EQ(variable_named(graph, graph.deadlock_states()[0], "x"), 5);
 }
 
 TEST(Reachability, ActionCreatedVariableAbsentUntilAssigned) {
@@ -292,9 +295,9 @@ TEST(Reachability, ActionCreatedVariableAbsentUntilAssigned) {
   const ReachabilityGraph graph(net);
   // States: {x=0}, {x=1,y=0}, {x=2,y=1}, {x=2,y=2}.
   EXPECT_EQ(graph.num_states(), 4u);
-  EXPECT_EQ(graph.variable(0, "y"), std::nullopt);
-  EXPECT_EQ(graph.variable(1, "y"), 0);
-  EXPECT_EQ(graph.variable(3, "y"), 2);
+  EXPECT_EQ(variable_named(graph, 0, "y"), std::nullopt);
+  EXPECT_EQ(variable_named(graph, 1, "y"), 0);
+  EXPECT_EQ(variable_named(graph, 3, "y"), 2);
 }
 
 TEST(Reachability, ActionWritingAnUndeclaredTableRaises) {
@@ -317,7 +320,7 @@ std::vector<std::vector<std::int64_t>> x_rows(const ReachabilityGraph& graph) {
   for (std::size_t s = 0; s < graph.num_states(); ++s) {
     rows.emplace_back();
     for (const ReachabilityGraph::Edge& e : graph.edges(s)) {
-      rows.back().push_back(graph.variable(e.target, "x").value_or(-1));
+      rows.back().push_back(variable_named(graph, e.target, "x").value_or(-1));
     }
   }
   return rows;
@@ -374,8 +377,8 @@ TEST(ReachKernel, IrandCollisionsKeepFirstOccurrencesInOrder) {
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.status(), ReachStatus::kComplete);
   ASSERT_EQ(graph.num_states(), 3u);
-  EXPECT_EQ(graph.variable(1, "x"), 1);
-  EXPECT_EQ(graph.variable(2, "x"), 2);
+  EXPECT_EQ(variable_named(graph, 1, "x"), 1);
+  EXPECT_EQ(variable_named(graph, 2, "x"), 2);
   const std::vector<std::vector<std::int64_t>> expected = {{1, 2}, {1, 2}, {2, 1}};
   EXPECT_EQ(x_rows(graph), expected);
 }

@@ -24,9 +24,12 @@
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "support/net_fuzz.h"
+#include "support/variable_named.h"
 
 namespace pnut::analysis {
 namespace {
+
+using test_support::variable_named;
 
 /// A residency window small enough that every model in this file spills:
 /// a few KB of arena + edges against graphs tens of KB and up.
@@ -72,7 +75,7 @@ void expect_identical(const ReachabilityGraph& ram, const ReachabilityGraph& spi
         << "place " << p;
   }
   for (std::size_t s = 0; s < ram.num_states(); s += 7) {
-    EXPECT_EQ(spilled.variable(s, "x"), ram.variable(s, "x")) << "state " << s;
+    EXPECT_EQ(variable_named(spilled, s, "x"), variable_named(ram, s, "x")) << "state " << s;
   }
 }
 
@@ -201,7 +204,7 @@ TEST(SpillEquivalence, ActionCreatingAVariableSpills) {
   ASSERT_EQ(spilled.num_states(), flat.num_states());
   EXPECT_EQ(spilled.num_states(), 2u);
   for (std::size_t s = 0; s < flat.num_states(); ++s) {
-    EXPECT_EQ(spilled.variable(s, "x"), flat.variable(s, "x"));
+    EXPECT_EQ(variable_named(spilled, s, "x"), variable_named(flat, s, "x"));
   }
 }
 

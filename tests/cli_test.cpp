@@ -1056,6 +1056,46 @@ TEST_F(CliTest, RenderSignalErrorsArePinned) {
   EXPECT_EQ(hash_text(guarded.out), 526673238108124967u) << guarded.out;
 }
 
+TEST_F(CliTest, QueryAndRenderOnAScalarCreatedMidTrace) {
+  // `made` does not exist until t's first Start event (state #1) assigns it:
+  // a query or probe of an earlier state finds no such variable, a later
+  // one reads it.
+  const std::string model = (dir_ / "made.pn").string();
+  std::ofstream(model) << "net made\n"
+                          "place p init 1\n"
+                          "place q\n"
+                          "trans t in p out q firing 2 do \"made = seed * 3\"\n"
+                          "trans u in q out p\n"
+                          "param seed 5\n";
+  const std::string trace = (dir_ / "made.trace").string();
+  ASSERT_EQ(run_cli({"simulate", model, "--until", "10", "--trace", trace}).code, 0);
+  struct Case {
+    std::vector<std::string> args;
+    int code;
+    const char* out;
+    const char* err;
+  };
+  const char* kAbsent =
+      "pnut query: query evaluation: 'made' is not a place, transition or data variable\n";
+  const Case kCases[] = {
+      {{"query", trace, "made(#0)"}, 2, "", kAbsent},
+      {{"query", trace, "forall s in S [ made(s) = 15 ]"}, 2, "", kAbsent},
+      {{"query", trace, "made(#3)"}, 0, "holds over 17 trace states (formula evaluates true)\n",
+       ""},
+      {{"query", trace, "made(#3) = seed(#0) * 3"}, 0,
+       "holds over 17 trace states (formula evaluates true)\n", ""},
+      {{"render", trace, "--signals", "made"}, 2, "",
+       "pnut render: Tracer: no data variable named 'made'\n"},
+      {{"render", trace, "--signals", "m=made"}, 2, "", "pnut render: unknown identifier 'made'\n"},
+  };
+  for (const Case& c : kCases) {
+    const Result r = run_cli(c.args);
+    EXPECT_EQ(r.code, c.code) << c.args.back();
+    EXPECT_EQ(r.out, c.out) << c.args.back();
+    EXPECT_EQ(r.err, c.err) << c.args.back();
+  }
+}
+
 
 // --- strict numbers in .pn documents and traces -----------------------------
 //

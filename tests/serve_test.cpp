@@ -432,6 +432,63 @@ TEST_F(ServeTest, EvictionIsByteBudgetedAndLeastRecentlyUsedFirst) {
   EXPECT_EQ(stats.graph_evictions, 1U);
 }
 
+TEST_F(ServeTest, AGraphAloneOverTheBudgetIsAnsweredButNotKept) {
+  // Each graph exceeds a one-byte budget even with nothing else cached: it
+  // answers its own request, byte for byte as the one-shot CLI does, and is
+  // dropped at once, so the next identical request misses again. analyze
+  // builds an untimed graph and then a timed one, and drops each in turn.
+  cli::SessionOptions options;
+  options.cache = true;
+  options.graph_cache_budget_bytes = 1;
+  cli::Session session(options);
+  const std::vector<std::string> query = {"query", "--reach", model_path_, kQuery};
+  const std::vector<std::string> analyze = {"analyze", model_path_};
+  for (const auto& argv : {query, analyze}) {
+    const Framed direct = run_direct(argv);
+    ASSERT_EQ(direct.code, 0) << direct.err;
+    for (int round = 0; round < 2; ++round) {
+      const cli::Result served =
+          session.execute({argv[0], std::vector<std::string>(argv.begin() + 1, argv.end())});
+      EXPECT_EQ(served.code, direct.code) << argv[0];
+      EXPECT_EQ(served.out, direct.out) << argv[0];
+      EXPECT_EQ(served.err, direct.err) << argv[0];
+    }
+  }
+  const cli::SessionStats stats = session.stats();
+  EXPECT_EQ(stats.graph_hits, 0U);
+  EXPECT_EQ(stats.graph_misses, 6U);     // query 2x, analyze 2x (untimed + timed)
+  EXPECT_EQ(stats.graph_evictions, 6U);  // one per build
+  EXPECT_EQ(stats.graph_cache_entries, 0U);
+  EXPECT_EQ(stats.graph_cache_bytes, 0U);
+}
+
+TEST_F(ServeTest, CompileCacheAtCapacityEvictsTheLeastRecentlyUsedModel) {
+  cli::SessionOptions options;
+  options.cache = true;
+  options.compile_cache_capacity = 2;
+  cli::Session session(options);
+  const std::string a = write_ring("ring_a", 3, 1);
+  const std::string b = write_ring("ring_b", 3, 1);
+  const std::string c = write_ring("ring_c", 3, 1);
+  const auto validate = [&](const std::string& path) {
+    EXPECT_EQ(session.execute({"validate", {path}}).code, 0) << path;
+    const cli::SessionStats s = session.stats();
+    EXPECT_LE(s.compile_cache_entries, 2U);
+    return std::make_pair(s.compile_hits, s.compile_misses);
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;  // hits, misses
+  EXPECT_EQ(validate(a), Counts(0, 1));
+  EXPECT_EQ(validate(b), Counts(0, 2));
+  EXPECT_EQ(validate(a), Counts(1, 2));  // a is now the most recently used
+  EXPECT_EQ(validate(c), Counts(1, 3));  // full: b, the least recent, goes
+  EXPECT_EQ(validate(a), Counts(2, 3));
+  EXPECT_EQ(validate(c), Counts(3, 3));
+  EXPECT_EQ(validate(b), Counts(3, 4));  // b was evicted; a goes now
+  EXPECT_EQ(validate(c), Counts(4, 4));
+  EXPECT_EQ(validate(a), Counts(4, 5));
+  EXPECT_EQ(session.stats().compile_cache_entries, 2U);
+}
+
 TEST_F(ServeTest, UntimedAndTimedGraphsShareOneLeastRecentlyUsedOrder) {
   // One analyze caches an untimed and a timed graph; two query --reach
   // requests cache one untimed graph each. All four compete for one budget

@@ -20,6 +20,7 @@
 #include "petri/data_context.h"
 #include "stat/stat.h"
 #include "trace/trace.h"
+#include "variable_named.h"
 
 namespace pnut::test_support {
 
@@ -163,7 +164,7 @@ inline void add_data(Fingerprint& f, const DataContext& d) {
       f.u64(e.target);
     }
     for (const std::string& name : scalars) {
-      const auto v = g.variable(s, name);
+      const auto v = variable_named(g, s, name);
       f.u64(v ? 1 : 0);
       f.i64(v.value_or(0));
     }

@@ -255,6 +255,32 @@ TEST(Tracer, RenderAllCoversWholeTrace) {
   EXPECT_THROW(tracer.render(5, 5), std::invalid_argument);
 }
 
+TEST(Tracer, RenderScalesValuesPastAnEighthOfInt64) {
+  // An amplitude level is v * 8 / peak: past INT64_MAX / 8 the product must
+  // not wrap, so a constant INT64_MAX draws full height and 2^61 on a 0/1
+  // wave draws the same square wave as 3 does.
+  const RecordedTrace trace = run(square_wave_net(), 20);
+  Tracer tracer(trace);
+  tracer.add_function_signal("f", "9223372036854775807");
+  tracer.add_function_signal("g", "Bus_busy*2305843009213693952");
+  tracer.add_function_signal("h", "Bus_busy*3");
+  tracer.add_function_signal("m", "Bus_busy*4611686018427387904+4611686018427387903");
+  RenderOptions options;
+  options.columns = 20;
+  options.show_axis = false;
+  EXPECT_EQ(tracer.render(0, 20, options),
+            "f        |@@@@@@@@@@@@@@@@@@@@| max=9223372036854775807\n"
+            "g        |__@@@__@@@__@@@__@@@| max=2305843009213693952\n"
+            "h        |__@@@__@@@__@@@__@@@| max=3\n"
+            "m        |--@@@--@@@--@@@--@@@| max=9223372036854775807\n");
+  options.unicode = true;
+  EXPECT_EQ(tracer.render(0, 20, options),
+            "f        |████████████████████| max=9223372036854775807\n"
+            "g        |  ███  ███  ███  ███| max=2305843009213693952\n"
+            "h        |  ███  ███  ███  ███| max=3\n"
+            "m        |▄▄███▄▄███▄▄███▄▄███| max=9223372036854775807\n");
+}
+
 TEST(Tracer, CheckRunsPaperQueries) {
   const Net net = pipeline::build_full_model();
   const RecordedTrace trace = run(net, 3000, 7);
